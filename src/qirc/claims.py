@@ -110,6 +110,12 @@ class CampaignConfig:
             raise ValueError(f"trials must be >= 1, got {n}")
         return n
 
+    def n_channels(self) -> int:
+        n = int(self.channels_per_state)
+        if n < 1:
+            raise ValueError(f"channels per state must be >= 1, got {n}")
+        return n
+
     def coherence_generator(self) -> CoherenceGenerator:
         return resolve_generator(self.generator, self.dims[0])
 
@@ -135,7 +141,7 @@ class CampaignConfig:
                 "tol": self.optimizer.tol,
                 "max_iter": self.optimizer.max_iter,
                 "seed": self.optimizer.seed,
-                "method": self.optimizer.method,
+                "method": "closed-form" if self.dims[0] == 2 else "power",
             },
         }
 
@@ -389,7 +395,7 @@ def check_monotonicity(cfg: CampaignConfig) -> ClaimReport:
     tol_q3 = cfg.tolerance("q3_mono")
     tol_rep = cfg.tolerance("mono_report")
     n_states = cfg.n_trials("C3")
-    n_ch = int(cfg.channels_per_state)
+    n_ch = cfg.n_channels()
     pc = cfg.profile_config()
     g = pc.generator
     d_a = cfg.dims[0]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -45,6 +46,8 @@ def _parse_tolerances(entries) -> dict:
             known = ", ".join(sorted(claims.DEFAULT_TOLERANCES))
             raise ValueError(f"unknown tolerance {name!r}; known: {known}")
         out[name] = float(value)
+        if not math.isfinite(out[name]):
+            raise ValueError(f"--tol {name} must be finite, got {value!r}")
     return out
 
 
@@ -301,7 +304,8 @@ def _add_common(p: argparse.ArgumentParser, seed: int) -> None:
     p.add_argument("--generator", default="default",
                    help="default | sigma-z | diag:v1,v2,...")
     p.add_argument("--starts", type=int, default=OptimizerSettings.starts,
-                   help="random restarts for the singlet-fraction search")
+                   help="random restarts for the singlet-fraction search "
+                        "(d >= 3 only; d = 2 uses the exact closed form)")
     p.add_argument("--seed", type=int, default=seed, help="master seed")
     p.add_argument("--out", default=None)
 

@@ -139,11 +139,6 @@ def psd_power(m: np.ndarray, exponent: float, support_cutoff: float = EPS_PSD) -
     return (eig.vectors * f) @ dagger(eig.vectors)
 
 
-def support_projector(m: np.ndarray, support_cutoff: float = EPS_PSD) -> np.ndarray:
-    """Projector onto the support (range) of a PSD matrix."""
-    return psd_power(m, 0.0, support_cutoff)
-
-
 def uhlmann_fidelity(rho, sigma) -> float:
     """F(rho, sigma) = (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, in [0, 1]."""
     r = as_complex(getattr(rho, "matrix", rho))

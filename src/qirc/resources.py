@@ -10,6 +10,7 @@ q3: Fisher-information utility of rho_A for phase estimation along a fixed
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import channels, linalg
 from .generators import CoherenceGenerator, default_generator
-from .states import DensityMatrix, Seed, _haar_unitary_from_rng, max_entangled_ket
+from .states import DensityMatrix, Seed, _haar_unitary_from_rng
 from .tolerances import EPS_PSD, EPS_QFI
 
 # Reference constants for report annotations (qubit teleportation benchmarks
@@ -34,20 +35,18 @@ def universal_cloner_fidelity(d: int) -> float:
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    """Multi-start settings for the singlet-fraction maximization.
+    """Multi-start settings for the singlet-fraction search at d >= 3.
 
-    The default engine refines each start with a monotone polar-projected
-    power iteration (each step maximizes the linearized objective over the
-    unitary group, which never decreases the true objective). ``powell``
-    selects a scalar derivative-free refinement instead; it finds the same
-    optima but is far slower, so it is kept for cross-validation.
+    Each start is refined with a monotone polar-projected power iteration:
+    each step maximizes the linearized objective over the unitary group,
+    which never decreases the true objective. For d = 2 the fraction has a
+    closed form and these settings are not used.
     """
 
     starts: int = 32
     tol: float = 1e-9
     max_iter: int = 400
     seed: int = 20240817
-    method: str = "power"
 
 
 @dataclass(frozen=True)
@@ -150,51 +149,33 @@ def _power_refine(rho: np.ndarray, w0: np.ndarray, d: int,
     return vals, w
 
 
-def _powell_refine(rho: np.ndarray, w0: np.ndarray, d: int,
-                   settings: OptimizerSettings) -> tuple[np.ndarray, np.ndarray]:
-    from scipy.optimize import minimize
-
-    n = d * d
-    iu = np.triu_indices(d, k=1)
-
-    def build(theta: np.ndarray, base: np.ndarray) -> np.ndarray:
-        h = np.zeros((d, d), dtype=complex)
-        h[np.diag_indices(d)] = theta[:d]
-        off = theta[d:d + len(iu[0])] + 1j * theta[d + len(iu[0]):]
-        h[iu] = off
-        h += linalg.dagger(np.triu(h, k=1))
-        hw, hv = np.linalg.eigh(h)
-        u = (hv * np.exp(1j * hw)) @ linalg.dagger(hv)
-        return u @ base
-
-    vals = []
-    ws = []
-    for row in w0:
-        base = row.reshape(d, d)
-
-        def neg(theta):
-            w = build(theta, base).reshape(1, n)
-            return -float(_objective_batch(rho, w, d)[0])
-
-        res = minimize(neg, np.zeros(n), method="Powell",
-                       options={"ftol": settings.tol * 1e-2, "xtol": 1e-10,
-                                "maxiter": settings.max_iter})
-        ws.append(build(res.x, base).reshape(n))
-        vals.append(-float(res.fun))
-    return np.asarray(vals), np.asarray(ws)
+@functools.lru_cache(maxsize=16)
+def _haar_starts(d: int, starts: int, seed: int) -> np.ndarray:
+    """The fixed Haar starts, one flattened unitary per row, read-only."""
+    rng = Seed(seed, 0).rng()
+    out = np.array([_haar_unitary_from_rng(d, rng).reshape(d * d)
+                    for _ in range(max(0, starts))], dtype=complex)
+    out = out.reshape(-1, d * d)
+    out.setflags(write=False)
+    return out
 
 
 def _start_batch(rho: np.ndarray, d: int, settings: OptimizerSettings) -> np.ndarray:
-    rng = Seed(settings.seed, 0).rng()
-    starts = [np.eye(d, dtype=complex)]
     # Spectral hint: the closest maximally entangled state to the dominant
     # eigenvector is given by the polar unitary of its matrix reshape.
     top = linalg.hermitian_eigen(rho).vectors[:, -1].reshape(d, d)
     u, _, vh = np.linalg.svd(top)
-    starts.append(u @ vh)
-    for _ in range(max(0, settings.starts)):
-        starts.append(_haar_unitary_from_rng(d, rng))
-    return np.stack([s.reshape(d * d) for s in starts])
+    return np.concatenate([np.eye(d, dtype=complex).reshape(1, d * d),
+                           (u @ vh).reshape(1, d * d),
+                           _haar_starts(d, settings.starts, settings.seed)])
+
+
+# Columns: the magic basis |Phi+>, i|Phi->, i|Psi+>, |Psi->, each times sqrt(2).
+_MAGIC = np.array([[1, 1j, 0, 0],
+                   [0, 0, 1j, 1],
+                   [0, 0, 1j, -1],
+                   [1, -1j, 0, 0]], dtype=complex)
+_MAGIC.setflags(write=False)
 
 
 def fully_entangled_fraction(rho: DensityMatrix,
@@ -202,30 +183,27 @@ def fully_entangled_fraction(rho: DensityMatrix,
                              ) -> tuple[float, np.ndarray]:
     """max_U <Phi+| (U ⊗ I) rho (U ⊗ I)† |Phi+> and the maximizing U.
 
-    Multi-start local maximization over one-sided unitaries; the identity and
-    a spectral warm start are always included alongside the Haar starts.
+    d = 2 is exact: the maximally entangled two-qubit states are, up to a
+    phase, the real unit vectors x in the magic basis, so the fraction is the
+    top eigenvalue of Re(Q† rho Q)/2 (Badziąg et al., PRA 62, 012311, 2000)
+    and Q x reshapes to U†. d >= 3 runs a multi-start local maximization over
+    one-sided unitaries; the identity and a spectral warm start are always
+    included alongside the Haar starts.
     """
     if len(rho.dims) != 2 or rho.dims[0] != rho.dims[1]:
         raise ValueError(f"expected equal local dims, got {rho.dims}")
-    settings = settings or OptimizerSettings()
     d = rho.dims[0]
-    w0 = _start_batch(rho.matrix, d, settings)
-    if settings.method == "power":
-        vals, ws = _power_refine(rho.matrix, w0, d, settings)
-    elif settings.method == "powell":
-        vals, ws = _powell_refine(rho.matrix, w0, d, settings)
+    if d == 2:
+        vals, vecs = np.linalg.eigh((_MAGIC.conj().T @ rho.matrix @ _MAGIC).real / 2)
+        f, w = vals[-1], (_MAGIC @ vecs[:, -1]).reshape(2, 2)
     else:
-        raise ValueError(f"unknown optimizer method {settings.method!r}")
-    best = int(np.argmax(vals))
+        settings = settings or OptimizerSettings()
+        vals, ws = _power_refine(rho.matrix, _start_batch(rho.matrix, d, settings),
+                                 d, settings)
+        best = int(np.argmax(vals))
+        f, w = vals[best], ws[best].reshape(d, d)
     # W parameterizes U† of the physical rotation.
-    u = linalg.dagger(ws[best].reshape(d, d))
-    return float(min(1.0, vals[best])), u
-
-
-def singlet_overlap(rho: DensityMatrix) -> float:
-    """Unoptimized overlap <Phi+| rho |Phi+>."""
-    v = max_entangled_ket(rho.dims[0])
-    return float((v.conj() @ rho.matrix @ v).real)
+    return float(min(1.0, f)), linalg.dagger(w)
 
 
 def teleportation_fidelity(f_max: float, d: int) -> float:
@@ -248,35 +226,37 @@ def coord_q1(rho_ab: DensityMatrix,
     return _clamp01(raw), float(raw)
 
 
-def induced_transfer_channel(rho_ac: DensityMatrix,
-                             support_cutoff: float = EPS_PSD) -> channels.KrausChannel:
-    """State-induced channel A -> C via the pretty-good recovery construction.
+def transfer_choi_state(rho_ac: DensityMatrix,
+                        support_cutoff: float = EPS_PSD) -> DensityMatrix:
+    """Normalized Choi state of the channel A -> C that rho_AC induces.
 
-    L(X) = Tr_A[(rho_A^{-1/2} P X^T P rho_A^{-1/2} ⊗ I) rho_AC], with P the
-    support projector of rho_A and X^T the transpose in the computational
-    basis; input weight falling outside the support is replaced by rho_C.
-    Maximally entangled rho_AC induces the identity channel; product states
-    induce replacement with rho_C.
+    ((B ⊗ I) rho_AC (B ⊗ I) + (I - P) ⊗ rho_C) / d_A, with P the support
+    projector of rho_A and B = rho_A^{-1/2} on that support: the Choi state of
+    the pretty-good recovery L(X) = Tr_A[(B X^T B ⊗ I) rho_AC], X^T the
+    transpose in the computational basis, whose input weight outside the
+    support is replaced by rho_C. Maximally entangled rho_AC induces the
+    identity channel; product states induce replacement with rho_C.
     """
     if len(rho_ac.dims) != 2:
         raise ValueError(f"expected a bipartite state, got dims {rho_ac.dims}")
     d_a, d_c = rho_ac.dims
-    rho_a = rho_ac.marginal([0]).matrix
-    rho_c = rho_ac.marginal([1]).matrix
-    b = linalg.psd_power(rho_a, -0.5, support_cutoff)
-    proj = linalg.support_projector(rho_a, support_cutoff)
-    hole = np.eye(d_a, dtype=complex) - proj
-    eye_c = np.eye(d_c, dtype=complex)
-    j = np.zeros((d_a * d_c, d_a * d_c), dtype=complex)
-    for i in range(d_a):
-        for k in range(d_a):
-            x_t = np.zeros((d_a, d_a), dtype=complex)
-            x_t[k, i] = 1.0  # transpose of |i><k|
-            body = linalg.kron(b @ x_t @ b, eye_c) @ rho_ac.matrix
-            block = linalg.partial_trace(body, (d_a, d_c), keep=[1])
-            block = block + hole[i, k] * rho_c
-            j[i * d_c:(i + 1) * d_c, k * d_c:(k + 1) * d_c] = block
-    return channels.kraus_from_choi(j, d_in=d_a, d_out=d_c, cutoff=1e-12)
+    w, v = linalg.hermitian_eigen(linalg.partial_trace(rho_ac.matrix, rho_ac.dims, [0]))
+    on = w > support_cutoff
+    b = (v * np.where(on, np.where(on, w, 1.0) ** -0.5, 0.0)) @ linalg.dagger(v)
+    hole = (v * ~on) @ linalg.dagger(v)
+    b_c = linalg.kron(b, np.eye(d_c))
+    rho_c = linalg.partial_trace(rho_ac.matrix, rho_ac.dims, [1])
+    j = b_c @ rho_ac.matrix @ b_c + linalg.kron(hole, rho_c)
+    return DensityMatrix(j / d_a, (d_a, d_c))
+
+
+def induced_transfer_channel(rho_ac: DensityMatrix,
+                             support_cutoff: float = EPS_PSD) -> channels.KrausChannel:
+    """The state-induced channel A -> C of ``transfer_choi_state``, in Kraus form."""
+    choi_state = transfer_choi_state(rho_ac, support_cutoff)
+    d_a, d_c = choi_state.dims
+    return channels.kraus_from_choi(d_a * choi_state.matrix, d_in=d_a, d_out=d_c,
+                                    cutoff=1e-12)
 
 
 def coord_q2(rho_ac: DensityMatrix, mode: str = "transfer",
@@ -285,12 +265,7 @@ def coord_q2(rho_ac: DensityMatrix, mode: str = "transfer",
     if mode == "transfer":
         if rho_ac.dims[0] != rho_ac.dims[1]:
             raise ValueError(f"transfer mode needs equal local dims, got {rho_ac.dims}")
-        ch = induced_transfer_channel(rho_ac)
-        choi_state = channels.choi(ch).state
-        f, _ = fully_entangled_fraction(choi_state, settings)
-        d = rho_ac.dims[0]
-        raw = (d + 1) * teleportation_fidelity(f, d) - d
-        return _clamp01(raw), float(raw)
+        return coord_q1(transfer_choi_state(rho_ac), settings)
     if mode == "uhlmann-marginal":
         f = linalg.uhlmann_fidelity(rho_ac.marginal([0]), rho_ac.marginal([1]))
         return _clamp01(f), float(f)

@@ -75,9 +75,9 @@ class DensityMatrix:
 
 
 def ket_projector(vec: np.ndarray, dims: Sequence[int]) -> DensityMatrix:
+    """|v><v| / <v|v>; v need not be normalized."""
     v = np.asarray(vec, dtype=complex)
-    v = v / np.linalg.norm(v)
-    return DensityMatrix(np.outer(v, v.conj()), tuple(dims))
+    return DensityMatrix(np.outer(v, v.conj()) / np.vdot(v, v).real, tuple(dims))
 
 
 def basis_state(d: int, i: int) -> DensityMatrix:
@@ -104,7 +104,7 @@ def max_entangled_ket(d: int) -> np.ndarray:
 
 def bell_pair() -> DensityMatrix:
     """Projector onto (|00> + |11>)/sqrt(2)."""
-    return ket_projector(max_entangled_ket(2) * np.sqrt(2), (2, 2))
+    return ket_projector(np.array([1, 0, 0, 1]), (2, 2))
 
 
 def werner(p: float) -> DensityMatrix:
@@ -193,7 +193,10 @@ def haar_pure(dims: Sequence[int], seed: Seed) -> DensityMatrix:
     n = int(np.prod(dims))
     rng = seed.rng()
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return ket_projector(v, dims)
+    # Normalizing the ket rather than the projector keeps sampled states, and
+    # so campaign artifacts at d >= 3, bit-identical to earlier versions.
+    v = v / np.linalg.norm(v)
+    return DensityMatrix(np.outer(v, v.conj()), dims)
 
 
 def ginibre_mixed(d: int, rank: int, seed: Seed) -> DensityMatrix:

@@ -166,6 +166,19 @@ class TestCheckCommand:
     def test_bad_tolerance_name_exits_2(self, capsys):
         assert run(capsys, "check", "C1", "--tol", "bogus=1")[0] == 2
 
+    def test_non_finite_tolerance_exits_2(self, capsys):
+        for value in ("nan", "inf", "-inf"):
+            code, _, err = run(capsys, "check", "T1", "--trials", "2",
+                               "--tol", f"ball={value}")
+            assert code == 2
+            assert "finite" in err
+
+    def test_zero_channels_exits_2(self, capsys):
+        # no channel slots would make both hard tiers of C3 hold vacuously
+        code, _, err = run(capsys, "check", "C3", "--trials", "2", "--channels", "0")
+        assert code == 2
+        assert "channels per state" in err
+
     def test_env_seed_default(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("QIRC_SEED", "123")
         d1 = tmp_path / "env"

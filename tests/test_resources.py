@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qirc import channels, resources, states
+from qirc import channels, linalg, resources, states
 from qirc.generators import (CoherenceGenerator, default_generator,
                              diagonal_generator, sigma_z_generator)
 from qirc.resources import (OptimizerSettings, ProfileConfig, coord_q1,
@@ -61,12 +61,33 @@ class TestFullyEntangledFraction:
         assert np.isclose((v.conj() @ big @ rho.matrix @ big.conj().T @ v).real, f,
                           atol=1e-12)
 
-    def test_powell_agrees_with_power(self):
-        rho = states.ginibre_mixed(4, 2, Seed(33, 1)).reshaped((2, 2))
-        f_fast, _ = fully_entangled_fraction(rho)
-        f_slow, _ = fully_entangled_fraction(
-            rho, OptimizerSettings(starts=4, method="powell", max_iter=200))
-        assert abs(f_fast - f_slow) <= 1e-6
+    def test_closed_form_matches_power_iteration(self):
+        # the d >= 3 search, run on qubits, is an independent check of the
+        # closed form: it must find the same optimum and never exceed it
+        settings = OptimizerSettings()
+        worst_gap = worst_excess = 0.0
+        for i in range(1000):
+            if i % 2:
+                rho = states.haar_pure((2, 2, 2), Seed(48, i))
+            else:
+                rho = states.ginibre_mixed(8, 1 + i % 8, Seed(48, i)).reshaped((2, 2, 2))
+            for pair in (rho.marginal([0, 1]),
+                         resources.transfer_choi_state(rho.marginal([0, 2]))):
+                f, _ = fully_entangled_fraction(pair)
+                w0 = resources._start_batch(pair.matrix, 2, settings)
+                vals, _ = resources._power_refine(pair.matrix, w0, 2, settings)
+                searched = float(vals.max())
+                worst_gap = max(worst_gap, abs(f - searched))
+                worst_excess = max(worst_excess, searched - f)
+        assert worst_gap <= 1e-9
+        assert worst_excess <= 1e-14
+
+    def test_d3_search_is_deterministic(self):
+        # the Haar starts are cached; a second call must repeat the first
+        rho = states.ginibre_mixed(9, 3, Seed(33, 1)).reshaped((3, 3))
+        f1, u1 = fully_entangled_fraction(rho)
+        f2, u2 = fully_entangled_fraction(rho)
+        assert f1 == f2 and np.array_equal(u1, u2)
 
     def test_exhaustive_random_search_never_beats_it(self):
         # brute force over many unoptimized unitaries stays below the result
@@ -137,6 +158,52 @@ class TestCoordQ1:
             q1, _ = coord_q1(rho)
             q1_rot, _ = coord_q1(rotated)
             assert abs(q1 - q1_rot) <= 1e-6
+
+
+def choi_by_blocks(rho_ac: DensityMatrix) -> np.ndarray:
+    """Reference Choi state of the induced channel, one d_C x d_C block per
+    input matrix unit: block (i, k) = Tr_A[(B |k><i| B ⊗ I) rho_AC] + (I - P)_ik rho_C."""
+    d_a, d_c = rho_ac.dims
+    rho_a = np.trace(rho_ac.matrix.reshape(d_a, d_c, d_a, d_c), axis1=1, axis2=3)
+    rho_c = np.trace(rho_ac.matrix.reshape(d_a, d_c, d_a, d_c), axis1=0, axis2=2)
+    w, v = np.linalg.eigh(rho_a)
+    on = w > 1e-10
+    b = (v[:, on] / np.sqrt(w[on])) @ v[:, on].conj().T
+    hole = np.eye(d_a) - v[:, on] @ v[:, on].conj().T
+    j = np.zeros((d_a * d_c, d_a * d_c), dtype=complex)
+    for i in range(d_a):
+        for k in range(d_a):
+            unit = np.zeros((d_a, d_a))
+            unit[k, i] = 1.0
+            body = np.kron(b @ unit @ b, np.eye(d_c)) @ rho_ac.matrix
+            block = linalg.partial_trace(body, (d_a, d_c), keep=[1])
+            j[i * d_c:(i + 1) * d_c, k * d_c:(k + 1) * d_c] = block + hole[i, k] * rho_c
+    return j / d_a
+
+
+class TestTransferChoiState:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_blockwise_construction(self, d):
+        for i in range(20):
+            if i % 2:
+                rho = states.haar_pure((d, d), Seed(49, 100 * d + i))
+            else:
+                rho = states.ginibre_mixed(d * d, 1 + i % (d * d),
+                                           Seed(49, 100 * d + i)).reshaped((d, d))
+            c = resources.transfer_choi_state(rho)
+            assert np.abs(c.matrix - choi_by_blocks(rho)).max() <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_rank_deficient_marginal(self, d):
+        # states on (first d - 1 levels of A) ⊗ C: rho_A has rank d - 1, so
+        # the (I - P) ⊗ rho_C term is exercised
+        iso = np.kron(np.eye(d)[:, :d - 1], np.eye(d))
+        for i in range(5):
+            g = states.ginibre_mixed((d - 1) * d, 2, Seed(50, 10 * d + i))
+            rho = DensityMatrix(iso @ g.matrix @ iso.T, (d, d))
+            assert np.linalg.matrix_rank(rho.marginal([0]).matrix, tol=1e-10) == d - 1
+            c = resources.transfer_choi_state(rho)
+            assert np.abs(c.matrix - choi_by_blocks(rho)).max() <= 1e-12
 
 
 class TestInducedTransferChannel:
