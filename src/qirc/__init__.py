@@ -20,19 +20,16 @@ from .claims import (CLAIM_IDS, CampaignConfig, ClaimReport, check_convexity,
                      check_conservation, check_qirc_ball, run_check)
 from .dynamics import (Trajectory, UnitaryOperator, commuting_local_unitary,
                        evolve, global_unitary, local_product_unitary,
-                       local_unitary, sample_commutant_unitary, trajectory)
+                       sample_commutant_unitary, trajectory)
 from .generators import (CoherenceGenerator, default_generator,
                          diagonal_generator, sigma_z_generator)
 from .linalg import (HermitianEigen, hermitian_eigen, kron, partial_trace,
                      permute_subsystems, psd_power, uhlmann_fidelity)
-from .resources import (EntropyReport, FidelityBreakdown, OptimizerSettings,
-                        ProfileConfig, ResourceProfile, coherence_rel_ent,
-                        coord_q1, coord_q2, coord_q3, entropy_report, fq_max,
+from .resources import (FidelityBreakdown, ProfileConfig, ResourceProfile,
+                        coord_q1, coord_q2, coord_q3, fq_max,
                         fully_entangled_fraction, induced_transfer_channel,
-                        measurement_entropy, mutual_information, profile,
-                        quantum_fisher_information, relative_entropy,
-                        resource_norm, teleportation_fidelity,
-                        von_neumann_entropy)
+                        mutual_information, profile, quantum_fisher_information,
+                        teleportation_fidelity, von_neumann_entropy)
 from .states import (DensityMatrix, Seed, bell_ac, bell_pair, bell_spectator,
                      classical_correlated, coherent_spectator, compose_product,
                      ghz, gibbs, ginibre_mixed, haar_pure, haar_unitary,

@@ -131,14 +131,19 @@ def amplitude_damping(gamma: float) -> KrausChannel:
     return make_channel([k0, k1])
 
 
+def _isometry_channel(d_in: int, d_out: int, kraus_rank: int,
+                      rng: np.random.Generator) -> KrausChannel:
+    """Channel from a Haar-random isometry d_in -> d_out * kraus_rank."""
+    v = _haar_unitary_from_rng(d_out * kraus_rank, rng)[:, :d_in]
+    kraus = tuple(v[i * d_out:(i + 1) * d_out, :] for i in range(kraus_rank))
+    return KrausChannel(kraus, d_in=d_in, d_out=d_out)
+
+
 def random_channel(d_in: int, d_out: int, kraus_rank: int, seed: Seed) -> KrausChannel:
     """Channel from a Haar-random isometry d_in -> d_out * kraus_rank."""
     if kraus_rank < 1:
         raise ValueError(f"kraus_rank {kraus_rank} must be >= 1")
-    u = _haar_unitary_from_rng(d_out * kraus_rank, seed.rng())
-    v = u[:, :d_in]
-    kraus = [v[i * d_out:(i + 1) * d_out, :] for i in range(kraus_rank)]
-    return KrausChannel(tuple(kraus), d_in=d_in, d_out=d_out)
+    return _isometry_channel(d_in, d_out, kraus_rank, seed.rng())
 
 
 def covariant_channel(g: CoherenceGenerator, seed: Seed) -> KrausChannel:

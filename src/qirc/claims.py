@@ -18,14 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dynamics, families, resources, serialize, states
-from .channels import (KrausChannel, apply as apply_channel,
-                       covariant_channel)
+from . import channels, dynamics, families, resources, serialize, states
+from .channels import KrausChannel, apply as apply_channel, covariant_channel
 from .generators import (CoherenceGenerator, default_generator,
                          diagonal_generator, sigma_z_generator)
-from .resources import OptimizerSettings, ProfileConfig, ResourceProfile
-from .states import DensityMatrix, Seed, _haar_unitary_from_rng
-from .tolerances import (EPS_BALL, EPS_EXTREMAL, EPS_MI, EPS_Q1_MONO,
+from .resources import ProfileConfig, ResourceProfile
+from .states import DensityMatrix, Seed
+from .tolerances import (EPS_BALL, EPS_EXTREMAL, EPS_MI, EPS_OPT, EPS_Q1_MONO,
                          EPS_Q3_MONO, EPS_TRAJ)
 
 CLAIM_IDS = {
@@ -99,7 +98,7 @@ class CampaignConfig:
     channels_per_state: int = 20
     lambdas: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0)
     tolerances: dict = field(default_factory=dict)
-    optimizer: OptimizerSettings = field(default_factory=OptimizerSettings)
+    starts: int = resources.DEFAULT_STARTS
 
     def tolerance(self, name: str) -> float:
         return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
@@ -121,7 +120,7 @@ class CampaignConfig:
 
     def profile_config(self) -> ProfileConfig:
         return ProfileConfig(generator=self.coherence_generator(),
-                             q2_mode=self.q2_mode, optimizer=self.optimizer)
+                             q2_mode=self.q2_mode, starts=self.starts)
 
     def to_dict(self) -> dict:
         return {
@@ -137,10 +136,10 @@ class CampaignConfig:
             "lambdas": list(self.lambdas),
             "tolerances": dict(self.tolerances),
             "optimizer": {
-                "starts": self.optimizer.starts,
-                "tol": self.optimizer.tol,
-                "max_iter": self.optimizer.max_iter,
-                "seed": self.optimizer.seed,
+                "starts": self.starts,
+                "tol": EPS_OPT,
+                "max_iter": resources.MAX_ITER,
+                "seed": resources.START_SEED,
                 "method": "closed-form" if self.dims[0] == 2 else "power",
             },
         }
@@ -368,10 +367,7 @@ def _sample_channel(d: int, seed: Seed) -> tuple[KrausChannel, int]:
     """Haar-random channel with Kraus rank drawn uniformly from 1..d^2."""
     rng = seed.rng()
     rank = int(rng.integers(1, d * d + 1))
-    u = _haar_unitary_from_rng(d * rank, rng)
-    v = u[:, :d]
-    kraus = tuple(v[k * d:(k + 1) * d, :] for k in range(rank))
-    return KrausChannel(kraus, d_in=d, d_out=d), rank
+    return channels._isometry_channel(d, d, rank, rng), rank
 
 
 def _witness_rank(hard: float, finding: float) -> tuple[bool, float]:

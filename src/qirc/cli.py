@@ -23,7 +23,8 @@ import numpy as np
 from . import __version__, claims, dynamics, families, resources, serialize, states
 from .channels import amplitude_damping, dephasing, depolarizing, random_channel
 from .claims import CampaignConfig, resolve_generator
-from .resources import OptimizerSettings, ProfileConfig
+from .linalg import MAX_DIM
+from .resources import ProfileConfig
 
 DEFAULT_SEED_ENV = "QIRC_SEED"
 
@@ -51,6 +52,14 @@ def _parse_tolerances(entries) -> dict:
     return out
 
 
+def _starts(text: str) -> int:
+    """--starts: a count of Haar starts from 0 to MAX_DIM."""
+    n = int(text)
+    if not 0 <= n <= MAX_DIM:
+        raise argparse.ArgumentTypeError(f"must be in 0..{MAX_DIM}, got {n}")
+    return n
+
+
 def _load_input_state(args) -> states.DensityMatrix:
     if getattr(args, "state", None):
         return serialize.load_state(args.state)
@@ -75,8 +84,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _profile_config(args, d_a: int) -> ProfileConfig:
     gen = resolve_generator(args.generator, d_a)
-    opt = OptimizerSettings(starts=args.starts)
-    return ProfileConfig(generator=gen, q2_mode=args.q2_mode, optimizer=opt)
+    return ProfileConfig(generator=gen, q2_mode=args.q2_mode, starts=args.starts)
 
 
 # ---------------------------------------------------------------------------
@@ -153,13 +161,15 @@ CLOUD_HEADER = ("trial", "stream", "q1", "q2", "q3", "norm", "q1_raw",
 
 def _campaign_config(args) -> CampaignConfig:
     dims = tuple(int(d) for d in args.dims.split(","))
+    if math.prod(dims) > MAX_DIM:
+        raise ValueError(f"--dims {args.dims}: total dimension exceeds {MAX_DIM}")
     return CampaignConfig(
         sampler=args.sampler, trials=args.trials, dims=dims,
         q2_mode=args.q2_mode, generator=args.generator, seed=args.seed,
         family=args.family, ginibre_rank=args.rank,
         channels_per_state=args.channels,
         tolerances=_parse_tolerances(args.tol),
-        optimizer=OptimizerSettings(starts=args.starts))
+        starts=args.starts)
 
 
 def cmd_check(args) -> int:
@@ -303,9 +313,9 @@ def _add_common(p: argparse.ArgumentParser, seed: int) -> None:
                    default="transfer")
     p.add_argument("--generator", default="default",
                    help="default | sigma-z | diag:v1,v2,...")
-    p.add_argument("--starts", type=int, default=OptimizerSettings.starts,
-                   help="random restarts for the singlet-fraction search "
-                        "(d >= 3 only; d = 2 uses the exact closed form)")
+    p.add_argument("--starts", type=_starts, default=resources.DEFAULT_STARTS,
+                   help=f"random restarts for the singlet-fraction search, 0 to "
+                        f"{MAX_DIM} (d >= 3 only; d = 2 uses the exact closed form)")
     p.add_argument("--seed", type=int, default=seed, help="master seed")
     p.add_argument("--out", default=None)
 

@@ -27,53 +27,30 @@ def _check_unitary(m: np.ndarray, tol: float = UNITARITY_TOL) -> np.ndarray:
 
 @dataclass(frozen=True)
 class UnitaryOperator:
-    """A global unitary (dims set) or a local one (target subsystem set)."""
+    """A unitary on the whole state, with the subsystem dims it acts on."""
 
     matrix: np.ndarray
-    dims: tuple[int, ...] | None = None
-    target: int | None = None
+    dims: tuple[int, ...] = ()
 
     def __post_init__(self):
         m = _check_unitary(self.matrix)
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        if self.dims is not None:
-            dims = linalg.check_dims(self.dims, m.shape[0])
-            object.__setattr__(self, "dims", dims)
-        if (self.dims is None) == (self.target is None):
-            raise ValueError("specify exactly one of dims (global) or target (local)")
+        object.__setattr__(self, "dims", linalg.check_dims(self.dims, m.shape[0]))
 
 
 def global_unitary(matrix: np.ndarray, dims: Sequence[int]) -> UnitaryOperator:
     return UnitaryOperator(matrix, dims=tuple(dims))
 
 
-def local_unitary(matrix: np.ndarray, target: int) -> UnitaryOperator:
-    return UnitaryOperator(matrix, target=int(target))
-
-
 def evolve(rho: DensityMatrix, u: UnitaryOperator) -> DensityMatrix:
-    """U rho U†, embedding a local unitary on its target subsystem."""
-    if u.target is not None:
-        t = u.target
-        if not 0 <= t < len(rho.dims):
-            raise ValueError(f"target {t} out of range for dims {rho.dims}")
-        if rho.dims[t] != u.matrix.shape[0]:
-            raise ValueError(
-                f"unitary dimension {u.matrix.shape[0]} does not match "
-                f"subsystem dimension {rho.dims[t]}")
-        left = int(np.prod(rho.dims[:t], dtype=int)) if t > 0 else 1
-        right = int(np.prod(rho.dims[t + 1:], dtype=int)) if t + 1 < len(rho.dims) else 1
-        full = linalg.kron(linalg.kron(np.eye(left, dtype=complex), u.matrix),
-                           np.eye(right, dtype=complex))
-    else:
-        if u.matrix.shape[0] != rho.dim:
-            raise ValueError(
-                f"unitary dimension {u.matrix.shape[0]} does not match state "
-                f"dimension {rho.dim}")
-        full = u.matrix
-    return DensityMatrix(full @ rho.matrix @ linalg.dagger(full), rho.dims)
+    """U rho U†."""
+    if u.matrix.shape[0] != rho.dim:
+        raise ValueError(
+            f"unitary dimension {u.matrix.shape[0]} does not match state "
+            f"dimension {rho.dim}")
+    return DensityMatrix(u.matrix @ rho.matrix @ linalg.dagger(u.matrix), rho.dims)
 
 
 def commuting_local_unitary(g: CoherenceGenerator, seed: Seed) -> np.ndarray:

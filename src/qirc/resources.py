@@ -11,42 +11,20 @@ q3: Fisher-information utility of rho_A for phase estimation along a fixed
 from __future__ import annotations
 
 import functools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import channels, linalg
 from .generators import CoherenceGenerator, default_generator
 from .states import DensityMatrix, Seed, _haar_unitary_from_rng
-from .tolerances import EPS_PSD, EPS_QFI
+from .tolerances import EPS_OPT, EPS_PSD, EPS_QFI
 
-# Reference constants for report annotations (qubit teleportation benchmarks
-# and the universal-cloner ceiling). None of these enter the q2 score.
-F_CLASSICAL_QUBIT = 2.0 / 3.0
-F_QUANTUM = 1.0
-UNIVERSAL_CLONER_QUBIT = 5.0 / 6.0
-
-
-def universal_cloner_fidelity(d: int) -> float:
-    """Optimal symmetric 1->2 cloner average fidelity, (d+3)/(2(d+1))."""
-    return (d + 3) / (2.0 * (d + 1))
-
-
-@dataclass(frozen=True)
-class OptimizerSettings:
-    """Multi-start settings for the singlet-fraction search at d >= 3.
-
-    Each start is refined with a monotone polar-projected power iteration:
-    each step maximizes the linearized objective over the unitary group,
-    which never decreases the true objective. For d = 2 the fraction has a
-    closed form and these settings are not used.
-    """
-
-    starts: int = 32
-    tol: float = 1e-9
-    max_iter: int = 400
-    seed: int = 20240817
+# The singlet-fraction search at d >= 3: Haar starts drawn from a fixed seed,
+# each refined for at most MAX_ITER steps (the stop gain is EPS_OPT).
+DEFAULT_STARTS = 32
+MAX_ITER = 400
+START_SEED = 20240817
 
 
 @dataclass(frozen=True)
@@ -100,22 +78,10 @@ class ResourceProfile:
 
 
 @dataclass(frozen=True)
-class EntropyReport:
-    """Entropy summary for the A subsystem of a tripartite state (natural log)."""
-
-    s: float
-    h_meas: float
-    i_ab: float
-    i_ac: float
-    d_rel: float
-    c_coh: float
-
-
-@dataclass(frozen=True)
 class ProfileConfig:
     generator: CoherenceGenerator | None = None
     q2_mode: str = "transfer"
-    optimizer: OptimizerSettings = field(default_factory=OptimizerSettings)
+    starts: int = DEFAULT_STARTS
 
 
 # ---------------------------------------------------------------------------
@@ -132,20 +98,17 @@ def _polar_batch(g: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def _power_refine(rho: np.ndarray, w0: np.ndarray, d: int,
-                  settings: OptimizerSettings) -> tuple[np.ndarray, np.ndarray]:
+def _power_refine(rho: np.ndarray, w0: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Monotone ascent on f(W) = vec(W)† rho vec(W)/d over unitary W."""
     w = w0.copy()
     vals = _objective_batch(rho, w, d)
-    for _ in range(settings.max_iter):
-        y = w @ rho.conj()
-        w_next = _polar_batch(y.reshape(-1, d, d)).reshape(-1, d * d)
-        new_vals = _objective_batch(rho, w_next, d)
-        w = w_next
-        if float(np.max(new_vals - vals)) <= 1e-14:
-            vals = new_vals
-            break
+    for _ in range(MAX_ITER):
+        w = _polar_batch((w @ rho.conj()).reshape(-1, d, d)).reshape(-1, d * d)
+        new_vals = _objective_batch(rho, w, d)
+        gain = float(np.max(new_vals - vals))
         vals = new_vals
+        if gain <= EPS_OPT:
+            break
     return vals, w
 
 
@@ -154,20 +117,20 @@ def _haar_starts(d: int, starts: int, seed: int) -> np.ndarray:
     """The fixed Haar starts, one flattened unitary per row, read-only."""
     rng = Seed(seed, 0).rng()
     out = np.array([_haar_unitary_from_rng(d, rng).reshape(d * d)
-                    for _ in range(max(0, starts))], dtype=complex)
+                    for _ in range(starts)], dtype=complex)
     out = out.reshape(-1, d * d)
     out.setflags(write=False)
     return out
 
 
-def _start_batch(rho: np.ndarray, d: int, settings: OptimizerSettings) -> np.ndarray:
+def _start_batch(rho: np.ndarray, d: int, starts: int) -> np.ndarray:
     # Spectral hint: the closest maximally entangled state to the dominant
     # eigenvector is given by the polar unitary of its matrix reshape.
     top = linalg.hermitian_eigen(rho).vectors[:, -1].reshape(d, d)
     u, _, vh = np.linalg.svd(top)
     return np.concatenate([np.eye(d, dtype=complex).reshape(1, d * d),
                            (u @ vh).reshape(1, d * d),
-                           _haar_starts(d, settings.starts, settings.seed)])
+                           _haar_starts(d, starts, START_SEED)])
 
 
 # Columns: the magic basis |Phi+>, i|Phi->, i|Psi+>, |Psi->, each times sqrt(2).
@@ -179,8 +142,7 @@ _MAGIC.setflags(write=False)
 
 
 def fully_entangled_fraction(rho: DensityMatrix,
-                             settings: OptimizerSettings | None = None,
-                             ) -> tuple[float, np.ndarray]:
+                             starts: int = DEFAULT_STARTS) -> tuple[float, np.ndarray]:
     """max_U <Phi+| (U ⊗ I) rho (U ⊗ I)† |Phi+> and the maximizing U.
 
     d = 2 is exact: the maximally entangled two-qubit states are, up to a
@@ -197,9 +159,7 @@ def fully_entangled_fraction(rho: DensityMatrix,
         vals, vecs = np.linalg.eigh((_MAGIC.conj().T @ rho.matrix @ _MAGIC).real / 2)
         f, w = vals[-1], (_MAGIC @ vecs[:, -1]).reshape(2, 2)
     else:
-        settings = settings or OptimizerSettings()
-        vals, ws = _power_refine(rho.matrix, _start_batch(rho.matrix, d, settings),
-                                 d, settings)
+        vals, ws = _power_refine(rho.matrix, _start_batch(rho.matrix, d, starts), d)
         best = int(np.argmax(vals))
         f, w = vals[best], ws[best].reshape(d, d)
     # W parameterizes U† of the physical rotation.
@@ -217,13 +177,17 @@ def _clamp01(x: float) -> float:
     return float(min(1.0, max(0.0, x)))
 
 
-def coord_q1(rho_ab: DensityMatrix,
-             settings: OptimizerSettings | None = None) -> tuple[float, float]:
-    """Teleportation advantage: raw (d+1) F_tele - d, clamped to [0, 1]."""
-    f, _ = fully_entangled_fraction(rho_ab, settings)
-    d = rho_ab.dims[0]
+def _q1_from_fraction(f: float, d: int) -> tuple[float, float]:
+    """Teleportation advantage of singlet fraction f: raw (d+1) F_tele - d,
+    and that value clamped to [0, 1]."""
     raw = (d + 1) * teleportation_fidelity(f, d) - d
     return _clamp01(raw), float(raw)
+
+
+def coord_q1(rho_ab: DensityMatrix, starts: int = DEFAULT_STARTS) -> tuple[float, float]:
+    """Teleportation advantage of rho_AB, (clamped, raw)."""
+    f, _ = fully_entangled_fraction(rho_ab, starts)
+    return _q1_from_fraction(f, rho_ab.dims[0])
 
 
 def transfer_choi_state(rho_ac: DensityMatrix,
@@ -260,12 +224,12 @@ def induced_transfer_channel(rho_ac: DensityMatrix,
 
 
 def coord_q2(rho_ac: DensityMatrix, mode: str = "transfer",
-             settings: OptimizerSettings | None = None) -> tuple[float, float]:
+             starts: int = DEFAULT_STARTS) -> tuple[float, float]:
     """Transfer capacity of rho_AC (or marginal Uhlmann fidelity, diagnostic)."""
     if mode == "transfer":
         if rho_ac.dims[0] != rho_ac.dims[1]:
             raise ValueError(f"transfer mode needs equal local dims, got {rho_ac.dims}")
-        return coord_q1(transfer_choi_state(rho_ac), settings)
+        return coord_q1(transfer_choi_state(rho_ac), starts)
     if mode == "uhlmann-marginal":
         f = linalg.uhlmann_fidelity(rho_ac.marginal([0]), rho_ac.marginal([1]))
         return _clamp01(f), float(f)
@@ -336,21 +300,20 @@ def profile(rho: DensityMatrix, cfg: ProfileConfig | None = None) -> ResourcePro
 
     floor = 1.0 / (d_a * d_a)
     if d_b > 1:
-        f_ab, _ = fully_entangled_fraction(rho.marginal([0, 1]), cfg.optimizer)
+        f_ab, _ = fully_entangled_fraction(rho.marginal([0, 1]), cfg.starts)
     else:
         f_ab = floor
     f_tele = teleportation_fidelity(f_ab, d_a)
-    q1_raw = (d_a + 1) * f_tele - d_a
-    q1 = _clamp01(q1_raw)
+    q1, q1_raw = _q1_from_fraction(f_ab, d_a)
 
     if d_c > 1:
-        q2, q2_raw = coord_q2(rho.marginal([0, 2]), cfg.q2_mode, cfg.optimizer)
+        q2, q2_raw = coord_q2(rho.marginal([0, 2]), cfg.q2_mode, cfg.starts)
         if cfg.q2_mode == "transfer":
             f_trans = (q2_raw + d_a) / (d_a + 1)
         else:
             f_trans = q2_raw
     else:
-        q2_raw = (d_a + 1) * teleportation_fidelity(floor, d_a) - d_a
+        _, q2_raw = _q1_from_fraction(floor, d_a)
         q2 = 0.0
         f_trans = teleportation_fidelity(floor, d_a)
 
@@ -368,23 +331,15 @@ def profile(rho: DensityMatrix, cfg: ProfileConfig | None = None) -> ResourcePro
                            breakdown=breakdown, q2_mode=cfg.q2_mode, generator=g)
 
 
-def resource_norm(p: ResourceProfile) -> float:
-    return p.q1 ** 2 + p.q2 ** 2 + p.q3 ** 2
-
-
 # ---------------------------------------------------------------------------
 # Entropy toolbox (natural logarithms throughout)
-
-
-def _entropy_from_eigs(w: np.ndarray) -> float:
-    w = w[w > EPS_PSD]
-    return float(-(w * np.log(w)).sum()) if w.size else 0.0
 
 
 def von_neumann_entropy(rho: DensityMatrix | np.ndarray) -> float:
     m = getattr(rho, "matrix", rho)
     w = np.linalg.eigvalsh(linalg.as_complex(m))
-    return max(0.0, _entropy_from_eigs(np.clip(w, 0.0, None)))
+    w = w[w > EPS_PSD]
+    return max(0.0, float(-(w * np.log(w)).sum()))
 
 
 def mutual_information(rho: DensityMatrix) -> float:
@@ -395,54 +350,3 @@ def mutual_information(rho: DensityMatrix) -> float:
     s_b = von_neumann_entropy(rho.marginal([1]))
     s_ab = von_neumann_entropy(rho)
     return max(0.0, s_a + s_b - s_ab)
-
-
-def measurement_entropy(rho: DensityMatrix | np.ndarray, g: CoherenceGenerator) -> float:
-    """Shannon entropy of outcomes when measuring in the generator eigenbasis."""
-    m = getattr(rho, "matrix", rho)
-    v = g.eigen.vectors
-    p = np.real(np.einsum("ij,jk,ki->i", linalg.dagger(v), m, v))
-    p = np.clip(p, 0.0, None)
-    return max(0.0, _entropy_from_eigs(p))
-
-
-def relative_entropy(rho: DensityMatrix | np.ndarray,
-                     sigma: DensityMatrix | np.ndarray) -> float:
-    """D(rho || sigma); +inf when rho has weight outside sigma's support."""
-    r = linalg.as_complex(getattr(rho, "matrix", rho))
-    s = linalg.as_complex(getattr(sigma, "matrix", sigma))
-    if r.shape != s.shape:
-        raise ValueError(f"dimension mismatch: {r.shape} vs {s.shape}")
-    ws, vs = np.linalg.eigh((s + linalg.dagger(s)) / 2)
-    probs = np.real(np.einsum("ij,jk,ki->i", linalg.dagger(vs), r, vs))
-    outside = float(probs[ws <= EPS_PSD].sum())
-    if outside > 1e-9:
-        return math.inf
-    wr = np.clip(np.linalg.eigvalsh((r + linalg.dagger(r)) / 2), 0.0, None)
-    tr_r_log_r = float((wr[wr > EPS_PSD] * np.log(wr[wr > EPS_PSD])).sum())
-    keep = ws > EPS_PSD
-    tr_r_log_s = float((np.clip(probs[keep], 0.0, None) * np.log(ws[keep])).sum())
-    return max(0.0, tr_r_log_r - tr_r_log_s)
-
-
-def coherence_rel_ent(rho: DensityMatrix | np.ndarray, g: CoherenceGenerator) -> float:
-    """Relative entropy of coherence, closed form S(diag(rho)) - S(rho)."""
-    return max(0.0, measurement_entropy(rho, g) - von_neumann_entropy(rho))
-
-
-def entropy_report(rho: DensityMatrix, g: CoherenceGenerator | None = None,
-                   sigma: DensityMatrix | None = None) -> EntropyReport:
-    """Entropy summary for the A subsystem of a tripartite state."""
-    if len(rho.dims) != 3:
-        raise ValueError(f"entropy report needs a tripartite state, got {rho.dims}")
-    g = g or default_generator(rho.dims[0])
-    rho_a = rho.marginal([0])
-    d_rel = relative_entropy(rho_a, sigma) if sigma is not None else 0.0
-    return EntropyReport(
-        s=von_neumann_entropy(rho_a),
-        h_meas=measurement_entropy(rho_a, g),
-        i_ab=mutual_information(rho.marginal([0, 1])),
-        i_ac=mutual_information(rho.marginal([0, 2])),
-        d_rel=d_rel,
-        c_coh=coherence_rel_ent(rho_a, g),
-    )

@@ -24,33 +24,29 @@ def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _emit(obj: Any, indent: int, level: int, pieces: list[str]) -> None:
-    pad = " " * (indent * (level + 1))
-    end_pad = " " * (indent * level)
-    if isinstance(obj, dict):
-        if not obj:
-            pieces.append("{}")
+def _emit(obj: Any, indent: int | None, level: int, pieces: list[str]) -> None:
+    """Append the JSON text of obj; an indent of None renders one line."""
+    if isinstance(obj, (dict, list, tuple)):
+        is_dict = isinstance(obj, dict)
+        items = list(obj.items() if is_dict else obj)
+        opening, closing = "{}" if is_dict else "[]"
+        if not items:
+            pieces.append(opening + closing)
             return
-        pieces.append("{\n")
-        for i, (k, v) in enumerate(obj.items()):
-            pieces.append(f"{pad}{json.dumps(str(k))}: ")
-            _emit(v, indent, level + 1, pieces)
-            pieces.append(",\n" if i < len(obj) - 1 else "\n")
-        pieces.append(end_pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
-            pieces.append("[]")
-            return
-        pieces.append("[\n")
-        for i, v in enumerate(seq):
-            pieces.append(pad)
-            _emit(v, indent, level + 1, pieces)
-            pieces.append(",\n" if i < len(seq) - 1 else "\n")
-        pieces.append(end_pad + "]")
-    elif isinstance(obj, str):
-        pieces.append(json.dumps(obj))
-    elif isinstance(obj, bool) or obj is None:
+        if indent is None:
+            sep, pad, end = ", ", "", ""
+        else:
+            sep, pad = ",\n", " " * (indent * (level + 1))
+            opening, end = opening + "\n", "\n" + " " * (indent * level)
+        pieces.append(opening)
+        for i, item in enumerate(items):
+            pieces.append(sep + pad if i else pad)
+            if is_dict:
+                key, item = item
+                pieces.append(f"{json.dumps(str(key))}: ")
+            _emit(item, indent, level + 1, pieces)
+        pieces.append(end + closing)
+    elif isinstance(obj, (str, bool)) or obj is None:
         pieces.append(json.dumps(obj))
     elif isinstance(obj, (int, np.integer)):
         pieces.append(str(int(obj)))
@@ -68,21 +64,9 @@ def dumps(obj: Any, indent: int = 2) -> str:
 
 def dumps_compact(obj: Any) -> str:
     """Single-line rendering with the same float formatting as dumps()."""
-    if isinstance(obj, dict):
-        inner = ", ".join(f"{json.dumps(str(k))}: {dumps_compact(v)}"
-                          for k, v in obj.items())
-        return "{" + inner + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(dumps_compact(v) for v in obj) + "]"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return fmt_float(float(obj))
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    pieces: list[str] = []
+    _emit(obj, None, 0, pieces)
+    return "".join(pieces)
 
 
 def state_to_dict(rho: DensityMatrix) -> dict:

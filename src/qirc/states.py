@@ -163,6 +163,8 @@ def classical_correlated(d: int) -> DensityMatrix:
     """(1/d) sum_i |i><i|_A x |i><i|_C with a trivial middle subsystem."""
     if d < 2:
         raise ValueError(f"local dimension d={d} must be >= 2")
+    if d * d > linalg.MAX_DIM:
+        raise ValueError(f"dimension d^2={d * d} exceeds {linalg.MAX_DIM}")
     m = np.zeros((d * d, d * d), dtype=complex)
     for i in range(d):
         m[i * d + i, i * d + i] = 1.0 / d

@@ -6,8 +6,7 @@ library, the claim checks, and the test suite agree on a single value.
 
 EPS_PSD = 1e-10        # eigenvalue clipping window for positive semidefiniteness
 EPS_HERM = 1e-10       # Hermiticity residual (Frobenius, relative to matrix norm)
-EPS_EIG = 1e-10        # eigendecomposition reconstruction error (relative Frobenius)
-EPS_OPT = 1e-9         # optimizer convergence in the objective value
+EPS_OPT = 1e-14        # singlet-fraction search stops when no start gains more
 EPS_CPTP = 1e-10       # Kraus completeness residual (Frobenius)
 EPS_QFI = 1e-12        # spectral-pair cutoff in the Fisher information sum
 

@@ -1,7 +1,8 @@
 import json
 
 from qirc import serialize, states
-from qirc.cli import main
+from qirc.cli import build_parser, main
+from qirc.linalg import MAX_DIM
 
 
 def run(capsys, *argv):
@@ -59,6 +60,13 @@ class TestProfileCommand:
     def test_usage_error_exits_2(self, capsys):
         code, _, _ = run(capsys, "profile", "--no-such-flag")
         assert code == 2
+
+    def test_oversized_classical_family_exits_2(self, capsys):
+        # d = 65 is the smallest d with d^2 above MAX_DIM; rejected before the
+        # dense d^2 x d^2 matrix is built
+        code, _, err = run(capsys, "profile", "--family", "classical:65")
+        assert code == 2
+        assert "exceeds" in err
 
     def test_reproducible_artifact(self, capsys, tmp_path):
         f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -178,6 +186,33 @@ class TestCheckCommand:
         code, _, err = run(capsys, "check", "C3", "--trials", "2", "--channels", "0")
         assert code == 2
         assert "channels per state" in err
+
+    def test_starts_out_of_range_exits_2(self, capsys):
+        for value in ("-5", str(MAX_DIM + 1)):
+            code, _, err = run(capsys, "check", "T1", "--dims", "3,3,3",
+                               "--trials", "2", "--starts", value)
+            assert code == 2
+            assert "--starts" in err
+        for value in (0, MAX_DIM):
+            args = build_parser(7).parse_args(["check", "--starts", str(value)])
+            assert args.starts == value
+
+    def test_optimizer_echo_reports_the_applied_settings(self, capsys):
+        code, out, _ = run(capsys, "check", "T1", "--dims", "3,3,3",
+                           "--trials", "1", "--starts", "0")
+        assert code == 0
+        echo = json.loads(out)[0]["config"]
+        assert echo["starts"] == 0
+        assert echo["campaign"]["optimizer"] == {
+            "starts": 0, "tol": 1e-14, "max_iter": 400, "seed": 20240817,
+            "method": "power"}
+
+    def test_oversized_dims_exit_2(self, capsys):
+        # 17 * 16 * 16 = 4352 is just above MAX_DIM; rejected before sampling
+        code, _, err = run(capsys, "check", "T1", "--dims", "17,16,16",
+                           "--trials", "1")
+        assert code == 2
+        assert "--dims" in err
 
     def test_env_seed_default(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("QIRC_SEED", "123")

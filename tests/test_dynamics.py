@@ -34,7 +34,8 @@ class TestEvolve:
         b = states.ginibre_mixed(2, 1, Seed(51, 3))
         c = states.ginibre_mixed(2, 2, Seed(51, 4))
         rho = states.compose_product(states.compose_product(a, b), c)
-        u = dynamics.local_unitary(states.haar_unitary(2, Seed(51, 5)), 0)
+        u = dynamics.local_product_unitary(states.haar_unitary(2, Seed(51, 5)),
+                                           np.eye(2), np.eye(2))
         out = dynamics.evolve(rho, u)
         assert np.abs(out.marginal([1]).matrix - b.matrix).max() <= 1e-12
         assert np.abs(out.marginal([2]).matrix - c.matrix).max() <= 1e-12

@@ -42,6 +42,22 @@ class TestDumps:
         assert "\n" not in text
         assert json.loads(text) == {"a": [1, 2], "b": 0.5}
 
+    def test_compact_bytes(self):
+        # the config comment of every CSV artifact is rendered this way
+        doc = {"a": {"b": [1, [2.5, {}]], "c": []}, "none": None, "flag": True,
+               "n": np.int64(-3), "x": np.float64(0.1), "s": 'say "hi"',
+               "t": (False, 1e-14)}
+        assert serialize.dumps_compact(doc) == (
+            '{"a": {"b": [1, [2.5, {}]], "c": []}, "none": null, "flag": true, '
+            '"n": -3, "x": 0.10000000000000001, "s": "say \\"hi\\"", '
+            '"t": [false, 1e-14]}')
+
+    def test_indented_bytes(self):
+        doc = {"a": [1, {"b": None}], "e": {}, "f": []}
+        assert serialize.dumps(doc) == (
+            '{\n  "a": [\n    1,\n    {\n      "b": null\n    }\n  ],\n'
+            '  "e": {},\n  "f": []\n}\n')
+
     def test_rejects_unknown_types(self):
         with pytest.raises(TypeError):
             serialize.dumps({"x": object()})

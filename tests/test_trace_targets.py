@@ -1,0 +1,35 @@
+"""Every function the benchmark's span tracer wraps still exists in qirc.
+
+``perfbench/spans.py`` names its targets as (module, attribute path) pairs
+and silently skips an absent one, so a renamed or deleted function would
+drop out of the per-layer metrics. This test resolves each target without
+wrapping anything.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _traced():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans.TRACED
+
+
+TRACED = _traced()
+
+
+@pytest.mark.parametrize("module, path", [(m, p) for m, p, _ in TRACED],
+                         ids=[name for _, _, name in TRACED])
+def test_trace_target_exists(module, path):
+    owner = importlib.import_module(f"qirc.{module}")
+    for attr in path.split("."):
+        owner = getattr(owner, attr, None)
+        assert owner is not None, f"qirc.{module}.{path} is absent"
+    assert callable(owner), f"qirc.{module}.{path} is not callable"
