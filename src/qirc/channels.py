@@ -11,7 +11,7 @@ import numpy as np
 from . import linalg
 from .generators import CoherenceGenerator
 from .states import DensityMatrix, Seed, _haar_unitary_from_rng, max_entangled_ket
-from .tolerances import EPS_CPTP, EPS_PSD
+from .tolerances import EPS_CHOI, EPS_CLUSTER, EPS_CPTP, EPS_PSD
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ class ChoiState:
         d_in = self.state.dims[0]
         marg = linalg.partial_trace(self.state.matrix, self.state.dims, keep=[0])
         resid = linalg.frobenius(marg - np.eye(d_in) / d_in)
-        if resid > 1e-9:
+        if resid > EPS_CHOI:
             raise ValueError(f"Choi input marginal deviates from I/d: {resid:.3e}")
 
     @property
@@ -162,7 +162,7 @@ def covariant_channel(g: CoherenceGenerator, seed: Seed) -> KrausChannel:
     """
     rng = seed.rng()
     d = g.dim
-    tol = 1e-9 * max(1.0, g.spread)
+    tol = EPS_CLUSTER * max(1.0, g.spread)
     level = np.empty(d)
     for cluster in g.eigenvalue_clusters():
         level[cluster] = g.eigen.values[cluster[0]]

@@ -2,30 +2,30 @@
 parameterized check that emits a ClaimReport.
 
 Two verdict tiers keep mathematics and conjecture apart. Hard-assertion
-checks (extremal anchors, q1 monotonicity under Haar-random channels, q3
-monotonicity under generator-covariant channels, the local conservation
-family, the mutual-information bound) report ``holds-within-tolerance`` or
-``violated``. Report-only checks (ball membership, convexity of mixtures,
-q3 and norm increases under Haar-random channels, global commutant drift,
-the heuristic entropy bounds) always report ``report-only`` or sit in a
-hard check's ``report_only_violations``; their violations are findings,
-not failures.
+checks (extremal anchors, q3 monotonicity under generator-covariant
+channels, the local conservation family, the mutual-information bound)
+report ``holds-within-tolerance`` or ``violated``. Report-only checks (ball
+membership, convexity of mixtures, q1, q3 and norm increases under
+Haar-random channels, global commutant drift, the heuristic entropy bounds)
+always report ``report-only`` or sit in a hard check's
+``report_only_violations``; their violations are findings, not failures.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import channels, dynamics, families, resources, serialize, states
+from . import channels, dynamics, families, linalg, resources, serialize, states
 from .channels import KrausChannel, apply as apply_channel, covariant_channel
 from .generators import (CoherenceGenerator, default_generator,
                          diagonal_generator, sigma_z_generator)
 from .resources import ProfileConfig, ResourceProfile
 from .states import DensityMatrix, Seed
-from .tolerances import (EPS_BALL, EPS_EXTREMAL, EPS_MI, EPS_OPT, EPS_Q1_MONO,
-                         EPS_Q3_MONO, EPS_TRAJ)
+from .tolerances import (EPS_BALL, EPS_EXTREMAL, EPS_MI, EPS_MONO_REPORT,
+                         EPS_OPT, EPS_Q1_MONO, EPS_Q3_MONO, EPS_TRAJ)
 
 CLAIM_IDS = {
     "T1": "T1.ball",
@@ -42,7 +42,7 @@ DEFAULT_TOLERANCES = {
     "ball": EPS_BALL,
     "q1_mono": EPS_Q1_MONO,
     "q3_mono": EPS_Q3_MONO,
-    "mono_report": 1e-6,
+    "mono_report": EPS_MONO_REPORT,
     "traj": EPS_TRAJ,
     "mi": EPS_MI,
 }
@@ -100,6 +100,9 @@ class CampaignConfig:
     tolerances: dict = field(default_factory=dict)
     starts: int = resources.DEFAULT_STARTS
 
+    def __post_init__(self):
+        linalg.check_size(math.prod(self.dims), "the campaign dims")
+
     def tolerance(self, name: str) -> float:
         return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
 
@@ -123,26 +126,15 @@ class CampaignConfig:
                              q2_mode=self.q2_mode, starts=self.starts)
 
     def to_dict(self) -> dict:
-        return {
-            "sampler": self.sampler,
-            "trials": self.trials,
-            "dims": list(self.dims),
-            "q2_mode": self.q2_mode,
-            "generator": self.generator,
-            "seed": self.seed,
-            "family": self.family,
-            "ginibre_rank": self.ginibre_rank,
-            "channels_per_state": self.channels_per_state,
-            "lambdas": list(self.lambdas),
-            "tolerances": dict(self.tolerances),
-            "optimizer": {
-                "starts": self.starts,
-                "tol": EPS_OPT,
-                "max_iter": resources.MAX_ITER,
-                "seed": resources.START_SEED,
-                "method": "closed-form" if self.dims[0] == 2 else "power",
-            },
+        out = asdict(self)
+        out["optimizer"] = {
+            "starts": out.pop("starts"),
+            "tol": EPS_OPT,
+            "max_iter": resources.MAX_ITER,
+            "seed": resources.START_SEED,
+            "method": "closed-form" if self.dims[0] == 2 else "power",
         }
+        return out
 
 
 @dataclass
@@ -158,17 +150,7 @@ class ClaimReport:
     worst_case: dict | None
 
     def to_dict(self) -> dict:
-        return {
-            "claim_id": self.claim_id,
-            "verdict": self.verdict,
-            "trials": self.trials,
-            "violations": self.violations,
-            "report_only_violations": self.report_only_violations,
-            "tolerances": dict(self.tolerances),
-            "seed": self.seed,
-            "stats": self.stats,
-            "worst_case": self.worst_case,
-        }
+        return asdict(self)
 
 
 def _sample_state(cfg: CampaignConfig, trial: int, n_trials: int,
@@ -191,14 +173,35 @@ def _sample_state(cfg: CampaignConfig, trial: int, n_trials: int,
     raise ValueError(f"unknown sampler {cfg.sampler!r}")
 
 
-def _witness(state: DensityMatrix, prof: ResourceProfile | None,
-             margin: float, **extra) -> dict:
-    out = {"margin": float(margin)}
-    out.update(extra)
-    out["state"] = serialize.state_to_dict(state)
-    if prof is not None:
-        out["profile"] = prof.to_dict()
-    return out
+class _WorstCase:
+    """The case of largest rank offered so far; a tie keeps the first.
+
+    ``rank`` starts at ``floor`` and is the maximum the report's stats read.
+    The witness dict is built once, by ``witness()``, from the stored case;
+    profiles among the extra fields are serialized there too.
+    """
+
+    def __init__(self, floor=-np.inf):
+        self.rank = floor
+        self._case = None
+
+    def offer(self, rank, state: DensityMatrix, margin: float,
+              profile: ResourceProfile | None = None, **extra) -> None:
+        if rank > self.rank:
+            self.rank = rank
+            self._case = (state, profile, margin, extra)
+
+    def witness(self) -> dict | None:
+        if self._case is None:
+            return None
+        state, prof, margin, extra = self._case
+        out = {"margin": float(margin)}
+        out.update((k, v.to_dict() if isinstance(v, ResourceProfile) else v)
+                   for k, v in extra.items())
+        out["state"] = serialize.state_to_dict(state)
+        if prof is not None:
+            out["profile"] = prof.to_dict()
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +241,7 @@ def check_extremals(cfg: CampaignConfig) -> ClaimReport:
     anchors = _extremal_anchors()
     rows = []
     violations = 0
-    worst = None
-    worst_margin = -1.0
+    worst = _WorstCase(floor=-1.0)
     for name, state, target in anchors:
         prof = resources.profile(state, pc)
         dev = max(abs(prof.q1 - target[0]), abs(prof.q2 - target[1]),
@@ -249,16 +251,14 @@ def check_extremals(cfg: CampaignConfig) -> ClaimReport:
                      "deviation": float(dev)})
         if dev > tol:
             violations += 1
-        if dev > worst_margin:
-            worst_margin = dev
-            worst = _witness(state, prof, dev, anchor=name)
+        worst.offer(dev, state, dev, prof, anchor=name)
     return ClaimReport(
         claim_id=CLAIM_IDS["C1"],
         verdict="holds-within-tolerance" if violations == 0 else "violated",
         trials=len(anchors), violations=violations, report_only_violations=0,
         tolerances={"extremal": tol}, seed=cfg.seed,
-        stats={"anchors": rows, "max_deviation": float(worst_margin)},
-        worst_case=worst)
+        stats={"anchors": rows, "max_deviation": float(worst.rank)},
+        worst_case=worst.witness())
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +273,7 @@ def check_qirc_ball(cfg: CampaignConfig) -> tuple[ClaimReport, list[dict]]:
     pc = cfg.profile_config()
     cloud = []
     violations = []
-    max_norm = -1.0
-    worst = None
+    worst = _WorstCase(floor=-1.0)
     norm_sum = 0.0
     for i in range(n):
         state = _sample_state(cfg, i, n)
@@ -286,16 +285,14 @@ def check_qirc_ball(cfg: CampaignConfig) -> tuple[ClaimReport, list[dict]]:
         norm_sum += prof.norm
         if prof.norm > 1.0 + tol:
             violations.append(i)
-        if prof.norm > max_norm:
-            max_norm = prof.norm
-            worst = _witness(state, prof, prof.norm - 1.0, trial=i, stream=i)
+        worst.offer(prof.norm, state, prof.norm - 1.0, prof, trial=i, stream=i)
     report = ClaimReport(
         claim_id=CLAIM_IDS["T1"], verdict="report-only",
         trials=n, violations=len(violations), report_only_violations=len(violations),
         tolerances={"ball": tol}, seed=cfg.seed,
-        stats={"max_norm": float(max_norm), "mean_norm": norm_sum / n,
+        stats={"max_norm": float(worst.rank), "mean_norm": norm_sum / n,
                "violation_trials": violations},
-        worst_case=worst)
+        worst_case=worst.witness())
     return report, cloud
 
 
@@ -318,9 +315,8 @@ def check_convexity(cfg: CampaignConfig) -> ClaimReport:
                       _sample_state(cfg, _STREAM_PAIR + 2 * i + 1, n_pairs)))
     endpoint_mismatches = 0
     ball_violations = 0
-    max_mix_norm = -1.0
     max_segment_dev = 0.0
-    worst = None
+    worst = _WorstCase(floor=-1.0)
     evaluations = 0
     for name, rho, sig in pairs:
         prof_r = resources.profile(rho, pc)
@@ -340,10 +336,8 @@ def check_convexity(cfg: CampaignConfig) -> ClaimReport:
                    for a, b in zip(prof_r.coords(), prof_s.coords())]
             dev = max(abs(m - s) for m, s in zip(prof_m.coords(), seg))
             max_segment_dev = max(max_segment_dev, dev)
-            if prof_m.norm > max_mix_norm:
-                max_mix_norm = prof_m.norm
-                worst = _witness(mix, prof_m, prof_m.norm - 1.0, pair=name,
-                                 mixing=float(lam))
+            worst.offer(prof_m.norm, mix, prof_m.norm - 1.0, prof_m, pair=name,
+                        mixing=float(lam))
             if inside and prof_m.norm > 1.0 + tol:
                 ball_violations += 1
     verdict = "violated" if endpoint_mismatches else "report-only"
@@ -354,9 +348,9 @@ def check_convexity(cfg: CampaignConfig) -> ClaimReport:
         tolerances={"ball": tol}, seed=cfg.seed,
         stats={"pairs": len(pairs), "lambda_grid": list(cfg.lambdas),
                "endpoint_mismatches": endpoint_mismatches,
-               "max_mixture_norm": float(max_mix_norm),
+               "max_mixture_norm": float(worst.rank),
                "max_segment_deviation": float(max_segment_dev)},
-        worst_case=worst)
+        worst_case=worst.witness())
 
 
 # ---------------------------------------------------------------------------
@@ -370,22 +364,20 @@ def _sample_channel(d: int, seed: Seed) -> tuple[KrausChannel, int]:
     return channels._isometry_channel(d, d, rank, rng), rank
 
 
-def _witness_rank(hard: float, finding: float) -> tuple[bool, float]:
-    """Witness order: a hard violation outranks every report-only finding."""
-    return hard > 0.0, max(hard, finding)
-
-
 def check_monotonicity(cfg: CampaignConfig) -> ClaimReport:
     """Coordinates under channels on A, in two channel families per slot.
 
-    Haar-random channels (Kraus rank uniform in 1..d^2): a q1 increase is a
-    hard violation; q3, q2 and norm increases are report-only findings,
-    since no theorem makes q3 monotone under channels that break the
-    generator's phase symmetry (a reset of A to |+><+| takes q3 from 0 to 1).
+    Haar-random channels (Kraus rank uniform in 1..d^2): q1, q3, q2 and norm
+    increases are report-only findings. The fully entangled fraction can grow
+    under a local channel (Badziąg et al., PRA 62, 012311, 2000), and no
+    theorem makes q3 monotone under channels that break the generator's phase
+    symmetry (a reset of A to |+><+| takes q3 from 0 to 1).
     Generator-covariant channels: a q3 increase is a hard violation, because
     the Fisher information of the family e^{-iHt} rho_A e^{iHt} cannot grow
     under them (data processing). q3 after such a channel depends on
-    Lambda(rho_A) only, so that tier scores the A marginal alone.
+    Lambda(rho_A) only, so that tier scores the A marginal alone. The witness
+    is ranked by (hard violation, margin), so a hard violation outranks
+    every report-only finding.
     """
     tol_q1 = cfg.tolerance("q1_mono")
     tol_q3 = cfg.tolerance("q3_mono")
@@ -397,8 +389,7 @@ def check_monotonicity(cfg: CampaignConfig) -> ClaimReport:
     d_a = cfg.dims[0]
     q1_inc = q3_inc = q2_inc = norm_inc = cov_q3_inc = 0
     max_q1 = max_q3 = max_q2 = max_norm = max_cov_q3 = 0.0
-    worst = None
-    worst_rank = (False, -np.inf)
+    worst = _WorstCase(floor=(False, -np.inf))
     for i in range(n_states):
         state = _sample_state(cfg, i, n_states)
         before = resources.profile(state, pc)
@@ -423,16 +414,13 @@ def check_monotonicity(cfg: CampaignConfig) -> ClaimReport:
                 q2_inc += 1
             if d_norm > tol_rep:
                 norm_inc += 1
-            key = _witness_rank(d_q1 - tol_q1, max(d_q3 - tol_q3, d_norm - tol_rep))
-            if key > worst_rank:
-                worst_rank = key
-                worst = _witness(
-                    state, None, key[1], trial=i, channel_index=j,
-                    channel_family="haar", state_stream=i, channel_stream=stream,
-                    kraus_rank=rank, q1_increase=float(d_q1),
-                    q3_increase=float(d_q3), q2_increase=float(d_q2),
-                    norm_increase=float(d_norm), profile_before=before.to_dict(),
-                    profile_after=after.to_dict())
+            margin = max(d_q1 - tol_q1, d_q3 - tol_q3, d_norm - tol_rep)
+            worst.offer((False, margin), state, margin, trial=i, channel_index=j,
+                        channel_family="haar", state_stream=i, channel_stream=stream,
+                        kraus_rank=rank, q1_increase=float(d_q1),
+                        q3_increase=float(d_q3), q2_increase=float(d_q2),
+                        norm_increase=float(d_norm), profile_before=before,
+                        profile_after=after)
 
             cov_stream = _STREAM_COVARIANT + i * n_ch + j
             cov = covariant_channel(g, Seed(cfg.seed, cov_stream))
@@ -440,20 +428,17 @@ def check_monotonicity(cfg: CampaignConfig) -> ClaimReport:
             max_cov_q3 = max(max_cov_q3, d_cov)
             if d_cov > tol_q3:
                 cov_q3_inc += 1
-            key = _witness_rank(d_cov - tol_q3, -np.inf)
-            if key > worst_rank:
-                worst_rank = key
-                worst = _witness(
-                    state, None, key[1], trial=i, channel_index=j,
-                    channel_family="covariant", state_stream=i,
-                    channel_stream=cov_stream, kraus_rank=len(cov.kraus),
-                    q3_increase=float(d_cov), profile_before=before.to_dict())
-    violations = q1_inc + cov_q3_inc
+            margin = d_cov - tol_q3
+            worst.offer((margin > 0.0, margin), state, margin, trial=i,
+                        channel_index=j, channel_family="covariant",
+                        state_stream=i, channel_stream=cov_stream,
+                        kraus_rank=len(cov.kraus), q3_increase=float(d_cov),
+                        profile_before=before)
     return ClaimReport(
         claim_id=CLAIM_IDS["C3"],
-        verdict="holds-within-tolerance" if violations == 0 else "violated",
-        trials=n_states * n_ch, violations=violations,
-        report_only_violations=q3_inc + norm_inc,
+        verdict="holds-within-tolerance" if cov_q3_inc == 0 else "violated",
+        trials=n_states * n_ch, violations=cov_q3_inc,
+        report_only_violations=q1_inc + q3_inc + norm_inc,
         tolerances={"q1_mono": tol_q1, "q3_mono": tol_q3, "mono_report": tol_rep},
         seed=cfg.seed,
         stats={"states": n_states, "channels_per_state": n_ch,
@@ -463,7 +448,7 @@ def check_monotonicity(cfg: CampaignConfig) -> ClaimReport:
                "max_q1_increase": float(max_q1), "max_q3_increase": float(max_q3),
                "max_q2_increase": float(max_q2), "max_norm_increase": float(max_norm),
                "max_covariant_q3_increase": float(max_cov_q3)},
-        worst_case=worst)
+        worst_case=worst.witness())
 
 
 # ---------------------------------------------------------------------------
@@ -471,23 +456,23 @@ def check_monotonicity(cfg: CampaignConfig) -> ClaimReport:
 
 
 def check_conservation(cfg: CampaignConfig) -> ClaimReport:
-    """Two families: (a) local products u_A ⊗ u_B ⊗ u_C with u_A commuting
-    with the generator (per-coordinate invariance asserted); (b) Haar
-    elements of the global commutant of generator ⊗ I (drift reported)."""
+    """Two families, scored on the same states: (a) local products
+    u_A ⊗ u_B ⊗ u_C with u_A commuting with the generator (per-coordinate
+    invariance asserted); (b) Haar elements of the global commutant of
+    generator ⊗ I (drift reported). Each state is sampled and profiled once."""
     tol = cfg.tolerance("traj")
     n = cfg.n_trials("T2")
     pc = cfg.profile_config()
-    g = cfg.coherence_generator()
+    g = pc.generator
     dims = cfg.dims
-    local_viol = 0
-    local_max_coord = 0.0
-    local_max_norm = 0.0
-    worst = None
-    worst_margin = -np.inf
-
+    local_viol = global_exceed = 0
+    local_max_coord = local_max_norm = drift_sum = 0.0
+    local = _WorstCase()
+    glob = _WorstCase(floor=0.0)
     for i in range(n):
         state = _sample_state(cfg, i, n)
         before = resources.profile(state, pc)
+
         u_a = dynamics.commuting_local_unitary(g, Seed(cfg.seed, _STREAM_UA + i))
         u_b = states.haar_unitary(dims[1], Seed(cfg.seed, _STREAM_UB + i))
         u_c = states.haar_unitary(dims[2], Seed(cfg.seed, _STREAM_UC + i))
@@ -495,38 +480,24 @@ def check_conservation(cfg: CampaignConfig) -> ClaimReport:
         after = resources.profile(dynamics.evolve(state, u), pc)
         drift = max(abs(after.q1 - before.q1), abs(after.q2 - before.q2),
                     abs(after.q3 - before.q3))
-        norm_drift = abs(after.norm - before.norm)
         local_max_coord = max(local_max_coord, drift)
-        local_max_norm = max(local_max_norm, norm_drift)
+        local_max_norm = max(local_max_norm, abs(after.norm - before.norm))
         if drift > tol:
             local_viol += 1
-        if drift > worst_margin:
-            worst_margin = drift
-            worst = _witness(state, None, drift, family="local", trial=i,
-                             profile_before=before.to_dict(),
-                             profile_after=after.to_dict())
+        local.offer(drift, state, drift, family="local", trial=i,
+                    profile_before=before, profile_after=after)
 
-    global_exceed = 0
-    global_max = 0.0
-    drift_sum = 0.0
-    global_worst = None
-    for i in range(n):
-        state = _sample_state(cfg, i, n)
-        before = resources.profile(state, pc)
         u = dynamics.sample_commutant_unitary(g, dims, Seed(cfg.seed, _STREAM_UG + i))
         after = resources.profile(dynamics.evolve(state, u), pc)
         d_norm = abs(after.norm - before.norm)
         drift_sum += d_norm
         if d_norm > tol:
             global_exceed += 1
-        if d_norm > global_max:
-            global_max = d_norm
-            global_worst = _witness(state, None, d_norm, family="global", trial=i,
-                                    unitary_stream=_STREAM_UG + i,
-                                    profile_before=before.to_dict(),
-                                    profile_after=after.to_dict())
-    if global_max > worst_margin:
-        worst = global_worst
+        glob.offer(d_norm, state, d_norm, family="global", trial=i,
+                   unitary_stream=_STREAM_UG + i, profile_before=before,
+                   profile_after=after)
+    # The global witness replaces the local one only when strictly larger.
+    worst = glob if glob.rank > local.rank else local
     return ClaimReport(
         claim_id=CLAIM_IDS["T2"],
         verdict="holds-within-tolerance" if local_viol == 0 else "violated",
@@ -534,10 +505,10 @@ def check_conservation(cfg: CampaignConfig) -> ClaimReport:
         tolerances={"traj": tol}, seed=cfg.seed,
         stats={"local_trials": n, "local_max_coord_drift": float(local_max_coord),
                "local_max_norm_drift": float(local_max_norm),
-               "global_trials": n, "global_max_drift": float(global_max),
+               "global_trials": n, "global_max_drift": float(glob.rank),
                "global_mean_abs_drift": drift_sum / n,
                "global_exceed_count": global_exceed},
-        worst_case=worst)
+        worst_case=worst.witness())
 
 
 # ---------------------------------------------------------------------------
@@ -551,16 +522,12 @@ def check_entropic_bounds(cfg: CampaignConfig) -> ClaimReport:
     tol = cfg.tolerance("mi")
     n = cfg.n_trials("A2")
     pc = cfg.profile_config()
-    g = cfg.coherence_generator()
-    d_a = cfg.dims[0]
-    log_d = float(np.log(d_a))
+    g = pc.generator
+    log_d = float(np.log(cfg.dims[0]))
 
-    mi_viol = 0
-    h1_viol = 0
-    h2_viol = 0
-    max_gap = -np.inf
+    mi_viol = h1_viol = h2_viol = 0
     h1_max = h2_max = -np.inf
-    worst = None
+    worst = _WorstCase()
     anchor_gap = None
 
     trial_states: list[tuple[str, DensityMatrix]] = [
@@ -577,10 +544,8 @@ def check_entropic_bounds(cfg: CampaignConfig) -> ClaimReport:
             anchor_gap = abs(gap)
         if gap > tol:
             mi_viol += 1
-        if gap > max_gap:
-            max_gap = gap
-            worst = _witness(state, None, gap, trial=name, s_a=float(s_a),
-                             i_ab=float(i_ab), i_ac=float(i_ac))
+        worst.offer(gap, state, gap, trial=name, s_a=float(s_a),
+                    i_ab=float(i_ab), i_ac=float(i_ac))
         prof = resources.profile(state, pc)
         h1_excess = (prof.q1 + prof.q2) - 2.0 * s_a / log_d
         if h1_excess > tol:
@@ -597,13 +562,13 @@ def check_entropic_bounds(cfg: CampaignConfig) -> ClaimReport:
         trials=len(trial_states), violations=mi_viol,
         report_only_violations=h1_viol + h2_viol,
         tolerances={"mi": tol}, seed=cfg.seed,
-        stats={"max_mi_gap": float(max_gap),
+        stats={"max_mi_gap": float(worst.rank),
                "anchor_saturation_gap": float(anchor_gap),
                "q1q2_bound_violations": h1_viol,
                "q1q2_bound_max_excess": float(h1_max),
                "fisher_bound_violations": h2_viol,
                "fisher_bound_max_excess": float(h2_max)},
-        worst_case=worst)
+        worst_case=worst.witness())
 
 
 # ---------------------------------------------------------------------------
@@ -621,18 +586,13 @@ def normalize_claim_id(claim: str) -> str:
         f"unknown claim {claim!r}; known: {', '.join(CLAIM_IDS.values())}")
 
 
+_CHECKS = {"C1": check_extremals, "T1": check_qirc_ball, "C2": check_convexity,
+           "C3": check_monotonicity, "T2": check_conservation,
+           "A2": check_entropic_bounds}
+
+
 def run_check(claim: str, cfg: CampaignConfig) -> tuple[ClaimReport, list[dict] | None]:
     """Run one check; the T1 campaign also returns its point cloud."""
     short = normalize_claim_id(claim)
-    if short == "C1":
-        return check_extremals(cfg), None
-    if short == "T1":
-        report, cloud = check_qirc_ball(cfg)
-        return report, cloud
-    if short == "C2":
-        return check_convexity(cfg), None
-    if short == "C3":
-        return check_monotonicity(cfg), None
-    if short == "T2":
-        return check_conservation(cfg), None
-    return check_entropic_bounds(cfg), None
+    out = _CHECKS[short](cfg)
+    return out if short == "T1" else (out, None)

@@ -160,16 +160,18 @@ CLOUD_HEADER = ("trial", "stream", "q1", "q2", "q3", "norm", "q1_raw",
 
 
 def _campaign_config(args) -> CampaignConfig:
-    dims = tuple(int(d) for d in args.dims.split(","))
-    if math.prod(dims) > MAX_DIM:
-        raise ValueError(f"--dims {args.dims}: total dimension exceeds {MAX_DIM}")
-    return CampaignConfig(
-        sampler=args.sampler, trials=args.trials, dims=dims,
-        q2_mode=args.q2_mode, generator=args.generator, seed=args.seed,
-        family=args.family, ginibre_rank=args.rank,
-        channels_per_state=args.channels,
-        tolerances=_parse_tolerances(args.tol),
-        starts=args.starts)
+    tolerances = _parse_tolerances(args.tol)
+    try:
+        # The config validates nothing but its dims.
+        return CampaignConfig(
+            sampler=args.sampler, trials=args.trials,
+            dims=tuple(int(d) for d in args.dims.split(",")),
+            q2_mode=args.q2_mode, generator=args.generator, seed=args.seed,
+            family=args.family, ginibre_rank=args.rank,
+            channels_per_state=args.channels, tolerances=tolerances,
+            starts=args.starts)
+    except ValueError as exc:
+        raise ValueError(f"--dims {args.dims}: {exc}") from exc
 
 
 def cmd_check(args) -> int:

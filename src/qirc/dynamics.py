@@ -10,17 +10,15 @@ import numpy as np
 from . import channels, linalg, resources
 from .generators import CoherenceGenerator
 from .states import DensityMatrix, Seed, _haar_unitary_from_rng
-from .tolerances import EPS_TRAJ
-
-UNITARITY_TOL = 1e-10
+from .tolerances import EPS_COMMUTANT, EPS_TRAJ, EPS_UNITARY
 
 
-def _check_unitary(m: np.ndarray, tol: float = UNITARITY_TOL) -> np.ndarray:
+def _check_unitary(m: np.ndarray) -> np.ndarray:
     m = linalg.as_complex(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"unitary must be square, got shape {m.shape}")
     resid = linalg.frobenius(linalg.dagger(m) @ m - np.eye(m.shape[0]))
-    if resid > tol:
+    if resid > EPS_UNITARY:
         raise ValueError(f"matrix is not unitary: ||U†U - I|| = {resid:.3e}")
     return m
 
@@ -77,7 +75,7 @@ def sample_commutant_unitary(g: CoherenceGenerator, dims: Sequence[int],
     Built block-diagonally across the eigenspaces of the lifted generator:
     one independent Haar block per generator eigenvalue, each acting on
     (eigenspace of A) ⊗ (B and C). The commutator vanishes by construction
-    and is checked to 1e-10.
+    and is checked to EPS_COMMUTANT.
     """
     dims = tuple(int(d) for d in dims)
     if len(dims) != 3:
@@ -96,7 +94,7 @@ def sample_commutant_unitary(g: CoherenceGenerator, dims: Sequence[int],
         u += iso @ block @ linalg.dagger(iso)
     lifted = linalg.kron(g.h, eye_bc)
     resid = linalg.frobenius(u @ lifted - lifted @ u)
-    if resid > 1e-10 * max(1.0, linalg.frobenius(lifted)):
+    if resid > EPS_COMMUTANT * max(1.0, linalg.frobenius(lifted)):
         raise AssertionError(f"commutant construction failed: residual {resid:.3e}")
     return UnitaryOperator(u, dims=dims)
 

@@ -8,6 +8,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import HermitianEigen
+from .tolerances import EPS_CLUSTER, EPS_DEGENERATE
 
 
 @dataclass(frozen=True)
@@ -26,7 +27,7 @@ class CoherenceGenerator:
         h = linalg.as_complex(self.h)
         eig = linalg.hermitian_eigen(h)
         spread = float(eig.values[-1] - eig.values[0])
-        if spread <= 1e-12 * max(1.0, abs(float(eig.values[-1]))):
+        if spread <= EPS_DEGENERATE * max(1.0, abs(float(eig.values[-1]))):
             raise ValueError("generator spectrum is fully degenerate")
         h = h.copy()
         h.setflags(write=False)
@@ -41,10 +42,10 @@ class CoherenceGenerator:
     def spread(self) -> float:
         return float(self.eigen.values[-1] - self.eigen.values[0])
 
-    def eigenvalue_clusters(self, rtol: float = 1e-9) -> list[list[int]]:
+    def eigenvalue_clusters(self) -> list[list[int]]:
         """Indices of (numerically) equal eigenvalues, ascending order."""
         w = self.eigen.values
-        tol = rtol * max(1.0, self.spread)
+        tol = EPS_CLUSTER * max(1.0, self.spread)
         clusters: list[list[int]] = [[0]]
         for i in range(1, len(w)):
             if w[i] - w[clusters[-1][0]] <= tol:

@@ -58,6 +58,13 @@ def check_dims(dims: Sequence[int], dim: int) -> tuple[int, ...]:
     return out
 
 
+def check_size(n: int, what: str) -> int:
+    """Reject a total dimension above MAX_DIM before anything is allocated."""
+    if n > MAX_DIM:
+        raise ValueError(f"total dimension {n} of {what} exceeds MAX_DIM = {MAX_DIM}")
+    return n
+
+
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tensor product a ⊗ b with row-major index (i*rb + k, j*cb + l)."""
     a = as_complex(a)

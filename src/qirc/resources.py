@@ -11,14 +11,14 @@ q3: Fisher-information utility of rho_A for phase estimation along a fixed
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import channels, linalg
 from .generators import CoherenceGenerator, default_generator
 from .states import DensityMatrix, Seed, _haar_unitary_from_rng
-from .tolerances import EPS_OPT, EPS_PSD, EPS_QFI
+from .tolerances import EPS_KRAUS, EPS_OPT, EPS_PSD, EPS_QFI
 
 # The singlet-fraction search at d >= 3: Haar starts drawn from a fixed seed,
 # each refined for at most MAX_ITER steps (the stop gain is EPS_OPT).
@@ -41,16 +41,7 @@ class FidelityBreakdown:
     d: int
 
     def to_dict(self) -> dict:
-        return {
-            "f_max": self.f_max,
-            "f_tele": self.f_tele,
-            "f_trans": self.f_trans,
-            "f_q": self.f_q,
-            "f_q_max": self.f_q_max,
-            "q1_raw": self.q1_raw,
-            "q2_raw": self.q2_raw,
-            "d": self.d,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -190,8 +181,7 @@ def coord_q1(rho_ab: DensityMatrix, starts: int = DEFAULT_STARTS) -> tuple[float
     return _q1_from_fraction(f, rho_ab.dims[0])
 
 
-def transfer_choi_state(rho_ac: DensityMatrix,
-                        support_cutoff: float = EPS_PSD) -> DensityMatrix:
+def transfer_choi_state(rho_ac: DensityMatrix) -> DensityMatrix:
     """Normalized Choi state of the channel A -> C that rho_AC induces.
 
     ((B ⊗ I) rho_AC (B ⊗ I) + (I - P) ⊗ rho_C) / d_A, with P the support
@@ -205,7 +195,7 @@ def transfer_choi_state(rho_ac: DensityMatrix,
         raise ValueError(f"expected a bipartite state, got dims {rho_ac.dims}")
     d_a, d_c = rho_ac.dims
     w, v = linalg.hermitian_eigen(linalg.partial_trace(rho_ac.matrix, rho_ac.dims, [0]))
-    on = w > support_cutoff
+    on = w > EPS_PSD
     b = (v * np.where(on, np.where(on, w, 1.0) ** -0.5, 0.0)) @ linalg.dagger(v)
     hole = (v * ~on) @ linalg.dagger(v)
     b_c = linalg.kron(b, np.eye(d_c))
@@ -214,13 +204,12 @@ def transfer_choi_state(rho_ac: DensityMatrix,
     return DensityMatrix(j / d_a, (d_a, d_c))
 
 
-def induced_transfer_channel(rho_ac: DensityMatrix,
-                             support_cutoff: float = EPS_PSD) -> channels.KrausChannel:
+def induced_transfer_channel(rho_ac: DensityMatrix) -> channels.KrausChannel:
     """The state-induced channel A -> C of ``transfer_choi_state``, in Kraus form."""
-    choi_state = transfer_choi_state(rho_ac, support_cutoff)
+    choi_state = transfer_choi_state(rho_ac)
     d_a, d_c = choi_state.dims
     return channels.kraus_from_choi(d_a * choi_state.matrix, d_in=d_a, d_out=d_c,
-                                    cutoff=1e-12)
+                                    cutoff=EPS_KRAUS)
 
 
 def coord_q2(rho_ac: DensityMatrix, mode: str = "transfer",

@@ -8,9 +8,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import linalg
-from .tolerances import EPS_HERM, EPS_PSD
-
-TRACE_TOL = 1e-10
+from .tolerances import EPS_HERM, EPS_PSD, EPS_TRACE
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -47,8 +45,8 @@ class DensityMatrix:
         if not linalg.is_hermitian(m, EPS_HERM):
             raise ValueError("density matrix is not Hermitian within tolerance")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace {tr} is not 1 within {TRACE_TOL}")
+        if abs(tr - 1.0) > EPS_TRACE:
+            raise ValueError(f"trace {tr} is not 1 within {EPS_TRACE}")
         wmin = float(np.linalg.eigvalsh((m + linalg.dagger(m)) / 2)[0])
         if wmin < -EPS_PSD:
             raise ValueError(f"negative eigenvalue {wmin:.3e} below -{EPS_PSD}")
@@ -163,8 +161,7 @@ def classical_correlated(d: int) -> DensityMatrix:
     """(1/d) sum_i |i><i|_A x |i><i|_C with a trivial middle subsystem."""
     if d < 2:
         raise ValueError(f"local dimension d={d} must be >= 2")
-    if d * d > linalg.MAX_DIM:
-        raise ValueError(f"dimension d^2={d * d} exceeds {linalg.MAX_DIM}")
+    linalg.check_size(d * d, f"classical:{d}")
     m = np.zeros((d * d, d * d), dtype=complex)
     for i in range(d):
         m[i * d + i, i * d + i] = 1.0 / d
@@ -192,7 +189,7 @@ def haar_unitary(d: int, seed: Seed) -> np.ndarray:
 def haar_pure(dims: Sequence[int], seed: Seed) -> DensityMatrix:
     """Haar-distributed pure state: normalized complex Gaussian vector."""
     dims = tuple(int(d) for d in dims)
-    n = int(np.prod(dims))
+    n = linalg.check_size(int(np.prod(dims)), f"dims {dims}")
     rng = seed.rng()
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     # Normalizing the ket rather than the projector keeps sampled states, and
@@ -205,6 +202,7 @@ def ginibre_mixed(d: int, rank: int, seed: Seed) -> DensityMatrix:
     """GG†/Tr(GG†) for a d x rank complex Gaussian G."""
     if not 1 <= rank <= d:
         raise ValueError(f"rank {rank} outside [1, {d}]")
+    linalg.check_size(d, f"Ginibre dimension {d}")
     rng = seed.rng()
     g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
     m = g @ g.conj().T

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 _S2 = 1.0 / np.sqrt(2.0)
 # Rows are the magic-basis vectors expressed in the computational basis.
@@ -45,3 +46,9 @@ def random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+# Property tests draw the same bounded examples on every run.
+settings.register_profile("qirc", derandomize=True, max_examples=8,
+                          deadline=None, database=None)
+settings.load_profile("qirc")

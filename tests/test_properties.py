@@ -1,0 +1,60 @@
+"""Property tests: symmetries the coordinates must respect, on Haar-pure and
+Ginibre-mixed states at d = 2 and d = 3. Examples come from the
+derandomized ``qirc`` hypothesis profile registered in conftest.py."""
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from qirc import channels, dynamics, resources, states
+from qirc.claims import resolve_generator
+from qirc.resources import ProfileConfig
+from qirc.states import Seed
+from qirc.tolerances import EPS_Q3_MONO, EPS_TRAJ
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+# (d, generator spec, sampler); the d = 3 diagonal generator is degenerate
+CASES = pytest.mark.parametrize("d, spec, sampler", [
+    (d, spec, sampler)
+    for d, spec in [(2, "default"), (3, "default"), (3, "diag:1,1,-2")]
+    for sampler in ("haar-pure", "ginibre-mixed")])
+
+
+def _state(d: int, sampler: str, seed: int, rank: int) -> states.DensityMatrix:
+    if sampler == "haar-pure":
+        return states.haar_pure((d, d, d), Seed(seed, 0))
+    rank = 1 + rank % d ** 3
+    return states.ginibre_mixed(d ** 3, rank, Seed(seed, 0)).reshaped((d, d, d))
+
+
+@CASES
+@given(seed=SEEDS, rank=st.integers(0, 26))
+def test_local_unitaries_on_b_and_c_leave_profile_unchanged(d, spec, sampler, seed, rank):
+    rho = _state(d, sampler, seed, rank)
+    u = dynamics.local_product_unitary(np.eye(d), states.haar_unitary(d, Seed(seed, 1)),
+                                       states.haar_unitary(d, Seed(seed, 2)))
+    pc = ProfileConfig(generator=resolve_generator(spec, d))
+    before = resources.profile(rho, pc)
+    after = resources.profile(dynamics.evolve(rho, u), pc)
+    assert np.allclose(after.coords(), before.coords(), rtol=0.0, atol=EPS_TRAJ)
+
+
+@CASES
+@given(seed=SEEDS, rank=st.integers(0, 26))
+def test_generator_commuting_unitary_on_a_leaves_q3_unchanged(d, spec, sampler, seed, rank):
+    rho = _state(d, sampler, seed, rank)
+    g = resolve_generator(spec, d)
+    u_a = dynamics.commuting_local_unitary(g, Seed(seed, 1))
+    after = dynamics.evolve(rho, dynamics.local_product_unitary(u_a, np.eye(d), np.eye(d)))
+    q3_before = resources.coord_q3(rho.marginal([0]), g)
+    assert abs(resources.coord_q3(after.marginal([0]), g) - q3_before) <= EPS_Q3_MONO
+
+
+@CASES
+@given(seed=SEEDS, rank=st.integers(0, 26), lam=st.floats(0.0, 1.0))
+def test_dephasing_along_the_generator_never_raises_q3(d, spec, sampler, seed, rank, lam):
+    rho_a = _state(d, sampler, seed, rank).marginal([0])
+    g = resolve_generator(spec, d)
+    after = channels.apply(channels.dephasing(lam, g), rho_a, 0)
+    assert resources.coord_q3(after, g) <= resources.coord_q3(rho_a, g) + EPS_Q3_MONO

@@ -126,7 +126,19 @@ class TestClassicalCorrelated:
             states.classical_correlated(1)
 
 
+class _NoDraw:
+    """A seed that fails if a sampler draws from it."""
+
+    def rng(self):
+        raise AssertionError("drew before checking the size")
+
+
 class TestHaarPure:
+    def test_oversized_rejected_before_drawing(self):
+        # 17 * 16 * 16 = 4352 is just above MAX_DIM
+        with pytest.raises(ValueError, match="exceeds"):
+            states.haar_pure((17, 16, 16), _NoDraw())
+
     def test_purity(self):
         rho = states.haar_pure((2, 2, 2), Seed(5, 0))
         assert abs(rho.purity() - 1.0) <= 1e-12
@@ -170,6 +182,10 @@ class TestGinibre:
     def test_rank_range(self):
         with pytest.raises(ValueError):
             states.ginibre_mixed(3, 4, Seed(8, 0))
+
+    def test_oversized_rejected_before_drawing(self):
+        with pytest.raises(ValueError, match="exceeds"):
+            states.ginibre_mixed(17 * 16 * 16, 1, _NoDraw())
 
 
 class TestHaarUnitary:

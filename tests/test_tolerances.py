@@ -1,0 +1,20 @@
+"""Every small threshold of the library is named in ``tolerances.py``."""
+
+import ast
+from pathlib import Path
+
+import qirc
+
+SRC = Path(qirc.__file__).resolve().parent
+
+
+def test_no_small_float_literal_outside_tolerances():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "tolerances.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, float)
+                    and 0.0 < node.value < 1e-3):
+                found.append(f"{path.name}:{node.lineno}: {node.value!r}")
+    assert not found, "thresholds outside tolerances.py: " + ", ".join(found)
