@@ -12,9 +12,8 @@ conservation under symmetry-preserving unitaries, and entropy bounds.
 
 __version__ = "0.1.0"
 
-from .channels import (ChoiState, KrausChannel, amplitude_damping, apply, choi,
-                       compose, dephasing, depolarizing, identity_channel,
-                       kraus_from_choi, make_channel, random_channel)
+from .channels import (KrausChannel, amplitude_damping, apply, choi, dephasing,
+                       depolarizing, kraus_from_choi, make_channel, random_channel)
 from .claims import (CLAIM_IDS, CampaignConfig, ClaimReport, check_convexity,
                      check_entropic_bounds, check_extremals, check_monotonicity,
                      check_conservation, check_qirc_ball, run_check)

@@ -1,5 +1,10 @@
 """CPTP maps in Kraus form: standard noise, random and generator-covariant
-channels, Choi duality."""
+channels, Choi duality.
+
+``apply`` and ``choi`` return derived states (``DensityMatrix._derived``):
+their operands, the input state and the Kraus channel, were checked when
+they were built, so the outputs are not checked again.
+"""
 
 from __future__ import annotations
 
@@ -11,7 +16,7 @@ import numpy as np
 from . import linalg
 from .generators import CoherenceGenerator
 from .states import DensityMatrix, Seed, _haar_unitary_from_rng, max_entangled_ket
-from .tolerances import EPS_CHOI, EPS_CLUSTER, EPS_CPTP, EPS_PSD
+from .tolerances import EPS_CLUSTER, EPS_CPTP, EPS_PSD
 
 
 @dataclass(frozen=True)
@@ -46,40 +51,12 @@ class KrausChannel:
         return sum(k @ m @ linalg.dagger(k) for k in self.kraus)
 
 
-@dataclass(frozen=True)
-class ChoiState:
-    """Normalized Choi state (id ⊗ channel)(|Phi+><Phi+|) on dims (d_in, d_out)."""
-
-    state: DensityMatrix
-
-    def __post_init__(self):
-        if len(self.state.dims) != 2:
-            raise ValueError("Choi state must carry dims (d_in, d_out)")
-        d_in = self.state.dims[0]
-        marg = linalg.partial_trace(self.state.matrix, self.state.dims, keep=[0])
-        resid = linalg.frobenius(marg - np.eye(d_in) / d_in)
-        if resid > EPS_CHOI:
-            raise ValueError(f"Choi input marginal deviates from I/d: {resid:.3e}")
-
-    @property
-    def d_in(self) -> int:
-        return self.state.dims[0]
-
-    @property
-    def d_out(self) -> int:
-        return self.state.dims[1]
-
-
 def make_channel(kraus: Sequence[np.ndarray]) -> KrausChannel:
     ops = [linalg.as_complex(k) for k in kraus]
     if not ops:
         raise ValueError("channel needs at least one Kraus operator")
     d_out, d_in = ops[0].shape
     return KrausChannel(tuple(ops), d_in=d_in, d_out=d_out)
-
-
-def identity_channel(d: int) -> KrausChannel:
-    return KrausChannel((np.eye(d, dtype=complex),), d_in=d, d_out=d)
 
 
 def _weyl_operators(d: int) -> list[np.ndarray]:
@@ -202,11 +179,12 @@ def apply(ch: KrausChannel, rho: DensityMatrix, target: int) -> DensityMatrix:
         term = op @ rho.matrix @ linalg.dagger(op)
         out = term if out is None else out + term
     new_dims = tuple(ch.d_out if i == target else d for i, d in enumerate(rho.dims))
-    return DensityMatrix(out, new_dims)
+    return DensityMatrix._derived(out, new_dims)
 
 
-def choi(ch: KrausChannel) -> ChoiState:
-    """(id ⊗ channel) applied to the normalized maximally entangled state."""
+def choi(ch: KrausChannel) -> DensityMatrix:
+    """(id ⊗ channel) applied to the normalized maximally entangled state,
+    on dims (d_in, d_out)."""
     omega = max_entangled_ket(ch.d_in)
     eye = np.eye(ch.d_in, dtype=complex)
     out = None
@@ -214,7 +192,7 @@ def choi(ch: KrausChannel) -> ChoiState:
         w = (linalg.kron(eye, k) @ omega)
         term = np.outer(w, w.conj())
         out = term if out is None else out + term
-    return ChoiState(DensityMatrix(out, (ch.d_in, ch.d_out)))
+    return DensityMatrix._derived(out, (ch.d_in, ch.d_out))
 
 
 def kraus_from_choi(choi_unnormalized: np.ndarray, d_in: int, d_out: int,
@@ -228,11 +206,3 @@ def kraus_from_choi(choi_unnormalized: np.ndarray, d_in: int, d_out: int,
     if not kraus:
         raise ValueError("Choi matrix has empty support")
     return KrausChannel(tuple(kraus), d_in=d_in, d_out=d_out)
-
-
-def compose(after: KrausChannel, before: KrausChannel) -> KrausChannel:
-    """Kraus-product channel: rho -> after(before(rho))."""
-    if before.d_out != after.d_in:
-        raise ValueError("channel dimensions do not compose")
-    kraus = tuple(a @ b for a in after.kraus for b in before.kraus)
-    return KrausChannel(kraus, d_in=before.d_in, d_out=after.d_out)

@@ -102,6 +102,9 @@ class CampaignConfig:
 
     def __post_init__(self):
         linalg.check_size(math.prod(self.dims), "the campaign dims")
+        # Mixtures are derived states and are not checked when they are built.
+        if not all(0.0 <= lam <= 1.0 for lam in self.lambdas):
+            raise ValueError(f"mixing weights must lie in [0, 1], got {self.lambdas}")
 
     def tolerance(self, name: str) -> float:
         return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
@@ -154,9 +157,11 @@ class ClaimReport:
 
 
 def _sample_state(cfg: CampaignConfig, trial: int, n_trials: int,
-                  pure_only: bool = False) -> DensityMatrix:
+                  pure_only: bool = False, stream_offset: int = 0) -> DensityMatrix:
+    """State ``trial`` of ``n_trials``, drawn from stream stream_offset + trial;
+    the Werner weight of the named-family sampler is trial / (n_trials - 1)."""
     sampler = "haar-pure" if pure_only else cfg.sampler
-    seed = Seed(cfg.seed, trial)
+    seed = Seed(cfg.seed, stream_offset + trial)
     if sampler == "haar-pure":
         return states.haar_pure(cfg.dims, seed)
     if sampler == "ginibre-mixed":
@@ -309,10 +314,11 @@ def check_convexity(cfg: CampaignConfig) -> ClaimReport:
     pc = cfg.profile_config()
     pairs: list[tuple[str, DensityMatrix, DensityMatrix]] = [
         ("anchor", states.bell_spectator(), states.coherent_spectator())]
+    n_ends = 2 * (n_pairs - 1)
     for i in range(n_pairs - 1):
-        pairs.append((f"sampled[{i}]",
-                      _sample_state(cfg, _STREAM_PAIR + 2 * i, n_pairs),
-                      _sample_state(cfg, _STREAM_PAIR + 2 * i + 1, n_pairs)))
+        ends = [_sample_state(cfg, k, n_ends, stream_offset=_STREAM_PAIR)
+                for k in (2 * i, 2 * i + 1)]
+        pairs.append((f"sampled[{i}]", *ends))
     endpoint_mismatches = 0
     ball_violations = 0
     max_segment_dev = 0.0
@@ -323,7 +329,8 @@ def check_convexity(cfg: CampaignConfig) -> ClaimReport:
         prof_s = resources.profile(sig, pc)
         inside = prof_r.norm <= 1.0 + tol and prof_s.norm <= 1.0 + tol
         for lam in cfg.lambdas:
-            mix = DensityMatrix(lam * rho.matrix + (1.0 - lam) * sig.matrix, rho.dims)
+            mix = DensityMatrix._derived(lam * rho.matrix + (1.0 - lam) * sig.matrix,
+                                         rho.dims)
             prof_m = resources.profile(mix, pc)
             evaluations += 1
             if lam in (0.0, 1.0):

@@ -162,7 +162,7 @@ CLOUD_HEADER = ("trial", "stream", "q1", "q2", "q3", "norm", "q1_raw",
 def _campaign_config(args) -> CampaignConfig:
     tolerances = _parse_tolerances(args.tol)
     try:
-        # The config validates nothing but its dims.
+        # Of what the CLI passes, the config checks only the dims.
         return CampaignConfig(
             sampler=args.sampler, trials=args.trials,
             dims=tuple(int(d) for d in args.dims.split(",")),

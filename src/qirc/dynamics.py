@@ -48,7 +48,8 @@ def evolve(rho: DensityMatrix, u: UnitaryOperator) -> DensityMatrix:
         raise ValueError(
             f"unitary dimension {u.matrix.shape[0]} does not match state "
             f"dimension {rho.dim}")
-    return DensityMatrix(u.matrix @ rho.matrix @ linalg.dagger(u.matrix), rho.dims)
+    return DensityMatrix._derived(u.matrix @ rho.matrix @ linalg.dagger(u.matrix),
+                                  rho.dims)
 
 
 def commuting_local_unitary(g: CoherenceGenerator, seed: Seed) -> np.ndarray:
@@ -118,9 +119,6 @@ class Trajectory:
 
     steps: tuple[tuple[str, resources.ResourceProfile], ...]
     monotone: dict[str, bool] = field(default_factory=dict)
-
-    def norms(self) -> list[float]:
-        return [p.norm for _, p in self.steps]
 
 
 def _apply_step(rho: DensityMatrix, step: Step) -> DensityMatrix:

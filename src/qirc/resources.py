@@ -116,8 +116,10 @@ def _haar_starts(d: int, starts: int, seed: int) -> np.ndarray:
 
 def _start_batch(rho: np.ndarray, d: int, starts: int) -> np.ndarray:
     # Spectral hint: the closest maximally entangled state to the dominant
-    # eigenvector is given by the polar unitary of its matrix reshape.
-    top = linalg.hermitian_eigen(rho).vectors[:, -1].reshape(d, d)
+    # eigenvector is given by the polar unitary of its matrix reshape. rho is
+    # a state, possibly a derived one such as the q2 Choi state, whose
+    # rounding is not re-checked; only its Hermitian part is read.
+    top = np.linalg.eigh((rho + linalg.dagger(rho)) / 2)[1][:, -1].reshape(d, d)
     u, _, vh = np.linalg.svd(top)
     return np.concatenate([np.eye(d, dtype=complex).reshape(1, d * d),
                            (u @ vh).reshape(1, d * d),
@@ -189,7 +191,8 @@ def transfer_choi_state(rho_ac: DensityMatrix) -> DensityMatrix:
     the pretty-good recovery L(X) = Tr_A[(B X^T B ⊗ I) rho_AC], X^T the
     transpose in the computational basis, whose input weight outside the
     support is replaced by rho_C. Maximally entangled rho_AC induces the
-    identity channel; product states induce replacement with rho_C.
+    identity channel; product states induce replacement with rho_C. A derived
+    state: rounding that grows like 1/lambda_min(rho_A) is not re-checked.
     """
     if len(rho_ac.dims) != 2:
         raise ValueError(f"expected a bipartite state, got dims {rho_ac.dims}")
@@ -201,7 +204,7 @@ def transfer_choi_state(rho_ac: DensityMatrix) -> DensityMatrix:
     b_c = linalg.kron(b, np.eye(d_c))
     rho_c = linalg.partial_trace(rho_ac.matrix, rho_ac.dims, [1])
     j = b_c @ rho_ac.matrix @ b_c + linalg.kron(hole, rho_c)
-    return DensityMatrix(j / d_a, (d_a, d_c))
+    return DensityMatrix._derived(j / d_a, (d_a, d_c))
 
 
 def induced_transfer_channel(rho_ac: DensityMatrix) -> channels.KrausChannel:

@@ -32,7 +32,14 @@ class Seed(NamedTuple):
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Validated quantum state: Hermitian, unit trace, PSD, with subsystem dims."""
+    """Quantum state: Hermitian, unit trace, PSD, with subsystem dims.
+
+    ``DensityMatrix(matrix, dims)`` checks its input; every state that enters
+    qirc (state files, named families, samplers, library callers) comes in
+    this way. States qirc computes from checked states (marginals, products,
+    channel outputs, unitary evolutions, mixtures, Choi states) are built by
+    ``_derived`` and are not checked again.
+    """
 
     matrix: np.ndarray
     dims: tuple[int, ...]
@@ -55,6 +62,16 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", dims)
 
+    @classmethod
+    def _derived(cls, matrix: np.ndarray, dims: tuple[int, ...]) -> "DensityMatrix":
+        """A state computed from checked states: a read-only copy, unchecked."""
+        m = np.array(matrix, dtype=complex)
+        m.setflags(write=False)
+        out = object.__new__(cls)
+        object.__setattr__(out, "matrix", m)
+        object.__setattr__(out, "dims", tuple(dims))
+        return out
+
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
@@ -62,14 +79,11 @@ class DensityMatrix:
     def marginal(self, keep: Iterable[int]) -> "DensityMatrix":
         keep = sorted(set(int(k) for k in keep))
         reduced = linalg.partial_trace(self.matrix, self.dims, keep)
-        return DensityMatrix(reduced, tuple(self.dims[k] for k in keep))
+        return DensityMatrix._derived(reduced, tuple(self.dims[k] for k in keep))
 
     def reshaped(self, dims: Sequence[int]) -> "DensityMatrix":
         """Same matrix, relabeled subsystem structure."""
-        return DensityMatrix(self.matrix, tuple(int(d) for d in dims))
-
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
+        return DensityMatrix._derived(self.matrix, linalg.check_dims(dims, self.dim))
 
 
 def ket_projector(vec: np.ndarray, dims: Sequence[int]) -> DensityMatrix:
@@ -169,7 +183,7 @@ def classical_correlated(d: int) -> DensityMatrix:
 
 
 def compose_product(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
-    return DensityMatrix(linalg.kron(a.matrix, b.matrix), a.dims + b.dims)
+    return DensityMatrix._derived(linalg.kron(a.matrix, b.matrix), a.dims + b.dims)
 
 
 def _haar_unitary_from_rng(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -224,7 +238,7 @@ def bell_ac(spectator_b: DensityMatrix | None = None) -> DensityMatrix:
         return bell_pair().reshaped((2, 1, 2))
     acb = compose_product(bell_pair(), spectator_b)  # ordering (A, C, B)
     m = linalg.permute_subsystems(acb.matrix, acb.dims, [0, 2, 1])
-    return DensityMatrix(m, (2, spectator_b.dim, 2))
+    return DensityMatrix._derived(m, (2, spectator_b.dim, 2))
 
 
 def coherent_spectator(spectator_bc: DensityMatrix | None = None) -> DensityMatrix:

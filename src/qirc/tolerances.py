@@ -11,7 +11,6 @@ EPS_UNITARY = 1e-10    # ||U†U - I|| (Frobenius) of a unitary
 EPS_COMMUTANT = 1e-10  # commutator residual of a commutant sample, relative
 EPS_OPT = 1e-14        # singlet-fraction search stops when no start gains more
 EPS_CPTP = 1e-10       # Kraus completeness residual (Frobenius)
-EPS_CHOI = 1e-9        # Choi input marginal against I/d (Frobenius)
 EPS_KRAUS = 1e-12      # Choi eigenvalue cutoff when extracting Kraus operators
 EPS_QFI = 1e-12        # spectral-pair cutoff in the Fisher information sum
 EPS_DEGENERATE = 1e-12  # generator spread floor, relative to its top eigenvalue

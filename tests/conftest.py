@@ -25,6 +25,19 @@ def fmax_two_qubit_oracle(rho: np.ndarray) -> float:
     return float(np.linalg.eigvalsh((m + m.conj().T).real / 2.0).max())
 
 
+def near_product_ket(e: float) -> np.ndarray:
+    """sqrt(1-e)|+,0,0> + sqrt(e)|-,0,1> in the order A, B, C.
+
+    q1 = 0, q3 = (1 - 2e)^2, and q2 = 1 for every e > 0 (0 at e = 0): rho_A
+    has eigenvalues e and 1 - e, and rescaled by rho_A^{-1/2} the pure rho_AC
+    induces a unitary channel A -> C however small e is.
+    """
+    plus, minus = np.array([1, 1]) * _S2, np.array([1, -1]) * _S2
+    zero, one = np.eye(2)
+    return (np.sqrt(1 - e) * np.kron(np.kron(plus, zero), zero)
+            + np.sqrt(e) * np.kron(np.kron(minus, zero), one))
+
+
 def random_density(rng: np.random.Generator, d: int, rank: int | None = None) -> np.ndarray:
     rank = rank or d
     g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))

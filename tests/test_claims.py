@@ -117,6 +117,17 @@ class TestConvexity:
         assert report.stats["max_mixture_norm"] <= 1.0 + 1e-6
         assert report.violations == 0
 
+    def test_werner_endpoints_span_the_family(self, monkeypatch):
+        # endpoint k of the 2 (n - 1) sampled ones is werner:k/(2n - 3)
+        built = []
+        real = claims.families.build
+        monkeypatch.setattr(claims.families, "build",
+                            lambda name: built.append(name) or real(name))
+        report = check_convexity(small(trials=4, sampler="named-family",
+                                       family="werner"))
+        assert report.verdict == "report-only"
+        assert built == [f"werner:{k / 5}" for k in range(6)]
+
     def test_deterministic(self):
         a = check_convexity(small(trials=4)).to_dict()
         b = check_convexity(small(trials=4)).to_dict()
@@ -265,6 +276,12 @@ class TestWorstCase:
     def test_oversized_dims_rejected_at_construction(self):
         with pytest.raises(ValueError, match="exceeds"):
             CampaignConfig(dims=(17, 16, 16))
+
+    @pytest.mark.parametrize("lambdas", [(0.5, 1.5), (float("nan"),), (-0.25,)])
+    def test_mixing_weights_rejected_at_construction(self, lambdas):
+        # C2 mixtures are derived states: the config is where weights are checked
+        with pytest.raises(ValueError, match="mixing weights"):
+            CampaignConfig(lambdas=lambdas)
 
 
 class TestEntropicBounds:

@@ -1,8 +1,12 @@
 import json
 
+import numpy as np
+
 from qirc import serialize, states
 from qirc.cli import build_parser, main
 from qirc.linalg import MAX_DIM
+
+from conftest import near_product_ket
 
 
 def run(capsys, *argv):
@@ -50,6 +54,18 @@ class TestProfileCommand:
         code, _, err = run(capsys, "profile", "--state", str(path))
         assert code == 2
         assert "error:" in err
+
+    def test_near_rank_deficient_marginal_exits_0(self, capsys, tmp_path):
+        # rho_A has eigenvalues e and 1 - e; the q2 Choi state is derived from
+        # the checked file state and is not rejected for its rounding
+        path = tmp_path / "state.json"
+        for e in np.logspace(-10, -3, 29):
+            rho = states.ket_projector(near_product_ket(e), (2, 2, 2))
+            path.write_text(serialize.dumps(serialize.state_to_dict(rho)))
+            code, out, err = run(capsys, "profile", "--state", str(path))
+            assert code == 0, (e, err)
+            if e >= 1e-6:
+                assert abs(json.loads(out)["q2"] - 1.0) <= 1e-9
 
     def test_broken_json_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -167,6 +183,13 @@ class TestCheckCommand:
                            "--sampler", "named-family", "--family", "werner")
         assert code == 0
         assert json.loads(out)[0]["stats"]["max_norm"] <= 1.0 + 1e-9
+
+    def test_named_family_convexity_exits_0(self, capsys):
+        # C2 takes each endpoint's Werner weight from its index, not its stream
+        code, out, err = run(capsys, "check", "T1", "C2", "--trials", "11",
+                             "--sampler", "named-family", "--family", "werner")
+        assert code == 0, err
+        assert [d["verdict"] for d in json.loads(out)] == ["report-only"] * 2
 
     def test_unknown_claim_exits_2(self, capsys):
         assert run(capsys, "check", "Z9")[0] == 2

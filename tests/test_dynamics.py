@@ -128,7 +128,7 @@ class TestTrajectory:
         rho = states.bell_spectator()
         ident = dynamics.global_unitary(np.eye(8), (2, 2, 2))
         traj = dynamics.trajectory(rho, [ident, ident, ident])
-        norms = traj.norms()
+        norms = [p.norm for _, p in traj.steps]
         assert all(n == norms[0] for n in norms)
         assert all(traj.monotone.values())
 
@@ -160,7 +160,7 @@ class TestTrajectory:
                 states.haar_unitary(2, Seed(55, 30 + i)))
             steps.append(u)
         traj = dynamics.trajectory(rho, steps)
-        norms = traj.norms()
+        norms = [p.norm for _, p in traj.steps]
         assert max(abs(n - norms[0]) for n in norms) <= 1e-6
 
     def test_labels_and_step_count(self):

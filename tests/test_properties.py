@@ -1,16 +1,17 @@
-"""Property tests: symmetries the coordinates must respect, on Haar-pure and
-Ginibre-mixed states at d = 2 and d = 3. Examples come from the
-derandomized ``qirc`` hypothesis profile registered in conftest.py."""
+"""Property tests: symmetries the coordinates must respect, and the state
+check that derived states skip at run time, on Haar-pure and Ginibre-mixed
+states at d = 2 and d = 3. Examples come from the derandomized ``qirc``
+hypothesis profile registered in conftest.py."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qirc import channels, dynamics, resources, states
+from qirc import channels, dynamics, linalg, resources, states
 from qirc.claims import resolve_generator
 from qirc.resources import ProfileConfig
-from qirc.states import Seed
-from qirc.tolerances import EPS_Q3_MONO, EPS_TRAJ
+from qirc.states import DensityMatrix, Seed
+from qirc.tolerances import EPS_HERM, EPS_PSD, EPS_Q3_MONO, EPS_TRACE, EPS_TRAJ
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -58,3 +59,34 @@ def test_dephasing_along_the_generator_never_raises_q3(d, spec, sampler, seed, r
     g = resolve_generator(spec, d)
     after = channels.apply(channels.dephasing(lam, g), rho_a, 0)
     assert resources.coord_q3(after, g) <= resources.coord_q3(rho_a, g) + EPS_Q3_MONO
+
+
+@pytest.mark.parametrize("d, sampler", [(d, sampler) for d in (2, 3)
+                                        for sampler in ("haar-pure", "ginibre-mixed")])
+@given(seed=SEEDS, rank=st.integers(0, 26), lam=st.floats(0.0, 1.0))
+def test_derived_states_pass_the_entry_check(d, sampler, seed, rank, lam):
+    # every constructor that skips DensityMatrix's check, held to its thresholds
+    rho = _state(d, sampler, seed, rank)
+    other = states.haar_pure((d, d, d), Seed(seed, 1))
+    rho_a = rho.marginal([0])
+    ch = channels.random_channel(d, d, 1 + rank % (d * d), Seed(seed, 2))
+    u = dynamics.local_product_unitary(
+        *(states.haar_unitary(d, Seed(seed, k)) for k in (3, 4, 5)))
+    derived = {
+        "marginal": rho.marginal([1, 2]),
+        "reshaped": rho.reshaped((d, d * d)),
+        "compose_product": states.compose_product(rho_a, other.marginal([2])),
+        "bell_ac": states.bell_ac(rho_a),
+        "apply": channels.apply(ch, rho, rank % 3),
+        "evolve": dynamics.evolve(rho, u),
+        "mixture": DensityMatrix._derived(lam * rho.matrix + (1 - lam) * other.matrix,
+                                          rho.dims),
+        "choi": channels.choi(ch),
+        "transfer_choi_state": resources.transfer_choi_state(rho.marginal([0, 2])),
+    }
+    for name, out in derived.items():
+        m = out.matrix
+        assert linalg.check_dims(out.dims, m.shape[0]) == out.dims, name
+        assert linalg.is_hermitian(m, EPS_HERM), name
+        assert abs(np.trace(m) - 1.0) <= EPS_TRACE, name
+        assert np.linalg.eigvalsh((m + m.conj().T) / 2)[0] >= -EPS_PSD, name

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qirc import channels, linalg, resources, states
+from qirc import channels, dynamics, linalg, resources, states
 from qirc.generators import (CoherenceGenerator, default_generator,
                              diagonal_generator, sigma_z_generator)
 from qirc.resources import (ProfileConfig, coord_q1, coord_q2, coord_q3,
@@ -9,8 +9,9 @@ from qirc.resources import (ProfileConfig, coord_q1, coord_q2, coord_q3,
                             induced_transfer_channel, profile,
                             quantum_fisher_information, teleportation_fidelity)
 from qirc.states import DensityMatrix, Seed
+from qirc.tolerances import EPS_PSD
 
-from conftest import fmax_two_qubit_oracle, random_hermitian
+from conftest import fmax_two_qubit_oracle, near_product_ket, random_hermitian
 
 
 def bell_overlap(rho: DensityMatrix) -> float:
@@ -206,20 +207,20 @@ class TestTransferChoiState:
 class TestInducedTransferChannel:
     def test_bell_gives_identity_channel(self):
         ch = induced_transfer_channel(states.bell_pair())
-        c = channels.choi(ch).state
+        c = channels.choi(ch)
         assert np.abs(c.matrix - states.bell_pair().matrix).max() <= 1e-9
 
     def test_product_gives_replacement(self):
         sigma = DensityMatrix(np.diag([0.7, 0.3]).astype(complex), (2,))
         rho = states.compose_product(states.maximally_mixed(2), sigma)
         ch = induced_transfer_channel(rho.reshaped((2, 2)))
-        c = channels.choi(ch).state
+        c = channels.choi(ch)
         assert np.abs(c.matrix - np.kron(np.eye(2) / 2, sigma.matrix)).max() <= 1e-9
 
     def test_classical_gives_dephase_and_copy(self):
         rho_ac = states.classical_correlated(2).marginal([0, 2])
         ch = induced_transfer_channel(rho_ac)
-        c = channels.choi(ch).state
+        c = channels.choi(ch)
         assert np.abs(c.matrix - np.diag([0.5, 0, 0, 0.5])).max() <= 1e-9
 
     def test_cptp_for_rank_deficient_marginal(self):
@@ -404,6 +405,45 @@ class TestProfile:
         assert np.isclose(p.norm, 1.0, atol=1e-9)
         q = profile(states.ghz())
         assert np.isclose(q.norm, 0.0, atol=1e-12)
+
+
+class TestNearProductFamily:
+    """sqrt(1-e)|+,0,0> + sqrt(e)|-,0,1>: norm 1 + (1 - 2e)^4, which tends to 2."""
+
+    @pytest.mark.parametrize("e", [0.1, 1e-2, 1e-4, 1e-6])
+    def test_closed_form(self, e):
+        p = profile(states.ket_projector(near_product_ket(e), (2, 2, 2)))
+        assert p.q1 == 0.0
+        assert abs(p.q2 - 1.0) <= 1e-9
+        assert abs(p.q3 - (1 - 2 * e) ** 2) <= 1e-12
+        assert abs(p.norm - (1 + (1 - 2 * e) ** 4)) <= 3e-9
+
+    def test_near_rank_deficient_marginal_profiles(self):
+        # the q2 Choi state is scaled by rho_A^{-1/2}, which amplifies rounding
+        # in its trace by 1/e; as a derived state it is not re-checked
+        for e in np.logspace(-10, -3, 29):
+            p = profile(states.ket_projector(near_product_ket(e), (2, 2, 2)))
+            if e >= 1e-6:
+                assert abs(p.q2 - 1.0) <= 1e-9, e
+
+    def test_qutrit_near_rank_deficient_marginal_profiles(self):
+        # rho_A has eigenvalues (1-e)/2, (1-e)/2, e in a Haar-rotated basis; the
+        # d = 3 search reads the Hermitian part of the q2 Choi state
+        u = dynamics.local_product_unitary(states.haar_unitary(3, Seed(60, 0)),
+                                           np.eye(3), np.eye(3))
+        for e in np.logspace(-9, -3, 7):
+            v = sum(np.sqrt(w) * np.kron(np.kron(np.eye(3)[k], np.eye(3)[0]),
+                                         np.eye(3)[k])
+                    for k, w in enumerate(((1 - e) / 2, (1 - e) / 2, e)))
+            rho = dynamics.evolve(states.ket_projector(v, (3, 3, 3)), u)
+            p = profile(rho, ProfileConfig(starts=4))
+            assert abs(p.q2 - 1.0) <= 1e-6, e
+
+    def test_q2_reads_zero_at_the_support_cutoff(self):
+        # rho_A's eigenvalue e at or below EPS_PSD is outside its support:
+        # the state counts as a product state, the discontinuity at e = 0
+        p = profile(states.ket_projector(near_product_ket(EPS_PSD / 2), (2, 2, 2)))
+        assert p.q2 == 0.0
 
 
 class TestEntropies:

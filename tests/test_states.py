@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qirc import linalg, resources, states
+from qirc import channels, dynamics, linalg, resources, states
 from qirc.states import DensityMatrix, Seed
 
 
@@ -31,6 +31,63 @@ class TestDensityMatrixValidation:
 
     def test_matrix_is_read_only(self):
         rho = states.bell_pair()
+        with pytest.raises(ValueError):
+            rho.matrix[0, 0] = 9.0
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """Counts the runs of the full state check, DensityMatrix.__post_init__."""
+    calls = []
+    real = DensityMatrix.__post_init__
+
+    def counted(self):
+        calls.append(1)
+        real(self)
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counted)
+    return calls
+
+
+class TestDerivedStates:
+    """A state is checked where it enters; states computed from it are not."""
+
+    def test_entry_points_check(self, validations):
+        states.haar_pure((2, 2, 2), Seed(3, 0))
+        states.ginibre_mixed(4, 2, Seed(3, 1))
+        with pytest.raises(ValueError):
+            DensityMatrix(np.eye(2, dtype=complex), (2,))
+        assert len(validations) == 3
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_profile_runs_no_validation(self, validations, d):
+        rho = states.haar_pure((d, d, d), Seed(3, d))
+        validations.clear()
+        resources.profile(rho)
+        assert validations == []
+
+    def test_derived_constructors_run_no_validation(self, validations):
+        rho = states.haar_pure((2, 2, 2), Seed(3, 2))
+        ch = channels.random_channel(2, 2, 2, Seed(3, 3))
+        u = dynamics.local_product_unitary(*(states.haar_unitary(2, Seed(3, 4 + k))
+                                             for k in range(3)))
+        validations.clear()
+        rho_a = rho.marginal([0])
+        channels.apply(ch, rho, 0)
+        dynamics.evolve(rho, u)
+        rho.reshaped((2, 4))
+        states.compose_product(rho_a, rho_a)
+        channels.choi(ch)
+        resources.transfer_choi_state(rho.marginal([0, 2]))
+        assert validations == []
+        states.bell_ac(rho_a)
+        assert len(validations) == 1  # the Bell pair, a zoo state
+
+    def test_derived_matrix_is_a_read_only_copy(self):
+        m = np.eye(2, dtype=complex) / 2
+        rho = DensityMatrix._derived(m, (2,))
+        m[0, 0] = 9.0
+        assert rho.matrix[0, 0] == 0.5
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 9.0
 
@@ -141,7 +198,7 @@ class TestHaarPure:
 
     def test_purity(self):
         rho = states.haar_pure((2, 2, 2), Seed(5, 0))
-        assert abs(rho.purity() - 1.0) <= 1e-12
+        assert abs(np.trace(rho.matrix @ rho.matrix).real - 1.0) <= 1e-12
 
     def test_determinism(self):
         a = states.haar_pure((2, 2), Seed(5, 3))
@@ -166,7 +223,7 @@ class TestHaarPure:
 class TestGinibre:
     def test_rank_one_is_pure(self):
         rho = states.ginibre_mixed(4, 1, Seed(8, 0))
-        assert abs(rho.purity() - 1.0) <= 1e-12
+        assert abs(np.trace(rho.matrix @ rho.matrix).real - 1.0) <= 1e-12
 
     def test_determinism(self):
         a = states.ginibre_mixed(2, 2, Seed(8, 1))
@@ -225,7 +282,8 @@ class TestComposeProduct:
         a = states.ginibre_mixed(2, 2, Seed(1, 2))
         b = states.ginibre_mixed(3, 3, Seed(1, 3))
         rho = states.compose_product(a, b)
-        assert np.isclose(rho.purity(), a.purity() * b.purity())
+        purity = [np.trace(s.matrix @ s.matrix).real for s in (rho, a, b)]
+        assert np.isclose(purity[0], purity[1] * purity[2])
 
 
 class TestAssemblies:
