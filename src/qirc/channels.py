@@ -14,9 +14,9 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .generators import CoherenceGenerator
+from .generators import CoherenceGenerator, clusters
 from .states import DensityMatrix, Seed, _haar_unitary_from_rng, max_entangled_ket
-from .tolerances import EPS_CLUSTER, EPS_CPTP, EPS_PSD
+from .tolerances import EPS_CPTP, EPS_PSD
 
 
 @dataclass(frozen=True)
@@ -120,6 +120,7 @@ def random_channel(d_in: int, d_out: int, kraus_rank: int, seed: Seed) -> KrausC
     """Channel from a Haar-random isometry d_in -> d_out * kraus_rank."""
     if kraus_rank < 1:
         raise ValueError(f"kraus_rank {kraus_rank} must be >= 1")
+    linalg.check_size(d_out * kraus_rank, "a random channel's isometry")
     return _isometry_channel(d_in, d_out, kraus_rank, seed.rng())
 
 
@@ -139,17 +140,14 @@ def covariant_channel(g: CoherenceGenerator, seed: Seed) -> KrausChannel:
     """
     rng = seed.rng()
     d = g.dim
-    tol = EPS_CLUSTER * max(1.0, g.spread)
+    tol = g.cluster_tol
     level = np.empty(d)
     for cluster in g.eigenvalue_clusters():
         level[cluster] = g.eigen.values[cluster[0]]
     shift = level[:, None] - level[None, :]
-    omegas: list[float] = []
-    for w in np.sort(shift.ravel()):
-        if not omegas or w - omegas[-1] > tol:
-            omegas.append(w)
+    shifts = np.sort(shift.ravel())
     ops = []
-    for w in omegas:
+    for w in (shifts[c[0]] for c in clusters(shifts, tol)):
         mask = np.abs(shift - w) <= tol
         top = min(2, int(mask.sum()))
         for _ in range(int(rng.integers(0 if abs(w) > tol else 1, top + 1))):

@@ -25,7 +25,7 @@ from .generators import (CoherenceGenerator, default_generator,
 from .resources import ProfileConfig, ResourceProfile
 from .states import DensityMatrix, Seed
 from .tolerances import (EPS_BALL, EPS_EXTREMAL, EPS_MI, EPS_MONO_REPORT,
-                         EPS_OPT, EPS_Q1_MONO, EPS_Q3_MONO, EPS_TRAJ)
+                         EPS_Q1_MONO, EPS_Q3_MONO, EPS_TRAJ)
 
 CLAIM_IDS = {
     "T1": "T1.ball",
@@ -101,7 +101,9 @@ class CampaignConfig:
     starts: int = resources.DEFAULT_STARTS
 
     def __post_init__(self):
-        linalg.check_size(math.prod(self.dims), "the campaign dims")
+        d = linalg.check_size(math.prod(self.dims), "the campaign dims")
+        if self.ginibre_rank is not None and not 1 <= self.ginibre_rank <= d:
+            raise ValueError(f"ginibre rank must lie in 1..{d}, got {self.ginibre_rank}")
         # Mixtures are derived states and are not checked when they are built.
         if not all(0.0 <= lam <= 1.0 for lam in self.lambdas):
             raise ValueError(f"mixing weights must lie in [0, 1], got {self.lambdas}")
@@ -130,13 +132,7 @@ class CampaignConfig:
 
     def to_dict(self) -> dict:
         out = asdict(self)
-        out["optimizer"] = {
-            "starts": out.pop("starts"),
-            "tol": EPS_OPT,
-            "max_iter": resources.MAX_ITER,
-            "seed": resources.START_SEED,
-            "method": "closed-form" if self.dims[0] == 2 else "power",
-        }
+        out["optimizer"] = resources.optimizer_settings(self.dims[0], out.pop("starts"))
         return out
 
 
@@ -178,23 +174,29 @@ def _sample_state(cfg: CampaignConfig, trial: int, n_trials: int,
     raise ValueError(f"unknown sampler {cfg.sampler!r}")
 
 
-class _WorstCase:
-    """The case of largest rank offered so far; a tie keeps the first.
+class _Tally:
+    """Values added one at a time: how many exceed ``tol``, their sum, and
+    the largest, ``max``, which starts at ``floor``; a tie keeps the first.
 
-    ``rank`` starts at ``floor`` and is the maximum the report's stats read.
-    The witness dict is built once, by ``witness()``, from the stored case;
-    profiles among the extra fields are serialized there too.
+    A new maximum added with its state becomes the witness case. The witness
+    dict is built once, by ``witness()``, from the stored case; profiles
+    among the extra fields are serialized there too.
     """
 
-    def __init__(self, floor=-np.inf):
-        self.rank = floor
+    def __init__(self, tol: float = np.inf, floor: float = 0.0):
+        self.tol, self.count, self.sum, self.max = tol, 0, 0.0, floor
         self._case = None
 
-    def offer(self, rank, state: DensityMatrix, margin: float,
-              profile: ResourceProfile | None = None, **extra) -> None:
-        if rank > self.rank:
-            self.rank = rank
-            self._case = (state, profile, margin, extra)
+    def add(self, value: float, state: DensityMatrix | None = None,
+            margin: float = 0.0, profile: ResourceProfile | None = None,
+            **extra) -> None:
+        if value > self.tol:
+            self.count += 1
+        self.sum += value
+        if value > self.max:
+            self.max = value
+            if state is not None:
+                self._case = (state, profile, margin, extra)
 
     def witness(self) -> dict | None:
         if self._case is None:
@@ -245,8 +247,7 @@ def check_extremals(cfg: CampaignConfig) -> ClaimReport:
     pc = cfg.profile_config()
     anchors = _extremal_anchors()
     rows = []
-    violations = 0
-    worst = _WorstCase(floor=-1.0)
+    worst = _Tally(tol, floor=-1.0)
     for name, state, target in anchors:
         prof = resources.profile(state, pc)
         dev = max(abs(prof.q1 - target[0]), abs(prof.q2 - target[1]),
@@ -254,15 +255,13 @@ def check_extremals(cfg: CampaignConfig) -> ClaimReport:
         rows.append({"anchor": name, "target": list(target), "q1": prof.q1,
                      "q2": prof.q2, "q3": prof.q3, "norm": prof.norm,
                      "deviation": float(dev)})
-        if dev > tol:
-            violations += 1
-        worst.offer(dev, state, dev, prof, anchor=name)
+        worst.add(dev, state, dev, prof, anchor=name)
     return ClaimReport(
         claim_id=CLAIM_IDS["C1"],
-        verdict="holds-within-tolerance" if violations == 0 else "violated",
-        trials=len(anchors), violations=violations, report_only_violations=0,
+        verdict="holds-within-tolerance" if worst.count == 0 else "violated",
+        trials=len(anchors), violations=worst.count, report_only_violations=0,
         tolerances={"extremal": tol}, seed=cfg.seed,
-        stats={"anchors": rows, "max_deviation": float(worst.rank)},
+        stats={"anchors": rows, "max_deviation": float(worst.max)},
         worst_case=worst.witness())
 
 
@@ -278,8 +277,7 @@ def check_qirc_ball(cfg: CampaignConfig) -> tuple[ClaimReport, list[dict]]:
     pc = cfg.profile_config()
     cloud = []
     violations = []
-    worst = _WorstCase(floor=-1.0)
-    norm_sum = 0.0
+    worst = _Tally(floor=-1.0)
     for i in range(n):
         state = _sample_state(cfg, i, n)
         prof = resources.profile(state, pc)
@@ -287,15 +285,14 @@ def check_qirc_ball(cfg: CampaignConfig) -> tuple[ClaimReport, list[dict]]:
         cloud.append({"trial": i, "stream": i, "q1": prof.q1, "q2": prof.q2,
                       "q3": prof.q3, "norm": prof.norm, "q1_raw": b.q1_raw,
                       "q2_raw": b.q2_raw, "f_max": b.f_max, "f_q": b.f_q})
-        norm_sum += prof.norm
         if prof.norm > 1.0 + tol:
             violations.append(i)
-        worst.offer(prof.norm, state, prof.norm - 1.0, prof, trial=i, stream=i)
+        worst.add(prof.norm, state, prof.norm - 1.0, prof, trial=i, stream=i)
     report = ClaimReport(
         claim_id=CLAIM_IDS["T1"], verdict="report-only",
         trials=n, violations=len(violations), report_only_violations=len(violations),
         tolerances={"ball": tol}, seed=cfg.seed,
-        stats={"max_norm": float(worst.rank), "mean_norm": norm_sum / n,
+        stats={"max_norm": float(worst.max), "mean_norm": worst.sum / n,
                "violation_trials": violations},
         worst_case=worst.witness())
     return report, cloud
@@ -322,7 +319,7 @@ def check_convexity(cfg: CampaignConfig) -> ClaimReport:
     endpoint_mismatches = 0
     ball_violations = 0
     max_segment_dev = 0.0
-    worst = _WorstCase(floor=-1.0)
+    worst = _Tally(floor=-1.0)
     evaluations = 0
     for name, rho, sig in pairs:
         prof_r = resources.profile(rho, pc)
@@ -343,8 +340,8 @@ def check_convexity(cfg: CampaignConfig) -> ClaimReport:
                    for a, b in zip(prof_r.coords(), prof_s.coords())]
             dev = max(abs(m - s) for m, s in zip(prof_m.coords(), seg))
             max_segment_dev = max(max_segment_dev, dev)
-            worst.offer(prof_m.norm, mix, prof_m.norm - 1.0, prof_m, pair=name,
-                        mixing=float(lam))
+            worst.add(prof_m.norm, mix, prof_m.norm - 1.0, prof_m, pair=name,
+                      mixing=float(lam))
             if inside and prof_m.norm > 1.0 + tol:
                 ball_violations += 1
     verdict = "violated" if endpoint_mismatches else "report-only"
@@ -355,7 +352,7 @@ def check_convexity(cfg: CampaignConfig) -> ClaimReport:
         tolerances={"ball": tol}, seed=cfg.seed,
         stats={"pairs": len(pairs), "lambda_grid": list(cfg.lambdas),
                "endpoint_mismatches": endpoint_mismatches,
-               "max_mixture_norm": float(worst.rank),
+               "max_mixture_norm": float(worst.max),
                "max_segment_deviation": float(max_segment_dev)},
         worst_case=worst.witness())
 
@@ -374,17 +371,20 @@ def _sample_channel(d: int, seed: Seed) -> tuple[KrausChannel, int]:
 def check_monotonicity(cfg: CampaignConfig) -> ClaimReport:
     """Coordinates under channels on A, in two channel families per slot.
 
-    Haar-random channels (Kraus rank uniform in 1..d^2): q1, q3, q2 and norm
-    increases are report-only findings. The fully entangled fraction can grow
-    under a local channel (Badziąg et al., PRA 62, 012311, 2000), and no
-    theorem makes q3 monotone under channels that break the generator's phase
-    symmetry (a reset of A to |+><+| takes q3 from 0 to 1).
+    Haar-random channels (Kraus rank uniform in 1..d^2): q1, q3 and norm
+    increases are report-only findings. q2 increases are recorded in the
+    stats only: they count toward neither ``report_only_violations`` nor the
+    witness margin. The fully entangled fraction can grow under a local
+    channel (Badziąg et al., PRA 62, 012311, 2000), and no theorem makes q3
+    monotone under channels that break the generator's phase symmetry (a
+    reset of A to |+><+| takes q3 from 0 to 1).
     Generator-covariant channels: a q3 increase is a hard violation, because
     the Fisher information of the family e^{-iHt} rho_A e^{iHt} cannot grow
     under them (data processing). q3 after such a channel depends on
     Lambda(rho_A) only, so that tier scores the A marginal alone. The witness
-    is ranked by (hard violation, margin), so a hard violation outranks
-    every report-only finding.
+    is the largest covariant q3 increase when there is a hard violation, so
+    that outranks every report-only finding; otherwise it is the slot of
+    largest margin in either family.
     """
     tol_q1 = cfg.tolerance("q1_mono")
     tol_q3 = cfg.tolerance("q3_mono")
@@ -394,9 +394,12 @@ def check_monotonicity(cfg: CampaignConfig) -> ClaimReport:
     pc = cfg.profile_config()
     g = pc.generator
     d_a = cfg.dims[0]
-    q1_inc = q3_inc = q2_inc = norm_inc = cov_q3_inc = 0
-    max_q1 = max_q3 = max_q2 = max_norm = max_cov_q3 = 0.0
-    worst = _WorstCase(floor=(False, -np.inf))
+    # Increases per coordinate under Haar channels, then under covariant ones.
+    incs = {"q1": _Tally(tol_q1), "q3": _Tally(tol_q3), "q2": _Tally(tol_rep),
+            "norm": _Tally(tol_rep), "covariant_q3": _Tally(tol_q3)}
+    # Witness: the covariant slot of largest margin when a margin is above 0
+    # (a hard violation), else the slot of largest margin in either family.
+    margins, hard = _Tally(floor=-np.inf), _Tally(0.0, floor=-np.inf)
     for i in range(n_states):
         state = _sample_state(cfg, i, n_states)
         before = resources.profile(state, pc)
@@ -405,57 +408,40 @@ def check_monotonicity(cfg: CampaignConfig) -> ClaimReport:
             stream = _STREAM_CHANNEL + i * n_ch + j
             ch, rank = _sample_channel(d_a, Seed(cfg.seed, stream))
             after = resources.profile(apply_channel(ch, state, 0), pc)
-            d_q1 = after.q1 - before.q1
-            d_q3 = after.q3 - before.q3
-            d_q2 = after.q2 - before.q2
-            d_norm = after.norm - before.norm
-            max_q1 = max(max_q1, d_q1)
-            max_q3 = max(max_q3, d_q3)
-            max_q2 = max(max_q2, d_q2)
-            max_norm = max(max_norm, d_norm)
-            if d_q1 > tol_q1:
-                q1_inc += 1
-            if d_q3 > tol_q3:
-                q3_inc += 1
-            if d_q2 > tol_rep:
-                q2_inc += 1
-            if d_norm > tol_rep:
-                norm_inc += 1
-            margin = max(d_q1 - tol_q1, d_q3 - tol_q3, d_norm - tol_rep)
-            worst.offer((False, margin), state, margin, trial=i, channel_index=j,
+            delta = {k: getattr(after, k) - getattr(before, k)
+                     for k in ("q1", "q3", "q2", "norm")}
+            for k, v in delta.items():
+                incs[k].add(v)
+            margin = max(delta["q1"] - tol_q1, delta["q3"] - tol_q3,
+                         delta["norm"] - tol_rep)
+            margins.add(margin, state, margin, trial=i, channel_index=j,
                         channel_family="haar", state_stream=i, channel_stream=stream,
-                        kraus_rank=rank, q1_increase=float(d_q1),
-                        q3_increase=float(d_q3), q2_increase=float(d_q2),
-                        norm_increase=float(d_norm), profile_before=before,
-                        profile_after=after)
+                        kraus_rank=rank,
+                        **{f"{k}_increase": float(v) for k, v in delta.items()},
+                        profile_before=before, profile_after=after)
 
             cov_stream = _STREAM_COVARIANT + i * n_ch + j
             cov = covariant_channel(g, Seed(cfg.seed, cov_stream))
             d_cov = resources.coord_q3(apply_channel(cov, rho_a, 0), g) - before.q3
-            max_cov_q3 = max(max_cov_q3, d_cov)
-            if d_cov > tol_q3:
-                cov_q3_inc += 1
+            incs["covariant_q3"].add(d_cov)
             margin = d_cov - tol_q3
-            worst.offer((margin > 0.0, margin), state, margin, trial=i,
-                        channel_index=j, channel_family="covariant",
+            case = dict(trial=i, channel_index=j, channel_family="covariant",
                         state_stream=i, channel_stream=cov_stream,
                         kraus_rank=len(cov.kraus), q3_increase=float(d_cov),
                         profile_before=before)
+            margins.add(margin, state, margin, **case)
+            hard.add(margin, state, margin, **case)
     return ClaimReport(
         claim_id=CLAIM_IDS["C3"],
-        verdict="holds-within-tolerance" if cov_q3_inc == 0 else "violated",
-        trials=n_states * n_ch, violations=cov_q3_inc,
-        report_only_violations=q1_inc + q3_inc + norm_inc,
+        verdict="holds-within-tolerance" if hard.count == 0 else "violated",
+        trials=n_states * n_ch, violations=hard.count,
+        report_only_violations=sum(incs[k].count for k in ("q1", "q3", "norm")),
         tolerances={"q1_mono": tol_q1, "q3_mono": tol_q3, "mono_report": tol_rep},
         seed=cfg.seed,
         stats={"states": n_states, "channels_per_state": n_ch,
-               "q1_increases": q1_inc, "q3_increases": q3_inc,
-               "q2_increases": q2_inc, "norm_increases": norm_inc,
-               "covariant_q3_increases": cov_q3_inc,
-               "max_q1_increase": float(max_q1), "max_q3_increase": float(max_q3),
-               "max_q2_increase": float(max_q2), "max_norm_increase": float(max_norm),
-               "max_covariant_q3_increase": float(max_cov_q3)},
-        worst_case=worst.witness())
+               **{f"{k}_increases": t.count for k, t in incs.items()},
+               **{f"max_{k}_increase": float(t.max) for k, t in incs.items()}},
+        worst_case=(hard if hard.count else margins).witness())
 
 
 # ---------------------------------------------------------------------------
@@ -472,10 +458,8 @@ def check_conservation(cfg: CampaignConfig) -> ClaimReport:
     pc = cfg.profile_config()
     g = pc.generator
     dims = cfg.dims
-    local_viol = global_exceed = 0
-    local_max_coord = local_max_norm = drift_sum = 0.0
-    local = _WorstCase()
-    glob = _WorstCase(floor=0.0)
+    # Drifts are >= 0; from -inf, a state with zero local drift is a witness.
+    local, local_norm, glob = _Tally(tol, floor=-np.inf), _Tally(), _Tally(tol)
     for i in range(n):
         state = _sample_state(cfg, i, n)
         before = resources.profile(state, pc)
@@ -487,34 +471,28 @@ def check_conservation(cfg: CampaignConfig) -> ClaimReport:
         after = resources.profile(dynamics.evolve(state, u), pc)
         drift = max(abs(after.q1 - before.q1), abs(after.q2 - before.q2),
                     abs(after.q3 - before.q3))
-        local_max_coord = max(local_max_coord, drift)
-        local_max_norm = max(local_max_norm, abs(after.norm - before.norm))
-        if drift > tol:
-            local_viol += 1
-        local.offer(drift, state, drift, family="local", trial=i,
-                    profile_before=before, profile_after=after)
+        local_norm.add(abs(after.norm - before.norm))
+        local.add(drift, state, drift, family="local", trial=i,
+                  profile_before=before, profile_after=after)
 
         u = dynamics.sample_commutant_unitary(g, dims, Seed(cfg.seed, _STREAM_UG + i))
         after = resources.profile(dynamics.evolve(state, u), pc)
         d_norm = abs(after.norm - before.norm)
-        drift_sum += d_norm
-        if d_norm > tol:
-            global_exceed += 1
-        glob.offer(d_norm, state, d_norm, family="global", trial=i,
-                   unitary_stream=_STREAM_UG + i, profile_before=before,
-                   profile_after=after)
+        glob.add(d_norm, state, d_norm, family="global", trial=i,
+                 unitary_stream=_STREAM_UG + i, profile_before=before,
+                 profile_after=after)
     # The global witness replaces the local one only when strictly larger.
-    worst = glob if glob.rank > local.rank else local
+    worst = glob if glob.max > local.max else local
     return ClaimReport(
         claim_id=CLAIM_IDS["T2"],
-        verdict="holds-within-tolerance" if local_viol == 0 else "violated",
-        trials=2 * n, violations=local_viol, report_only_violations=global_exceed,
+        verdict="holds-within-tolerance" if local.count == 0 else "violated",
+        trials=2 * n, violations=local.count, report_only_violations=glob.count,
         tolerances={"traj": tol}, seed=cfg.seed,
-        stats={"local_trials": n, "local_max_coord_drift": float(local_max_coord),
-               "local_max_norm_drift": float(local_max_norm),
-               "global_trials": n, "global_max_drift": float(glob.rank),
-               "global_mean_abs_drift": drift_sum / n,
-               "global_exceed_count": global_exceed},
+        stats={"local_trials": n, "local_max_coord_drift": float(local.max),
+               "local_max_norm_drift": float(local_norm.max),
+               "global_trials": n, "global_max_drift": float(glob.max),
+               "global_mean_abs_drift": glob.sum / n,
+               "global_exceed_count": glob.count},
         worst_case=worst.witness())
 
 
@@ -532,9 +510,7 @@ def check_entropic_bounds(cfg: CampaignConfig) -> ClaimReport:
     g = pc.generator
     log_d = float(np.log(cfg.dims[0]))
 
-    mi_viol = h1_viol = h2_viol = 0
-    h1_max = h2_max = -np.inf
-    worst = _WorstCase()
+    mi, h1, h2 = (_Tally(tol, floor=-np.inf) for _ in range(3))
     anchor_gap = None
 
     trial_states: list[tuple[str, DensityMatrix]] = [
@@ -549,33 +525,25 @@ def check_entropic_bounds(cfg: CampaignConfig) -> ClaimReport:
         gap = i_ab + i_ac - 2.0 * s_a
         if name == "anchor":
             anchor_gap = abs(gap)
-        if gap > tol:
-            mi_viol += 1
-        worst.offer(gap, state, gap, trial=name, s_a=float(s_a),
-                    i_ab=float(i_ab), i_ac=float(i_ac))
+        mi.add(gap, state, gap, trial=name, s_a=float(s_a), i_ab=float(i_ab),
+               i_ac=float(i_ac))
         prof = resources.profile(state, pc)
-        h1_excess = (prof.q1 + prof.q2) - 2.0 * s_a / log_d
-        if h1_excess > tol:
-            h1_viol += 1
-        h1_max = max(h1_max, h1_excess)
+        h1.add((prof.q1 + prof.q2) - 2.0 * s_a / log_d)
         var = resources.variance(rho_a, g)
-        h2_excess = prof.breakdown.f_q - 4.0 * var * (1.0 - s_a / log_d)
-        if h2_excess > tol:
-            h2_viol += 1
-        h2_max = max(h2_max, h2_excess)
+        h2.add(prof.breakdown.f_q - 4.0 * var * (1.0 - s_a / log_d))
     return ClaimReport(
         claim_id=CLAIM_IDS["A2"],
-        verdict="holds-within-tolerance" if mi_viol == 0 else "violated",
-        trials=len(trial_states), violations=mi_viol,
-        report_only_violations=h1_viol + h2_viol,
+        verdict="holds-within-tolerance" if mi.count == 0 else "violated",
+        trials=len(trial_states), violations=mi.count,
+        report_only_violations=h1.count + h2.count,
         tolerances={"mi": tol}, seed=cfg.seed,
-        stats={"max_mi_gap": float(worst.rank),
+        stats={"max_mi_gap": float(mi.max),
                "anchor_saturation_gap": float(anchor_gap),
-               "q1q2_bound_violations": h1_viol,
-               "q1q2_bound_max_excess": float(h1_max),
-               "fisher_bound_violations": h2_viol,
-               "fisher_bound_max_excess": float(h2_max)},
-        worst_case=worst.witness())
+               "q1q2_bound_violations": h1.count,
+               "q1q2_bound_max_excess": float(h1.max),
+               "fisher_bound_violations": h2.count,
+               "fisher_bound_max_excess": float(h2.max)},
+        worst_case=mi.witness())
 
 
 # ---------------------------------------------------------------------------

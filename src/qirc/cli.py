@@ -12,6 +12,7 @@ and reproduces byte for byte when rerun with the same configuration.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -161,17 +162,20 @@ CLOUD_HEADER = ("trial", "stream", "q1", "q2", "q3", "norm", "q1_raw",
 
 def _campaign_config(args) -> CampaignConfig:
     tolerances = _parse_tolerances(args.tol)
+    # Of what the CLI passes, the config checks the dims, then the rank.
     try:
-        # Of what the CLI passes, the config checks only the dims.
-        return CampaignConfig(
+        cfg = CampaignConfig(
             sampler=args.sampler, trials=args.trials,
             dims=tuple(int(d) for d in args.dims.split(",")),
             q2_mode=args.q2_mode, generator=args.generator, seed=args.seed,
-            family=args.family, ginibre_rank=args.rank,
-            channels_per_state=args.channels, tolerances=tolerances,
-            starts=args.starts)
+            family=args.family, channels_per_state=args.channels,
+            tolerances=tolerances, starts=args.starts)
     except ValueError as exc:
         raise ValueError(f"--dims {args.dims}: {exc}") from exc
+    try:
+        return dataclasses.replace(cfg, ginibre_rank=args.rank)
+    except ValueError as exc:
+        raise ValueError(f"--rank {args.rank}: {exc}") from exc
 
 
 def cmd_check(args) -> int:
@@ -231,6 +235,9 @@ def _schedule_step(entry: dict, index: int, rho_dims, generator, master: int):
     if kind == "channel":
         name = entry.get("name")
         target = int(entry.get("target", 0))
+        if not 0 <= target < len(rho_dims):
+            raise ValueError(f"schedule step {index}: target {target} out of range "
+                             f"for dims {tuple(rho_dims)}")
         if name == "depolarizing":
             ch = depolarizing(int(rho_dims[target]), float(entry["p"]))
             label = f"depolarizing(p={entry['p']})@{target}"
@@ -257,19 +264,14 @@ def _schedule_step(entry: dict, index: int, rho_dims, generator, master: int):
         if spec == "commutant-random":
             u = dynamics.sample_commutant_unitary(generator, dims, seed)
             return f"commutant-random(seed={stream})", u
-        if spec == "local-commutant-random":
-            rng_seed = seed
-            u_a = dynamics.commuting_local_unitary(generator, rng_seed)
-            u_b = states.haar_unitary(dims[1], states.Seed(master, stream + 1))
-            u_c = states.haar_unitary(dims[2], states.Seed(master, stream + 2))
-            u = dynamics.local_product_unitary(u_a, u_b, u_c)
-            return f"local-commutant-random(seed={stream})", u
-        if spec == "local-random":
-            u_a = states.haar_unitary(dims[0], seed)
-            u_b = states.haar_unitary(dims[1], states.Seed(master, stream + 1))
-            u_c = states.haar_unitary(dims[2], states.Seed(master, stream + 2))
-            u = dynamics.local_product_unitary(u_a, u_b, u_c)
-            return f"local-random(seed={stream})", u
+        if spec in ("local-commutant-random", "local-random"):
+            if spec == "local-random":
+                u_a = states.haar_unitary(dims[0], seed)
+            else:
+                u_a = dynamics.commuting_local_unitary(generator, seed)
+            u_bc = [states.haar_unitary(dims[k], states.Seed(master, stream + k))
+                    for k in (1, 2)]
+            return f"{spec}(seed={stream})", dynamics.local_product_unitary(u_a, *u_bc)
         if spec == "haar-global":
             u = dynamics.global_unitary(
                 states.haar_unitary(int(np.prod(dims)), seed), dims)

@@ -52,52 +52,45 @@ def evolve(rho: DensityMatrix, u: UnitaryOperator) -> DensityMatrix:
                                   rho.dims)
 
 
-def commuting_local_unitary(g: CoherenceGenerator, seed: Seed) -> np.ndarray:
-    """Haar-random unitary on A commuting with the generator.
+def _block_commutant(g: CoherenceGenerator, d_rest: int,
+                     rng: np.random.Generator) -> np.ndarray:
+    """Haar-random unitary commuting with g ⊗ I of dimension d_rest.
 
-    Block-diagonal across the generator's eigenspaces; for a non-degenerate
-    spectrum this is a random phase on each eigenvector.
+    Block-diagonal across the generator's eigenspaces: one independent Haar
+    block per eigenvalue, each acting on (eigenspace) ⊗ (the rest). The
+    commutator vanishes by construction and is checked to EPS_COMMUTANT.
     """
-    rng = seed.rng()
     v = g.eigen.vectors
-    d = g.dim
-    u = np.zeros((d, d), dtype=complex)
+    total = g.dim * d_rest
+    u = np.zeros((total, total), dtype=complex)
+    eye = np.eye(d_rest, dtype=complex)
     for cluster in g.eigenvalue_clusters():
-        block = _haar_unitary_from_rng(len(cluster), rng)
-        sub = v[:, cluster]
-        u += sub @ block @ linalg.dagger(sub)
-    return _check_unitary(u)
+        iso = linalg.kron(v[:, cluster], eye)  # (total, r * d_rest) isometry
+        block = _haar_unitary_from_rng(len(cluster) * d_rest, rng)
+        u += iso @ block @ linalg.dagger(iso)
+    lifted = linalg.kron(g.h, eye)
+    resid = linalg.frobenius(u @ lifted - lifted @ u)
+    if resid > EPS_COMMUTANT * max(1.0, linalg.frobenius(lifted)):
+        raise AssertionError(f"commutant construction failed: residual {resid:.3e}")
+    return u
+
+
+def commuting_local_unitary(g: CoherenceGenerator, seed: Seed) -> np.ndarray:
+    """Haar-random unitary on A commuting with the generator; for a
+    non-degenerate spectrum this is a random phase on each eigenvector."""
+    return _check_unitary(_block_commutant(g, 1, seed.rng()))
 
 
 def sample_commutant_unitary(g: CoherenceGenerator, dims: Sequence[int],
                              seed: Seed) -> UnitaryOperator:
-    """Haar-random global unitary commuting with (generator ⊗ I on B,C).
-
-    Built block-diagonally across the eigenspaces of the lifted generator:
-    one independent Haar block per generator eigenvalue, each acting on
-    (eigenspace of A) ⊗ (B and C). The commutator vanishes by construction
-    and is checked to EPS_COMMUTANT.
-    """
+    """Haar-random global unitary commuting with (generator ⊗ I on B,C)."""
     dims = tuple(int(d) for d in dims)
     if len(dims) != 3:
         raise ValueError(f"expected tripartite dims, got {dims}")
     if dims[0] != g.dim:
         raise ValueError(f"generator dimension {g.dim} does not match d_A={dims[0]}")
-    d_bc = dims[1] * dims[2]
-    rng = seed.rng()
-    v = g.eigen.vectors
-    total = g.dim * d_bc
-    u = np.zeros((total, total), dtype=complex)
-    eye_bc = np.eye(d_bc, dtype=complex)
-    for cluster in g.eigenvalue_clusters():
-        iso = linalg.kron(v[:, cluster], eye_bc)  # (total, r * d_bc) isometry
-        block = _haar_unitary_from_rng(len(cluster) * d_bc, rng)
-        u += iso @ block @ linalg.dagger(iso)
-    lifted = linalg.kron(g.h, eye_bc)
-    resid = linalg.frobenius(u @ lifted - lifted @ u)
-    if resid > EPS_COMMUTANT * max(1.0, linalg.frobenius(lifted)):
-        raise AssertionError(f"commutant construction failed: residual {resid:.3e}")
-    return UnitaryOperator(u, dims=dims)
+    return UnitaryOperator(_block_commutant(g, dims[1] * dims[2], seed.rng()),
+                           dims=dims)
 
 
 def local_product_unitary(u_a: np.ndarray, u_b: np.ndarray,

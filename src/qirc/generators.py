@@ -42,17 +42,26 @@ class CoherenceGenerator:
     def spread(self) -> float:
         return float(self.eigen.values[-1] - self.eigen.values[0])
 
+    @property
+    def cluster_tol(self) -> float:
+        """Eigenvalues, and differences of eigenvalues, this close are equal."""
+        return EPS_CLUSTER * max(1.0, self.spread)
+
     def eigenvalue_clusters(self) -> list[list[int]]:
         """Indices of (numerically) equal eigenvalues, ascending order."""
-        w = self.eigen.values
-        tol = EPS_CLUSTER * max(1.0, self.spread)
-        clusters: list[list[int]] = [[0]]
-        for i in range(1, len(w)):
-            if w[i] - w[clusters[-1][0]] <= tol:
-                clusters[-1].append(i)
-            else:
-                clusters.append([i])
-        return clusters
+        return clusters(self.eigen.values, self.cluster_tol)
+
+
+def clusters(values: np.ndarray, tol: float) -> list[list[int]]:
+    """Group ascending ``values``: each group holds the indices of the values
+    within ``tol`` of the group's first."""
+    out: list[list[int]] = []
+    for i, w in enumerate(values):
+        if out and w - values[out[-1][0]] <= tol:
+            out[-1].append(i)
+        else:
+            out.append([i])
+    return out
 
 
 def sigma_z_generator() -> CoherenceGenerator:

@@ -134,6 +134,12 @@ _MAGIC = np.array([[1, 1j, 0, 0],
 _MAGIC.setflags(write=False)
 
 
+def optimizer_settings(d: int, starts: int) -> dict:
+    """How ``fully_entangled_fraction`` searches at local dimension d."""
+    return {"starts": starts, "tol": EPS_OPT, "max_iter": MAX_ITER,
+            "seed": START_SEED, "method": "closed-form" if d == 2 else "power"}
+
+
 def fully_entangled_fraction(rho: DensityMatrix,
                              starts: int = DEFAULT_STARTS) -> tuple[float, np.ndarray]:
     """max_U <Phi+| (U ⊗ I) rho (U ⊗ I)† |Phi+> and the maximizing U.

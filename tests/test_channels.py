@@ -3,7 +3,8 @@ import pytest
 
 from qirc import channels, linalg, states
 from qirc.claims import _sample_channel
-from qirc.generators import default_generator, diagonal_generator, sigma_z_generator
+from qirc.generators import (clusters, default_generator, diagonal_generator,
+                             sigma_z_generator)
 from qirc.states import Seed
 
 from conftest import random_density
@@ -93,6 +94,13 @@ class TestRandomChannel:
         b = channels.random_channel(2, 2, 3, Seed(4, 9))
         assert all(np.array_equal(x, y) for x, y in zip(a.kraus, b.kraus))
 
+    def test_oversized_kraus_rank_rejected_before_drawing(self, monkeypatch):
+        def draw(d, rng):
+            raise AssertionError(f"drew a {d} x {d} Haar matrix")
+        monkeypatch.setattr(channels, "_haar_unitary_from_rng", draw)
+        with pytest.raises(ValueError, match="MAX_DIM"):
+            channels.random_channel(2, 2, 10**6, Seed(4, 0))
+
 
 def _phase(g, t):
     """e^{-iHt} from the generator's cached eigendecomposition."""
@@ -142,6 +150,13 @@ class TestCovariantChannel:
         total = sum(k.conj().T @ k for k in a.kraus)
         assert np.linalg.norm(total - np.eye(3)) <= 1e-10
         assert all(np.array_equal(x, y) for x, y in zip(a.kraus, b.kraus))
+
+
+def test_clusters_reach_from_the_first_value():
+    # eigenvalues and charge shifts share this rule: a group holds the values
+    # within tolerance of its first, not of its last
+    assert clusters(np.array([0.0, 0.6, 1.2, 5.0]), 1.0) == [[0, 1], [2], [3]]
+    assert diagonal_generator([1.0, 1.0, -2.0]).eigenvalue_clusters() == [[0], [1, 2]]
 
 
 class TestApply:

@@ -38,6 +38,16 @@ class TestConfig:
         assert cfg.tolerance("ball") == 0.5
         assert cfg.tolerance("mi") == claims.DEFAULT_TOLERANCES["mi"]
 
+    @pytest.mark.parametrize("rank", [0, -1, 9])
+    def test_ginibre_rank_rejected_at_construction(self, rank):
+        # rank 0 would otherwise sample full-rank states while the artifacts echo 0
+        with pytest.raises(ValueError, match="ginibre rank"):
+            CampaignConfig(sampler="ginibre-mixed", ginibre_rank=rank)
+
+    def test_ginibre_rank_range_is_inclusive(self):
+        for rank in (1, 8):
+            CampaignConfig(sampler="ginibre-mixed", ginibre_rank=rank)
+
 
 class TestExtremals:
     def test_holds(self):
@@ -282,6 +292,30 @@ class TestWorstCase:
         # C2 mixtures are derived states: the config is where weights are checked
         with pytest.raises(ValueError, match="mixing weights"):
             CampaignConfig(lambdas=lambdas)
+
+
+STATS_KEYS = {
+    "C1": ["anchors", "max_deviation"],
+    "T1": ["max_norm", "mean_norm", "violation_trials"],
+    "C2": ["pairs", "lambda_grid", "endpoint_mismatches", "max_mixture_norm",
+           "max_segment_deviation"],
+    "C3": ["states", "channels_per_state", "q1_increases", "q3_increases",
+           "q2_increases", "norm_increases", "covariant_q3_increases",
+           "max_q1_increase", "max_q3_increase", "max_q2_increase",
+           "max_norm_increase", "max_covariant_q3_increase"],
+    "T2": ["local_trials", "local_max_coord_drift", "local_max_norm_drift",
+           "global_trials", "global_max_drift", "global_mean_abs_drift",
+           "global_exceed_count"],
+    "A2": ["max_mi_gap", "anchor_saturation_gap", "q1q2_bound_violations",
+           "q1q2_bound_max_excess", "fisher_bound_violations",
+           "fisher_bound_max_excess"],
+}
+
+
+@pytest.mark.parametrize("claim", claims.CHECK_ORDER)
+def test_stats_keys_and_order(claim):
+    report, _ = run_check(claim, small(trials=3, channels_per_state=2))
+    assert list(report.stats) == STATS_KEYS[claim]
 
 
 class TestEntropicBounds:

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from qirc import serialize, states
 from qirc.cli import build_parser, main
@@ -237,6 +238,12 @@ class TestCheckCommand:
         assert code == 2
         assert "--dims" in err
 
+    def test_ginibre_rank_out_of_range_exits_2(self, capsys):
+        code, _, err = run(capsys, "check", "T1", "--sampler", "ginibre-mixed",
+                           "--rank", "0", "--trials", "2")
+        assert code == 2
+        assert "--rank 0" in err and "--dims" not in err
+
     def test_env_seed_default(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("QIRC_SEED", "123")
         d1 = tmp_path / "env"
@@ -295,6 +302,14 @@ class TestEvolveCommand:
         path.write_text(json.dumps([{"type": "mystery"}]))
         assert run(capsys, "evolve", "--family", "ghz",
                    "--schedule", str(path))[0] == 2
+
+    @pytest.mark.parametrize("name", ["depolarizing", "random"])
+    def test_target_outside_the_state_exits_2(self, capsys, tmp_path, name):
+        sched = self._write_schedule(tmp_path, [
+            {"type": "channel", "name": name, "p": 0.1, "target": 5}])
+        code, _, err = run(capsys, "evolve", "--family", "w", "--schedule", sched)
+        assert code == 2
+        assert "target 5 out of range" in err
 
     def test_reproducible_csv(self, capsys, tmp_path):
         sched = self._write_schedule(tmp_path, [

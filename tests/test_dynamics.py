@@ -65,6 +65,15 @@ class TestCommutingLocalUnitary:
         b = dynamics.commuting_local_unitary(g, Seed(52, 2))
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("values", [[1, -1], [2, 0, -2], [1, 1, -2], [0, 1, 3]])
+    def test_is_the_commutant_sample_with_trivial_rest(self, values):
+        # one block-commutant construction serves both samplers
+        g = diagonal_generator(values)
+        for i in range(5):
+            u = dynamics.commuting_local_unitary(g, Seed(52, 10 + i))
+            w = dynamics.sample_commutant_unitary(g, (len(values), 1, 1), Seed(52, 10 + i))
+            assert np.array_equal(u, w.matrix)
+
 
 class TestSampleCommutantUnitary:
     def test_commutator_residual(self):

@@ -1,0 +1,112 @@
+"""Byte-for-byte parity of the qirc command line between two trees.
+
+    python3 tools/parity.py REV
+
+Runs a fixed list of ``qirc`` commands twice: against ``src/`` of the
+working tree (HEAD plus any uncommitted edits) and against ``src/`` of the
+git revision REV, exported into a temporary directory with ``git archive``.
+Each command runs in its own empty directory, so the relative paths that
+artifacts echo are the same on both sides. Stdout, stderr, the exit code and
+every file the command leaves in its directory are compared byte for byte.
+Prints one line per command, ``same`` or ``DIFF`` with what differs, and
+exits 1 when any command differs. The temporary directory is removed at the
+end; ``tempfile`` places it under TMPDIR.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+
+# One step of every kind the evolve command knows.
+SCHEDULE = [
+    {"type": "channel", "name": "depolarizing", "p": 0.1, "target": 0},
+    {"type": "channel", "name": "dephasing", "lambda": 0.3},
+    {"type": "channel", "name": "amplitude-damping", "gamma": 0.2, "target": 0},
+    {"type": "channel", "name": "random", "kraus_rank": 3, "target": 2},
+    {"type": "unitary", "spec": "identity"},
+    {"type": "unitary", "spec": "commutant-random"},
+    {"type": "unitary", "spec": "local-commutant-random"},
+    {"type": "unitary", "spec": "local-random"},
+    {"type": "unitary", "spec": "haar-global"},
+]
+INPUTS = {"schedule.json": json.dumps(SCHEDULE)}
+
+COMMANDS = [
+    "check all --trials 40 --channels 5 --seed 7 --out out",
+    "check T1 C3 T2 --dims 3,3,3 --trials 4 --channels 3 --out out",
+    "check T1 C3 T2 --dims 3,3,3 --trials 4 --channels 3 --generator diag:1,1,-2 --out out",
+    "check C3 --trials 4 --seed 1 --out out",
+    "check C3 --trials 4 --seed 1 --strict --out out",
+    # Negative tolerances force a violation in every hard check.
+    "check C1 C3 T2 A2 --trials 3 --channels 3 --tol extremal=-1 --tol q3_mono=-1"
+    " --tol traj=-1 --tol mi=-1 --out out",
+    "check T1 C2 C3 T2 --sampler ginibre-mixed --trials 6 --channels 3 --out out",
+    "check T1 C2 C3 T2 --sampler ginibre-mixed --rank 2 --trials 6 --channels 3 --out out",
+    "check T1 C2 C3 T2 --sampler named-family --family werner --trials 6 --channels 3 --out out",
+    "check T1 C2 C3 T2 --sampler named-family --family w --trials 3 --channels 3 --out out",
+    "profile --family w --out w.json",
+    "profile --family ghz",
+    "profile --family werner:0.8 --q2-mode uhlmann-marginal",
+    "sweep werner --out werner.csv",
+    "sweep depolarize-bell --grid 0:1:11",
+    "sweep gibbs-beta --grid 0:2:11 --coupling 0.5",
+    "evolve --family w --schedule schedule.json --out w.csv",
+]
+
+
+def export_src(rev: str, dest: Path) -> Path:
+    """Write ``src/`` of revision ``rev`` under ``dest``; return its path."""
+    tar = subprocess.run(["git", "archive", "--format=tar", rev, "src"], cwd=REPO,
+                         check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(dest, filter="data")
+    return dest / "src"
+
+
+def run(src: Path, command: str, cwd: Path) -> dict:
+    """Run one command in the empty directory ``cwd``; return what it left."""
+    cwd.mkdir(parents=True)
+    for name, text in INPUTS.items():
+        (cwd / name).write_text(text, encoding="utf-8")
+    env = {k: v for k, v in os.environ.items() if k != "QIRC_SEED"}
+    env["PYTHONPATH"] = str(src)
+    proc = subprocess.run([sys.executable, "-m", "qirc.cli", *command.split()],
+                          cwd=cwd, env=env, capture_output=True)
+    files = {str(p.relative_to(cwd)): p.read_bytes()
+             for p in sorted(cwd.rglob("*")) if p.is_file()}
+    return {"stdout": proc.stdout, "stderr": proc.stderr,
+            "exit code": proc.returncode, **files}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("rev", help="git revision to compare the working tree with")
+    args = parser.parse_args(argv)
+    differ = 0
+    with tempfile.TemporaryDirectory(prefix="qirc-parity-") as tmp:
+        base = export_src(args.rev, Path(tmp) / "rev")
+        for k, command in enumerate(COMMANDS):
+            here = run(REPO / "src", command, Path(tmp) / "here" / str(k))
+            there = run(base, command, Path(tmp) / "there" / str(k))
+            diffs = [key for key in dict.fromkeys([*here, *there])
+                     if here.get(key) != there.get(key)]
+            differ += bool(diffs)
+            status = f"DIFF ({', '.join(diffs)})" if diffs else "same"
+            print(f"{status:<6} exit {here['exit code']}  qirc {command}", flush=True)
+    print(f"{len(COMMANDS) - differ} of {len(COMMANDS)} commands byte-identical "
+          f"with {args.rev}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
