@@ -115,12 +115,12 @@ SWEEP_HEADER = ("param", "q1", "q2", "q3", "norm", "q1_raw", "q2_raw",
 def _parse_grid(spec: str) -> np.ndarray:
     try:
         start, stop, count = spec.split(":")
-        grid = np.linspace(float(start), float(stop), int(count))
+        start, stop, count = float(start), float(stop), int(count)
     except ValueError as exc:
         raise ValueError(f"--grid expects START:STOP:COUNT, got {spec!r}") from exc
-    if len(grid) < 2:
-        raise ValueError("grid needs at least 2 points")
-    return grid
+    if not 2 <= count <= MAX_DIM:
+        raise ValueError(f"--grid COUNT must be in 2..{MAX_DIM}, got {count}")
+    return np.linspace(start, stop, count)
 
 
 def _sweep_state(family: str, value: float, coupling: float) -> states.DensityMatrix:
@@ -318,8 +318,9 @@ def _add_common(p: argparse.ArgumentParser, seed: int) -> None:
     p.add_argument("--generator", default="default",
                    help="default | sigma-z | diag:v1,v2,...")
     p.add_argument("--starts", type=_starts, default=resources.DEFAULT_STARTS,
-                   help=f"random restarts for the singlet-fraction search, 0 to "
-                        f"{MAX_DIM} (d >= 3 only; d = 2 uses the exact closed form)")
+                   help=f"fallback Haar starts for the d >= 3 singlet-fraction search, "
+                        f"0 to {MAX_DIM}: run only when the identity and spectral "
+                        f"starts are not certified (d = 2 uses the exact closed form)")
     p.add_argument("--seed", type=int, default=seed, help="master seed")
     p.add_argument("--out", default=None)
 

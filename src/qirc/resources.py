@@ -18,18 +18,27 @@ import numpy as np
 from . import channels, linalg
 from .generators import CoherenceGenerator, default_generator
 from .states import DensityMatrix, Seed, _haar_unitary_from_rng
-from .tolerances import EPS_KRAUS, EPS_OPT, EPS_PSD, EPS_QFI
+from .tolerances import EPS_CERT, EPS_KRAUS, EPS_OPT, EPS_PSD, EPS_QFI
 
-# The singlet-fraction search at d >= 3: Haar starts drawn from a fixed seed,
-# each refined for at most MAX_ITER steps (the stop gain is EPS_OPT).
+# The singlet-fraction search at d >= 3: the identity and spectral starts,
+# each refined for at most MAX_ITER steps (the stop gain is EPS_OPT), then a
+# dual certificate of at most CERT_STEPS descent steps; the Haar starts, drawn
+# from a fixed seed, run only when the certified gap exceeds EPS_CERT.
 DEFAULT_STARTS = 32
 MAX_ITER = 400
+CERT_STEPS = 50
 START_SEED = 20240817
 
 
 @dataclass(frozen=True)
 class FidelityBreakdown:
-    """Raw fidelities behind a profile, before clamping."""
+    """Raw fidelities behind a profile, before clamping.
+
+    ``f_max_gap`` and ``f_choi_gap`` are the certified gaps of the two
+    singlet-fraction searches, on rho_AB and on the q2 Choi state: each true
+    fraction lies within its gap above the value found. They are 0.0 where
+    the value is exact (d = 2, a trivial factor, the Uhlmann q2 mode).
+    """
 
     f_max: float
     f_tele: float
@@ -39,6 +48,8 @@ class FidelityBreakdown:
     q1_raw: float
     q2_raw: float
     d: int
+    f_max_gap: float
+    f_choi_gap: float
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -79,23 +90,22 @@ class ProfileConfig:
 # Maximal singlet fraction
 
 
-def _objective_batch(rho: np.ndarray, w_batch: np.ndarray, d: int) -> np.ndarray:
-    y = w_batch @ rho.conj()  # rows y_i = (rho @ w_i)^T since rho is Hermitian
-    return np.einsum("ij,ij->i", w_batch.conj(), y).real / d
-
-
 def _polar_batch(g: np.ndarray) -> np.ndarray:
     u, _, vh = np.linalg.svd(g)
     return u @ vh
 
 
 def _power_refine(rho: np.ndarray, w0: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Monotone ascent on f(W) = vec(W)† rho vec(W)/d over unitary W."""
-    w = w0.copy()
-    vals = _objective_batch(rho, w, d)
+    """Monotone ascent on f(W) = vec(W)† rho vec(W)/d over unitary W, one start
+    per row of w0; returns each start's final value and W."""
+    rho_t = rho.conj()  # rows of w @ rho_t are (rho vec w)^T since rho is Hermitian
+    w = w0
+    y = w @ rho_t
+    vals = np.einsum("ij,ij->i", w.conj(), y).real / d
     for _ in range(MAX_ITER):
-        w = _polar_batch((w @ rho.conj()).reshape(-1, d, d)).reshape(-1, d * d)
-        new_vals = _objective_batch(rho, w, d)
+        w = _polar_batch(y.reshape(-1, d, d)).reshape(-1, d * d)
+        y = w @ rho_t
+        new_vals = np.einsum("ij,ij->i", w.conj(), y).real / d
         gain = float(np.max(new_vals - vals))
         vals = new_vals
         if gain <= EPS_OPT:
@@ -114,7 +124,8 @@ def _haar_starts(d: int, starts: int, seed: int) -> np.ndarray:
     return out
 
 
-def _start_batch(rho: np.ndarray, d: int, starts: int) -> np.ndarray:
+def _start_batch(rho: np.ndarray, d: int) -> np.ndarray:
+    """The identity and the spectral start, one flattened unitary per row."""
     # Spectral hint: the closest maximally entangled state to the dominant
     # eigenvector is given by the polar unitary of its matrix reshape. rho is
     # a state, possibly a derived one such as the q2 Choi state, whose
@@ -122,8 +133,55 @@ def _start_batch(rho: np.ndarray, d: int, starts: int) -> np.ndarray:
     top = np.linalg.eigh((rho + linalg.dagger(rho)) / 2)[1][:, -1].reshape(d, d)
     u, _, vh = np.linalg.svd(top)
     return np.concatenate([np.eye(d, dtype=complex).reshape(1, d * d),
-                           (u @ vh).reshape(1, d * d),
-                           _haar_starts(d, starts, START_SEED)])
+                           (u @ vh).reshape(1, d * d)])
+
+
+def _best_refined(rho: np.ndarray, w0: np.ndarray, d: int) -> tuple[float, np.ndarray]:
+    """The highest value the starts w0 reach under ``_power_refine``, and its W."""
+    vals, ws = _power_refine(rho, w0, d)
+    best = int(np.argmax(vals))
+    return float(vals[best]), ws[best].reshape(d, d)
+
+
+def _certified_gap(rho: np.ndarray, w: np.ndarray, d: int) -> float:
+    """How far max_W f can lie above f(w): d lambda_max(M(B)), minimized over B.
+
+    The maximum of f(W) = vec(W)† rho vec(W)/d over unitary W is at most that
+    of Tr(rho X)/d over X >= 0 whose two partial traces are I, so for any
+    Hermitian A and B it is at most Tr A + Tr B + d lambda_max(rho/d - A ⊗ I -
+    I ⊗ B). With G = reshape(rho vec w), Lambda = Herm(G w†) and A = Lambda/d
+    - w B^T w†, Tr A + Tr B = f(w) and vec w has Rayleigh quotient 0 on
+    M(B) = rho/d - A ⊗ I - I ⊗ B, so the bound is f(w) + d lambda_max(M(B))
+    with lambda_max >= 0. lambda_max is convex in B: starting at B = 0, each
+    step moves B against the top eigenvector's subgradient (w† V V† w)^T -
+    (V† V)^T, V its d x d reshape, by the Polyak step toward 0, the value an
+    exact relaxation reaches. Every B gives a bound; the smallest is kept,
+    plus d^2 machine epsilons for the rounding of f(w) and lambda_max.
+    """
+    rounding = d * d * np.finfo(float).eps
+    # Index order (i, j, k, l) of rho/d reshaped: X ⊗ I adds X[i, k] where
+    # j == l, and I ⊗ X adds X[j, l] where i == k.
+    eye = np.eye(d)
+    on_a, on_b = eye[None, :, None, :], eye[:, None, :, None]
+    w_dag = linalg.dagger(w)
+    g = (rho @ w.reshape(d * d)).reshape(d, d) @ w_dag
+    fixed = ((rho / d).reshape(d, d, d, d)
+             - ((g + linalg.dagger(g)) / (2 * d))[:, None, :, None] * on_a)
+    b = np.zeros((d, d), dtype=complex)
+    gap = np.inf
+    for _ in range(CERT_STEPS):
+        m = fixed + (w @ b.T @ w_dag)[:, None, :, None] * on_a - on_b * b[None, :, None, :]
+        vals, vecs = np.linalg.eigh(m.reshape(d * d, d * d))
+        gap = min(gap, d * max(float(vals[-1]), 0.0) + rounding)
+        if gap <= EPS_CERT:
+            break
+        v = vecs[:, -1].reshape(d, d)
+        s = (w_dag @ v @ linalg.dagger(v) @ w - linalg.dagger(v) @ v).T
+        norm2 = np.vdot(s, s).real
+        if not norm2:
+            break
+        b = b - (vals[-1] / norm2) * s
+    return gap
 
 
 # Columns: the magic basis |Phi+>, i|Phi->, i|Psi+>, |Psi->, each times sqrt(2).
@@ -136,33 +194,44 @@ _MAGIC.setflags(write=False)
 
 def optimizer_settings(d: int, starts: int) -> dict:
     """How ``fully_entangled_fraction`` searches at local dimension d."""
-    return {"starts": starts, "tol": EPS_OPT, "max_iter": MAX_ITER,
-            "seed": START_SEED, "method": "closed-form" if d == 2 else "power"}
+    out = {"starts": starts, "tol": EPS_OPT, "max_iter": MAX_ITER,
+           "seed": START_SEED, "method": "closed-form"}
+    if d != 2:
+        out.update(method="power+certificate", cert_tol=EPS_CERT, cert_steps=CERT_STEPS)
+    return out
 
 
 def fully_entangled_fraction(rho: DensityMatrix,
-                             starts: int = DEFAULT_STARTS) -> tuple[float, np.ndarray]:
-    """max_U <Phi+| (U ⊗ I) rho (U ⊗ I)† |Phi+> and the maximizing U.
+                             starts: int = DEFAULT_STARTS) -> tuple[float, np.ndarray, float]:
+    """max_U <Phi+| (U ⊗ I) rho (U ⊗ I)† |Phi+>, the maximizing U, and the
+    certified gap: how far the true maximum can lie above the returned value.
 
-    d = 2 is exact: the maximally entangled two-qubit states are, up to a
-    phase, the real unit vectors x in the magic basis, so the fraction is the
-    top eigenvalue of Re(Q† rho Q)/2 (Badziąg et al., PRA 62, 012311, 2000)
-    and Q x reshapes to U†. d >= 3 runs a multi-start local maximization over
-    one-sided unitaries; the identity and a spectral warm start are always
-    included alongside the Haar starts.
+    d = 2 is exact (gap 0): the maximally entangled two-qubit states are, up
+    to a phase, the real unit vectors x in the magic basis, so the fraction is
+    the top eigenvalue of Re(Q† rho Q)/2 (Badziąg et al., PRA 62, 012311,
+    2000) and Q x reshapes to U†. d >= 3 refines the identity and a spectral
+    warm start by a local maximization over one-sided unitaries and bounds
+    the result by ``_certified_gap``. Only when that gap exceeds EPS_CERT are
+    the ``starts`` Haar starts refined too; the gap is then the tighter of
+    the two bounds, less the best value found.
     """
     if len(rho.dims) != 2 or rho.dims[0] != rho.dims[1]:
         raise ValueError(f"expected equal local dims, got {rho.dims}")
     d = rho.dims[0]
+    m = rho.matrix
     if d == 2:
-        vals, vecs = np.linalg.eigh((_MAGIC.conj().T @ rho.matrix @ _MAGIC).real / 2)
-        f, w = vals[-1], (_MAGIC @ vecs[:, -1]).reshape(2, 2)
+        vals, vecs = np.linalg.eigh((_MAGIC.conj().T @ m @ _MAGIC).real / 2)
+        f, w, gap = vals[-1], (_MAGIC @ vecs[:, -1]).reshape(2, 2), 0.0
     else:
-        vals, ws = _power_refine(rho.matrix, _start_batch(rho.matrix, d, starts), d)
-        best = int(np.argmax(vals))
-        f, w = vals[best], ws[best].reshape(d, d)
+        f, w = _best_refined(m, _start_batch(m, d), d)
+        gap = _certified_gap(m, w, d)
+        if gap > EPS_CERT and starts:
+            f_haar, w_haar = _best_refined(m, _haar_starts(d, starts, START_SEED), d)
+            if f_haar > f:
+                gap = min(f + gap - f_haar, _certified_gap(m, w_haar, d))
+                f, w = f_haar, w_haar
     # W parameterizes U† of the physical rotation.
-    return float(min(1.0, f)), linalg.dagger(w)
+    return float(min(1.0, f)), linalg.dagger(w), float(gap)
 
 
 def teleportation_fidelity(f_max: float, d: int) -> float:
@@ -185,7 +254,7 @@ def _q1_from_fraction(f: float, d: int) -> tuple[float, float]:
 
 def coord_q1(rho_ab: DensityMatrix, starts: int = DEFAULT_STARTS) -> tuple[float, float]:
     """Teleportation advantage of rho_AB, (clamped, raw)."""
-    f, _ = fully_entangled_fraction(rho_ab, starts)
+    f, _, _ = fully_entangled_fraction(rho_ab, starts)
     return _q1_from_fraction(f, rho_ab.dims[0])
 
 
@@ -297,23 +366,26 @@ def profile(rho: DensityMatrix, cfg: ProfileConfig | None = None) -> ResourcePro
         raise ValueError(f"generator dimension {g.dim} does not match d_A={d_a}")
 
     floor = 1.0 / (d_a * d_a)
+    gap_ab = gap_choi = 0.0
     if d_b > 1:
-        f_ab, _ = fully_entangled_fraction(rho.marginal([0, 1]), cfg.starts)
+        f_ab, _, gap_ab = fully_entangled_fraction(rho.marginal([0, 1]), cfg.starts)
     else:
         f_ab = floor
     f_tele = teleportation_fidelity(f_ab, d_a)
     q1, q1_raw = _q1_from_fraction(f_ab, d_a)
 
-    if d_c > 1:
-        q2, q2_raw = coord_q2(rho.marginal([0, 2]), cfg.q2_mode, cfg.starts)
-        if cfg.q2_mode == "transfer":
-            f_trans = (q2_raw + d_a) / (d_a + 1)
-        else:
-            f_trans = q2_raw
-    else:
+    if d_c == 1:
         _, q2_raw = _q1_from_fraction(floor, d_a)
         q2 = 0.0
         f_trans = teleportation_fidelity(floor, d_a)
+    elif cfg.q2_mode == "transfer":
+        f_choi, _, gap_choi = fully_entangled_fraction(
+            transfer_choi_state(rho.marginal([0, 2])), cfg.starts)
+        q2, q2_raw = _q1_from_fraction(f_choi, d_a)
+        f_trans = (q2_raw + d_a) / (d_a + 1)
+    else:
+        q2, q2_raw = coord_q2(rho.marginal([0, 2]), cfg.q2_mode, cfg.starts)
+        f_trans = q2_raw
 
     rho_a = rho.marginal([0])
     f_q = quantum_fisher_information(rho_a, g)
@@ -323,7 +395,8 @@ def profile(rho: DensityMatrix, cfg: ProfileConfig | None = None) -> ResourcePro
     breakdown = FidelityBreakdown(
         f_max=float(f_ab), f_tele=float(f_tele), f_trans=float(f_trans),
         f_q=float(f_q), f_q_max=float(f_q_top),
-        q1_raw=float(q1_raw), q2_raw=float(q2_raw), d=d_a)
+        q1_raw=float(q1_raw), q2_raw=float(q2_raw), d=d_a,
+        f_max_gap=gap_ab, f_choi_gap=gap_choi)
     norm = q1 * q1 + q2 * q2 + q3 * q3
     return ResourceProfile(q1=q1, q2=q2, q3=q3, norm=float(norm),
                            breakdown=breakdown, q2_mode=cfg.q2_mode, generator=g)

@@ -6,6 +6,7 @@ import pytest
 from qirc import serialize, states
 from qirc.cli import build_parser, main
 from qirc.linalg import MAX_DIM
+from qirc.tolerances import EPS_CERT
 
 from conftest import near_product_ket
 
@@ -28,6 +29,22 @@ class TestProfileCommand:
         code, out, _ = run(capsys, "profile", "--family", "ghz")
         assert code == 0
         assert json.loads(out)["norm"] == 0.0
+
+    def test_uncertified_gap_is_reported(self, capsys, tmp_path):
+        # the identity and spectral starts miss this state's q2 Choi state
+        # optimum by 0.027; with no Haar starts to fall back on, the artifact
+        # says so
+        path = tmp_path / "state.json"
+        path.write_text(serialize.dumps(serialize.state_to_dict(
+            states.haar_pure((3, 3, 3), states.Seed(7, 403)))))
+        gaps = []
+        for starts in ("0", "32"):
+            code, out, _ = run(capsys, "profile", "--state", str(path), "--starts", starts)
+            assert code == 0
+            b = json.loads(out)["breakdown"]
+            gaps.append((b["f_max_gap"], b["f_choi_gap"]))
+        assert gaps[0][0] <= EPS_CERT < gaps[0][1]
+        assert max(gaps[1]) <= EPS_CERT
 
     def test_state_file_input(self, capsys, tmp_path):
         rho = states.werner(0.8)
@@ -122,6 +139,9 @@ class TestSweepCommand:
     def test_grid_validation(self, capsys):
         assert run(capsys, "sweep", "werner", "--grid", "0:1:1")[0] == 2
         assert run(capsys, "sweep", "werner", "--grid", "oops")[0] == 2
+        # rejected before numpy allocates the grid
+        assert run(capsys, "sweep", "werner", "--grid", "0:1:1000000000000")[0] == 2
+        assert run(capsys, "sweep", "werner", "--grid", f"0:1:{MAX_DIM + 1}")[0] == 2
 
     def test_unknown_family(self, capsys):
         assert run(capsys, "sweep", "bogus")[0] == 2
@@ -229,7 +249,7 @@ class TestCheckCommand:
         assert echo["starts"] == 0
         assert echo["campaign"]["optimizer"] == {
             "starts": 0, "tol": 1e-14, "max_iter": 400, "seed": 20240817,
-            "method": "power"}
+            "method": "power+certificate", "cert_tol": 1e-12, "cert_steps": 50}
 
     def test_oversized_dims_exit_2(self, capsys):
         # 17 * 16 * 16 = 4352 is just above MAX_DIM; rejected before sampling

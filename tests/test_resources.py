@@ -9,7 +9,7 @@ from qirc.resources import (ProfileConfig, coord_q1, coord_q2, coord_q3,
                             induced_transfer_channel, profile,
                             quantum_fisher_information, teleportation_fidelity)
 from qirc.states import DensityMatrix, Seed
-from qirc.tolerances import EPS_PSD
+from qirc.tolerances import EPS_CERT, EPS_PSD
 
 from conftest import fmax_two_qubit_oracle, near_product_ket, random_hermitian
 
@@ -19,42 +19,59 @@ def bell_overlap(rho: DensityMatrix) -> float:
     return float((v.conj() @ rho.matrix @ v).real)
 
 
+def qubit_pairs(n: int, master: int):
+    """Alternately Haar pure and Ginibre mixed two-qubit states."""
+    for i in range(n):
+        if i % 2:
+            yield states.haar_pure((2, 2), Seed(master, i))
+        else:
+            yield states.ginibre_mixed(4, 1 + i % 4, Seed(master, i)).reshaped((2, 2))
+
+
+def isotropic(p: float, d: int) -> DensityMatrix:
+    """p |Phi+><Phi+| + (1 - p) I/d^2, whose singlet fraction is p + (1 - p)/d^2."""
+    v = states.max_entangled_ket(d)
+    return DensityMatrix(p * np.outer(v, v.conj()) + (1 - p) * np.eye(d * d) / d**2, (d, d))
+
+
+def short_start_state() -> DensityMatrix:
+    """A Haar 3-qutrit state whose q2 Choi state the identity and spectral
+    starts leave 0.027 below its singlet fraction; its rho_AB they certify."""
+    return states.haar_pure((3, 3, 3), Seed(7, 403))
+
+
 class TestFullyEntangledFraction:
     def test_bell_is_one(self):
-        f, u = fully_entangled_fraction(states.bell_pair())
+        f, u, _ = fully_entangled_fraction(states.bell_pair())
         assert np.isclose(f, 1.0, atol=1e-12)
         assert np.allclose(u.conj().T @ u, np.eye(2), atol=1e-10)
 
     def test_maximally_mixed_constant_objective(self):
-        f, _ = fully_entangled_fraction(states.maximally_mixed(4, dims=(2, 2)))
+        f, _, _ = fully_entangled_fraction(states.maximally_mixed(4, dims=(2, 2)))
         assert np.isclose(f, 0.25, atol=1e-12)
 
     @pytest.mark.parametrize("p", [0.0, 0.25, 1 / 3, 0.5, 0.8, 1.0])
     def test_werner_closed_form(self, p):
         # oracle: the Bell overlap p + (1-p)/4 is already optimal at U = I
-        f, _ = fully_entangled_fraction(states.werner(p))
+        f, _, _ = fully_entangled_fraction(states.werner(p))
         assert np.isclose(f, (3 * p + 1) / 4, atol=1e-9)
 
     def test_matches_exact_two_qubit_oracle(self):
         worst = 0.0
-        for i in range(60):
-            if i % 2:
-                rho = states.haar_pure((2, 2), Seed(31, i))
-            else:
-                rho = states.ginibre_mixed(4, 1 + i % 4, Seed(31, i)).reshaped((2, 2))
-            f, _ = fully_entangled_fraction(rho)
+        for rho in qubit_pairs(60, 31):
+            f, _, _ = fully_entangled_fraction(rho)
             worst = max(worst, abs(f - fmax_two_qubit_oracle(rho.matrix)))
         assert worst <= 1e-9
 
     def test_never_below_identity_overlap_or_floor(self):
         for i in range(30):
             rho = states.ginibre_mixed(4, 1 + i % 4, Seed(32, i)).reshaped((2, 2))
-            f, _ = fully_entangled_fraction(rho)
+            f, _, _ = fully_entangled_fraction(rho)
             assert f >= max(bell_overlap(rho), 1 / 4) - 1e-12
 
     def test_returned_unitary_reproduces_value(self):
         rho = states.haar_pure((2, 2), Seed(33, 0))
-        f, u = fully_entangled_fraction(rho)
+        f, u, _ = fully_entangled_fraction(rho)
         v = states.max_entangled_ket(2)
         big = np.kron(u, np.eye(2))
         assert np.isclose((v.conj() @ big @ rho.matrix @ big.conj().T @ v).real, f,
@@ -71,8 +88,10 @@ class TestFullyEntangledFraction:
                 rho = states.ginibre_mixed(8, 1 + i % 8, Seed(48, i)).reshaped((2, 2, 2))
             for pair in (rho.marginal([0, 1]),
                          resources.transfer_choi_state(rho.marginal([0, 2]))):
-                f, _ = fully_entangled_fraction(pair)
-                w0 = resources._start_batch(pair.matrix, 2, resources.DEFAULT_STARTS)
+                f, _, _ = fully_entangled_fraction(pair)
+                w0 = np.concatenate([resources._start_batch(pair.matrix, 2),
+                                     resources._haar_starts(2, resources.DEFAULT_STARTS,
+                                                            resources.START_SEED)])
                 vals, _ = resources._power_refine(pair.matrix, w0, 2)
                 searched = float(vals.max())
                 worst_gap = max(worst_gap, abs(f - searched))
@@ -83,14 +102,14 @@ class TestFullyEntangledFraction:
     def test_d3_search_is_deterministic(self):
         # the Haar starts are cached; a second call must repeat the first
         rho = states.ginibre_mixed(9, 3, Seed(33, 1)).reshaped((3, 3))
-        f1, u1 = fully_entangled_fraction(rho)
-        f2, u2 = fully_entangled_fraction(rho)
+        f1, u1, _ = fully_entangled_fraction(rho)
+        f2, u2, _ = fully_entangled_fraction(rho)
         assert f1 == f2 and np.array_equal(u1, u2)
 
     def test_exhaustive_random_search_never_beats_it(self):
         # brute force over many unoptimized unitaries stays below the result
         rho = states.ginibre_mixed(4, 3, Seed(33, 2)).reshaped((2, 2))
-        f, _ = fully_entangled_fraction(rho)
+        f, _, _ = fully_entangled_fraction(rho)
         v = states.max_entangled_ket(2)
         best = 0.0
         for i in range(2000):
@@ -105,9 +124,83 @@ class TestFullyEntangledFraction:
 
     def test_d3_upper_bound_and_floor(self):
         rho = states.ginibre_mixed(9, 4, Seed(35, 0)).reshaped((3, 3))
-        f, _ = fully_entangled_fraction(rho)
+        f, _, _ = fully_entangled_fraction(rho)
         top = float(np.linalg.eigvalsh(rho.matrix).max())
         assert 1 / 9 - 1e-12 <= f <= top + 1e-9
+
+
+class TestCertificate:
+    """f + _certified_gap(rho, W) bounds the singlet fraction from above, for
+    any W, by weak duality of the unital-channel relaxation."""
+
+    def test_meets_the_closed_form_on_qubits(self):
+        # the relaxation is exact at d = 2: at the closed-form W the bound is
+        # the closed form
+        for rho in qubit_pairs(60, 31):
+            f, u, gap = fully_entangled_fraction(rho)
+            assert gap == 0.0
+            bound = f + resources._certified_gap(rho.matrix, linalg.dagger(u), 2)
+            assert abs(bound - fmax_two_qubit_oracle(rho.matrix)) <= 1e-12
+
+    @pytest.mark.parametrize("p", [0.0, 0.25, 1 / 3, 0.5, 0.8, 1.0])
+    def test_isotropic_qutrits(self, p):
+        f, _, gap = fully_entangled_fraction(isotropic(p, 3))
+        assert abs(f - (p + (1 - p) / 9)) <= 1e-12
+        assert 0.0 <= gap <= EPS_CERT
+
+    @pytest.mark.parametrize("starts", [resources.DEFAULT_STARTS, 0])
+    def test_never_below_brute_force_on_ginibre_qutrits(self, starts):
+        # f(W) = vec(W)† rho vec(W)/3 at W = U† of 2000 Haar unitaries U
+        ws = np.array([linalg.dagger(states.haar_unitary(3, Seed(34, i))).reshape(9)
+                       for i in range(2000)])
+        for i in range(12):
+            rho = states.ginibre_mixed(9, 1 + i % 9, Seed(36, i)).reshaped((3, 3))
+            f, _, gap = fully_entangled_fraction(rho, starts)
+            brute = np.einsum("ni,ij,nj->n", ws.conj(), rho.matrix, ws).real.max() / 3
+            assert gap >= 0.0
+            assert brute <= f + gap + 1e-12
+
+
+class TestHaarFallback:
+    """The Haar starts run only when the certificate of the cheap starts fails."""
+
+    @pytest.fixture
+    def haar_calls(self, monkeypatch):
+        calls = []
+        real = resources._haar_starts
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(resources, "_haar_starts", counted)
+        return calls
+
+    def test_runs_only_where_the_certificate_fails(self, haar_calls):
+        rho = short_start_state()
+        _, _, gap_ab = fully_entangled_fraction(rho.marginal([0, 1]))
+        assert gap_ab <= EPS_CERT and haar_calls == []
+        choi = resources.transfer_choi_state(rho.marginal([0, 2]))
+        _, _, gap = fully_entangled_fraction(choi)
+        assert len(haar_calls) == 1
+        assert gap <= EPS_CERT
+
+    def test_without_haar_starts_the_gap_stays_visible(self, haar_calls):
+        choi = resources.transfer_choi_state(short_start_state().marginal([0, 2]))
+        f_short, _, gap_short = fully_entangled_fraction(choi, starts=0)
+        assert haar_calls == []
+        assert gap_short > EPS_CERT
+        f, _, gap = fully_entangled_fraction(choi)
+        assert f - f_short > EPS_CERT
+        assert f <= f_short + gap_short  # the first bound held
+
+    def test_profile_records_both_gaps(self, haar_calls):
+        b = profile(short_start_state(), ProfileConfig(starts=0)).breakdown
+        assert b.f_max_gap <= EPS_CERT < b.f_choi_gap
+        assert haar_calls == []
+        b = profile(short_start_state()).breakdown
+        assert b.f_max_gap <= EPS_CERT and b.f_choi_gap <= EPS_CERT
+        assert len(haar_calls) == 1
 
 
 class TestTeleportationFidelity:
@@ -372,6 +465,18 @@ class TestProfile:
         b = p.breakdown
         assert np.isclose(b.f_tele, (b.d * b.f_max + 1) / (b.d + 1))
         assert b.f_q <= b.f_q_max + 1e-9
+
+    def test_exact_values_have_zero_gap(self):
+        # the qubit closed form, a trivial factor and the Uhlmann mode are exact
+        qutrit = states.haar_pure((3, 3, 3), Seed(45, 0))
+        cases = [(states.haar_pure((2, 2, 2), Seed(45, 9)), ProfileConfig()),
+                 (qutrit.marginal([0, 2]).reshaped((3, 1, 3)), ProfileConfig()),
+                 (qutrit, ProfileConfig(q2_mode="uhlmann-marginal"))]
+        gaps = [(p.breakdown.f_max_gap, p.breakdown.f_choi_gap)
+                for p in (profile(rho, cfg) for rho, cfg in cases)]
+        assert gaps[0] == (0.0, 0.0)
+        assert gaps[1][0] == 0.0
+        assert gaps[2][1] == 0.0
 
     def test_dims_validation(self):
         with pytest.raises(ValueError):
