@@ -56,6 +56,9 @@ DEFAULT_TRIALS = {
     "A2": 1000,
 }
 
+# C2's mixing weights: the endpoints 0 and 1 and three interior mixtures.
+LAMBDAS = (0.0, 0.25, 0.5, 0.75, 1.0)
+
 # Stream layout: primary states sit at stream == trial index; derived draws
 # (channels, unitaries, pair partners) live in disjoint offset blocks.
 _STREAM_CHANNEL = 1_000_003
@@ -96,17 +99,12 @@ class CampaignConfig:
     family: str | None = None           # named-family sampler target
     ginibre_rank: int | None = None
     channels_per_state: int = 20
-    lambdas: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0)
     tolerances: dict = field(default_factory=dict)
-    starts: int = resources.DEFAULT_STARTS
 
     def __post_init__(self):
         d = linalg.check_size(math.prod(self.dims), "the campaign dims")
         if self.ginibre_rank is not None and not 1 <= self.ginibre_rank <= d:
             raise ValueError(f"ginibre rank must lie in 1..{d}, got {self.ginibre_rank}")
-        # Mixtures are derived states and are not checked when they are built.
-        if not all(0.0 <= lam <= 1.0 for lam in self.lambdas):
-            raise ValueError(f"mixing weights must lie in [0, 1], got {self.lambdas}")
 
     def tolerance(self, name: str) -> float:
         return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
@@ -127,13 +125,10 @@ class CampaignConfig:
         return resolve_generator(self.generator, self.dims[0])
 
     def profile_config(self) -> ProfileConfig:
-        return ProfileConfig(generator=self.coherence_generator(),
-                             q2_mode=self.q2_mode, starts=self.starts)
+        return ProfileConfig(generator=self.coherence_generator(), q2_mode=self.q2_mode)
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        out["optimizer"] = resources.optimizer_settings(self.dims[0], out.pop("starts"))
-        return out
+        return {**asdict(self), "optimizer": resources.optimizer_settings(self.dims[0])}
 
 
 @dataclass
@@ -325,7 +320,7 @@ def check_convexity(cfg: CampaignConfig) -> ClaimReport:
         prof_r = resources.profile(rho, pc)
         prof_s = resources.profile(sig, pc)
         inside = prof_r.norm <= 1.0 + tol and prof_s.norm <= 1.0 + tol
-        for lam in cfg.lambdas:
+        for lam in LAMBDAS:
             mix = DensityMatrix._derived(lam * rho.matrix + (1.0 - lam) * sig.matrix,
                                          rho.dims)
             prof_m = resources.profile(mix, pc)
@@ -350,7 +345,7 @@ def check_convexity(cfg: CampaignConfig) -> ClaimReport:
         trials=evaluations, violations=ball_violations,
         report_only_violations=ball_violations,
         tolerances={"ball": tol}, seed=cfg.seed,
-        stats={"pairs": len(pairs), "lambda_grid": list(cfg.lambdas),
+        stats={"pairs": len(pairs), "lambda_grid": list(LAMBDAS),
                "endpoint_mismatches": endpoint_mismatches,
                "max_mixture_norm": float(worst.max),
                "max_segment_deviation": float(max_segment_dev)},

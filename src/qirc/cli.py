@@ -15,7 +15,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -26,16 +25,6 @@ from .channels import amplitude_damping, dephasing, depolarizing, random_channel
 from .claims import CampaignConfig, resolve_generator
 from .linalg import MAX_DIM
 from .resources import ProfileConfig
-
-DEFAULT_SEED_ENV = "QIRC_SEED"
-
-
-def _default_seed() -> int:
-    raw = os.environ.get(DEFAULT_SEED_ENV, "7")
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"bad {DEFAULT_SEED_ENV} value {raw!r}") from exc
 
 
 def _parse_tolerances(entries) -> dict:
@@ -51,14 +40,6 @@ def _parse_tolerances(entries) -> dict:
         if not math.isfinite(out[name]):
             raise ValueError(f"--tol {name} must be finite, got {value!r}")
     return out
-
-
-def _starts(text: str) -> int:
-    """--starts: a count of Haar starts from 0 to MAX_DIM."""
-    n = int(text)
-    if not 0 <= n <= MAX_DIM:
-        raise argparse.ArgumentTypeError(f"must be in 0..{MAX_DIM}, got {n}")
-    return n
 
 
 def _load_input_state(args) -> states.DensityMatrix:
@@ -85,7 +66,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _profile_config(args, d_a: int) -> ProfileConfig:
     gen = resolve_generator(args.generator, d_a)
-    return ProfileConfig(generator=gen, q2_mode=args.q2_mode, starts=args.starts)
+    return ProfileConfig(generator=gen, q2_mode=args.q2_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +77,7 @@ def cmd_profile(args) -> int:
     state = _load_input_state(args)
     prof = resources.profile(state, _profile_config(args, state.dims[0]))
     echo = _config_echo(args, "profile",
-                        ["family", "state", "q2_mode", "generator", "starts", "seed"])
+                        ["family", "state", "q2_mode", "generator", "seed"])
     doc = prof.to_dict()
     doc["generator"] = args.generator
     doc["config"] = echo
@@ -137,8 +118,7 @@ def _sweep_state(family: str, value: float, coupling: float) -> states.DensityMa
 def cmd_sweep(args) -> int:
     grid = _parse_grid(args.grid)
     echo = _config_echo(args, "sweep",
-                        ["family", "grid", "coupling", "q2_mode", "generator",
-                         "starts", "seed"])
+                        ["family", "grid", "coupling", "q2_mode", "generator", "seed"])
     rows = []
     for value in grid:
         state = _sweep_state(args.family, float(value), args.coupling)
@@ -169,7 +149,7 @@ def _campaign_config(args) -> CampaignConfig:
             dims=tuple(int(d) for d in args.dims.split(",")),
             q2_mode=args.q2_mode, generator=args.generator, seed=args.seed,
             family=args.family, channels_per_state=args.channels,
-            tolerances=tolerances, starts=args.starts)
+            tolerances=tolerances)
     except ValueError as exc:
         raise ValueError(f"--dims {args.dims}: {exc}") from exc
     try:
@@ -188,7 +168,7 @@ def cmd_check(args) -> int:
     echo = _config_echo(args, "check",
                         ["claims", "sampler", "trials", "dims", "q2_mode",
                          "generator", "seed", "family", "rank", "channels",
-                         "starts", "strict", "tol"])
+                         "strict", "tol"])
     echo["campaign"] = cfg.to_dict()
     out_dir = Path(args.out) if args.out else None
     if out_dir:
@@ -296,8 +276,7 @@ def cmd_evolve(args) -> int:
                 for i, e in enumerate(entries)]
     traj = dynamics.trajectory(state, schedule, cfg)
     echo = _config_echo(args, "evolve",
-                        ["family", "state", "schedule", "q2_mode", "generator",
-                         "starts", "seed"])
+                        ["family", "state", "schedule", "q2_mode", "generator", "seed"])
     rows = [(k, label, p.q1, p.q2, p.q3, p.norm)
             for k, (label, p) in enumerate(traj.steps)]
     lines = serialize.csv_lines(
@@ -312,20 +291,16 @@ def cmd_evolve(args) -> int:
 # parser
 
 
-def _add_common(p: argparse.ArgumentParser, seed: int) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--q2-mode", choices=["transfer", "uhlmann-marginal"],
                    default="transfer")
     p.add_argument("--generator", default="default",
                    help="default | sigma-z | diag:v1,v2,...")
-    p.add_argument("--starts", type=_starts, default=resources.DEFAULT_STARTS,
-                   help=f"fallback Haar starts for the d >= 3 singlet-fraction search, "
-                        f"0 to {MAX_DIM}: run only when the identity and spectral "
-                        f"starts are not certified (d = 2 uses the exact closed form)")
-    p.add_argument("--seed", type=int, default=seed, help="master seed")
+    p.add_argument("--seed", type=int, default=7, help="master seed")
     p.add_argument("--out", default=None)
 
 
-def build_parser(seed: int) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qirc",
         description="Resource coordinates (q1, q2, q3) for tripartite quantum "
@@ -337,7 +312,7 @@ def build_parser(seed: int) -> argparse.ArgumentParser:
     p.add_argument("--family", default=None,
                    help=f"one of: {', '.join(families.FAMILY_NAMES)}")
     p.add_argument("--state", default=None, help="state JSON file")
-    _add_common(p, seed)
+    _add_common(p)
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("sweep", help="profile a one-parameter family over a grid")
@@ -345,7 +320,7 @@ def build_parser(seed: int) -> argparse.ArgumentParser:
     p.add_argument("--grid", default="0:1:21", help="START:STOP:COUNT")
     p.add_argument("--coupling", type=float, default=1.0,
                    help="pair coupling for gibbs-beta")
-    _add_common(p, seed)
+    _add_common(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("check", help="run claim checks")
@@ -362,26 +337,21 @@ def build_parser(seed: int) -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true",
                    help="report-only findings also set exit code 1")
     p.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE")
-    _add_common(p, seed)
+    _add_common(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("evolve", help="run a schedule and emit the trajectory")
     p.add_argument("--family", default=None)
     p.add_argument("--state", default=None)
     p.add_argument("--schedule", required=True, help="schedule JSON file")
-    _add_common(p, seed)
+    _add_common(p)
     p.set_defaults(func=cmd_evolve)
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        parser = build_parser(_default_seed())
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return int(code) if isinstance(code, int) else 0

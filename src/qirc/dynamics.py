@@ -121,30 +121,22 @@ def _apply_step(rho: DensityMatrix, step: Step) -> DensityMatrix:
     return channels.apply(ch, rho, int(target))
 
 
-def trajectory(rho0: DensityMatrix,
-               schedule: Sequence[Step | tuple[str, Step]],
-               cfg: resources.ProfileConfig | None = None,
-               slack: float = EPS_TRAJ) -> Trajectory:
+def trajectory(rho0: DensityMatrix, schedule: Sequence[tuple[str, Step]],
+               cfg: resources.ProfileConfig | None = None) -> Trajectory:
     """Profile the state before step 1 and after every scheduled step.
 
-    Schedule entries are unitaries, (channel, target) pairs, or the same
-    prefixed with a label. Monotone flags report whether each coordinate and
-    the norm were non-increasing along the whole trajectory within ``slack``.
+    Schedule entries are (label, step) pairs; a step is a unitary or a
+    (channel, target) pair. Monotone flags report whether each coordinate and
+    the norm were non-increasing along the whole trajectory within EPS_TRAJ.
     """
     cfg = cfg or resources.ProfileConfig()
     records = [("init", resources.profile(rho0, cfg))]
     rho = rho0
-    for k, entry in enumerate(schedule):
-        if isinstance(entry, tuple) and len(entry) == 2 and isinstance(entry[0], str):
-            label, step = entry
-        else:
-            step = entry  # type: ignore[assignment]
-            kind = "unitary" if isinstance(step, UnitaryOperator) else "channel"
-            label = f"{kind}[{k}]"
+    for label, step in schedule:
         rho = _apply_step(rho, step)
         records.append((label, resources.profile(rho, cfg)))
     flags = {}
     for name in ("q1", "q2", "q3", "norm"):
         series = [getattr(p, name) for _, p in records]
-        flags[name] = all(b <= a + slack for a, b in zip(series, series[1:]))
+        flags[name] = all(b <= a + EPS_TRAJ for a, b in zip(series, series[1:]))
     return Trajectory(steps=tuple(records), monotone=flags)

@@ -11,6 +11,7 @@ factor. Composite row index for dims (d0, d1, ...) is i0*d1*... + i1*... .
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -43,17 +44,19 @@ def as_complex(a) -> np.ndarray:
     return m
 
 
-def is_hermitian(m: np.ndarray, tol: float = EPS_HERM) -> bool:
-    scale = max(1.0, frobenius(m))
-    return frobenius(m - dagger(m)) <= tol * scale
+def is_hermitian(m: np.ndarray) -> bool:
+    return frobenius(m - dagger(m)) <= EPS_HERM * max(1.0, frobenius(m))
 
 
 def check_dims(dims: Sequence[int], dim: int) -> tuple[int, ...]:
     """Validate a subsystem dimension list against a total dimension."""
-    out = tuple(int(d) for d in dims)
-    if not out or any(d < 1 for d in out):
-        raise ValueError(f"subsystem dimensions must be positive, got {out}")
-    if int(np.prod(out)) != dim:
+    try:
+        out = tuple(int(d) for d in dims)
+    except (TypeError, ValueError, OverflowError):
+        out = ()
+    if not out or min(out) < 1 or out != tuple(dims):
+        raise ValueError(f"dims must be positive whole numbers, got {dims!r}")
+    if math.prod(out) != dim:
         raise ValueError(f"dims {out} do not multiply to matrix dimension {dim}")
     return out
 
@@ -117,32 +120,32 @@ def permute_subsystems(m: np.ndarray, dims: Sequence[int], perm: Sequence[int]) 
     return t.reshape(m.shape)
 
 
-def hermitian_eigen(m: np.ndarray, tol: float = EPS_HERM) -> HermitianEigen:
+def hermitian_eigen(m: np.ndarray) -> HermitianEigen:
     """Eigendecomposition of a Hermitian matrix (symmetrized internally)."""
     m = as_complex(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not is_hermitian(m, tol):
+    if not is_hermitian(m):
         resid = frobenius(m - dagger(m)) / max(1.0, frobenius(m))
-        raise ValueError(f"matrix is not Hermitian (residual {resid:.3e} > {tol:.1e})")
+        raise ValueError(f"matrix is not Hermitian (residual {resid:.3e} > {EPS_HERM:.1e})")
     w, v = np.linalg.eigh((m + dagger(m)) / 2)
     return HermitianEigen(values=w, vectors=v)
 
 
-def psd_power(m: np.ndarray, exponent: float, support_cutoff: float = EPS_PSD) -> np.ndarray:
+def psd_power(m: np.ndarray, exponent: float) -> np.ndarray:
     """Spectral power of a PSD matrix, evaluated only on its support.
 
     Eigenvalues in (-EPS_PSD, 0) are clipped to zero; anything more negative
-    is rejected. Eigenvalues at or below ``support_cutoff`` map to 0, which
-    makes negative exponents act as pseudo-inverse powers.
+    is rejected. Eigenvalues at or below EPS_PSD map to 0, which makes
+    negative exponents act as pseudo-inverse powers.
     """
     eig = hermitian_eigen(m)
     w = eig.values
     if w[0] < -EPS_PSD:
         raise ValueError(f"matrix is not PSD (min eigenvalue {w[0]:.3e})")
     w = np.clip(w, 0.0, None)
-    f = np.where(w > support_cutoff, w, 1.0) ** exponent
-    f = np.where(w > support_cutoff, f, 0.0)
+    on = w > EPS_PSD
+    f = np.where(on, np.where(on, w, 1.0) ** exponent, 0.0)
     return (eig.vectors * f) @ dagger(eig.vectors)
 
 

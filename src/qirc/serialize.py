@@ -88,7 +88,7 @@ def state_from_dict(data: Any) -> DensityMatrix:
         m = np.array([[complex(e[0], e[1]) for e in row] for row in raw])
     except (TypeError, IndexError, ValueError) as exc:
         raise ValueError(f"matrix entries must be [re, im] pairs: {exc}") from exc
-    return DensityMatrix(m, tuple(int(d) for d in dims))
+    return DensityMatrix(m, dims)
 
 
 def load_state(path: str) -> DensityMatrix:

@@ -8,7 +8,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import linalg
-from .tolerances import EPS_HERM, EPS_PSD, EPS_TRACE
+from .tolerances import EPS_PSD, EPS_TRACE
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -49,7 +49,7 @@ class DensityMatrix:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
         dims = linalg.check_dims(self.dims, m.shape[0])
-        if not linalg.is_hermitian(m, EPS_HERM):
+        if not linalg.is_hermitian(m):
             raise ValueError("density matrix is not Hermitian within tolerance")
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > EPS_TRACE:

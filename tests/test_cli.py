@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from qirc import serialize, states
-from qirc.cli import build_parser, main
+from qirc import resources, serialize, states
+from qirc.cli import main
 from qirc.linalg import MAX_DIM
 from qirc.tolerances import EPS_CERT
 
@@ -30,7 +30,7 @@ class TestProfileCommand:
         assert code == 0
         assert json.loads(out)["norm"] == 0.0
 
-    def test_uncertified_gap_is_reported(self, capsys, tmp_path):
+    def test_uncertified_gap_is_reported(self, capsys, tmp_path, monkeypatch):
         # the identity and spectral starts miss this state's q2 Choi state
         # optimum by 0.027; with no Haar starts to fall back on, the artifact
         # says so
@@ -38,8 +38,9 @@ class TestProfileCommand:
         path.write_text(serialize.dumps(serialize.state_to_dict(
             states.haar_pure((3, 3, 3), states.Seed(7, 403)))))
         gaps = []
-        for starts in ("0", "32"):
-            code, out, _ = run(capsys, "profile", "--state", str(path), "--starts", starts)
+        for starts in (0, 32):
+            monkeypatch.setattr(resources, "HAAR_STARTS", starts)
+            code, out, _ = run(capsys, "profile", "--state", str(path))
             assert code == 0
             b = json.loads(out)["breakdown"]
             gaps.append((b["f_max_gap"], b["f_choi_gap"]))
@@ -72,6 +73,17 @@ class TestProfileCommand:
         code, _, err = run(capsys, "profile", "--state", str(path))
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("dims", [[2.9, 2, 2], [2, 2.5, 2]])
+    def test_non_integer_dims_exit_2(self, capsys, tmp_path, dims):
+        # dims that are not whole numbers are rejected, not truncated to 2
+        doc = serialize.state_to_dict(states.ghz())
+        doc["dims"] = dims
+        path = tmp_path / "ghz.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "profile", "--state", str(path))
+        assert code == 2
+        assert "whole numbers" in err
 
     def test_near_rank_deficient_marginal_exits_0(self, capsys, tmp_path):
         # rho_A has eigenvalues e and 1 - e; the q2 Choi state is derived from
@@ -231,24 +243,13 @@ class TestCheckCommand:
         assert code == 2
         assert "channels per state" in err
 
-    def test_starts_out_of_range_exits_2(self, capsys):
-        for value in ("-5", str(MAX_DIM + 1)):
-            code, _, err = run(capsys, "check", "T1", "--dims", "3,3,3",
-                               "--trials", "2", "--starts", value)
-            assert code == 2
-            assert "--starts" in err
-        for value in (0, MAX_DIM):
-            args = build_parser(7).parse_args(["check", "--starts", str(value)])
-            assert args.starts == value
-
     def test_optimizer_echo_reports_the_applied_settings(self, capsys):
-        code, out, _ = run(capsys, "check", "T1", "--dims", "3,3,3",
-                           "--trials", "1", "--starts", "0")
+        code, out, _ = run(capsys, "check", "T1", "--dims", "3,3,3", "--trials", "1")
         assert code == 0
         echo = json.loads(out)[0]["config"]
-        assert echo["starts"] == 0
+        assert "starts" not in echo
         assert echo["campaign"]["optimizer"] == {
-            "starts": 0, "tol": 1e-14, "max_iter": 400, "seed": 20240817,
+            "starts": 32, "tol": 1e-14, "max_iter": 400, "seed": 20240817,
             "method": "power+certificate", "cert_tol": 1e-12, "cert_steps": 50}
 
     def test_oversized_dims_exit_2(self, capsys):
@@ -265,16 +266,18 @@ class TestCheckCommand:
         assert "--rank 0" in err and "--dims" not in err
 
     def test_env_seed_default(self, capsys, monkeypatch, tmp_path):
+        # the command line alone sets the seed: the environment does not
         monkeypatch.setenv("QIRC_SEED", "123")
         d1 = tmp_path / "env"
         code, _, _ = run(capsys, "check", "T1", "--trials", "5", "--out", str(d1))
         assert code == 0
         doc = json.loads((d1 / "T1.ball.json").read_text())
-        assert doc["seed"] == 123
+        assert doc["seed"] == 7
 
-    def test_bad_env_seed_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("QIRC_SEED", "abc")
-        assert run(capsys, "check", "C1")[0] == 2
+    def test_starts_is_not_an_option(self, capsys):
+        code, _, err = run(capsys, "check", "T1", "--starts", "4")
+        assert code == 2
+        assert "--starts" in err
 
 
 class TestEvolveCommand:

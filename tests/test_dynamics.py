@@ -136,7 +136,7 @@ class TestTrajectory:
     def test_identity_schedule_constant_norm(self):
         rho = states.bell_spectator()
         ident = dynamics.global_unitary(np.eye(8), (2, 2, 2))
-        traj = dynamics.trajectory(rho, [ident, ident, ident])
+        traj = dynamics.trajectory(rho, [("identity", ident)] * 3)
         norms = [p.norm for _, p in traj.steps]
         assert all(n == norms[0] for n in norms)
         assert all(traj.monotone.values())
@@ -146,7 +146,7 @@ class TestTrajectory:
         # Bell weight: surviving fraction prod(1 - p_k)
         rho = states.bell_spectator()
         ps = [0.2, 0.3, 0.5]
-        schedule = [(channels.depolarizing(2, p), 0) for p in ps]
+        schedule = [(f"depolarizing({p})", (channels.depolarizing(2, p), 0)) for p in ps]
         traj = dynamics.trajectory(rho, schedule)
         surviving = 1.0
         expected = [1.0]
@@ -167,7 +167,7 @@ class TestTrajectory:
                 dynamics.commuting_local_unitary(g, Seed(55, 10 + i)),
                 states.haar_unitary(2, Seed(55, 20 + i)),
                 states.haar_unitary(2, Seed(55, 30 + i)))
-            steps.append(u)
+            steps.append((f"commuting[{i}]", u))
         traj = dynamics.trajectory(rho, steps)
         norms = [p.norm for _, p in traj.steps]
         assert max(abs(n - norms[0]) for n in norms) <= 1e-6
@@ -175,8 +175,8 @@ class TestTrajectory:
     def test_labels_and_step_count(self):
         rho = states.bell_spectator()
         schedule = [("noise", (channels.depolarizing(2, 0.1), 0)),
-                    dynamics.global_unitary(np.eye(8), (2, 2, 2))]
+                    ("identity", dynamics.global_unitary(np.eye(8), (2, 2, 2)))]
         traj = dynamics.trajectory(rho, schedule)
         labels = [label for label, _ in traj.steps]
-        assert labels == ["init", "noise", "unitary[1]"]
+        assert labels == ["init", "noise", "identity"]
         assert len(traj.steps) == len(schedule) + 1

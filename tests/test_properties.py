@@ -11,7 +11,7 @@ from qirc import channels, dynamics, linalg, resources, states
 from qirc.claims import resolve_generator
 from qirc.resources import ProfileConfig
 from qirc.states import DensityMatrix, Seed
-from qirc.tolerances import EPS_HERM, EPS_PSD, EPS_Q3_MONO, EPS_TRACE, EPS_TRAJ
+from qirc.tolerances import EPS_PSD, EPS_Q3_MONO, EPS_TRACE, EPS_TRAJ
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -87,6 +87,6 @@ def test_derived_states_pass_the_entry_check(d, sampler, seed, rank, lam):
     for name, out in derived.items():
         m = out.matrix
         assert linalg.check_dims(out.dims, m.shape[0]) == out.dims, name
-        assert linalg.is_hermitian(m, EPS_HERM), name
+        assert linalg.is_hermitian(m), name
         assert abs(np.trace(m) - 1.0) <= EPS_TRACE, name
         assert np.linalg.eigvalsh((m + m.conj().T) / 2)[0] >= -EPS_PSD, name

@@ -90,8 +90,7 @@ class TestFullyEntangledFraction:
                          resources.transfer_choi_state(rho.marginal([0, 2]))):
                 f, _, _ = fully_entangled_fraction(pair)
                 w0 = np.concatenate([resources._start_batch(pair.matrix, 2),
-                                     resources._haar_starts(2, resources.DEFAULT_STARTS,
-                                                            resources.START_SEED)])
+                                     resources._haar_starts(2, resources.HAAR_STARTS)])
                 vals, _ = resources._power_refine(pair.matrix, w0, 2)
                 searched = float(vals.max())
                 worst_gap = max(worst_gap, abs(f - searched))
@@ -148,14 +147,15 @@ class TestCertificate:
         assert abs(f - (p + (1 - p) / 9)) <= 1e-12
         assert 0.0 <= gap <= EPS_CERT
 
-    @pytest.mark.parametrize("starts", [resources.DEFAULT_STARTS, 0])
-    def test_never_below_brute_force_on_ginibre_qutrits(self, starts):
+    @pytest.mark.parametrize("starts", [resources.HAAR_STARTS, 0])
+    def test_never_below_brute_force_on_ginibre_qutrits(self, starts, monkeypatch):
         # f(W) = vec(W)† rho vec(W)/3 at W = U† of 2000 Haar unitaries U
+        monkeypatch.setattr(resources, "HAAR_STARTS", starts)
         ws = np.array([linalg.dagger(states.haar_unitary(3, Seed(34, i))).reshape(9)
                        for i in range(2000)])
         for i in range(12):
             rho = states.ginibre_mixed(9, 1 + i % 9, Seed(36, i)).reshaped((3, 3))
-            f, _, gap = fully_entangled_fraction(rho, starts)
+            f, _, gap = fully_entangled_fraction(rho)
             brute = np.einsum("ni,ij,nj->n", ws.conj(), rho.matrix, ws).real.max() / 3
             assert gap >= 0.0
             assert brute <= f + gap + 1e-12
@@ -185,22 +185,41 @@ class TestHaarFallback:
         assert len(haar_calls) == 1
         assert gap <= EPS_CERT
 
-    def test_without_haar_starts_the_gap_stays_visible(self, haar_calls):
+    def test_without_haar_starts_the_gap_stays_visible(self, haar_calls, monkeypatch):
         choi = resources.transfer_choi_state(short_start_state().marginal([0, 2]))
-        f_short, _, gap_short = fully_entangled_fraction(choi, starts=0)
+        starts = resources.HAAR_STARTS
+        monkeypatch.setattr(resources, "HAAR_STARTS", 0)
+        f_short, _, gap_short = fully_entangled_fraction(choi)
         assert haar_calls == []
         assert gap_short > EPS_CERT
+        monkeypatch.setattr(resources, "HAAR_STARTS", starts)
         f, _, gap = fully_entangled_fraction(choi)
         assert f - f_short > EPS_CERT
         assert f <= f_short + gap_short  # the first bound held
 
-    def test_profile_records_both_gaps(self, haar_calls):
-        b = profile(short_start_state(), ProfileConfig(starts=0)).breakdown
+    def test_profile_records_both_gaps(self, haar_calls, monkeypatch):
+        starts = resources.HAAR_STARTS
+        monkeypatch.setattr(resources, "HAAR_STARTS", 0)
+        b = profile(short_start_state()).breakdown
         assert b.f_max_gap <= EPS_CERT < b.f_choi_gap
         assert haar_calls == []
+        monkeypatch.setattr(resources, "HAAR_STARTS", starts)
         b = profile(short_start_state()).breakdown
         assert b.f_max_gap <= EPS_CERT and b.f_choi_gap <= EPS_CERT
         assert len(haar_calls) == 1
+
+    @pytest.mark.parametrize("stream, pair", [(81, "ab"), (505, "ab"), (770, "choi")])
+    def test_more_starts_do_not_move_the_result(self, stream, pair, monkeypatch):
+        # seed-7 qutrit states the 32 starts leave uncertified: 256 starts
+        # raise f by round-off only, and stay under the first bound
+        rho = states.haar_pure((3, 3, 3), Seed(7, stream))
+        rho = (rho.marginal([0, 1]) if pair == "ab"
+               else resources.transfer_choi_state(rho.marginal([0, 2])))
+        f, _, gap = fully_entangled_fraction(rho)
+        assert gap > EPS_CERT
+        monkeypatch.setattr(resources, "HAAR_STARTS", 256)
+        f_more, _, _ = fully_entangled_fraction(rho)
+        assert f <= f_more <= f + min(gap, 1e-9)
 
 
 class TestTeleportationFidelity:
@@ -531,9 +550,10 @@ class TestNearProductFamily:
             if e >= 1e-6:
                 assert abs(p.q2 - 1.0) <= 1e-9, e
 
-    def test_qutrit_near_rank_deficient_marginal_profiles(self):
+    def test_qutrit_near_rank_deficient_marginal_profiles(self, monkeypatch):
         # rho_A has eigenvalues (1-e)/2, (1-e)/2, e in a Haar-rotated basis; the
         # d = 3 search reads the Hermitian part of the q2 Choi state
+        monkeypatch.setattr(resources, "HAAR_STARTS", 4)
         u = dynamics.local_product_unitary(states.haar_unitary(3, Seed(60, 0)),
                                            np.eye(3), np.eye(3))
         for e in np.logspace(-9, -3, 7):
@@ -541,7 +561,7 @@ class TestNearProductFamily:
                                          np.eye(3)[k])
                     for k, w in enumerate(((1 - e) / 2, (1 - e) / 2, e)))
             rho = dynamics.evolve(states.ket_projector(v, (3, 3, 3)), u)
-            p = profile(rho, ProfileConfig(starts=4))
+            p = profile(rho)
             assert abs(p.q2 - 1.0) <= 1e-6, e
 
     def test_q2_reads_zero_at_the_support_cutoff(self):

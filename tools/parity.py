@@ -54,6 +54,10 @@ COMMANDS = [
     "check T1 C2 C3 T2 --sampler ginibre-mixed --rank 2 --trials 6 --channels 3 --out out",
     "check T1 C2 C3 T2 --sampler named-family --family werner --trials 6 --channels 3 --out out",
     "check T1 C2 C3 T2 --sampler named-family --family w --trials 3 --channels 3 --out out",
+    # Trivial B and C factors: profile's floor-fidelity branches.
+    "check T1 C3 T2 --dims 2,1,2 --trials 3 --channels 2 --out out",
+    "check T1 C3 T2 --dims 2,2,1 --trials 3 --channels 2 --out out",
+    "profile --family classical:3",
     "profile --family w --out w.json",
     "profile --family ghz",
     "profile --family werner:0.8 --q2-mode uhlmann-marginal",
@@ -78,10 +82,9 @@ def run(src: Path, command: str, cwd: Path) -> dict:
     cwd.mkdir(parents=True)
     for name, text in INPUTS.items():
         (cwd / name).write_text(text, encoding="utf-8")
-    env = {k: v for k, v in os.environ.items() if k != "QIRC_SEED"}
-    env["PYTHONPATH"] = str(src)
     proc = subprocess.run([sys.executable, "-m", "qirc.cli", *command.split()],
-                          cwd=cwd, env=env, capture_output=True)
+                          cwd=cwd, env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True)
     files = {str(p.relative_to(cwd)): p.read_bytes()
              for p in sorted(cwd.rglob("*")) if p.is_file()}
     return {"stdout": proc.stdout, "stderr": proc.stderr,
