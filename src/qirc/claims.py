@@ -121,11 +121,9 @@ class CampaignConfig:
             raise ValueError(f"channels per state must be >= 1, got {n}")
         return n
 
-    def coherence_generator(self) -> CoherenceGenerator:
-        return resolve_generator(self.generator, self.dims[0])
-
     def profile_config(self) -> ProfileConfig:
-        return ProfileConfig(generator=self.coherence_generator(), q2_mode=self.q2_mode)
+        return ProfileConfig(generator=resolve_generator(self.generator, self.dims[0]),
+                             q2_mode=self.q2_mode)
 
     def to_dict(self) -> dict:
         return {**asdict(self), "optimizer": resources.optimizer_settings(self.dims[0])}
@@ -147,26 +145,57 @@ class ClaimReport:
         return asdict(self)
 
 
-def _sample_state(cfg: CampaignConfig, trial: int, n_trials: int,
-                  pure_only: bool = False, stream_offset: int = 0) -> DensityMatrix:
-    """State ``trial`` of ``n_trials``, drawn from stream stream_offset + trial;
-    the Werner weight of the named-family sampler is trial / (n_trials - 1)."""
+def _family_state(cfg: CampaignConfig, trial: int, n_trials: int) -> DensityMatrix:
+    """The named-family state of a trial; the Werner weight is trial / (n_trials - 1)."""
+    if not cfg.family:
+        raise ValueError("named-family sampler needs a family name")
+    if cfg.family == "werner":
+        p = trial / (n_trials - 1) if n_trials > 1 else 1.0
+        return families.build(f"werner:{p}")
+    return families.build(cfg.family)
+
+
+def _samples(cfg: CampaignConfig, n: int, pure_only: bool = False, stream_offset: int = 0):
+    """Yield (trials, stack, dims): the states 0..n-1 of n, state k drawn from
+    stream stream_offset + k, in stacks of at most linalg.MAX_STACK entries,
+    each checked once where it is drawn (family states where they are built)."""
     sampler = "haar-pure" if pure_only else cfg.sampler
-    seed = Seed(cfg.seed, stream_offset + trial)
-    if sampler == "haar-pure":
-        return states.haar_pure(cfg.dims, seed)
-    if sampler == "ginibre-mixed":
-        d = int(np.prod(cfg.dims))
-        rank = cfg.ginibre_rank or d
-        return states.ginibre_mixed(d, rank, seed).reshaped(cfg.dims)
-    if sampler == "named-family":
-        if not cfg.family:
-            raise ValueError("named-family sampler needs a family name")
-        if cfg.family == "werner":
-            p = trial / (n_trials - 1) if n_trials > 1 else 1.0
-            return families.build(f"werner:{p}")
-        return families.build(cfg.family)
-    raise ValueError(f"unknown sampler {cfg.sampler!r}")
+    if sampler not in ("haar-pure", "ginibre-mixed", "named-family"):
+        raise ValueError(f"unknown sampler {cfg.sampler!r}")
+    first = _family_state(cfg, 0, n) if sampler == "named-family" and n else None
+    dims = cfg.dims if first is None else first.dims
+    d = math.prod(dims)
+    for trials in linalg.chunks(n, d):
+        if first is not None:
+            yield trials, np.array([(_family_state(cfg, k, n) if k else first).matrix
+                                    for k in trials]), dims
+            continue
+        seeds = [Seed(cfg.seed, stream_offset + k) for k in trials]
+        if sampler == "haar-pure":
+            v = np.array([states.haar_ket(d, seed) for seed in seeds])
+            stack = v[:, :, None] * v[:, None, :].conj()
+        else:
+            stack = np.array([states.ginibre_matrix(d, cfg.ginibre_rank or d, seed)
+                              for seed in seeds])
+        states.check_states(stack, dims)
+        yield trials, stack, dims
+
+
+def _sampled_states(cfg: CampaignConfig, n: int, stream_offset: int = 0):
+    """Yield (trial, state) for the states of ``_samples``, one at a time."""
+    for trials, stack, dims in _samples(cfg, n, stream_offset=stream_offset):
+        yield from ((i, DensityMatrix._derived(m, dims)) for i, m in zip(trials, stack))
+
+
+def _profiles(group: list[DensityMatrix], pc: ProfileConfig) -> list[ResourceProfile]:
+    """Profiles of the states, stacked by dims, at most linalg.MAX_STACK entries a stack."""
+    out = {}
+    for dims in dict.fromkeys(state.dims for state in group):
+        ks = [k for k, state in enumerate(group) if state.dims == dims]
+        for part in linalg.chunks(len(ks), math.prod(dims)):
+            stack = np.array([group[ks[j]].matrix for j in part])
+            out.update(zip([ks[j] for j in part], resources.profile_batch(stack, dims, pc)))
+    return [out[k] for k in range(len(group))]
 
 
 class _Tally:
@@ -243,8 +272,7 @@ def check_extremals(cfg: CampaignConfig) -> ClaimReport:
     anchors = _extremal_anchors()
     rows = []
     worst = _Tally(tol, floor=-1.0)
-    for name, state, target in anchors:
-        prof = resources.profile(state, pc)
+    for (name, state, target), prof in zip(anchors, _profiles([a[1] for a in anchors], pc)):
         dev = max(abs(prof.q1 - target[0]), abs(prof.q2 - target[1]),
                   abs(prof.q3 - target[2]))
         rows.append({"anchor": name, "target": list(target), "q1": prof.q1,
@@ -273,16 +301,16 @@ def check_qirc_ball(cfg: CampaignConfig) -> tuple[ClaimReport, list[dict]]:
     cloud = []
     violations = []
     worst = _Tally(floor=-1.0)
-    for i in range(n):
-        state = _sample_state(cfg, i, n)
-        prof = resources.profile(state, pc)
-        b = prof.breakdown
-        cloud.append({"trial": i, "stream": i, "q1": prof.q1, "q2": prof.q2,
-                      "q3": prof.q3, "norm": prof.norm, "q1_raw": b.q1_raw,
-                      "q2_raw": b.q2_raw, "f_max": b.f_max, "f_q": b.f_q})
-        if prof.norm > 1.0 + tol:
-            violations.append(i)
-        worst.add(prof.norm, state, prof.norm - 1.0, prof, trial=i, stream=i)
+    for trials, stack, dims in _samples(cfg, n):
+        for i, m, prof in zip(trials, stack, resources.profile_batch(stack, dims, pc)):
+            b = prof.breakdown
+            cloud.append({"trial": i, "stream": i, "q1": prof.q1, "q2": prof.q2,
+                          "q3": prof.q3, "norm": prof.norm, "q1_raw": b.q1_raw,
+                          "q2_raw": b.q2_raw, "f_max": b.f_max, "f_q": b.f_q})
+            if prof.norm > 1.0 + tol:
+                violations.append(i)
+            worst.add(prof.norm, DensityMatrix._derived(m, dims), prof.norm - 1.0, prof,
+                      trial=i, stream=i)
     report = ClaimReport(
         claim_id=CLAIM_IDS["T1"], verdict="report-only",
         trials=n, violations=len(violations), report_only_violations=len(violations),
@@ -306,25 +334,19 @@ def check_convexity(cfg: CampaignConfig) -> ClaimReport:
     pc = cfg.profile_config()
     pairs: list[tuple[str, DensityMatrix, DensityMatrix]] = [
         ("anchor", states.bell_spectator(), states.coherent_spectator())]
-    n_ends = 2 * (n_pairs - 1)
-    for i in range(n_pairs - 1):
-        ends = [_sample_state(cfg, k, n_ends, stream_offset=_STREAM_PAIR)
-                for k in (2 * i, 2 * i + 1)]
-        pairs.append((f"sampled[{i}]", *ends))
+    ends = [state for _, state in
+            _sampled_states(cfg, 2 * (n_pairs - 1), stream_offset=_STREAM_PAIR)]
+    pairs += [(f"sampled[{i}]", ends[2 * i], ends[2 * i + 1]) for i in range(n_pairs - 1)]
     endpoint_mismatches = 0
     ball_violations = 0
     max_segment_dev = 0.0
     worst = _Tally(floor=-1.0)
-    evaluations = 0
     for name, rho, sig in pairs:
-        prof_r = resources.profile(rho, pc)
-        prof_s = resources.profile(sig, pc)
+        mixes = [DensityMatrix._derived(lam * rho.matrix + (1.0 - lam) * sig.matrix, rho.dims)
+                 for lam in LAMBDAS]
+        prof_r, prof_s, *prof_mixes = _profiles([rho, sig, *mixes], pc)
         inside = prof_r.norm <= 1.0 + tol and prof_s.norm <= 1.0 + tol
-        for lam in LAMBDAS:
-            mix = DensityMatrix._derived(lam * rho.matrix + (1.0 - lam) * sig.matrix,
-                                         rho.dims)
-            prof_m = resources.profile(mix, pc)
-            evaluations += 1
+        for lam, mix, prof_m in zip(LAMBDAS, mixes, prof_mixes):
             if lam in (0.0, 1.0):
                 ref = prof_r if lam == 1.0 else prof_s
                 if (prof_m.q1, prof_m.q2, prof_m.q3, prof_m.norm) != \
@@ -342,7 +364,7 @@ def check_convexity(cfg: CampaignConfig) -> ClaimReport:
     verdict = "violated" if endpoint_mismatches else "report-only"
     return ClaimReport(
         claim_id=CLAIM_IDS["C2"], verdict=verdict,
-        trials=evaluations, violations=ball_violations,
+        trials=len(pairs) * len(LAMBDAS), violations=ball_violations,
         report_only_violations=ball_violations,
         tolerances={"ball": tol}, seed=cfg.seed,
         stats={"pairs": len(pairs), "lambda_grid": list(LAMBDAS),
@@ -395,14 +417,14 @@ def check_monotonicity(cfg: CampaignConfig) -> ClaimReport:
     # Witness: the covariant slot of largest margin when a margin is above 0
     # (a hard violation), else the slot of largest margin in either family.
     margins, hard = _Tally(floor=-np.inf), _Tally(0.0, floor=-np.inf)
-    for i in range(n_states):
-        state = _sample_state(cfg, i, n_states)
-        before = resources.profile(state, pc)
+    for i, state in _sampled_states(cfg, n_states):
         rho_a = state.marginal([0])
-        for j in range(n_ch):
+        drawn = [_sample_channel(d_a, Seed(cfg.seed, _STREAM_CHANNEL + i * n_ch + j))
+                 for j in range(n_ch)]
+        before, *afters = _profiles([state, *(apply_channel(ch, state, 0) for ch, _ in drawn)],
+                                    pc)
+        for j, ((_, rank), after) in enumerate(zip(drawn, afters)):
             stream = _STREAM_CHANNEL + i * n_ch + j
-            ch, rank = _sample_channel(d_a, Seed(cfg.seed, stream))
-            after = resources.profile(apply_channel(ch, state, 0), pc)
             delta = {k: getattr(after, k) - getattr(before, k)
                      for k in ("q1", "q3", "q2", "norm")}
             for k, v in delta.items():
@@ -455,27 +477,24 @@ def check_conservation(cfg: CampaignConfig) -> ClaimReport:
     dims = cfg.dims
     # Drifts are >= 0; from -inf, a state with zero local drift is a witness.
     local, local_norm, glob = _Tally(tol, floor=-np.inf), _Tally(), _Tally(tol)
-    for i in range(n):
-        state = _sample_state(cfg, i, n)
-        before = resources.profile(state, pc)
-
+    for i, state in _sampled_states(cfg, n):
         u_a = dynamics.commuting_local_unitary(g, Seed(cfg.seed, _STREAM_UA + i))
         u_b = states.haar_unitary(dims[1], Seed(cfg.seed, _STREAM_UB + i))
         u_c = states.haar_unitary(dims[2], Seed(cfg.seed, _STREAM_UC + i))
-        u = dynamics.local_product_unitary(u_a, u_b, u_c)
-        after = resources.profile(dynamics.evolve(state, u), pc)
+        u_l = dynamics.local_product_unitary(u_a, u_b, u_c)
+        u_g = dynamics.sample_commutant_unitary(g, dims, Seed(cfg.seed, _STREAM_UG + i))
+        before, after, after_g = _profiles(
+            [state, dynamics.evolve(state, u_l), dynamics.evolve(state, u_g)], pc)
         drift = max(abs(after.q1 - before.q1), abs(after.q2 - before.q2),
                     abs(after.q3 - before.q3))
         local_norm.add(abs(after.norm - before.norm))
         local.add(drift, state, drift, family="local", trial=i,
                   profile_before=before, profile_after=after)
 
-        u = dynamics.sample_commutant_unitary(g, dims, Seed(cfg.seed, _STREAM_UG + i))
-        after = resources.profile(dynamics.evolve(state, u), pc)
-        d_norm = abs(after.norm - before.norm)
+        d_norm = abs(after_g.norm - before.norm)
         glob.add(d_norm, state, d_norm, family="global", trial=i,
                  unitary_stream=_STREAM_UG + i, profile_before=before,
-                 profile_after=after)
+                 profile_after=after_g)
     # The global witness replaces the local one only when strictly larger.
     worst = glob if glob.max > local.max else local
     return ClaimReport(
@@ -508,11 +527,12 @@ def check_entropic_bounds(cfg: CampaignConfig) -> ClaimReport:
     mi, h1, h2 = (_Tally(tol, floor=-np.inf) for _ in range(3))
     anchor_gap = None
 
-    trial_states: list[tuple[str, DensityMatrix]] = [
-        ("anchor", states.compose_product(states.bell_pair(), states.basis_state(2, 0)))]
-    trial_states += [(f"{i}", _sample_state(cfg, i, n, pure_only=True))
-                     for i in range(n)]
-    for name, state in trial_states:
+    anchor = states.compose_product(states.bell_pair(), states.basis_state(2, 0))
+    trial_states = [("anchor", anchor, resources.profile(anchor, pc))]
+    for trials, stack, dims in _samples(cfg, n, pure_only=True):
+        trial_states += [(f"{i}", DensityMatrix._derived(m, dims), prof) for i, m, prof in
+                         zip(trials, stack, resources.profile_batch(stack, dims, pc))]
+    for name, state, prof in trial_states:
         rho_a = state.marginal([0])
         s_a = resources.von_neumann_entropy(rho_a)
         i_ab = resources.mutual_information(state.marginal([0, 1]))
@@ -522,7 +542,6 @@ def check_entropic_bounds(cfg: CampaignConfig) -> ClaimReport:
             anchor_gap = abs(gap)
         mi.add(gap, state, gap, trial=name, s_a=float(s_a), i_ab=float(i_ab),
                i_ac=float(i_ac))
-        prof = resources.profile(state, pc)
         h1.add((prof.q1 + prof.q2) - 2.0 * s_a / log_d)
         var = resources.variance(rho_a, g)
         h2.add(prof.breakdown.f_q - 4.0 * var * (1.0 - s_a / log_d))

@@ -119,14 +119,13 @@ def cmd_sweep(args) -> int:
     grid = _parse_grid(args.grid)
     echo = _config_echo(args, "sweep",
                         ["family", "grid", "coupling", "q2_mode", "generator", "seed"])
-    rows = []
-    for value in grid:
-        state = _sweep_state(args.family, float(value), args.coupling)
-        prof = resources.profile(state, _profile_config(args, state.dims[0]))
-        b = prof.breakdown
-        rows.append((float(value), prof.q1, prof.q2, prof.q3, prof.norm,
-                     b.q1_raw, b.q2_raw, b.f_max, b.f_tele, b.f_trans,
-                     b.f_q, b.f_q_max))
+    grid_states = [_sweep_state(args.family, float(value), args.coupling) for value in grid]
+    dims = grid_states[0].dims
+    profs = resources.profile_batch(np.array([s.matrix for s in grid_states]), dims,
+                                    _profile_config(args, dims[0]))
+    rows = [(float(v), p.q1, p.q2, p.q3, p.norm,
+             *(getattr(p.breakdown, k) for k in SWEEP_HEADER[5:]))
+            for v, p in zip(grid, profs)]
     lines = serialize.csv_lines(SWEEP_HEADER, rows,
                                 comments=[f"config: {serialize.dumps_compact(echo)}"])
     _write_text(args.out, "\n".join(lines) + "\n")
@@ -206,15 +205,22 @@ def cmd_check(args) -> int:
 # evolve
 
 
+def _whole(entry: dict, key: str, default: int, index: int) -> int:
+    value = entry.get(key, default)
+    if not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"schedule step {index}: {key} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def _schedule_step(entry: dict, index: int, rho_dims, generator, master: int):
     if not isinstance(entry, dict) or "type" not in entry:
         raise ValueError(f"schedule step {index} must be an object with a 'type'")
     kind = entry["type"]
-    stream = int(entry.get("seed", 9_000_000 + index))
+    stream = _whole(entry, "seed", 9_000_000 + index, index)
     seed = states.Seed(master, stream)
     if kind == "channel":
         name = entry.get("name")
-        target = int(entry.get("target", 0))
+        target = _whole(entry, "target", 0, index)
         if not 0 <= target < len(rho_dims):
             raise ValueError(f"schedule step {index}: target {target} out of range "
                              f"for dims {tuple(rho_dims)}")
@@ -228,7 +234,7 @@ def _schedule_step(entry: dict, index: int, rho_dims, generator, master: int):
             ch = amplitude_damping(float(entry["gamma"]))
             label = f"amplitude-damping(gamma={entry['gamma']})@{target}"
         elif name == "random":
-            rank = int(entry.get("kraus_rank", 2))
+            rank = _whole(entry, "kraus_rank", 2, index)
             d = int(rho_dims[target])
             ch = random_channel(d, d, rank, seed)
             label = f"random(rank={rank},seed={stream})@{target}"

@@ -114,13 +114,6 @@ class Trajectory:
     monotone: dict[str, bool] = field(default_factory=dict)
 
 
-def _apply_step(rho: DensityMatrix, step: Step) -> DensityMatrix:
-    if isinstance(step, UnitaryOperator):
-        return evolve(rho, step)
-    ch, target = step
-    return channels.apply(ch, rho, int(target))
-
-
 def trajectory(rho0: DensityMatrix, schedule: Sequence[tuple[str, Step]],
                cfg: resources.ProfileConfig | None = None) -> Trajectory:
     """Profile the state before step 1 and after every scheduled step.
@@ -133,7 +126,8 @@ def trajectory(rho0: DensityMatrix, schedule: Sequence[tuple[str, Step]],
     records = [("init", resources.profile(rho0, cfg))]
     rho = rho0
     for label, step in schedule:
-        rho = _apply_step(rho, step)
+        rho = (evolve(rho, step) if isinstance(step, UnitaryOperator)
+               else channels.apply(step[0], rho, int(step[1])))
         records.append((label, resources.profile(rho, cfg)))
     flags = {}
     for name in ("q1", "q2", "q3", "norm"):

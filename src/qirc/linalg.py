@@ -20,6 +20,8 @@ from .tolerances import EPS_HERM, EPS_PSD
 
 # Dimensions beyond this are out of scope (dense storage only).
 MAX_DIM = 4096
+# A stack of states holds at most this many complex entries (256 MiB).
+MAX_STACK = MAX_DIM * MAX_DIM
 
 
 class HermitianEigen(NamedTuple):
@@ -30,7 +32,7 @@ class HermitianEigen(NamedTuple):
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
+    return np.swapaxes(a.conj(), -1, -2)
 
 
 def frobenius(a: np.ndarray) -> float:
@@ -68,6 +70,12 @@ def check_size(n: int, what: str) -> int:
     return n
 
 
+def chunks(n: int, dim: int) -> list[range]:
+    """Consecutive ranges of n states of dimension dim, MAX_STACK entries each at most."""
+    per = MAX_STACK // (check_size(dim, "a stacked state") ** 2)
+    return [range(k, min(n, k + per)) for k in range(0, n, per)]
+
+
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tensor product a ⊗ b with row-major index (i*rb + k, j*cb + l)."""
     a = as_complex(a)
@@ -87,24 +95,24 @@ def kron_all(factors: Iterable[np.ndarray]) -> np.ndarray:
 
 
 def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
-    """Trace out every subsystem not in ``keep``; kept factors stay in order."""
+    """Trace out every subsystem not in ``keep`` of m or each m[k]; kept ones stay in order."""
     m = as_complex(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    dims = check_dims(dims, m.shape[0])
+    dims = check_dims(dims, m.shape[-1])
     n = len(dims)
     keep = sorted(set(int(k) for k in keep))
     if not keep:
         raise ValueError("keep must name at least one subsystem")
     if keep[0] < 0 or keep[-1] >= n:
         raise ValueError(f"keep {keep} out of range for {n} subsystems")
-    t = m.reshape(dims + dims)
+    t = m.reshape(m.shape[:-2] + dims + dims)
     row = list(range(n))
     col = [i + n if i in keep else i for i in range(n)]
     out_axes = keep + [i + n for i in keep]
-    reduced = np.einsum(t, row + col, out_axes)
-    d_keep = int(np.prod([dims[k] for k in keep]))
-    return reduced.reshape(d_keep, d_keep)
+    reduced = np.einsum(t, [..., *row, *col], [..., *out_axes])
+    d_keep = math.prod(dims[k] for k in keep)
+    return reduced.reshape(m.shape[:-2] + (d_keep, d_keep))
 
 
 def permute_subsystems(m: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:

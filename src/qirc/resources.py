@@ -87,7 +87,7 @@ class ProfileConfig:
 
 
 # ---------------------------------------------------------------------------
-# Maximal singlet fraction
+# Maximal singlet fraction, over a stack of states rho[N, d*d, d*d]
 
 
 def _polar_batch(g: np.ndarray) -> np.ndarray:
@@ -96,55 +96,51 @@ def _polar_batch(g: np.ndarray) -> np.ndarray:
 
 
 def _power_refine(rho: np.ndarray, w0: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Monotone ascent on f(W) = vec(W)† rho vec(W)/d over unitary W, one start
-    per row of w0; returns each start's final value and W."""
+    """Monotone ascent on f(W) = vec(W)† rho vec(W)/d over unitary W from the
+    starts w0[N, S, d*d] (or w0[S, d*d], shared), stopped for each state once
+    no start gains more than EPS_OPT; each state's best value [N] and W."""
     rho_t = rho.conj()  # rows of w @ rho_t are (rho vec w)^T since rho is Hermitian
-    w = w0
+    w = np.array(np.broadcast_to(w0, (len(rho),) + w0.shape[-2:]))
     y = w @ rho_t
-    vals = np.einsum("ij,ij->i", w.conj(), y).real / d
+    vals = np.einsum("nij,nij->ni", w.conj(), y).real / d
+    live = np.arange(len(rho))
     for _ in range(MAX_ITER):
-        w = _polar_batch(y.reshape(-1, d, d)).reshape(-1, d * d)
-        y = w @ rho_t
-        new_vals = np.einsum("ij,ij->i", w.conj(), y).real / d
-        gain = float(np.max(new_vals - vals))
-        vals = new_vals
-        if gain <= EPS_OPT:
+        rows = slice(None) if len(live) == len(rho) else live  # no gather while all run
+        w_new = _polar_batch(y[rows].reshape(-1, d, d)).reshape(len(live), -1, d * d)
+        y_new = w_new @ rho_t[rows]
+        vals_new = np.einsum("nij,nij->ni", w_new.conj(), y_new).real / d
+        gain = np.max(vals_new - vals[rows], axis=1)
+        w[rows], y[rows], vals[rows] = w_new, y_new, vals_new
+        live = live[~(gain <= EPS_OPT)]
+        if not len(live):
             break
-    return vals, w
+    rows, best = np.arange(len(rho)), np.argmax(vals, axis=1)
+    return vals[rows, best], w[rows, best].reshape(-1, d, d)
 
 
 @functools.lru_cache(maxsize=16)
 def _haar_starts(d: int, n: int) -> np.ndarray:
     """The first n fixed Haar starts, one flattened unitary per row, read-only."""
     rng = Seed(START_SEED, 0).rng()
-    out = np.array([_haar_unitary_from_rng(d, rng).reshape(d * d)
-                    for _ in range(n)], dtype=complex)
-    out = out.reshape(-1, d * d)
+    out = np.array([_haar_unitary_from_rng(d, rng).reshape(d * d) for _ in range(n)])
     out.setflags(write=False)
     return out
 
 
 def _start_batch(rho: np.ndarray, d: int) -> np.ndarray:
-    """The identity and the spectral start, one flattened unitary per row."""
+    """The identity and the spectral start of each state, [N, 2, d*d]."""
     # Spectral hint: the closest maximally entangled state to the dominant
     # eigenvector is given by the polar unitary of its matrix reshape. rho is
     # a state, possibly a derived one such as the q2 Choi state, whose
     # rounding is not re-checked; only its Hermitian part is read.
-    top = np.linalg.eigh((rho + linalg.dagger(rho)) / 2)[1][:, -1].reshape(d, d)
-    u, _, vh = np.linalg.svd(top)
-    return np.concatenate([np.eye(d, dtype=complex).reshape(1, d * d),
-                           (u @ vh).reshape(1, d * d)])
+    top = np.linalg.eigh((rho + linalg.dagger(rho)) / 2)[1][..., -1].reshape(-1, d, d)
+    eye = np.broadcast_to(np.eye(d, dtype=complex).reshape(d * d), (len(rho), 1, d * d))
+    return np.concatenate([eye, _polar_batch(top).reshape(-1, 1, d * d)], axis=1)
 
 
-def _best_refined(rho: np.ndarray, w0: np.ndarray, d: int) -> tuple[float, np.ndarray]:
-    """The highest value the starts w0 reach under ``_power_refine``, and its W."""
-    vals, ws = _power_refine(rho, w0, d)
-    best = int(np.argmax(vals))
-    return float(vals[best]), ws[best].reshape(d, d)
-
-
-def _certified_gap(rho: np.ndarray, w: np.ndarray, d: int) -> float:
-    """How far max_W f can lie above f(w): d lambda_max(M(B)), minimized over B.
+def _certified_gap(rho: np.ndarray, w: np.ndarray, d: int) -> np.ndarray:
+    """How far max_W f can lie above f(w): d lambda_max(M(B)), minimized over
+    B, for each state of rho[N] and its W, w[N].
 
     The maximum of f(W) = vec(W)† rho vec(W)/d over unitary W is at most that
     of Tr(rho X)/d over X >= 0 whose two partial traces are I, so for any
@@ -164,23 +160,27 @@ def _certified_gap(rho: np.ndarray, w: np.ndarray, d: int) -> float:
     eye = np.eye(d)
     on_a, on_b = eye[None, :, None, :], eye[:, None, :, None]
     w_dag = linalg.dagger(w)
-    g = (rho @ w.reshape(d * d)).reshape(d, d) @ w_dag
-    fixed = ((rho / d).reshape(d, d, d, d)
-             - ((g + linalg.dagger(g)) / (2 * d))[:, None, :, None] * on_a)
-    b = np.zeros((d, d), dtype=complex)
-    gap = np.inf
+    g = (rho @ w.reshape(-1, d * d, 1)).reshape(-1, d, d) @ w_dag
+    fixed = ((rho / d).reshape(-1, d, d, d, d)
+             - ((g + linalg.dagger(g)) / (2 * d))[:, :, None, :, None] * on_a)
+    b = np.zeros(w.shape, dtype=complex)
+    gap = np.full(len(rho), np.inf)
+    live = np.arange(len(rho))
     for _ in range(CERT_STEPS):
-        m = fixed + (w @ b.T @ w_dag)[:, None, :, None] * on_a - on_b * b[None, :, None, :]
-        vals, vecs = np.linalg.eigh(m.reshape(d * d, d * d))
-        gap = min(gap, d * max(float(vals[-1]), 0.0) + rounding)
-        if gap <= EPS_CERT:
+        rows = slice(None) if len(live) == len(rho) else live
+        w_l, w_dag_l, b_l = w[rows], w_dag[rows], b[rows]
+        wbw = (w_l @ np.swapaxes(b_l, -1, -2) @ w_dag_l)[:, :, None, :, None]
+        m = fixed[rows] + wbw * on_a - on_b * b_l[:, None, :, None, :]
+        vals, vecs = np.linalg.eigh(m.reshape(-1, d * d, d * d))
+        top = vals[:, -1]
+        gap[rows] = np.minimum(gap[rows], d * np.maximum(top, 0.0) + rounding)
+        v = vecs[:, :, -1].reshape(-1, d, d)
+        s = np.swapaxes(w_dag_l @ v @ linalg.dagger(v) @ w_l - linalg.dagger(v) @ v, -1, -2)
+        norm2 = np.array([np.vdot(x, x).real for x in s])
+        b[rows] = b_l - (top / np.where(norm2 == 0, 1.0, norm2))[:, None, None] * s
+        live = live[(gap[rows] > EPS_CERT) & (norm2 != 0)]
+        if not len(live):
             break
-        v = vecs[:, -1].reshape(d, d)
-        s = (w_dag @ v @ linalg.dagger(v) @ w - linalg.dagger(v) @ v).T
-        norm2 = np.vdot(s, s).real
-        if not norm2:
-            break
-        b = b - (vals[-1] / norm2) * s
     return gap
 
 
@@ -201,6 +201,25 @@ def optimizer_settings(d: int) -> dict:
     return out
 
 
+def _singlet_fractions(rho: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``fully_entangled_fraction`` of each state of rho[N]: f, W = U† and the gap."""
+    if d == 2:
+        vals, vecs = np.linalg.eigh((_MAGIC.conj().T @ rho @ _MAGIC).real / 2)
+        w = (vecs[..., -1] @ _MAGIC.T).reshape(-1, 2, 2)
+        return np.minimum(vals[:, -1], 1.0), w, np.zeros(len(rho))
+    f, w = _power_refine(rho, _start_batch(rho, d), d)
+    gap = _certified_gap(rho, w, d)
+    redo = np.flatnonzero(gap > EPS_CERT) if HAAR_STARTS else []
+    if len(redo):
+        f_haar, w_haar = _power_refine(rho[redo], _haar_starts(d, HAAR_STARTS), d)
+        up = f_haar > f[redo]
+        redo, f_haar, w_haar = redo[up], f_haar[up], w_haar[up]
+        gap[redo] = np.minimum(f[redo] + gap[redo] - f_haar,
+                               _certified_gap(rho[redo], w_haar, d))
+        f[redo], w[redo] = f_haar, w_haar
+    return np.minimum(f, 1.0), w, gap
+
+
 def fully_entangled_fraction(rho: DensityMatrix) -> tuple[float, np.ndarray, float]:
     """max_U <Phi+| (U ⊗ I) rho (U ⊗ I)† |Phi+>, the maximizing U, and the
     certified gap: how far the true maximum can lie above the returned value.
@@ -216,45 +235,43 @@ def fully_entangled_fraction(rho: DensityMatrix) -> tuple[float, np.ndarray, flo
     """
     if len(rho.dims) != 2 or rho.dims[0] != rho.dims[1]:
         raise ValueError(f"expected equal local dims, got {rho.dims}")
-    d = rho.dims[0]
-    m = rho.matrix
-    if d == 2:
-        vals, vecs = np.linalg.eigh((_MAGIC.conj().T @ m @ _MAGIC).real / 2)
-        f, w, gap = vals[-1], (_MAGIC @ vecs[:, -1]).reshape(2, 2), 0.0
-    else:
-        f, w = _best_refined(m, _start_batch(m, d), d)
-        gap = _certified_gap(m, w, d)
-        if gap > EPS_CERT and HAAR_STARTS:
-            f_haar, w_haar = _best_refined(m, _haar_starts(d, HAAR_STARTS), d)
-            if f_haar > f:
-                gap = min(f + gap - f_haar, _certified_gap(m, w_haar, d))
-                f, w = f_haar, w_haar
+    f, w, gap = _singlet_fractions(rho.matrix[None], rho.dims[0])
     # W parameterizes U† of the physical rotation.
-    return float(min(1.0, f)), linalg.dagger(w), float(gap)
+    return float(f[0]), linalg.dagger(w[0]), float(gap[0])
 
 
-def teleportation_fidelity(f_max: float, d: int) -> float:
+def teleportation_fidelity(f_max, d: int):
     """(d f + 1)/(d + 1); the qubit case is the familiar (2f + 1)/3."""
     if d < 2:
         raise ValueError(f"local dimension d={d} must be >= 2")
     return (d * f_max + 1.0) / (d + 1.0)
 
 
-def _clamp01(x: float) -> float:
-    return float(min(1.0, max(0.0, x)))
-
-
-def _q1_from_fraction(f: float, d: int) -> tuple[float, float]:
+def _q1_from_fraction(f, d: int):
     """Teleportation advantage of singlet fraction f: raw (d+1) F_tele - d,
     and that value clamped to [0, 1]."""
     raw = (d + 1) * teleportation_fidelity(f, d) - d
-    return _clamp01(raw), float(raw)
+    return np.clip(raw, 0.0, 1.0), raw
 
 
 def coord_q1(rho_ab: DensityMatrix) -> tuple[float, float]:
     """Teleportation advantage of rho_AB, (clamped, raw)."""
     f, _, _ = fully_entangled_fraction(rho_ab)
     return _q1_from_fraction(f, rho_ab.dims[0])
+
+
+def _transfer_choi(rho_ac: np.ndarray, d_a: int, d_c: int) -> np.ndarray:
+    """``transfer_choi_state`` of each state of rho_ac[N]."""
+    rho_a = linalg.partial_trace(rho_ac, (d_a, d_c), [0])
+    w, v = np.linalg.eigh((rho_a + linalg.dagger(rho_a)) / 2)
+    on = w > EPS_PSD
+    b = (v * np.where(on, np.where(on, w, 1.0) ** -0.5, 0.0)[:, None, :]) @ linalg.dagger(v)
+    hole = (v * ~on[:, None, :]) @ linalg.dagger(v)
+    # Kronecker products, one per state: (B ⊗ I) and (I - P) ⊗ rho_C.
+    b_c = np.einsum("nij,kl->nikjl", b, np.eye(d_c, dtype=complex)).reshape(rho_ac.shape)
+    rho_c = linalg.partial_trace(rho_ac, (d_a, d_c), [1])
+    j = b_c @ rho_ac @ b_c + np.einsum("nij,nkl->nikjl", hole, rho_c).reshape(rho_ac.shape)
+    return j / d_a
 
 
 def transfer_choi_state(rho_ac: DensityMatrix) -> DensityMatrix:
@@ -270,15 +287,8 @@ def transfer_choi_state(rho_ac: DensityMatrix) -> DensityMatrix:
     """
     if len(rho_ac.dims) != 2:
         raise ValueError(f"expected a bipartite state, got dims {rho_ac.dims}")
-    d_a, d_c = rho_ac.dims
-    w, v = linalg.hermitian_eigen(linalg.partial_trace(rho_ac.matrix, rho_ac.dims, [0]))
-    on = w > EPS_PSD
-    b = (v * np.where(on, np.where(on, w, 1.0) ** -0.5, 0.0)) @ linalg.dagger(v)
-    hole = (v * ~on) @ linalg.dagger(v)
-    b_c = linalg.kron(b, np.eye(d_c))
-    rho_c = linalg.partial_trace(rho_ac.matrix, rho_ac.dims, [1])
-    j = b_c @ rho_ac.matrix @ b_c + linalg.kron(hole, rho_c)
-    return DensityMatrix._derived(j / d_a, (d_a, d_c))
+    return DensityMatrix._derived(_transfer_choi(rho_ac.matrix[None], *rho_ac.dims)[0],
+                                  rho_ac.dims)
 
 
 def induced_transfer_channel(rho_ac: DensityMatrix) -> channels.KrausChannel:
@@ -297,7 +307,7 @@ def coord_q2(rho_ac: DensityMatrix, mode: str = "transfer") -> tuple[float, floa
         return coord_q1(transfer_choi_state(rho_ac))
     if mode == "uhlmann-marginal":
         f = linalg.uhlmann_fidelity(rho_ac.marginal([0]), rho_ac.marginal([1]))
-        return _clamp01(f), float(f)
+        return float(np.clip(f, 0.0, 1.0)), float(f)
     raise ValueError(f"unknown q2 mode {mode!r}")
 
 
@@ -305,22 +315,24 @@ def coord_q2(rho_ac: DensityMatrix, mode: str = "transfer") -> tuple[float, floa
 # Fisher information
 
 
+def _fisher(rho: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """``quantum_fisher_information`` of each state of rho[N] along h."""
+    w, v = np.linalg.eigh((rho + linalg.dagger(rho)) / 2)
+    hp = linalg.dagger(v) @ h @ v
+    li, lj = w[:, :, None], w[:, None, :]
+    denom = li + lj
+    mask = denom > EPS_QFI
+    ratio = np.where(mask, (li - lj) ** 2 / np.where(mask, denom, 1.0), 0.0)
+    return 2.0 * np.sum((ratio * np.abs(hp) ** 2).reshape(len(rho), -1), axis=1)
+
+
 def quantum_fisher_information(rho: DensityMatrix | np.ndarray,
                                g: CoherenceGenerator) -> float:
     """Spectral formula 2 sum_{ij} (l_i - l_j)^2/(l_i + l_j) |<i|H|j>|^2."""
-    m = getattr(rho, "matrix", rho)
-    m = linalg.as_complex(m)
+    m = linalg.as_complex(getattr(rho, "matrix", rho))
     if m.shape != g.h.shape:
         raise ValueError(f"state dim {m.shape} does not match generator {g.h.shape}")
-    w, v = np.linalg.eigh((m + linalg.dagger(m)) / 2)
-    hp = linalg.dagger(v) @ g.h @ v
-    li = w[:, None]
-    lj = w[None, :]
-    denom = li + lj
-    mask = denom > EPS_QFI
-    num = (li - lj) ** 2
-    ratio = np.where(mask, num / np.where(mask, denom, 1.0), 0.0)
-    return float(2.0 * np.sum(ratio * np.abs(hp) ** 2))
+    return float(_fisher(m[None], g.h)[0])
 
 
 def variance(rho: DensityMatrix | np.ndarray, g: CoherenceGenerator) -> float:
@@ -337,67 +349,69 @@ def fq_max(g: CoherenceGenerator) -> float:
 
 
 def coord_q3(rho_a: DensityMatrix, g: CoherenceGenerator) -> float:
-    return _clamp01(quantum_fisher_information(rho_a, g) / fq_max(g))
+    return float(np.clip(quantum_fisher_information(rho_a, g) / fq_max(g), 0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
 # Profile assembly
 
 
-def profile(rho: DensityMatrix, cfg: ProfileConfig | None = None) -> ResourceProfile:
-    """Map a tripartite state to its resource coordinates and norm.
+def profile_batch(rho: np.ndarray, dims: tuple[int, ...],
+                  cfg: ProfileConfig | None = None) -> list[ResourceProfile]:
+    """Profiles of the checked states rho[N, D, D] on ``dims``, in one pass.
 
-    Subsystem layouts: dims (d, d, d) compute all three coordinates; a trivial
-    B (d, 1, d) or C (d, d, 1) factor pins the corresponding coordinate to 0
-    by convention, with the floor fidelity 1/d^2 recorded in the breakdown.
+    Row k is bit for bit the profile of state k alone: each step acts on each
+    state by itself, and each d >= 3 search stops on its own. A trivial B
+    (d, 1, d) or C (d, d, 1) factor pins that coordinate to 0 by convention,
+    with the floor fidelity 1/d^2 recorded in the breakdown.
     """
     cfg = cfg or ProfileConfig()
-    if len(rho.dims) != 3:
-        raise ValueError(f"profile needs a tripartite state, got dims {rho.dims}")
-    d_a, d_b, d_c = rho.dims
-    if d_b > 1 and d_b != d_a:
-        raise ValueError(f"unsupported dims {rho.dims}: need d_B == d_A or d_B == 1")
-    if d_c > 1 and d_c != d_a:
-        raise ValueError(f"unsupported dims {rho.dims}: need d_C == d_A or d_C == 1")
+    if len(dims) != 3:
+        raise ValueError(f"profile needs a tripartite state, got dims {dims}")
+    dims = linalg.check_dims(dims, rho.shape[-1])
+    d_a, d_b, d_c = dims
+    for name, d in (("B", d_b), ("C", d_c)):
+        if d > 1 and d != d_a:
+            raise ValueError(f"unsupported dims {dims}: need d_{name} == d_A or d_{name} == 1")
     g = cfg.generator or default_generator(d_a)
     if g.dim != d_a:
         raise ValueError(f"generator dimension {g.dim} does not match d_A={d_a}")
+    transfer = d_c > 1 and cfg.q2_mode == "transfer"
 
-    floor = 1.0 / (d_a * d_a)
-    gap_ab = gap_choi = 0.0
-    if d_b > 1:
-        f_ab, _, gap_ab = fully_entangled_fraction(rho.marginal([0, 1]))
-    else:
-        f_ab = floor
+    n, floor = len(rho), 1.0 / (d_a * d_a)
+    rho_ac = linalg.partial_trace(rho, dims, [0, 2])
+    searched = [linalg.partial_trace(rho, dims, [0, 1])] if d_b > 1 else []
+    if transfer:
+        searched.append(_transfer_choi(rho_ac, d_a, d_c))
+    if searched:  # rho_AB and the q2 Choi state, as one stack
+        f, _, gap = _singlet_fractions(np.concatenate(searched), d_a)
+    f_ab, gap_ab = (f[:n], gap[:n]) if d_b > 1 else (floor, 0.0)
     f_tele = teleportation_fidelity(f_ab, d_a)
     q1, q1_raw = _q1_from_fraction(f_ab, d_a)
-
-    if d_c == 1:
-        _, q2_raw = _q1_from_fraction(floor, d_a)
-        q2 = 0.0
-        f_trans = teleportation_fidelity(floor, d_a)
-    elif cfg.q2_mode == "transfer":
-        f_choi, _, gap_choi = fully_entangled_fraction(
-            transfer_choi_state(rho.marginal([0, 2])))
-        q2, q2_raw = _q1_from_fraction(f_choi, d_a)
-        f_trans = (q2_raw + d_a) / (d_a + 1)
-    else:
-        q2, q2_raw = coord_q2(rho.marginal([0, 2]), cfg.q2_mode)
+    # A trivial C gives the floor, clamped to q2 = 0.
+    q2, q2_raw = _q1_from_fraction(f[-n:] if transfer else floor, d_a)
+    f_trans = (q2_raw + d_a) / (d_a + 1) if transfer else teleportation_fidelity(floor, d_a)
+    gap_choi = gap[-n:] if transfer else 0.0
+    if d_c > 1 and not transfer:
+        q2, q2_raw = np.array([coord_q2(DensityMatrix._derived(m, (d_a, d_c)), cfg.q2_mode)
+                               for m in rho_ac]).T
         f_trans = q2_raw
 
-    rho_a = rho.marginal([0])
-    f_q = quantum_fisher_information(rho_a, g)
-    f_q_top = fq_max(g)
-    q3 = _clamp01(f_q / f_q_top)
-
-    breakdown = FidelityBreakdown(
-        f_max=float(f_ab), f_tele=float(f_tele), f_trans=float(f_trans),
-        f_q=float(f_q), f_q_max=float(f_q_top),
-        q1_raw=float(q1_raw), q2_raw=float(q2_raw), d=d_a,
-        f_max_gap=gap_ab, f_choi_gap=gap_choi)
+    f_q = _fisher(linalg.partial_trace(rho, dims, [0]), g.h)
+    f_q_top = float(fq_max(g))
+    q3 = np.clip(f_q / f_q_top, 0.0, 1.0)
     norm = q1 * q1 + q2 * q2 + q3 * q3
-    return ResourceProfile(q1=q1, q2=q2, q3=q3, norm=float(norm),
-                           breakdown=breakdown, q2_mode=cfg.q2_mode, generator=g)
+    cols = zip(*(np.broadcast_to(c, n).tolist() for c in (
+        q1, q2, q3, norm, f_ab, f_tele, f_trans, f_q, q1_raw, q2_raw, gap_ab, gap_choi)))
+    return [ResourceProfile(a, b, c, nm, FidelityBreakdown(
+                fm, ft, fr, fq, f_q_top, r1, r2, d_a, g1, g2), cfg.q2_mode, g)
+            for a, b, c, nm, fm, ft, fr, fq, r1, r2, g1, g2 in cols]
+
+
+def profile(rho: DensityMatrix, cfg: ProfileConfig | None = None) -> ResourceProfile:
+    """Map a tripartite state to its resource coordinates and norm: the N = 1
+    call of ``profile_batch``."""
+    return profile_batch(rho.matrix[None], rho.dims, cfg)[0]
 
 
 # ---------------------------------------------------------------------------

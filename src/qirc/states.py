@@ -8,7 +8,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import linalg
-from .tolerances import EPS_PSD, EPS_TRACE
+from .tolerances import EPS_HERM, EPS_PSD, EPS_TRACE
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -30,13 +30,33 @@ class Seed(NamedTuple):
         return np.random.default_rng(ss)
 
 
+def check_states(m: np.ndarray, dims: Sequence[int]) -> tuple[int, ...]:
+    """Check that each state of the stack m[N, D, D] on ``dims`` is finite,
+    Hermitian, of unit trace and PSD, as ``DensityMatrix`` does for one state
+    and with its messages; return the dims as whole numbers."""
+    m = linalg.as_complex(m)
+    if m.ndim != 3 or m.shape[1] != m.shape[2]:
+        raise ValueError(f"density matrix must be square, got shape {m.shape[1:]}")
+    dims = linalg.check_dims(dims, m.shape[-1])
+    asym = np.linalg.norm(m - linalg.dagger(m), axis=(1, 2))
+    if np.any(asym > EPS_HERM * np.maximum(1.0, np.linalg.norm(m, axis=(1, 2)))):
+        raise ValueError("density matrix is not Hermitian within tolerance")
+    tr = np.trace(m, axis1=1, axis2=2)
+    for t in tr[np.abs(tr - 1.0) > EPS_TRACE][:1]:
+        raise ValueError(f"trace {complex(t)} is not 1 within {EPS_TRACE}")
+    wmin = np.linalg.eigvalsh((m + linalg.dagger(m)) / 2)[:, 0]
+    for w in wmin[wmin < -EPS_PSD][:1]:
+        raise ValueError(f"negative eigenvalue {w:.3e} below -{EPS_PSD}")
+    return dims
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Quantum state: Hermitian, unit trace, PSD, with subsystem dims.
 
-    ``DensityMatrix(matrix, dims)`` checks its input; every state that enters
-    qirc (state files, named families, samplers, library callers) comes in
-    this way. States qirc computes from checked states (marginals, products,
+    Every state that enters qirc (state files, named families, samplers,
+    library callers) is checked by ``check_states``, alone as here or in a
+    stack. States qirc computes from checked states (marginals, products,
     channel outputs, unitary evolutions, mixtures, Choi states) are built by
     ``_derived`` and are not checked again.
     """
@@ -45,22 +65,10 @@ class DensityMatrix:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        m = linalg.as_complex(self.matrix)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"density matrix must be square, got shape {m.shape}")
-        dims = linalg.check_dims(self.dims, m.shape[0])
-        if not linalg.is_hermitian(m):
-            raise ValueError("density matrix is not Hermitian within tolerance")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > EPS_TRACE:
-            raise ValueError(f"trace {tr} is not 1 within {EPS_TRACE}")
-        wmin = float(np.linalg.eigvalsh((m + linalg.dagger(m)) / 2)[0])
-        if wmin < -EPS_PSD:
-            raise ValueError(f"negative eigenvalue {wmin:.3e} below -{EPS_PSD}")
-        m = m.copy()
+        m = np.array(self.matrix, dtype=complex)
+        object.__setattr__(self, "dims", check_states(m[None], self.dims))
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "dims", dims)
 
     @classmethod
     def _derived(cls, matrix: np.ndarray, dims: tuple[int, ...]) -> "DensityMatrix":
@@ -200,16 +208,28 @@ def haar_unitary(d: int, seed: Seed) -> np.ndarray:
     return _haar_unitary_from_rng(d, seed.rng())
 
 
-def haar_pure(dims: Sequence[int], seed: Seed) -> DensityMatrix:
-    """Haar-distributed pure state: normalized complex Gaussian vector."""
-    dims = tuple(int(d) for d in dims)
-    n = linalg.check_size(int(np.prod(dims)), f"dims {dims}")
+def haar_ket(n: int, seed: Seed) -> np.ndarray:
+    """Haar-distributed unit ket: normalized complex Gaussian vector."""
     rng = seed.rng()
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     # Normalizing the ket rather than the projector keeps sampled states, and
     # so campaign artifacts at d >= 3, bit-identical to earlier versions.
-    v = v / np.linalg.norm(v)
+    return v / np.linalg.norm(v)
+
+
+def haar_pure(dims: Sequence[int], seed: Seed) -> DensityMatrix:
+    """Haar-distributed pure state, the projector onto ``haar_ket``."""
+    dims = tuple(int(d) for d in dims)
+    v = haar_ket(linalg.check_size(int(np.prod(dims)), f"dims {dims}"), seed)
     return DensityMatrix(np.outer(v, v.conj()), dims)
+
+
+def ginibre_matrix(d: int, rank: int, seed: Seed) -> np.ndarray:
+    """GG†/Tr(GG†) for a d x rank complex Gaussian G, unchecked."""
+    rng = seed.rng()
+    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    m = g @ g.conj().T
+    return m / np.trace(m).real
 
 
 def ginibre_mixed(d: int, rank: int, seed: Seed) -> DensityMatrix:
@@ -217,10 +237,7 @@ def ginibre_mixed(d: int, rank: int, seed: Seed) -> DensityMatrix:
     if not 1 <= rank <= d:
         raise ValueError(f"rank {rank} outside [1, {d}]")
     linalg.check_size(d, f"Ginibre dimension {d}")
-    rng = seed.rng()
-    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
-    m = g @ g.conj().T
-    return DensityMatrix(m / np.trace(m).real, (d,))
+    return DensityMatrix(ginibre_matrix(d, rank, seed), (d,))
 
 
 # Tripartite assemblies used by the named families and the claim checks.

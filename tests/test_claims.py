@@ -116,6 +116,24 @@ class TestBallCampaign:
         assert len(cloud) == 5
 
 
+class TestStacks:
+    """Checks profile in stacks of at most linalg.MAX_STACK entries; where
+    the stacks are cut does not change a report."""
+
+    @pytest.mark.parametrize("check", ["T1", "C1", "C2", "C3", "T2", "A2"])
+    def test_three_state_stacks_give_the_same_reports(self, check, monkeypatch):
+        cfg = small(trials=7, channels_per_state=4)
+        whole = run_check(check, cfg)
+        sizes = []
+        real = resources.profile_batch
+        monkeypatch.setattr(claims.linalg, "MAX_STACK", 3 * 8 * 8)
+        monkeypatch.setattr(resources, "profile_batch",
+                            lambda rho, *a: sizes.append(len(rho)) or real(rho, *a))
+        cut = run_check(check, cfg)
+        assert max(sizes) <= 3
+        assert cut[0].to_dict() == whole[0].to_dict() and cut[1] == whole[1]
+
+
 class TestConvexity:
     def test_endpoints_reproduce_exactly(self):
         report = check_convexity(small(trials=6))
@@ -251,12 +269,12 @@ class TestWorstCase:
     """Each check tracks its worst case once and serializes it once."""
 
     def test_conservation_profiles_each_state_once(self, monkeypatch):
-        calls = []
-        real = resources.profile
-        monkeypatch.setattr(resources, "profile",
-                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        rows = []
+        real = resources.profile_batch
+        monkeypatch.setattr(resources, "profile_batch",
+                            lambda rho, *a, **kw: rows.append(len(rho)) or real(rho, *a, **kw))
         check_conservation(small(trials=5))
-        assert len(calls) == 3 * 5
+        assert sum(rows) == 3 * 5
 
     def test_witness_state_serialized_at_most_once(self, monkeypatch):
         from qirc import serialize

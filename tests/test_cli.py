@@ -334,6 +334,17 @@ class TestEvolveCommand:
         assert code == 2
         assert "target 5 out of range" in err
 
+    @pytest.mark.parametrize("key, value", [("target", 1.9), ("kraus_rank", 2.7),
+                                            ("seed", 5.5)])
+    def test_non_whole_schedule_numbers_exit_2(self, capsys, tmp_path, key, value):
+        # rejected, not truncated: random(rank=2,seed=5)@1 must not run
+        step = {"type": "channel", "name": "random", "kraus_rank": 2, "target": 1, "seed": 5}
+        sched = self._write_schedule(tmp_path, [{**step, key: value}])
+        code, out, err = run(capsys, "evolve", "--family", "w", "--schedule", sched)
+        assert code == 2
+        assert f"{key} must be a whole number, got {value!r}" in err
+        assert "random(" not in out
+
     def test_reproducible_csv(self, capsys, tmp_path):
         sched = self._write_schedule(tmp_path, [
             {"type": "unitary", "spec": "local-random", "seed": 3},

@@ -68,6 +68,33 @@ class TestPartialTrace:
         with pytest.raises(ValueError):
             linalg.partial_trace(np.eye(4) / 4, (2, 2), keep=[])
 
+    def test_stack_is_traced_matrix_by_matrix(self, rng):
+        stack = np.array([random_density(rng, 12) for _ in range(5)])
+        for keep in ([0], [1, 2], [0, 2]):
+            out = linalg.partial_trace(stack, (2, 3, 2), keep)
+            for m, red in zip(stack, out):
+                assert red.tobytes() == linalg.partial_trace(m, (2, 3, 2), keep).tobytes()
+
+
+class TestChunks:
+    """A stack holds at most MAX_STACK = MAX_DIM^2 complex entries."""
+
+    def test_ten_thousand_qubit_states_go_in_one_chunk(self):
+        assert linalg.chunks(10**4, 8) == [range(10**4)]
+
+    def test_states_of_dims_16_16_16_go_one_per_chunk(self):
+        assert linalg.chunks(3, 16**3) == [range(0, 1), range(1, 2), range(2, 3)]
+
+    @pytest.mark.parametrize("n, dim", [(0, 8), (1, 8), (10**6, 8), (1000, 27), (70, 512)])
+    def test_chunks_cover_the_states_within_the_bound(self, n, dim):
+        parts = linalg.chunks(n, dim)
+        assert [k for part in parts for k in part] == list(range(n))
+        assert all(len(part) * dim * dim <= linalg.MAX_STACK for part in parts)
+
+    def test_oversized_state_rejected_before_any_stack(self):
+        with pytest.raises(ValueError, match="MAX_DIM"):
+            linalg.chunks(1, linalg.MAX_DIM + 1)
+
 
 class TestPermuteSubsystems:
     def test_swap_product(self, rng):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from qirc.generators import (CoherenceGenerator, default_generator,
                              diagonal_generator, sigma_z_generator)
 from qirc.resources import (ProfileConfig, coord_q1, coord_q2, coord_q3,
                             fq_max, fully_entangled_fraction,
-                            induced_transfer_channel, profile,
+                            induced_transfer_channel, profile, profile_batch,
                             quantum_fisher_information, teleportation_fidelity)
 from qirc.states import DensityMatrix, Seed
 from qirc.tolerances import EPS_CERT, EPS_PSD
@@ -80,23 +82,23 @@ class TestFullyEntangledFraction:
     def test_closed_form_matches_power_iteration(self):
         # the d >= 3 search, run on qubits, is an independent check of the
         # closed form: it must find the same optimum and never exceed it
-        worst_gap = worst_excess = 0.0
+        pairs = []
         for i in range(1000):
             if i % 2:
                 rho = states.haar_pure((2, 2, 2), Seed(48, i))
             else:
                 rho = states.ginibre_mixed(8, 1 + i % 8, Seed(48, i)).reshaped((2, 2, 2))
-            for pair in (rho.marginal([0, 1]),
-                         resources.transfer_choi_state(rho.marginal([0, 2]))):
-                f, _, _ = fully_entangled_fraction(pair)
-                w0 = np.concatenate([resources._start_batch(pair.matrix, 2),
-                                     resources._haar_starts(2, resources.HAAR_STARTS)])
-                vals, _ = resources._power_refine(pair.matrix, w0, 2)
-                searched = float(vals.max())
-                worst_gap = max(worst_gap, abs(f - searched))
-                worst_excess = max(worst_excess, searched - f)
-        assert worst_gap <= 1e-9
-        assert worst_excess <= 1e-14
+            pairs += [rho.marginal([0, 1]),
+                      resources.transfer_choi_state(rho.marginal([0, 2]))]
+        f = np.array([fully_entangled_fraction(pair)[0] for pair in pairs])
+        # the search runs on all pairs as one stack; each row searches alone
+        stack = np.array([pair.matrix for pair in pairs])
+        haar = resources._haar_starts(2, resources.HAAR_STARTS)
+        w0 = np.concatenate([resources._start_batch(stack, 2),
+                             np.broadcast_to(haar, (len(stack),) + haar.shape)], axis=1)
+        searched = resources._power_refine(stack, w0, 2)[0]
+        assert np.max(np.abs(f - searched)) <= 1e-9
+        assert np.max(searched - f) <= 1e-14
 
     def test_d3_search_is_deterministic(self):
         # the Haar starts are cached; a second call must repeat the first
@@ -138,7 +140,7 @@ class TestCertificate:
         for rho in qubit_pairs(60, 31):
             f, u, gap = fully_entangled_fraction(rho)
             assert gap == 0.0
-            bound = f + resources._certified_gap(rho.matrix, linalg.dagger(u), 2)
+            bound = f + resources._certified_gap(rho.matrix[None], linalg.dagger(u)[None], 2)[0]
             assert abs(bound - fmax_two_qubit_oracle(rho.matrix)) <= 1e-12
 
     @pytest.mark.parametrize("p", [0.0, 0.25, 1 / 3, 0.5, 0.8, 1.0])
@@ -529,6 +531,45 @@ class TestProfile:
         assert np.isclose(p.norm, 1.0, atol=1e-9)
         q = profile(states.ghz())
         assert np.isclose(q.norm, 0.0, atol=1e-12)
+
+
+def _bits(prof) -> tuple[str, ...]:
+    """Every float of a profile, exactly."""
+    values = (prof.q1, prof.q2, prof.q3, prof.norm, *dataclasses.astuple(prof.breakdown))
+    return tuple(float(v).hex() for v in values)
+
+
+class TestProfileBatch:
+    """Row k of profile_batch is profile() of state k alone, bit for bit,
+    whatever the order and size of the stack around it."""
+
+    @pytest.mark.parametrize("dims, mode", [((2, 2, 2), "transfer"), ((3, 3, 3), "transfer"),
+                                            ((2, 1, 2), "transfer"), ((2, 2, 1), "transfer"),
+                                            ((2, 2, 2), "uhlmann-marginal")])
+    def test_row_is_the_state_alone(self, dims, mode):
+        # seed-7 stream 81 at d = 3: its rho_AB needs the Haar fallback, and
+        # the fallback still leaves it uncertified (gap > EPS_CERT)
+        streams = [81] + list(range(39))
+        rhos = [states.haar_pure(dims, Seed(7, s)) for s in streams]
+        cfg = ProfileConfig(q2_mode=mode)
+        alone = [profile(rho, cfg) for rho in rhos]
+        if dims == (3, 3, 3):
+            assert alone[0].breakdown.f_max_gap > EPS_CERT
+            assert any(p.breakdown.f_max_gap <= EPS_CERT for p in alone[1:])
+        orders = [[0], [5, 0, 12, 3, 30, 21, 8],
+                  list(np.random.default_rng(5).permutation(len(rhos)))]
+        for order in orders:
+            rows = profile_batch(np.array([rhos[k].matrix for k in order]), dims, cfg)
+            assert [_bits(p) for p in rows] == [_bits(alone[k]) for k in order]
+            assert all(p.q2_mode == mode for p in rows)
+            assert all(np.array_equal(p.generator.h, alone[0].generator.h) for p in rows)
+
+    def test_dims_are_checked_against_the_stack(self):
+        stack = states.ghz().matrix[None]
+        with pytest.raises(ValueError, match="do not multiply"):
+            profile_batch(stack, (2, 2, 3))
+        with pytest.raises(ValueError, match="tripartite"):
+            profile_batch(stack, (2, 4))
 
 
 class TestNearProductFamily:

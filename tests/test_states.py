@@ -49,6 +49,61 @@ def validations(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def checked_rows(monkeypatch):
+    """The number of states in each run of the stacked check, check_states,
+    which DensityMatrix.__post_init__ runs on a stack of one."""
+    rows = []
+    real = states.check_states
+
+    def counted(m, dims):
+        rows.append(len(m))
+        return real(m, dims)
+
+    monkeypatch.setattr(states, "check_states", counted)
+    return rows
+
+
+def _first_error(build) -> str:
+    with pytest.raises(ValueError) as exc:
+        build()
+    return str(exc.value)
+
+
+class TestCheckStates:
+    """A stack of states is checked once, with DensityMatrix's messages."""
+
+    GOOD = [states.haar_pure((2, 2), Seed(4, k)).matrix for k in range(3)]
+
+    @pytest.mark.parametrize("bad", [
+        np.diag([np.nan, 0.5, 0.5, 0.0]),                      # non-finite entry
+        np.eye(4) / 4 + np.diag([0.1, 0.0, 0.0], k=1),         # not Hermitian
+        np.eye(4) / 2,                                         # trace 2
+        np.diag([1.5, -0.5, 0.0, 0.0]),                        # negative eigenvalue
+    ], ids=["non-finite", "non-hermitian", "trace", "negative-eigenvalue"])
+    def test_one_bad_state_gives_its_own_message(self, bad):
+        alone = _first_error(lambda: DensityMatrix(bad, (2, 2)))
+        for k in range(len(self.GOOD) + 1):
+            stack = np.array(self.GOOD[:k] + [bad] + self.GOOD[k:], dtype=complex)
+            assert _first_error(lambda: states.check_states(stack, (2, 2))) == alone
+
+    def test_dims_mismatch(self):
+        alone = _first_error(lambda: DensityMatrix(self.GOOD[0], (2, 3)))
+        assert "do not multiply" in alone
+        stack = np.array(self.GOOD)
+        assert _first_error(lambda: states.check_states(stack, (2, 3))) == alone
+
+    def test_good_stack_passes(self):
+        assert states.check_states(np.array(self.GOOD), [2, 2]) == (2, 2)
+
+    def test_ball_campaign_checks_each_sampled_state_once(self, validations, checked_rows,
+                                                         tmp_path):
+        from qirc import cli
+        assert cli.main(["check", "T1", "--trials", "50", "--out", str(tmp_path)]) == 0
+        assert sum(checked_rows) == 50
+        assert validations == []
+
+
 class TestDerivedStates:
     """A state is checked where it enters; states computed from it are not."""
 
@@ -65,6 +120,14 @@ class TestDerivedStates:
         validations.clear()
         resources.profile(rho)
         assert validations == []
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_profile_batch_runs_no_validation(self, validations, checked_rows, d):
+        stack = np.array([states.haar_pure((d, d, d), Seed(3, k)).matrix for k in range(4)])
+        validations.clear()
+        checked_rows.clear()
+        resources.profile_batch(stack, (d, d, d))
+        assert validations == [] and checked_rows == []
 
     def test_derived_constructors_run_no_validation(self, validations):
         rho = states.haar_pure((2, 2, 2), Seed(3, 2))

@@ -45,6 +45,8 @@ COMMANDS = [
     "check all --trials 40 --channels 5 --seed 7 --out out",
     "check T1 C3 T2 --dims 3,3,3 --trials 4 --channels 3 --out out",
     "check T1 C3 T2 --dims 3,3,3 --trials 4 --channels 3 --generator diag:1,1,-2 --out out",
+    # Stream 81 needs the certificate and the Haar fallback, inside a stack.
+    "check T1 --dims 3,3,3 --trials 82 --seed 7 --out out",
     "check C3 --trials 4 --seed 1 --out out",
     "check C3 --trials 4 --seed 1 --strict --out out",
     # Negative tolerances force a violation in every hard check.
