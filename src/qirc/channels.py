@@ -8,6 +8,7 @@ they were built, so the outputs are not checked again.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,21 +31,14 @@ class KrausChannel:
     def __post_init__(self):
         if not self.kraus:
             raise ValueError("channel needs at least one Kraus operator")
-        ops = []
-        for k in self.kraus:
-            k = linalg.as_complex(k)
+        ops = [linalg.as_complex(k) for k in self.kraus]
+        for k in ops:
             if k.shape != (self.d_out, self.d_in):
-                raise ValueError(
-                    f"Kraus operator shape {k.shape} does not match "
-                    f"({self.d_out}, {self.d_in})")
-            k = k.copy()
-            k.setflags(write=False)
-            ops.append(k)
-        total = sum(linalg.dagger(k) @ k for k in ops)
-        resid = linalg.frobenius(total - np.eye(self.d_in))
-        if resid > EPS_CPTP:
-            raise ValueError(f"completeness violated: ||sum K†K - I|| = {resid:.3e}")
-        object.__setattr__(self, "kraus", tuple(ops))
+                raise ValueError(f"Kraus operator shape {k.shape} does not match "
+                                 f"({self.d_out}, {self.d_in})")
+        stack = stack_kraus([np.array(ops)])[0]
+        stack.setflags(write=False)
+        object.__setattr__(self, "kraus", tuple(stack))
 
     def __call__(self, m: np.ndarray) -> np.ndarray:
         m = linalg.as_complex(m)
@@ -108,12 +102,25 @@ def amplitude_damping(gamma: float) -> KrausChannel:
     return make_channel([k0, k1])
 
 
-def _isometry_channel(d_in: int, d_out: int, kraus_rank: int,
-                      rng: np.random.Generator) -> KrausChannel:
-    """Channel from a Haar-random isometry d_in -> d_out * kraus_rank."""
+def stack_kraus(sets: Sequence[np.ndarray]) -> np.ndarray:
+    """The Kraus sets k[R_n, d_out, d_in] as one stack [N, max R_n, d_out, d_in],
+    zero-padded to one rank; raises unless every channel is trace preserving."""
+    out = np.zeros((len(sets), max(len(k) for k in sets)) + sets[0].shape[1:], dtype=complex)
+    for n, k in enumerate(sets):
+        out[n, :len(k)] = k
+    resid = np.linalg.norm(np.sum(linalg.dagger(out) @ out, axis=1) - np.eye(out.shape[-1]),
+                           axis=(-2, -1)).max()
+    if not resid <= EPS_CPTP:
+        raise ValueError(f"completeness violated: ||sum K†K - I|| = {resid:.3e}")
+    return out
+
+
+def _isometry_kraus(d_in: int, d_out: int, kraus_rank: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    """Kraus operators [kraus_rank, d_out, d_in] of a Haar-random isometry
+    d_in -> d_out * kraus_rank."""
     v = _haar_unitary_from_rng(d_out * kraus_rank, rng)[:, :d_in]
-    kraus = tuple(v[i * d_out:(i + 1) * d_out, :] for i in range(kraus_rank))
-    return KrausChannel(kraus, d_in=d_in, d_out=d_out)
+    return v.reshape(kraus_rank, d_out, d_in)
 
 
 def random_channel(d_in: int, d_out: int, kraus_rank: int, seed: Seed) -> KrausChannel:
@@ -121,11 +128,18 @@ def random_channel(d_in: int, d_out: int, kraus_rank: int, seed: Seed) -> KrausC
     if kraus_rank < 1:
         raise ValueError(f"kraus_rank {kraus_rank} must be >= 1")
     linalg.check_size(d_out * kraus_rank, "a random channel's isometry")
-    return _isometry_channel(d_in, d_out, kraus_rank, seed.rng())
+    kraus = _isometry_kraus(d_in, d_out, kraus_rank, seed.rng())
+    return KrausChannel(tuple(kraus), d_in=d_in, d_out=d_out)
 
 
 def covariant_channel(g: CoherenceGenerator, seed: Seed) -> KrausChannel:
-    """Random channel covariant with the generator's phase group.
+    """Random channel covariant with the generator's phase group, from
+    ``covariant_kraus``."""
+    return KrausChannel(tuple(covariant_kraus(g, seed)), d_in=g.dim, d_out=g.dim)
+
+
+def covariant_kraus(g: CoherenceGenerator, seed: Seed) -> np.ndarray:
+    """Kraus operators [R, d, d] of a random channel covariant with g's phase group.
 
     Lambda(e^{-iHt} rho e^{iHt}) = e^{-iHt} Lambda(rho) e^{iHt} for every t:
     the free operations of asymmetry theory, under which the Fisher
@@ -155,42 +169,53 @@ def covariant_channel(g: CoherenceGenerator, seed: Seed) -> KrausChannel:
             ops.append(a * mask)
     s_inv_half = linalg.psd_power(sum(linalg.dagger(a) @ a for a in ops), -0.5)
     v = g.eigen.vectors
-    kraus = tuple(v @ a @ s_inv_half @ linalg.dagger(v) for a in ops)
-    return KrausChannel(kraus, d_in=d, d_out=d)
+    return np.array([v @ a @ s_inv_half @ linalg.dagger(v) for a in ops])
+
+
+def apply_batch(kraus: np.ndarray, rho: np.ndarray, dims: Sequence[int],
+                target: int) -> np.ndarray:
+    """Channel n of the stack kraus[N, R, d_out, d_in] (``stack_kraus``) on
+    subsystem ``target`` of the Hermitian state n of rho[N, D, D] on ``dims``:
+    the sum over k of M_k (M_k rho)†, M_k = I ⊗ K_k ⊗ I acting through a
+    reshape. Row n is bit for bit channel n on state n alone (the zero pad
+    adds last)."""
+    dims = linalg.check_dims(dims, rho.shape[-1])
+    if not 0 <= target < len(dims):
+        raise ValueError(f"target {target} out of range for dims {dims}")
+    d_out, d_in = kraus.shape[-2:]
+    if dims[target] != d_in:
+        raise ValueError(
+            f"channel input dimension {d_in} does not match subsystem "
+            f"dimension {dims[target]}")
+    linalg.check_size(rho.shape[-1] // d_in * d_out, "a channel's output")
+    left = math.prod(dims[:target])
+
+    def act(k: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """(I_left ⊗ k ⊗ I_right) m for each k[n] and m[n]."""
+        n, _, cols = m.shape
+        return (k[:, None] @ m.reshape(n, left, d_in, -1)).reshape(n, -1, cols)
+
+    out = None
+    for r in range(kraus.shape[1]):
+        term = act(kraus[:, r], linalg.dagger(act(kraus[:, r], rho)))
+        out = term if out is None else out + term
+    return out
 
 
 def apply(ch: KrausChannel, rho: DensityMatrix, target: int) -> DensityMatrix:
-    """Apply the channel to one subsystem, identity elsewhere."""
-    if not 0 <= target < len(rho.dims):
-        raise ValueError(f"target {target} out of range for dims {rho.dims}")
-    if rho.dims[target] != ch.d_in:
-        raise ValueError(
-            f"channel input dimension {ch.d_in} does not match subsystem "
-            f"dimension {rho.dims[target]}")
-    left = int(np.prod(rho.dims[:target], dtype=int)) if target > 0 else 1
-    right = int(np.prod(rho.dims[target + 1:], dtype=int)) if target + 1 < len(rho.dims) else 1
-    eye_l = np.eye(left, dtype=complex)
-    eye_r = np.eye(right, dtype=complex)
-    out = None
-    for k in ch.kraus:
-        op = linalg.kron(linalg.kron(eye_l, k), eye_r)
-        term = op @ rho.matrix @ linalg.dagger(op)
-        out = term if out is None else out + term
+    """Apply the channel to one subsystem, identity elsewhere: the N = 1 call
+    of ``apply_batch``."""
+    out = apply_batch(np.array(ch.kraus)[None], rho.matrix[None], rho.dims, target)
     new_dims = tuple(ch.d_out if i == target else d for i, d in enumerate(rho.dims))
-    return DensityMatrix._derived(out, new_dims)
+    return DensityMatrix._derived(out[0], new_dims)
 
 
 def choi(ch: KrausChannel) -> DensityMatrix:
     """(id ⊗ channel) applied to the normalized maximally entangled state,
     on dims (d_in, d_out)."""
     omega = max_entangled_ket(ch.d_in)
-    eye = np.eye(ch.d_in, dtype=complex)
-    out = None
-    for k in ch.kraus:
-        w = (linalg.kron(eye, k) @ omega)
-        term = np.outer(w, w.conj())
-        out = term if out is None else out + term
-    return DensityMatrix._derived(out, (ch.d_in, ch.d_out))
+    return apply(ch, DensityMatrix._derived(np.outer(omega, omega.conj()),
+                                            (ch.d_in, ch.d_in)), 1)
 
 
 def kraus_from_choi(choi_unnormalized: np.ndarray, d_in: int, d_out: int,

@@ -14,12 +14,11 @@ always report ``report-only`` or sit in a hard check's
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import channels, dynamics, families, linalg, resources, serialize, states
-from .channels import KrausChannel, apply as apply_channel, covariant_channel
 from .generators import (CoherenceGenerator, default_generator,
                          diagonal_generator, sigma_z_generator)
 from .resources import ProfileConfig, ResourceProfile
@@ -142,7 +141,8 @@ class ClaimReport:
     worst_case: dict | None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields, not deep copies: a report's values are built for it alone."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _family_state(cfg: CampaignConfig, trial: int, n_trials: int) -> DensityMatrix:
@@ -155,17 +155,19 @@ def _family_state(cfg: CampaignConfig, trial: int, n_trials: int) -> DensityMatr
     return families.build(cfg.family)
 
 
-def _samples(cfg: CampaignConfig, n: int, pure_only: bool = False, stream_offset: int = 0):
+def _samples(cfg: CampaignConfig, n: int, pure_only: bool = False, stream_offset: int = 0,
+             width: int = 1):
     """Yield (trials, stack, dims): the states 0..n-1 of n, state k drawn from
-    stream stream_offset + k, in stacks of at most linalg.MAX_STACK entries,
-    each checked once where it is drawn (family states where they are built)."""
+    stream stream_offset + k, in stacks of at most linalg.MAX_STACK entries
+    with ``width`` states scored per state, each checked once where it is
+    drawn (family states where they are built)."""
     sampler = "haar-pure" if pure_only else cfg.sampler
     if sampler not in ("haar-pure", "ginibre-mixed", "named-family"):
         raise ValueError(f"unknown sampler {cfg.sampler!r}")
     first = _family_state(cfg, 0, n) if sampler == "named-family" and n else None
     dims = cfg.dims if first is None else first.dims
     d = math.prod(dims)
-    for trials in linalg.chunks(n, d):
+    for trials in linalg.chunks(n, d, width):
         if first is not None:
             yield trials, np.array([(_family_state(cfg, k, n) if k else first).matrix
                                     for k in trials]), dims
@@ -181,20 +183,19 @@ def _samples(cfg: CampaignConfig, n: int, pure_only: bool = False, stream_offset
         yield trials, stack, dims
 
 
-def _sampled_states(cfg: CampaignConfig, n: int, stream_offset: int = 0):
-    """Yield (trial, state) for the states of ``_samples``, one at a time."""
-    for trials, stack, dims in _samples(cfg, n, stream_offset=stream_offset):
-        yield from ((i, DensityMatrix._derived(m, dims)) for i, m in zip(trials, stack))
+def _profile_stack(stack: np.ndarray, dims: tuple[int, ...],
+                   pc: ProfileConfig) -> list[ResourceProfile]:
+    """Profiles of the states stack[N] on dims, at most linalg.MAX_STACK entries a call."""
+    return [prof for part in linalg.chunks(len(stack), math.prod(dims))
+            for prof in resources.profile_batch(stack[part.start:part.stop], dims, pc)]
 
 
 def _profiles(group: list[DensityMatrix], pc: ProfileConfig) -> list[ResourceProfile]:
-    """Profiles of the states, stacked by dims, at most linalg.MAX_STACK entries a stack."""
+    """Profiles of the states, stacked by dims."""
     out = {}
     for dims in dict.fromkeys(state.dims for state in group):
         ks = [k for k, state in enumerate(group) if state.dims == dims]
-        for part in linalg.chunks(len(ks), math.prod(dims)):
-            stack = np.array([group[ks[j]].matrix for j in part])
-            out.update(zip([ks[j] for j in part], resources.profile_batch(stack, dims, pc)))
+        out.update(zip(ks, _profile_stack(np.array([group[k].matrix for k in ks]), dims, pc)))
     return [out[k] for k in range(len(group))]
 
 
@@ -334,33 +335,38 @@ def check_convexity(cfg: CampaignConfig) -> ClaimReport:
     pc = cfg.profile_config()
     pairs: list[tuple[str, DensityMatrix, DensityMatrix]] = [
         ("anchor", states.bell_spectator(), states.coherent_spectator())]
-    ends = [state for _, state in
-            _sampled_states(cfg, 2 * (n_pairs - 1), stream_offset=_STREAM_PAIR)]
+    ends = [DensityMatrix._derived(m, dims) for _, stack, dims in
+            _samples(cfg, 2 * (n_pairs - 1), stream_offset=_STREAM_PAIR) for m in stack]
     pairs += [(f"sampled[{i}]", ends[2 * i], ends[2 * i + 1]) for i in range(n_pairs - 1)]
     endpoint_mismatches = 0
     ball_violations = 0
     max_segment_dev = 0.0
     worst = _Tally(floor=-1.0)
-    for name, rho, sig in pairs:
-        mixes = [DensityMatrix._derived(lam * rho.matrix + (1.0 - lam) * sig.matrix, rho.dims)
-                 for lam in LAMBDAS]
-        prof_r, prof_s, *prof_mixes = _profiles([rho, sig, *mixes], pc)
-        inside = prof_r.norm <= 1.0 + tol and prof_s.norm <= 1.0 + tol
-        for lam, mix, prof_m in zip(LAMBDAS, mixes, prof_mixes):
-            if lam in (0.0, 1.0):
-                ref = prof_r if lam == 1.0 else prof_s
-                if (prof_m.q1, prof_m.q2, prof_m.q3, prof_m.norm) != \
-                        (ref.q1, ref.q2, ref.q3, ref.norm):
-                    endpoint_mismatches += 1
-                continue
-            seg = [lam * a + (1.0 - lam) * b
-                   for a, b in zip(prof_r.coords(), prof_s.coords())]
-            dev = max(abs(m - s) for m, s in zip(prof_m.coords(), seg))
-            max_segment_dev = max(max_segment_dev, dev)
-            worst.add(prof_m.norm, mix, prof_m.norm - 1.0, prof_m, pair=name,
-                      mixing=float(lam))
-            if inside and prof_m.norm > 1.0 + tol:
-                ball_violations += 1
+    w = 2 + len(LAMBDAS)  # a pair is scored as its endpoints and mixtures, in a row
+    for part in linalg.chunks(len(pairs), max(rho.dim for _, rho, _ in pairs), w):
+        group = []
+        for _, rho, sig in (pairs[p] for p in part):
+            mixes = (lam * rho.matrix + (1.0 - lam) * sig.matrix for lam in LAMBDAS)
+            group += [rho, sig, *(DensityMatrix._derived(m, rho.dims) for m in mixes)]
+        profs = _profiles(group, pc)
+        for k, p in enumerate(part):
+            prof_r, prof_s, *prof_mixes = profs[w * k:w * (k + 1)]
+            inside = prof_r.norm <= 1.0 + tol and prof_s.norm <= 1.0 + tol
+            for lam, mix, prof_m in zip(LAMBDAS, group[w * k + 2:w * (k + 1)], prof_mixes):
+                if lam in (0.0, 1.0):
+                    ref = prof_r if lam == 1.0 else prof_s
+                    if (prof_m.q1, prof_m.q2, prof_m.q3, prof_m.norm) != \
+                            (ref.q1, ref.q2, ref.q3, ref.norm):
+                        endpoint_mismatches += 1
+                    continue
+                seg = [lam * a + (1.0 - lam) * b
+                       for a, b in zip(prof_r.coords(), prof_s.coords())]
+                dev = max(abs(m - s) for m, s in zip(prof_m.coords(), seg))
+                max_segment_dev = max(max_segment_dev, dev)
+                worst.add(prof_m.norm, mix, prof_m.norm - 1.0, prof_m, pair=pairs[p][0],
+                          mixing=float(lam))
+                if inside and prof_m.norm > 1.0 + tol:
+                    ball_violations += 1
     verdict = "violated" if endpoint_mismatches else "report-only"
     return ClaimReport(
         claim_id=CLAIM_IDS["C2"], verdict=verdict,
@@ -378,11 +384,11 @@ def check_convexity(cfg: CampaignConfig) -> ClaimReport:
 # C3: monotonicity under channels on A
 
 
-def _sample_channel(d: int, seed: Seed) -> tuple[KrausChannel, int]:
-    """Haar-random channel with Kraus rank drawn uniformly from 1..d^2."""
+def _sample_channel(d: int, seed: Seed) -> np.ndarray:
+    """Kraus operators [rank, d, d] of a Haar-random channel with Kraus rank
+    drawn uniformly from 1..d^2."""
     rng = seed.rng()
-    rank = int(rng.integers(1, d * d + 1))
-    return channels._isometry_channel(d, d, rank, rng), rank
+    return channels._isometry_kraus(d, d, int(rng.integers(1, d * d + 1)), rng)
 
 
 def check_monotonicity(cfg: CampaignConfig) -> ClaimReport:
@@ -417,14 +423,23 @@ def check_monotonicity(cfg: CampaignConfig) -> ClaimReport:
     # Witness: the covariant slot of largest margin when a margin is above 0
     # (a hard violation), else the slot of largest margin in either family.
     margins, hard = _Tally(floor=-np.inf), _Tally(0.0, floor=-np.inf)
-    for i, state in _sampled_states(cfg, n_states):
-        rho_a = state.marginal([0])
-        drawn = [_sample_channel(d_a, Seed(cfg.seed, _STREAM_CHANNEL + i * n_ch + j))
-                 for j in range(n_ch)]
-        before, *afters = _profiles([state, *(apply_channel(ch, state, 0) for ch, _ in drawn)],
-                                    pc)
-        for j, ((_, rank), after) in enumerate(zip(drawn, afters)):
-            stream = _STREAM_CHANNEL + i * n_ch + j
+    # Slot s = i * n_ch + j is channel j on state i. The channels of a chunk
+    # act as one stack, and its states and their outputs are one profile stack.
+    for trials, stack, dims in _samples(cfg, n_states, width=1 + n_ch):
+        slots = range(trials.start * n_ch, trials.stop * n_ch)
+        haar = [_sample_channel(d_a, Seed(cfg.seed, _STREAM_CHANNEL + s)) for s in slots]
+        cov = [channels.covariant_kraus(g, Seed(cfg.seed, _STREAM_COVARIANT + s))
+               for s in slots]
+        outs = channels.apply_batch(channels.stack_kraus(haar), np.repeat(stack, n_ch, axis=0),
+                                    dims, 0)
+        profs = _profile_stack(np.concatenate([stack, outs]), dims, pc)
+        rho_a = np.repeat(linalg.partial_trace(stack, dims, [0]), n_ch, axis=0)
+        cov_q3 = np.clip(resources._fisher(channels.apply_batch(
+            channels.stack_kraus(cov), rho_a, (d_a,), 0), g.h) / resources.fq_max(g), 0.0, 1.0)
+        befores = [(DensityMatrix._derived(m, dims), prof) for m, prof in zip(stack, profs)]
+        for row, s in enumerate(slots):
+            (i, j), (state, before) = divmod(s, n_ch), befores[row // n_ch]
+            after = profs[len(trials) + row]
             delta = {k: getattr(after, k) - getattr(before, k)
                      for k in ("q1", "q3", "q2", "norm")}
             for k, v in delta.items():
@@ -432,19 +447,18 @@ def check_monotonicity(cfg: CampaignConfig) -> ClaimReport:
             margin = max(delta["q1"] - tol_q1, delta["q3"] - tol_q3,
                          delta["norm"] - tol_rep)
             margins.add(margin, state, margin, trial=i, channel_index=j,
-                        channel_family="haar", state_stream=i, channel_stream=stream,
-                        kraus_rank=rank,
+                        channel_family="haar", state_stream=i,
+                        channel_stream=_STREAM_CHANNEL + s,
+                        kraus_rank=len(haar[row]),
                         **{f"{k}_increase": float(v) for k, v in delta.items()},
                         profile_before=before, profile_after=after)
 
-            cov_stream = _STREAM_COVARIANT + i * n_ch + j
-            cov = covariant_channel(g, Seed(cfg.seed, cov_stream))
-            d_cov = resources.coord_q3(apply_channel(cov, rho_a, 0), g) - before.q3
+            d_cov = float(cov_q3[row]) - before.q3
             incs["covariant_q3"].add(d_cov)
             margin = d_cov - tol_q3
             case = dict(trial=i, channel_index=j, channel_family="covariant",
-                        state_stream=i, channel_stream=cov_stream,
-                        kraus_rank=len(cov.kraus), q3_increase=float(d_cov),
+                        state_stream=i, channel_stream=_STREAM_COVARIANT + s,
+                        kraus_rank=len(cov[row]), q3_increase=float(d_cov),
                         profile_before=before)
             margins.add(margin, state, margin, **case)
             hard.add(margin, state, margin, **case)
@@ -477,24 +491,31 @@ def check_conservation(cfg: CampaignConfig) -> ClaimReport:
     dims = cfg.dims
     # Drifts are >= 0; from -inf, a state with zero local drift is a witness.
     local, local_norm, glob = _Tally(tol, floor=-np.inf), _Tally(), _Tally(tol)
-    for i, state in _sampled_states(cfg, n):
-        u_a = dynamics.commuting_local_unitary(g, Seed(cfg.seed, _STREAM_UA + i))
-        u_b = states.haar_unitary(dims[1], Seed(cfg.seed, _STREAM_UB + i))
-        u_c = states.haar_unitary(dims[2], Seed(cfg.seed, _STREAM_UC + i))
-        u_l = dynamics.local_product_unitary(u_a, u_b, u_c)
-        u_g = dynamics.sample_commutant_unitary(g, dims, Seed(cfg.seed, _STREAM_UG + i))
-        before, after, after_g = _profiles(
-            [state, dynamics.evolve(state, u_l), dynamics.evolve(state, u_g)], pc)
-        drift = max(abs(after.q1 - before.q1), abs(after.q2 - before.q2),
-                    abs(after.q3 - before.q3))
-        local_norm.add(abs(after.norm - before.norm))
-        local.add(drift, state, drift, family="local", trial=i,
-                  profile_before=before, profile_after=after)
+    # A chunk of states and their two images is one profile stack: the
+    # states, then the local and the global image of each in turn.
+    for trials, stack, sampled_dims in _samples(cfg, n, width=3):
+        sampled = [DensityMatrix._derived(m, sampled_dims) for m in stack]
+        images = []
+        for i, state in zip(trials, sampled):
+            u_a = dynamics.commuting_local_unitary(g, Seed(cfg.seed, _STREAM_UA + i))
+            u_b = states.haar_unitary(dims[1], Seed(cfg.seed, _STREAM_UB + i))
+            u_c = states.haar_unitary(dims[2], Seed(cfg.seed, _STREAM_UC + i))
+            u_l = dynamics.local_product_unitary(u_a, u_b, u_c)
+            u_g = dynamics.sample_commutant_unitary(g, dims, Seed(cfg.seed, _STREAM_UG + i))
+            images += [dynamics.evolve(state, u).matrix for u in (u_l, u_g)]
+        profs = _profile_stack(np.concatenate([stack, images]), sampled_dims, pc)
+        rest = iter(profs[len(trials):])
+        for i, state, before, after, after_g in zip(trials, sampled, profs, rest, rest):
+            drift = max(abs(after.q1 - before.q1), abs(after.q2 - before.q2),
+                        abs(after.q3 - before.q3))
+            local_norm.add(abs(after.norm - before.norm))
+            local.add(drift, state, drift, family="local", trial=i,
+                      profile_before=before, profile_after=after)
 
-        d_norm = abs(after_g.norm - before.norm)
-        glob.add(d_norm, state, d_norm, family="global", trial=i,
-                 unitary_stream=_STREAM_UG + i, profile_before=before,
-                 profile_after=after_g)
+            d_norm = abs(after_g.norm - before.norm)
+            glob.add(d_norm, state, d_norm, family="global", trial=i,
+                     unitary_stream=_STREAM_UG + i, profile_before=before,
+                     profile_after=after_g)
     # The global witness replaces the local one only when strictly larger.
     worst = glob if glob.max > local.max else local
     return ClaimReport(

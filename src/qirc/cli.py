@@ -172,20 +172,19 @@ def cmd_check(args) -> int:
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
-    docs = []
+    texts = []
     exit_code = 0
     for short in shorts:
         report, cloud = claims.run_check(short, cfg)
         doc = report.to_dict()
         doc["config"] = echo
-        docs.append(doc)
+        texts.append(serialize.dumps(doc))
         summary = (f"{report.claim_id}: {report.verdict} "
                    f"(violations {report.violations}/{report.trials}, "
                    f"report-only {report.report_only_violations})")
         print(summary, file=sys.stderr)
         if out_dir:
-            (out_dir / f"{report.claim_id}.json").write_text(
-                serialize.dumps(doc), encoding="utf-8")
+            (out_dir / f"{report.claim_id}.json").write_text(texts[-1], encoding="utf-8")
             if cloud is not None:
                 rows = [tuple(r[k] for k in CLOUD_HEADER) for r in cloud]
                 lines = serialize.csv_lines(
@@ -197,7 +196,10 @@ def cmd_check(args) -> int:
             exit_code = 1
         if args.strict and (report.violations > 0 or report.report_only_violations > 0):
             exit_code = 1
-    sys.stdout.write(serialize.dumps(docs))
+    # serialize.dumps(docs) from the texts: in the list, every line of a doc
+    # after the first is indented one more level (JSON strings hold no newline).
+    sys.stdout.write("[\n" + ",\n".join("  " + t[:-1].replace("\n", "\n  ")
+                                         for t in texts) + "\n]\n")
     return exit_code
 
 

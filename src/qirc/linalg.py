@@ -70,9 +70,10 @@ def check_size(n: int, what: str) -> int:
     return n
 
 
-def chunks(n: int, dim: int) -> list[range]:
-    """Consecutive ranges of n states of dimension dim, MAX_STACK entries each at most."""
-    per = MAX_STACK // (check_size(dim, "a stacked state") ** 2)
+def chunks(n: int, dim: int, width: int = 1) -> list[range]:
+    """Consecutive ranges of n items of ``width`` states of dimension dim each,
+    MAX_STACK entries a range at most (one item when one exceeds it)."""
+    per = max(1, MAX_STACK // (width * check_size(dim, "a stacked state") ** 2))
     return [range(k, min(n, k + per)) for k in range(0, n, per)]
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -127,7 +129,7 @@ class TestCovariantChannel:
         for i in range(20):
             rho = random_density(rng, g.dim)
             cov = channels.covariant_channel(g, Seed(5, i))
-            haar, _ = _sample_channel(g.dim, Seed(5, i))
+            haar = channels.make_channel(_sample_channel(g.dim, Seed(5, i)))
             assert _covariance_residual(cov, g, rho) <= 1e-12
             # the Haar sampler breaks the symmetry, so the check separates them
             assert _covariance_residual(haar, g, rho) > 1e-3
@@ -185,6 +187,54 @@ class TestApply:
             channels.apply(channels.depolarizing(3, 0.5), rho, 0)
         with pytest.raises(ValueError):
             channels.apply(channels.make_channel([np.eye(2)]), rho, 5)
+
+
+def _kron_apply(kraus, rho, dims, target):
+    """Reference: sum_k (I ⊗ K_k ⊗ I) rho (I ⊗ K_k ⊗ I)†, by Kronecker products."""
+    left, right = int(np.prod(dims[:target])), int(np.prod(dims[target + 1:]))
+    ops = [np.kron(np.kron(np.eye(left), k), np.eye(right)) for k in kraus]
+    return sum(op @ rho @ op.conj().T for op in ops)
+
+
+class TestApplyBatch:
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3, 3), (2, 1, 2)])
+    @pytest.mark.parametrize("target", [0, 1, 2])
+    def test_matches_the_kron_reference_with_mixed_ranks(self, dims, target):
+        d = dims[target]
+        ranks = [1, d * d, 2, 3]  # padded to the largest rank within one stack
+        chs = [channels.random_channel(d, d, r, Seed(21, n)) for n, r in enumerate(ranks)]
+        rhos = [states.ginibre_mixed(int(np.prod(dims)), 1 + n, Seed(22, n)).reshaped(dims)
+                for n in range(len(chs))]
+        out = channels.apply_batch(channels.stack_kraus([np.array(ch.kraus) for ch in chs]),
+                                   np.array([rho.matrix for rho in rhos]), dims, target)
+        for ch, rho, row in zip(chs, rhos, out):
+            ref = _kron_apply(ch.kraus, rho.matrix, dims, target)
+            assert np.abs(row - ref).max() <= 1e-14
+            # each row is bit for bit the single-channel (N = 1) call
+            assert np.array_equal(row, channels.apply(ch, rho, target).matrix)
+
+    def test_mismatches_raise_before_allocating(self):
+        n = 100_000  # a computed stack of n 8 x 8 states would take 100 MB
+        rho = np.broadcast_to(np.eye(8, dtype=complex) / 8, (n, 8, 8))
+        wrong_d = np.broadcast_to(np.eye(3, dtype=complex), (n, 1, 3, 3))
+        too_big = np.broadcast_to(np.zeros((2048, 2), dtype=complex), (n, 1, 2048, 2))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="does not match"):
+                channels.apply_batch(wrong_d, rho, (2, 2, 2), 0)
+            with pytest.raises(ValueError, match="out of range"):
+                channels.apply_batch(wrong_d, rho, (2, 2, 2), 3)
+            with pytest.raises(ValueError, match="MAX_DIM"):
+                channels.apply_batch(too_big, rho, (2, 2, 2), 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_stack_rejects_an_incomplete_channel(self):
+        good = np.array(channels.random_channel(2, 2, 2, Seed(23, 0)).kraus)
+        with pytest.raises(ValueError, match="completeness"):
+            channels.stack_kraus([good, 0.5 * good])
 
 
 class TestChoi:

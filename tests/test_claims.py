@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from qirc import channels, claims, resources, states
-from qirc.claims import (CampaignConfig, check_convexity, check_conservation,
-                         check_entropic_bounds, check_extremals,
+from qirc import channels, claims, dynamics, resources, serialize, states
+from qirc.claims import (CampaignConfig, _sample_channel, check_convexity,
+                         check_conservation, check_entropic_bounds, check_extremals,
                          check_monotonicity, check_qirc_ball,
                          normalize_claim_id, resolve_generator, run_check)
+from qirc.generators import default_generator
 from qirc.resources import ProfileConfig
 from qirc.states import Seed
 
@@ -263,6 +264,33 @@ class TestConservation:
         a = check_conservation(small(trials=5)).to_dict()
         b = check_conservation(small(trials=5)).to_dict()
         assert a == b
+
+
+class TestStackIndependence:
+    """A check scores its states and their images as one stack; each row is
+    still the profile of its state alone."""
+
+    def test_c3_witness_profiles_match_the_state_alone(self):
+        cfg = small(dims=(3, 3, 3), trials=2, channels_per_state=3)
+        w = check_monotonicity(cfg).worst_case
+        state = serialize.state_from_dict(w["state"])
+        assert w["profile_before"] == resources.profile(state).to_dict()
+        assert w["channel_family"] == "haar"
+        ch = channels.make_channel(_sample_channel(3, Seed(7, w["channel_stream"])))
+        after = resources.profile(channels.apply(ch, state, 0))
+        assert w["profile_after"] == after.to_dict()
+
+    def test_t2_witness_profiles_match_the_state_alone(self):
+        cfg = small(dims=(3, 3, 3), trials=3)
+        w = check_conservation(cfg).worst_case
+        state = serialize.state_from_dict(w["state"])
+        assert w["profile_before"] == resources.profile(state).to_dict()
+        assert w["family"] == "global"
+        u_g = dynamics.sample_commutant_unitary(default_generator(3), (3, 3, 3),
+                                                Seed(7, w["unitary_stream"]))
+        assert w["profile_after"] == resources.profile(dynamics.evolve(state, u_g)).to_dict()
+        # the witness is trial 0, the same whether it shares its stack with 2 or 3 states
+        assert w == check_conservation(small(dims=(3, 3, 3), trials=2)).worst_case
 
 
 class TestWorstCase:

@@ -279,6 +279,16 @@ class TestCheckCommand:
         assert code == 2
         assert "--starts" in err
 
+    def test_stdout_is_the_list_of_the_artifacts(self, capsys, tmp_path):
+        # stdout is built from the artifact texts; it must read as if the
+        # list of their docs were rendered whole
+        code, out, _ = run(capsys, "check", "T1", "C3", "T2", "--dims", "3,3,3",
+                           "--trials", "3", "--channels", "3", "--out", str(tmp_path))
+        assert code == 0
+        docs = [json.loads((tmp_path / f"{name}.json").read_text(), parse_int=float)
+                for name in ("T1.ball", "C3.monotonicity", "T2.conservation")]
+        assert out == serialize.dumps(docs)
+
 
 class TestEvolveCommand:
     def _write_schedule(self, tmp_path, steps):

@@ -9,7 +9,10 @@ Each command runs in its own empty directory, so the relative paths that
 artifacts echo are the same on both sides. Stdout, stderr, the exit code and
 every file the command leaves in its directory are compared byte for byte.
 Prints one line per command, ``same`` or ``DIFF`` with what differs, and
-exits 1 when any command differs. The temporary directory is removed at the
+exits 1 when any command differs. Under a ``DIFF`` line, each differing JSON
+or CSV file, and stdout, gets one more line: the largest absolute difference
+between the numbers the two sides print in the same place, and whether any
+other token differs. That tells a change in the last digits from a real one. The temporary directory is removed at the
 end; ``tempfile`` places it under TMPDIR.
 """
 
@@ -19,6 +22,7 @@ import argparse
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tarfile
@@ -70,6 +74,22 @@ COMMANDS = [
 ]
 
 
+# A number as the artifacts print it; the text between numbers is compared as is.
+NUMBER = re.compile(rb"(-?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|Infinity)|NaN)")
+
+
+def numeric_diff(a: bytes, b: bytes) -> str:
+    """The largest absolute difference between the numbers at the same place
+    in a and b, and whether the rest of the text differs."""
+    pa, pb = NUMBER.split(a), NUMBER.split(b)
+    same_text = len(pa) == len(pb) and pa[::2] == pb[::2]
+    if not same_text:
+        return "other tokens differ"
+    gap = max((abs(float(x) - float(y)) if x != y else 0.0
+               for x, y in zip(pa[1::2], pb[1::2])), default=0.0)
+    return f"max |difference| {gap:.3g}, other tokens same"
+
+
 def export_src(rev: str, dest: Path) -> Path:
     """Write ``src/`` of revision ``rev`` under ``dest``; return its path."""
     tar = subprocess.run(["git", "archive", "--format=tar", rev, "src"], cwd=REPO,
@@ -108,6 +128,11 @@ def main(argv=None) -> int:
             differ += bool(diffs)
             status = f"DIFF ({', '.join(diffs)})" if diffs else "same"
             print(f"{status:<6} exit {here['exit code']}  qirc {command}", flush=True)
+            for key in diffs:
+                if key == "stdout" or key.endswith((".json", ".csv")):
+                    print(f"         {key}: "
+                          f"{numeric_diff(here.get(key, b''), there.get(key, b''))}",
+                          flush=True)
     print(f"{len(COMMANDS) - differ} of {len(COMMANDS)} commands byte-identical "
           f"with {args.rev}")
     return 1 if differ else 0
