@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .generators import CoherenceGenerator, clusters
+from .generators import CoherenceGenerator
 from .states import DensityMatrix, Seed, _haar_unitary_from_rng, max_entangled_ket
 from .tolerances import EPS_CPTP, EPS_PSD
 
@@ -58,11 +58,8 @@ def _weyl_operators(d: int) -> list[np.ndarray]:
     omega = np.exp(2j * np.pi / d)
     shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
     clock = np.diag(omega ** np.arange(d))
-    ops = []
-    for a in range(d):
-        for b in range(d):
-            ops.append(np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b))
-    return ops
+    return [np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
+            for a in range(d) for b in range(d)]
 
 
 def depolarizing(d: int, p: float) -> KrausChannel:
@@ -70,11 +67,8 @@ def depolarizing(d: int, p: float) -> KrausChannel:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing strength p={p} outside [0, 1]")
     ops = _weyl_operators(d)
-    kraus = [np.sqrt(1.0 - p + p / d**2) * ops[0]]
-    for w in ops[1:]:
-        if p > 0:
-            kraus.append(np.sqrt(p / d**2) * w)
-    return make_channel(kraus)
+    rest = [np.sqrt(p / d**2) * w for w in ops[1:]] if p > 0 else []
+    return make_channel([np.sqrt(1.0 - p + p / d**2) * ops[0]] + rest)
 
 
 def dephasing(lam: float, basis: CoherenceGenerator) -> KrausChannel:
@@ -83,13 +77,9 @@ def dephasing(lam: float, basis: CoherenceGenerator) -> KrausChannel:
         raise ValueError(f"dephasing strength lambda={lam} outside [0, 1]")
     d = basis.dim
     v = basis.eigen.vectors
-    kraus: list[np.ndarray] = []
-    if lam < 1.0:
-        kraus.append(np.sqrt(1.0 - lam) * np.eye(d, dtype=complex))
+    kraus = [np.sqrt(1.0 - lam) * np.eye(d, dtype=complex)] if lam < 1.0 else []
     if lam > 0.0:
-        for i in range(d):
-            col = v[:, i]
-            kraus.append(np.sqrt(lam) * np.outer(col, col.conj()))
+        kraus += [np.sqrt(lam) * np.outer(col, col.conj()) for col in v.T]
     return make_channel(kraus)
 
 
@@ -154,17 +144,10 @@ def covariant_kraus(g: CoherenceGenerator, seed: Seed) -> np.ndarray:
     """
     rng = seed.rng()
     d = g.dim
-    tol = g.cluster_tol
-    level = np.empty(d)
-    for cluster in g.eigenvalue_clusters():
-        level[cluster] = g.eigen.values[cluster[0]]
-    shift = level[:, None] - level[None, :]
-    shifts = np.sort(shift.ravel())
     ops = []
-    for w in (shifts[c[0]] for c in clusters(shifts, tol)):
-        mask = np.abs(shift - w) <= tol
+    for w, mask in g.charge_shifts:
         top = min(2, int(mask.sum()))
-        for _ in range(int(rng.integers(0 if abs(w) > tol else 1, top + 1))):
+        for _ in range(int(rng.integers(0 if abs(w) > g.cluster_tol else 1, top + 1))):
             a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             ops.append(a * mask)
     s_inv_half = linalg.psd_power(sum(linalg.dagger(a) @ a for a in ops), -0.5)

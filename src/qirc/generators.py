@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,17 @@ class CoherenceGenerator:
     def eigenvalue_clusters(self) -> list[list[int]]:
         """Indices of (numerically) equal eigenvalues, ascending order."""
         return clusters(self.eigen.values, self.cluster_tol)
+
+    @functools.cached_property
+    def charge_shifts(self) -> list[tuple[float, np.ndarray]]:
+        """The distinct eigenvalue differences omega, ascending, each with the
+        mask of the eigenbasis entries (m, k) where lambda_m - lambda_k = omega."""
+        level = self.eigen.values.copy()
+        for cluster in self.eigenvalue_clusters():
+            level[cluster] = level[cluster[0]]
+        shift = level[:, None] - level[None, :]
+        tol, shifts = self.cluster_tol, np.sort(shift.ravel())
+        return [(shifts[c[0]], np.abs(shift - shifts[c[0]]) <= tol) for c in clusters(shifts, tol)]
 
 
 def clusters(values: np.ndarray, tol: float) -> list[list[int]]:

@@ -18,13 +18,13 @@ import numpy as np
 from . import channels, linalg
 from .generators import CoherenceGenerator, default_generator
 from .states import DensityMatrix, Seed, _haar_unitary_from_rng
-from .tolerances import EPS_CERT, EPS_KRAUS, EPS_OPT, EPS_PSD, EPS_QFI
+from .tolerances import EPS_CERT, EPS_KRAUS, EPS_NEWTON, EPS_OPT, EPS_PSD, EPS_QFI
 
 # The singlet-fraction search at d >= 3: the identity and spectral starts,
-# each refined for at most MAX_ITER steps (the stop gain is EPS_OPT), then a
-# dual certificate of at most CERT_STEPS descent steps; the HAAR_STARTS Haar
-# starts, drawn from a fixed seed, run only when the certified gap exceeds
-# EPS_CERT. Where 32 leave a gap, 1,024 raise f by under 1e-12.
+# each refined by power and Newton steps for at most MAX_ITER steps (the stop
+# gain is EPS_OPT), then a dual certificate of at most CERT_STEPS descent
+# steps; the HAAR_STARTS Haar starts, drawn from a fixed seed, run only when
+# the certified gap exceeds EPS_CERT.
 HAAR_STARTS = 32
 MAX_ITER = 400
 CERT_STEPS = 50
@@ -90,27 +90,69 @@ class ProfileConfig:
 # Maximal singlet fraction, over a stack of states rho[N, d*d, d*d]
 
 
-def _polar_batch(g: np.ndarray) -> np.ndarray:
-    u, _, vh = np.linalg.svd(g)
-    return u @ vh
+def _polar_batch(g: np.ndarray, d: int) -> np.ndarray:
+    """The polar unitary of each flattened d x d matrix of g[..., d*d], flattened."""
+    u, _, vh = np.linalg.svd(g.reshape(g.shape[:-1] + (d, d)))
+    return (u @ vh).reshape(g.shape)
+
+
+@functools.lru_cache(maxsize=16)
+def _hermitian_basis(d: int) -> np.ndarray:
+    """An orthonormal basis E_k of the Hermitian d x d matrices under
+    Tr(A B), one flattened matrix per row, read-only."""
+    unit = np.eye(d * d, dtype=complex).reshape(d, d, d, d) / np.sqrt(2)  # |j><k|/sqrt(2)
+    j, k = np.triu_indices(d, 1)
+    out = np.concatenate([np.sqrt(2) * unit[range(d), range(d)], unit[j, k] + unit[k, j],
+                          1j * (unit[j, k] - unit[k, j])]).reshape(d * d, -1)
+    out.setflags(write=False)
+    return out
+
+
+def _newton_batch(w: np.ndarray, y: np.ndarray, rho_t: np.ndarray, d: int) -> np.ndarray:
+    """W (I + iH) for each start w[N, S], whose polar unitary is a saddle-free
+    Newton step on f(W e^{iH}): H = sum_k x_k E_k with x = V |Lambda|^-1 V^T g,
+    from the gradient g and Hessian V Lambda V^T at H = 0, each |eigenvalue|
+    floored at EPS_NEWTON times the largest. y = w @ rho_t: rows of rho vec W."""
+    n, s, e = len(w), w.shape[1], _hermitian_basis(d)
+    e_cols = e.reshape(-1, d, d).transpose(1, 0, 2).reshape(d, -1)  # [j, (k, l)]: E_k[j, l]
+    wm = w.reshape(n, s, d, d)
+    p = linalg.dagger(wm) @ y.reshape(n, s, d, d)
+    b, pe = ((m @ e_cols).reshape(n, s, d, d * d, d).swapaxes(2, 3).reshape(n, s, d * d, -1)
+             for m in (wm, (p + linalg.dagger(p)) / 2))  # row k: vec(W E_k), vec(P E_k)
+    # f(W e^{iH}) = f + Re[2i Tr(Y† W H) - Tr(Y† W H^2) + vec(W H)† rho vec(W H)]/d + O(H^3),
+    # where Re Tr(Y† W H^2) = Tr(H P H) with P = Herm(W† Y)
+    grad = 2 * (b.conj() @ y[..., None]).imag / d
+    hess = 2 * (b.conj() @ np.swapaxes(b @ rho_t[:, None], -1, -2)
+                - e.conj() @ np.swapaxes(pe, -1, -2)).real / d
+    lam, v = np.linalg.eigh(hess)
+    scale = np.maximum(np.abs(lam), EPS_NEWTON * np.abs(lam).max(axis=-1, keepdims=True))
+    x = v @ np.divide(np.swapaxes(v, -1, -2) @ grad, scale[..., None],
+                      out=np.zeros_like(grad), where=scale[..., None] > 0)
+    return (wm + 1j * wm @ (x[..., 0] @ e).reshape(n, s, d, d)).reshape(n, s, -1)
 
 
 def _power_refine(rho: np.ndarray, w0: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Monotone ascent on f(W) = vec(W)† rho vec(W)/d over unitary W from the
     starts w0[N, S, d*d] (or w0[S, d*d], shared), stopped for each state once
-    no start gains more than EPS_OPT; each state's best value [N] and W."""
+    no start gains more than EPS_OPT; each state's best value [N] and W. Each
+    step keeps, per start, the highest of W, the polar step W -> polar(mat(rho
+    vec W)), which never lowers f, and the Newton step of ``_newton_batch``."""
     rho_t = rho.conj()  # rows of w @ rho_t are (rho vec w)^T since rho is Hermitian
     w = np.array(np.broadcast_to(w0, (len(rho),) + w0.shape[-2:]))
-    y = w @ rho_t
-    vals = np.einsum("nij,nij->ni", w.conj(), y).real / d
-    live = np.arange(len(rho))
+    vals = np.einsum("nij,nij->ni", w.conj(), w @ rho_t).real / d
+    live, s = np.arange(len(rho)), w.shape[1]
     for _ in range(MAX_ITER):
         rows = slice(None) if len(live) == len(rho) else live  # no gather while all run
-        w_new = _polar_batch(y[rows].reshape(-1, d, d)).reshape(len(live), -1, d * d)
-        y_new = w_new @ rho_t[rows]
-        vals_new = np.einsum("nij,nij->ni", w_new.conj(), y_new).real / d
+        w_r, r_t = w[rows], rho_t[rows]
+        y_r = w_r @ r_t
+        steps = np.concatenate([y_r, _newton_batch(w_r, y_r, r_t, d)], 1)
+        w_new = np.concatenate([w_r, _polar_batch(steps, d)], 1)
+        vals_new = np.einsum("nij,nij->ni", w_new.conj(), w_new @ r_t).real / d
+        # per start, the highest of W and its two steps; a tie keeps W
+        pick = np.arange(s) + s * np.argmax(vals_new.reshape(len(live), 3, s), axis=1)
+        vals_new = np.take_along_axis(vals_new, pick, 1)
         gain = np.max(vals_new - vals[rows], axis=1)
-        w[rows], y[rows], vals[rows] = w_new, y_new, vals_new
+        w[rows], vals[rows] = np.take_along_axis(w_new, pick[..., None], 1), vals_new
         live = live[~(gain <= EPS_OPT)]
         if not len(live):
             break
@@ -133,9 +175,9 @@ def _start_batch(rho: np.ndarray, d: int) -> np.ndarray:
     # eigenvector is given by the polar unitary of its matrix reshape. rho is
     # a state, possibly a derived one such as the q2 Choi state, whose
     # rounding is not re-checked; only its Hermitian part is read.
-    top = np.linalg.eigh((rho + linalg.dagger(rho)) / 2)[1][..., -1].reshape(-1, d, d)
+    top = np.linalg.eigh((rho + linalg.dagger(rho)) / 2)[1][..., -1]
     eye = np.broadcast_to(np.eye(d, dtype=complex).reshape(d * d), (len(rho), 1, d * d))
-    return np.concatenate([eye, _polar_batch(top).reshape(-1, 1, d * d)], axis=1)
+    return np.concatenate([eye, _polar_batch(top, d)[:, None]], axis=1)
 
 
 def _certified_gap(rho: np.ndarray, w: np.ndarray, d: int) -> np.ndarray:
@@ -197,7 +239,7 @@ def optimizer_settings(d: int) -> dict:
     out = {"starts": HAAR_STARTS, "tol": EPS_OPT, "max_iter": MAX_ITER,
            "seed": START_SEED, "method": "closed-form"}
     if d != 2:
-        out.update(method="power+certificate", cert_tol=EPS_CERT, cert_steps=CERT_STEPS)
+        out.update(method="power-newton+certificate", cert_tol=EPS_CERT, cert_steps=CERT_STEPS)
     return out
 
 
@@ -228,10 +270,9 @@ def fully_entangled_fraction(rho: DensityMatrix) -> tuple[float, np.ndarray, flo
     to a phase, the real unit vectors x in the magic basis, so the fraction is
     the top eigenvalue of Re(Q† rho Q)/2 (Badziąg et al., PRA 62, 012311,
     2000) and Q x reshapes to U†. d >= 3 refines the identity and a spectral
-    warm start by a local maximization over one-sided unitaries and bounds
-    the result by ``_certified_gap``. Only when that gap exceeds EPS_CERT are
-    the HAAR_STARTS Haar starts refined too; the gap is then the tighter of
-    the two bounds, less the best value found.
+    start by ``_power_refine`` and bounds the result by ``_certified_gap``;
+    only when that gap exceeds EPS_CERT are the HAAR_STARTS Haar starts
+    refined too, and the gap is the tighter bound less the best value.
     """
     if len(rho.dims) != 2 or rho.dims[0] != rho.dims[1]:
         raise ValueError(f"expected equal local dims, got {rho.dims}")

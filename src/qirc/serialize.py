@@ -14,14 +14,12 @@ import numpy as np
 from .states import DensityMatrix
 
 
+_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def fmt_float(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == float("inf"):
-        return "Infinity"
-    if x == float("-inf"):
-        return "-Infinity"
-    return format(float(x), ".17g")
+    text = format(float(x), ".17g")
+    return _SPECIAL.get(text, text)
 
 
 def _emit(obj: Any, indent: int | None, level: int, pieces: list[str]) -> None:
@@ -39,19 +37,22 @@ def _emit(obj: Any, indent: int | None, level: int, pieces: list[str]) -> None:
             sep, pad = ",\n", " " * (indent * (level + 1))
             opening, end = opening + "\n", "\n" + " " * (indent * level)
         pieces.append(opening)
-        for i, item in enumerate(items):
-            pieces.append(sep + pad if i else pad)
-            if is_dict:
-                key, item = item
-                pieces.append(f"{json.dumps(str(key))}: ")
-            _emit(item, indent, level + 1, pieces)
+        if not is_dict and all(isinstance(x, (float, np.floating)) for x in items):
+            pieces.append(pad + (sep + pad).join(map(fmt_float, items)))  # same text, one join
+        else:
+            for i, item in enumerate(items):
+                pieces.append(sep + pad if i else pad)
+                if is_dict:
+                    key, item = item
+                    pieces.append(f"{json.dumps(str(key))}: ")
+                _emit(item, indent, level + 1, pieces)
         pieces.append(end + closing)
     elif isinstance(obj, (str, bool)) or obj is None:
         pieces.append(json.dumps(obj))
     elif isinstance(obj, (int, np.integer)):
         pieces.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        pieces.append(fmt_float(float(obj)))
+        pieces.append(fmt_float(obj))
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 

@@ -10,6 +10,7 @@ EPS_TRACE = 1e-10      # unit-trace residual of a density matrix
 EPS_UNITARY = 1e-10    # ||U†U - I|| (Frobenius) of a unitary
 EPS_COMMUTANT = 1e-10  # commutator residual of a commutant sample, relative
 EPS_OPT = 1e-14        # singlet-fraction search stops when no start gains more
+EPS_NEWTON = 1e-2      # Newton-step Hessian |eigenvalue| floor, relative to the largest
 EPS_CERT = 1e-12       # certified singlet-fraction gap above which the Haar starts run
 EPS_CPTP = 1e-10       # Kraus completeness residual (Frobenius)
 EPS_KRAUS = 1e-12      # Choi eigenvalue cutoff when extracting Kraus operators

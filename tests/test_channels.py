@@ -153,6 +153,38 @@ class TestCovariantChannel:
         assert np.linalg.norm(total - np.eye(3)) <= 1e-10
         assert all(np.array_equal(x, y) for x, y in zip(a.kraus, b.kraus))
 
+    @pytest.mark.parametrize("values", [[1.0, 1.0, -2.0], [0.0, 1.0, 3.0], [0.3, -1.1, 2.0, 0.5]],
+                             ids=["degenerate", "equal-shifts", "non-degenerate"])
+    def test_cached_shifts_draw_the_fresh_kraus_operators(self, values):
+        # a fresh generator recomputes its shifts; reusing one reads them from
+        # its cache. Both must give the Kraus operators of the draw computed
+        # from the spectrum, bit for bit
+        g = diagonal_generator(values)
+        for i in range(12):
+            fresh = fresh_covariant_kraus(diagonal_generator(values), Seed(4, i))
+            assert np.array_equal(channels.covariant_kraus(g, Seed(4, i)), fresh)
+            assert np.array_equal(
+                channels.covariant_kraus(diagonal_generator(values), Seed(4, i)), fresh)
+
+
+def fresh_covariant_kraus(g, seed: Seed) -> np.ndarray:
+    """``channels.covariant_kraus`` with the levels, shifts and masks
+    recomputed from g's spectrum on the draw."""
+    rng, d, tol = seed.rng(), g.dim, g.cluster_tol
+    level = np.empty(d)
+    for cluster in clusters(g.eigen.values, tol):
+        level[cluster] = g.eigen.values[cluster[0]]
+    shift = level[:, None] - level[None, :]
+    shifts = np.sort(shift.ravel())
+    ops = []
+    for w in (shifts[c[0]] for c in clusters(shifts, tol)):
+        mask = np.abs(shift - w) <= tol
+        for _ in range(int(rng.integers(0 if abs(w) > tol else 1, min(2, int(mask.sum())) + 1))):
+            ops.append((rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) * mask)
+    s_inv_half = linalg.psd_power(sum(linalg.dagger(a) @ a for a in ops), -0.5)
+    v = g.eigen.vectors
+    return np.array([v @ a @ s_inv_half @ linalg.dagger(v) for a in ops])
+
 
 def test_clusters_reach_from_the_first_value():
     # eigenvalues and charge shifts share this rule: a group holds the values

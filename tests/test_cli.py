@@ -250,7 +250,7 @@ class TestCheckCommand:
         assert "starts" not in echo
         assert echo["campaign"]["optimizer"] == {
             "starts": 32, "tol": 1e-14, "max_iter": 400, "seed": 20240817,
-            "method": "power+certificate", "cert_tol": 1e-12, "cert_steps": 50}
+            "method": "power-newton+certificate", "cert_tol": 1e-12, "cert_steps": 50}
 
     def test_oversized_dims_exit_2(self, capsys):
         # 17 * 16 * 16 = 4352 is just above MAX_DIM; rejected before sampling

@@ -11,7 +11,7 @@ from qirc.resources import (ProfileConfig, coord_q1, coord_q2, coord_q3,
                             induced_transfer_channel, profile, profile_batch,
                             quantum_fisher_information, teleportation_fidelity)
 from qirc.states import DensityMatrix, Seed
-from qirc.tolerances import EPS_CERT, EPS_PSD
+from qirc.tolerances import EPS_CERT, EPS_OPT, EPS_PSD
 
 from conftest import fmax_two_qubit_oracle, near_product_ket, random_hermitian
 
@@ -40,6 +40,38 @@ def short_start_state() -> DensityMatrix:
     """A Haar 3-qutrit state whose q2 Choi state the identity and spectral
     starts leave 0.027 below its singlet fraction; its rho_AB they certify."""
     return states.haar_pure((3, 3, 3), Seed(7, 403))
+
+
+def power_fraction(rho: np.ndarray, d: int) -> float:
+    """The singlet fraction of rho[d*d, d*d] by the plain polar power
+    iteration, from the same starts and with the same certificate and Haar
+    fallback as the library's search, which adds a Newton step to it."""
+
+    def refine(w):
+        vals = np.einsum("si,ij,sj->s", w.conj(), rho, w).real / d
+        for _ in range(resources.MAX_ITER):
+            u, _, vh = np.linalg.svd((w @ rho.conj()).reshape(-1, d, d))
+            w = (u @ vh).reshape(len(w), -1)
+            new = np.einsum("si,ij,sj->s", w.conj(), rho, w).real / d
+            gain, vals = np.max(new - vals), new
+            if gain <= EPS_OPT:
+                break
+        return vals.max(), w[np.argmax(vals)]
+
+    f, w = refine(resources._start_batch(rho[None], d)[0])
+    if resources._certified_gap(rho[None], w.reshape(1, d, d), d)[0] > EPS_CERT:
+        f = max(f, refine(np.array(resources._haar_starts(d, resources.HAAR_STARTS)))[0])
+    return min(f, 1.0)
+
+
+def qutrit_product_ket(e: float) -> np.ndarray:
+    """sqrt(1-2e)|a0,0,0> + sqrt(e)|a1,0,1> + sqrt(e)|a2,0,2>, a0 = (|0>+|2>)/sqrt2,
+    a1 = |1>, a2 = (|0>-|2>)/sqrt2: rho_AB = sigma ⊗ |0><0|, a product whose
+    singlet fraction is lambda_max(sigma)/3 = (1 - 2e)/3."""
+    z = np.eye(3)
+    a = [(z[0] + z[2]) / np.sqrt(2), z[1], (z[0] - z[2]) / np.sqrt(2)]
+    return sum(np.sqrt(p) * np.kron(np.kron(a[c], z[0]), z[c])
+               for c, p in enumerate((1 - 2 * e, e, e)))
 
 
 class TestFullyEntangledFraction:
@@ -163,6 +195,30 @@ class TestCertificate:
             assert brute <= f + gap + 1e-12
 
 
+class TestNewtonSearch:
+    """The d >= 3 search, with its Newton step, against an exact family and
+    the plain power iteration from the same starts."""
+
+    @pytest.mark.parametrize("e", [0.1, 1e-2, 1e-4])
+    def test_qutrit_product_family(self, e):
+        rho = states.ket_projector(qutrit_product_ket(e), (3, 3, 3)).marginal([0, 1])
+        f, u, _ = fully_entangled_fraction(rho)
+        assert abs(f - (1 - 2 * e) / 3) <= 1e-15
+        assert np.abs(u.conj().T @ u - np.eye(3)).max() <= 1e-13
+
+    @pytest.mark.parametrize("d, n", [(3, 60), (4, 16)])
+    def test_never_below_the_power_iteration(self, d, n):
+        # seed-7 Haar states, rho_AB and the q2 Choi state of each
+        rhos = [states.haar_pure((d, d, d), Seed(7, i)) for i in range(n)]
+        stack = np.array([m.matrix for rho in rhos for m in (
+            rho.marginal([0, 1]), resources.transfer_choi_state(rho.marginal([0, 2])))])
+        f, w, gap = resources._singlet_fractions(stack, d)
+        ref = np.array([power_fraction(m, d) for m in stack])
+        assert np.min(f - ref) >= -1e-15
+        assert np.abs(linalg.dagger(w) @ w - np.eye(d)).max() <= 1e-13
+        assert np.all(gap >= 0.0)
+
+
 class TestHaarFallback:
     """The Haar starts run only when the certificate of the cheap starts fails."""
 
@@ -210,10 +266,11 @@ class TestHaarFallback:
         assert b.f_max_gap <= EPS_CERT and b.f_choi_gap <= EPS_CERT
         assert len(haar_calls) == 1
 
-    @pytest.mark.parametrize("stream, pair", [(81, "ab"), (505, "ab"), (770, "choi")])
+    @pytest.mark.parametrize("stream, pair", [(81, "ab"), (505, "ab")])
     def test_more_starts_do_not_move_the_result(self, stream, pair, monkeypatch):
-        # seed-7 qutrit states the 32 starts leave uncertified: 256 starts
-        # raise f by round-off only, and stay under the first bound
+        # seed-7 qutrit states the 32 starts leave uncertified, where the
+        # relaxation is not tight: 256 starts raise f by round-off only, and
+        # stay under the first bound
         rho = states.haar_pure((3, 3, 3), Seed(7, stream))
         rho = (rho.marginal([0, 1]) if pair == "ab"
                else resources.transfer_choi_state(rho.marginal([0, 2])))
@@ -222,6 +279,16 @@ class TestHaarFallback:
         monkeypatch.setattr(resources, "HAAR_STARTS", 256)
         f_more, _, _ = fully_entangled_fraction(rho)
         assert f <= f_more <= f + min(gap, 1e-9)
+
+    def test_search_that_stopped_short_now_certifies(self, haar_calls):
+        # seed 7, stream 770: power steps alone stop a few 1e-12 short of this
+        # q2 Choi state's fraction and leave it uncertified
+        rho = resources.transfer_choi_state(
+            states.haar_pure((3, 3, 3), Seed(7, 770)).marginal([0, 2]))
+        f, _, gap = fully_entangled_fraction(rho)
+        assert 0.0 <= gap <= EPS_CERT and haar_calls == []
+        f_more = resources._power_refine(rho.matrix[None], resources._haar_starts(3, 256), 3)[0]
+        assert f_more[0] <= f + gap
 
 
 class TestTeleportationFidelity:
@@ -545,7 +612,8 @@ class TestProfileBatch:
 
     @pytest.mark.parametrize("dims, mode", [((2, 2, 2), "transfer"), ((3, 3, 3), "transfer"),
                                             ((2, 1, 2), "transfer"), ((2, 2, 1), "transfer"),
-                                            ((2, 2, 2), "uhlmann-marginal")])
+                                            ((2, 2, 2), "uhlmann-marginal"),
+                                            ((4, 4, 4), "transfer")])
     def test_row_is_the_state_alone(self, dims, mode):
         # seed-7 stream 81 at d = 3: its rho_AB needs the Haar fallback, and
         # the fallback still leaves it uncertified (gap > EPS_CERT)

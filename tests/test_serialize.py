@@ -58,6 +58,18 @@ class TestDumps:
             '{\n  "a": [\n    1,\n    {\n      "b": null\n    }\n  ],\n'
             '  "e": {},\n  "f": []\n}\n')
 
+    def test_float_lists_keep_the_layout(self):
+        # all-float lists render in one join; lists mixing types one item at
+        # a time; both in the same layout
+        doc = {"m": [[0.1, np.float64(-2.0)], [float("nan"), -math.inf, 1e-300]], "mix": [0.5, 1, (2.5,)]}
+        assert serialize.dumps(doc) == (
+            '{\n  "m": [\n    [\n      0.10000000000000001,\n      -2\n    ],\n'
+            '    [\n      NaN,\n      -Infinity,\n      1e-300\n    ]\n  ],\n'
+            '  "mix": [\n    0.5,\n    1,\n    [\n      2.5\n    ]\n  ]\n}\n')
+        assert serialize.dumps_compact(doc) == (
+            '{"m": [[0.10000000000000001, -2], [NaN, -Infinity, 1e-300]], '
+            '"mix": [0.5, 1, [2.5]]}')
+
     def test_rejects_unknown_types(self):
         with pytest.raises(TypeError):
             serialize.dumps({"x": object()})
