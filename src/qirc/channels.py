@@ -205,10 +205,8 @@ def kraus_from_choi(choi_unnormalized: np.ndarray, d_in: int, d_out: int,
                     cutoff: float = EPS_PSD) -> KrausChannel:
     """Extract Kraus operators from sum_ij |i><j| ⊗ L(|i><j|)."""
     eig = linalg.hermitian_eigen(choi_unnormalized)
-    kraus = []
-    for mu, vec in zip(eig.values, eig.vectors.T):
-        if mu > cutoff:
-            kraus.append(np.sqrt(mu) * vec.reshape(d_in, d_out).T)
+    kraus = [np.sqrt(mu) * vec.reshape(d_in, d_out).T
+             for mu, vec in zip(eig.values, eig.vectors.T) if mu > cutoff]
     if not kraus:
         raise ValueError("Choi matrix has empty support")
     return KrausChannel(tuple(kraus), d_in=d_in, d_out=d_out)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import sys
 from pathlib import Path
@@ -51,10 +50,8 @@ def _load_input_state(args) -> states.DensityMatrix:
 
 
 def _config_echo(args, subcommand: str, keys) -> dict:
-    echo = {"tool": "qirc", "version": __version__, "subcommand": subcommand}
-    for key in keys:
-        echo[key] = getattr(args, key.replace("-", "_"))
-    return echo
+    return {"tool": "qirc", "version": __version__, "subcommand": subcommand,
+            **{key: getattr(args, key.replace("-", "_")) for key in keys}}
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -65,8 +62,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _profile_config(args, d_a: int) -> ProfileConfig:
-    gen = resolve_generator(args.generator, d_a)
-    return ProfileConfig(generator=gen, q2_mode=args.q2_mode)
+    return ProfileConfig(generator=resolve_generator(args.generator, d_a), q2_mode=args.q2_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -78,9 +74,7 @@ def cmd_profile(args) -> int:
     prof = resources.profile(state, _profile_config(args, state.dims[0]))
     echo = _config_echo(args, "profile",
                         ["family", "state", "q2_mode", "generator", "seed"])
-    doc = prof.to_dict()
-    doc["generator"] = args.generator
-    doc["config"] = echo
+    doc = {**prof.to_dict(), "generator": args.generator, "config": echo}
     _write_text(args.out, serialize.dumps(doc))
     return 0
 
@@ -159,10 +153,8 @@ def _campaign_config(args) -> CampaignConfig:
 
 def cmd_check(args) -> int:
     requested = list(args.claims) or ["all"]
-    if any(c.lower() == "all" for c in requested):
-        shorts = list(claims.CHECK_ORDER)
-    else:
-        shorts = [claims.normalize_claim_id(c) for c in requested]
+    shorts = (list(claims.CHECK_ORDER) if any(c.lower() == "all" for c in requested)
+              else [claims.normalize_claim_id(c) for c in requested])
     cfg = _campaign_config(args)
     echo = _config_echo(args, "check",
                         ["claims", "sampler", "trials", "dims", "q2_mode",
@@ -172,8 +164,7 @@ def cmd_check(args) -> int:
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
-    texts = []
-    exit_code = 0
+    texts, exit_code = [], 0
     for short in shorts:
         report, cloud = claims.run_check(short, cfg)
         doc = report.to_dict()
@@ -192,9 +183,8 @@ def cmd_check(args) -> int:
                     comments=[f"config: {serialize.dumps_compact(echo)}"])
                 (out_dir / f"{report.claim_id}.cloud.csv").write_text(
                     "\n".join(lines) + "\n", encoding="utf-8")
-        if report.verdict == "violated":
-            exit_code = 1
-        if args.strict and (report.violations > 0 or report.report_only_violations > 0):
+        if report.verdict == "violated" or args.strict and (
+                report.violations > 0 or report.report_only_violations > 0):
             exit_code = 1
     # serialize.dumps(docs) from the texts: in the list, every line of a doc
     # after the first is indented one more level (JSON strings hold no newline).
@@ -270,13 +260,7 @@ def _schedule_step(entry: dict, index: int, rho_dims, generator, master: int):
 
 def cmd_evolve(args) -> int:
     state = _load_input_state(args)
-    try:
-        with open(args.schedule, "r", encoding="utf-8") as fp:
-            entries = json.load(fp)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{args.schedule}: not valid JSON ({exc})") from exc
-    except OSError as exc:
-        raise ValueError(f"{args.schedule}: {exc}") from exc
+    entries = serialize.load_json(args.schedule)
     if not isinstance(entries, list):
         raise ValueError("schedule must be a JSON list of steps")
     cfg = _profile_config(args, state.dims[0])

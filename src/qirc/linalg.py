@@ -152,8 +152,7 @@ def psd_power(m: np.ndarray, exponent: float) -> np.ndarray:
     w = eig.values
     if w[0] < -EPS_PSD:
         raise ValueError(f"matrix is not PSD (min eigenvalue {w[0]:.3e})")
-    w = np.clip(w, 0.0, None)
-    on = w > EPS_PSD
+    on = w > EPS_PSD  # eigenvalues in (-EPS_PSD, 0] map to 0 with the rest of the kernel
     f = np.where(on, np.where(on, w, 1.0) ** exponent, 0.0)
     return (eig.vectors * f) @ dagger(eig.vectors)
 

@@ -20,11 +20,11 @@ from .generators import CoherenceGenerator, default_generator
 from .states import DensityMatrix, Seed, _haar_unitary_from_rng
 from .tolerances import EPS_CERT, EPS_KRAUS, EPS_NEWTON, EPS_OPT, EPS_PSD, EPS_QFI
 
-# The singlet-fraction search at d >= 3: the identity and spectral starts,
-# each refined by power and Newton steps for at most MAX_ITER steps (the stop
-# gain is EPS_OPT), then a dual certificate of at most CERT_STEPS descent
-# steps; the HAAR_STARTS Haar starts, drawn from a fixed seed, run only when
-# the certified gap exceeds EPS_CERT.
+# The singlet-fraction search at d >= 3: the spectral start, refined by power
+# and Newton steps for at most MAX_ITER steps (the stop gain is EPS_OPT), then
+# a dual certificate of at most CERT_STEPS descent steps; the identity and the
+# HAAR_STARTS Haar starts, drawn from a fixed seed, run only when the certified
+# gap exceeds EPS_CERT.
 HAAR_STARTS = 32
 MAX_ITER = 400
 CERT_STEPS = 50
@@ -170,14 +170,13 @@ def _haar_starts(d: int, n: int) -> np.ndarray:
 
 
 def _start_batch(rho: np.ndarray, d: int) -> np.ndarray:
-    """The identity and the spectral start of each state, [N, 2, d*d]."""
+    """The spectral start of each state, [N, 1, d*d]."""
     # Spectral hint: the closest maximally entangled state to the dominant
     # eigenvector is given by the polar unitary of its matrix reshape. rho is
     # a state, possibly a derived one such as the q2 Choi state, whose
     # rounding is not re-checked; only its Hermitian part is read.
     top = np.linalg.eigh((rho + linalg.dagger(rho)) / 2)[1][..., -1]
-    eye = np.broadcast_to(np.eye(d, dtype=complex).reshape(d * d), (len(rho), 1, d * d))
-    return np.concatenate([eye, _polar_batch(top, d)[:, None]], axis=1)
+    return _polar_batch(top, d)[:, None]
 
 
 def _certified_gap(rho: np.ndarray, w: np.ndarray, d: int) -> np.ndarray:
@@ -190,11 +189,14 @@ def _certified_gap(rho: np.ndarray, w: np.ndarray, d: int) -> np.ndarray:
     I ⊗ B). With G = reshape(rho vec w), Lambda = Herm(G w†) and A = Lambda/d
     - w B^T w†, Tr A + Tr B = f(w) and vec w has Rayleigh quotient 0 on
     M(B) = rho/d - A ⊗ I - I ⊗ B, so the bound is f(w) + d lambda_max(M(B))
-    with lambda_max >= 0. lambda_max is convex in B: starting at B = 0, each
-    step moves B against the top eigenvector's subgradient (w† V V† w)^T -
-    (V† V)^T, V its d x d reshape, by the Polyak step toward 0, the value an
-    exact relaxation reaches. Every B gives a bound; the smallest is kept,
-    plus d^2 machine epsilons for the rounding of f(w) and lambda_max.
+    with lambda_max >= 0. lambda_max is convex in B. The descent starts at
+    the symmetric split B = (w† Lambda w)^T/(2d), A = Lambda/(2d): the dual
+    optimum when rho is pure (Cauchy-Schwarz), and nearer to it than B = 0
+    on most other states. Each step moves B against the top eigenvector's
+    subgradient (w† V V† w)^T - (V† V)^T, V its d x d reshape, by the Polyak
+    step toward 0, the value an exact relaxation reaches. Every B gives a
+    bound; the smallest is kept, plus d^2 machine epsilons for the rounding of
+    f(w) and lambda_max.
     """
     rounding = d * d * np.finfo(float).eps
     # Index order (i, j, k, l) of rho/d reshaped: X ⊗ I adds X[i, k] where
@@ -203,9 +205,9 @@ def _certified_gap(rho: np.ndarray, w: np.ndarray, d: int) -> np.ndarray:
     on_a, on_b = eye[None, :, None, :], eye[:, None, :, None]
     w_dag = linalg.dagger(w)
     g = (rho @ w.reshape(-1, d * d, 1)).reshape(-1, d, d) @ w_dag
-    fixed = ((rho / d).reshape(-1, d, d, d, d)
-             - ((g + linalg.dagger(g)) / (2 * d))[:, :, None, :, None] * on_a)
-    b = np.zeros(w.shape, dtype=complex)
+    lam = (g + linalg.dagger(g)) / 2
+    fixed = (rho / d).reshape(-1, d, d, d, d) - (lam / d)[:, :, None, :, None] * on_a
+    b = np.swapaxes(w_dag @ lam @ w, -1, -2) / (2 * d)
     gap = np.full(len(rho), np.inf)
     live = np.arange(len(rho))
     for _ in range(CERT_STEPS):
@@ -218,7 +220,7 @@ def _certified_gap(rho: np.ndarray, w: np.ndarray, d: int) -> np.ndarray:
         gap[rows] = np.minimum(gap[rows], d * np.maximum(top, 0.0) + rounding)
         v = vecs[:, :, -1].reshape(-1, d, d)
         s = np.swapaxes(w_dag_l @ v @ linalg.dagger(v) @ w_l - linalg.dagger(v) @ v, -1, -2)
-        norm2 = np.array([np.vdot(x, x).real for x in s])
+        norm2 = np.einsum("nij,nij->n", s.conj(), s).real
         b[rows] = b_l - (top / np.where(norm2 == 0, 1.0, norm2))[:, None, None] * s
         live = live[(gap[rows] > EPS_CERT) & (norm2 != 0)]
         if not len(live):
@@ -251,14 +253,16 @@ def _singlet_fractions(rho: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray,
         return np.minimum(vals[:, -1], 1.0), w, np.zeros(len(rho))
     f, w = _power_refine(rho, _start_batch(rho, d), d)
     gap = _certified_gap(rho, w, d)
-    redo = np.flatnonzero(gap > EPS_CERT) if HAAR_STARTS else []
-    if len(redo):
-        f_haar, w_haar = _power_refine(rho[redo], _haar_starts(d, HAAR_STARTS), d)
-        up = f_haar > f[redo]
-        redo, f_haar, w_haar = redo[up], f_haar[up], w_haar[up]
-        gap[redo] = np.minimum(f[redo] + gap[redo] - f_haar,
-                               _certified_gap(rho[redo], w_haar, d))
-        f[redo], w[redo] = f_haar, w_haar
+    redo = np.flatnonzero(gap > EPS_CERT)
+    if len(redo):  # the identity and the Haar starts, as one shared set
+        starts = [np.eye(d, dtype=complex).reshape(1, d * d)]
+        starts += [_haar_starts(d, HAAR_STARTS)] if HAAR_STARTS else []
+        f_more, w_more = _power_refine(rho[redo], np.concatenate(starts), d)
+        up = f_more > f[redo]
+        redo, f_more, w_more = redo[up], f_more[up], w_more[up]
+        gap[redo] = np.minimum(f[redo] + gap[redo] - f_more,
+                               _certified_gap(rho[redo], w_more, d))
+        f[redo], w[redo] = f_more, w_more
     return np.minimum(f, 1.0), w, gap
 
 
@@ -269,9 +273,9 @@ def fully_entangled_fraction(rho: DensityMatrix) -> tuple[float, np.ndarray, flo
     d = 2 is exact (gap 0): the maximally entangled two-qubit states are, up
     to a phase, the real unit vectors x in the magic basis, so the fraction is
     the top eigenvalue of Re(Q† rho Q)/2 (Badziąg et al., PRA 62, 012311,
-    2000) and Q x reshapes to U†. d >= 3 refines the identity and a spectral
-    start by ``_power_refine`` and bounds the result by ``_certified_gap``;
-    only when that gap exceeds EPS_CERT are the HAAR_STARTS Haar starts
+    2000) and Q x reshapes to U†. d >= 3 refines a spectral start by
+    ``_power_refine`` and bounds the result by ``_certified_gap``; only when
+    that gap exceeds EPS_CERT are the identity and the HAAR_STARTS Haar starts
     refined too, and the gap is the tighter bound less the best value.
     """
     if len(rho.dims) != 2 or rho.dims[0] != rho.dims[1]:
@@ -377,11 +381,9 @@ def quantum_fisher_information(rho: DensityMatrix | np.ndarray,
 
 
 def variance(rho: DensityMatrix | np.ndarray, g: CoherenceGenerator) -> float:
-    m = getattr(rho, "matrix", rho)
-    h = g.h
-    mean_sq = float(np.trace(h @ h @ m).real)
+    m, h = getattr(rho, "matrix", rho), g.h
     mean = float(np.trace(h @ m).real)
-    return mean_sq - mean * mean
+    return float(np.trace(h @ h @ m).real) - mean * mean
 
 
 def fq_max(g: CoherenceGenerator) -> float:
@@ -459,18 +461,24 @@ def profile(rho: DensityMatrix, cfg: ProfileConfig | None = None) -> ResourcePro
 # Entropy toolbox (natural logarithms throughout)
 
 
-def von_neumann_entropy(rho: DensityMatrix | np.ndarray) -> float:
-    m = getattr(rho, "matrix", rho)
+def entropies(m: np.ndarray) -> np.ndarray:
+    """The von Neumann entropy of each state of m[N], from one stacked eigvalsh."""
     w = np.linalg.eigvalsh(linalg.as_complex(m))
-    w = w[w > EPS_PSD]
-    return max(0.0, float(-(w * np.log(w)).sum()))
+    return np.array([max(0.0, -(x * np.log(x)).sum()) for x in (r[r > EPS_PSD] for r in w)])
+
+
+def von_neumann_entropy(rho: DensityMatrix | np.ndarray) -> float:
+    return float(entropies(np.asarray(getattr(rho, "matrix", rho))[None])[0])
+
+
+def mutual_informations(m: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+    """I(A:B) = S(A) + S(B) - S(AB) of each bipartite state of m[N] on dims."""
+    s_a, s_b = (entropies(linalg.partial_trace(m, dims, [k])) for k in (0, 1))
+    return np.maximum(0.0, s_a + s_b - entropies(m))
 
 
 def mutual_information(rho: DensityMatrix) -> float:
     """I(A:B) = S(A) + S(B) - S(AB) for a bipartite state."""
     if len(rho.dims) != 2:
         raise ValueError(f"mutual information needs a bipartite state, got {rho.dims}")
-    s_a = von_neumann_entropy(rho.marginal([0]))
-    s_b = von_neumann_entropy(rho.marginal([1]))
-    s_ab = von_neumann_entropy(rho)
-    return max(0.0, s_a + s_b - s_ab)
+    return float(mutual_informations(rho.matrix[None], rho.dims)[0])

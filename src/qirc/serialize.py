@@ -22,6 +22,32 @@ def fmt_float(x: float) -> str:
     return _SPECIAL.get(text, text)
 
 
+def _layout(opening: str, indent: int | None, level: int) -> tuple[str, str, str, str]:
+    """Item separator, item pad, opening and closing pad of a container at level."""
+    if indent is None:
+        return ", ", "", opening, ""
+    pad = " " * (indent * (level + 1))
+    return ",\n", pad, opening + "\n", "\n" + " " * (indent * level)
+
+
+def _float_items(items: list, indent: int | None, level: int) -> str | None:
+    """The text of the items of a list at level, when all are floats or all are
+    lists of n floats, from one %.17g template: fmt_float's text; else None."""
+    if all(isinstance(x, (float, np.floating)) for x in items):
+        item, flat = "%.17g", items
+    elif (n := len(items[0]) if isinstance(items[0], list) else 0) and all(
+            isinstance(x, list) and len(x) == n and all(isinstance(v, float) for v in x)
+            for x in items):
+        sep, pad, opening, end = _layout("[", indent, level + 1)
+        item = opening + pad + (sep + pad).join(["%.17g"] * n) + end + "]"
+        flat = [v for x in items for v in x]
+    else:
+        return None
+    sep, pad, _, _ = _layout("[", indent, level)
+    text = pad + (sep + pad).join([item] * len(items)) % tuple(flat)
+    return text.replace("nan", "NaN").replace("inf", "Infinity")
+
+
 def _emit(obj: Any, indent: int | None, level: int, pieces: list[str]) -> None:
     """Append the JSON text of obj; an indent of None renders one line."""
     if isinstance(obj, (dict, list, tuple)):
@@ -31,14 +57,10 @@ def _emit(obj: Any, indent: int | None, level: int, pieces: list[str]) -> None:
         if not items:
             pieces.append(opening + closing)
             return
-        if indent is None:
-            sep, pad, end = ", ", "", ""
-        else:
-            sep, pad = ",\n", " " * (indent * (level + 1))
-            opening, end = opening + "\n", "\n" + " " * (indent * level)
+        sep, pad, opening, end = _layout(opening, indent, level)
         pieces.append(opening)
-        if not is_dict and all(isinstance(x, (float, np.floating)) for x in items):
-            pieces.append(pad + (sep + pad).join(map(fmt_float, items)))  # same text, one join
+        if not is_dict and (text := _float_items(items, indent, level)) is not None:
+            pieces.append(text)
         else:
             for i, item in enumerate(items):
                 pieces.append(sep + pad if i else pad)
@@ -71,11 +93,8 @@ def dumps_compact(obj: Any) -> str:
 
 
 def state_to_dict(rho: DensityMatrix) -> dict:
-    return {
-        "dims": list(rho.dims),
-        "matrix": [[[float(z.real), float(z.imag)] for z in row]
-                   for row in rho.matrix],
-    }
+    m = rho.matrix
+    return {"dims": list(rho.dims), "matrix": np.stack([m.real, m.imag], -1).tolist()}
 
 
 def state_from_dict(data: Any) -> DensityMatrix:
@@ -92,15 +111,19 @@ def state_from_dict(data: Any) -> DensityMatrix:
     return DensityMatrix(m, dims)
 
 
-def load_state(path: str) -> DensityMatrix:
+def load_json(path: str) -> Any:
+    """The JSON document in the file; a missing or invalid file raises ValueError."""
     try:
         with open(path, "r", encoding="utf-8") as fp:
-            data = json.load(fp)
+            return json.load(fp)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     except OSError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    return state_from_dict(data)
+
+
+def load_state(path: str) -> DensityMatrix:
+    return state_from_dict(load_json(path))
 
 
 def csv_lines(header: Sequence[str], rows: Iterable[Sequence[Any]],
@@ -109,13 +132,7 @@ def csv_lines(header: Sequence[str], rows: Iterable[Sequence[Any]],
     lines = [f"# {c}" for c in comments]
     lines.append(",".join(header))
     for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, (float, np.floating)):
-                cells.append(fmt_float(float(v)))
-            elif isinstance(v, (int, np.integer)):
-                cells.append(str(int(v)))
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
+        lines.append(",".join(fmt_float(v) if isinstance(v, (float, np.floating))
+                              else str(int(v)) if isinstance(v, (int, np.integer))
+                              else str(v) for v in row))
     return lines

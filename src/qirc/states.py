@@ -116,10 +116,7 @@ def maximally_mixed(d: int, dims: Sequence[int] | None = None) -> DensityMatrix:
 
 def max_entangled_ket(d: int) -> np.ndarray:
     """(1/sqrt(d)) sum_i |ii> as a flat vector on a d*d space."""
-    v = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        v[i * d + i] = 1.0
-    return v / np.sqrt(d)
+    return np.eye(d, dtype=complex).reshape(d * d) / np.sqrt(d)
 
 
 def bell_pair() -> DensityMatrix:
@@ -184,10 +181,7 @@ def classical_correlated(d: int) -> DensityMatrix:
     if d < 2:
         raise ValueError(f"local dimension d={d} must be >= 2")
     linalg.check_size(d * d, f"classical:{d}")
-    m = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        m[i * d + i, i * d + i] = 1.0 / d
-    return DensityMatrix(m, (d, 1, d))
+    return DensityMatrix(np.diag(np.eye(d, dtype=complex).reshape(d * d) / d), (d, 1, d))
 
 
 def compose_product(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:

@@ -31,9 +31,9 @@ class TestProfileCommand:
         assert json.loads(out)["norm"] == 0.0
 
     def test_uncertified_gap_is_reported(self, capsys, tmp_path, monkeypatch):
-        # the identity and spectral starts miss this state's q2 Choi state
-        # optimum by 0.027; with no Haar starts to fall back on, the artifact
-        # says so
+        # the spectral start, and the identity start of the fallback, miss
+        # this state's q2 Choi state optimum by 0.027; with no Haar starts in
+        # the fallback, the artifact says so
         path = tmp_path / "state.json"
         path.write_text(serialize.dumps(serialize.state_to_dict(
             states.haar_pure((3, 3, 3), states.Seed(7, 403)))))

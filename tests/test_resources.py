@@ -37,15 +37,17 @@ def isotropic(p: float, d: int) -> DensityMatrix:
 
 
 def short_start_state() -> DensityMatrix:
-    """A Haar 3-qutrit state whose q2 Choi state the identity and spectral
-    starts leave 0.027 below its singlet fraction; its rho_AB they certify."""
+    """A Haar 3-qutrit state whose q2 Choi state the spectral and identity
+    starts leave 0.027 below its singlet fraction; its rho_AB the spectral
+    start certifies alone."""
     return states.haar_pure((3, 3, 3), Seed(7, 403))
 
 
 def power_fraction(rho: np.ndarray, d: int) -> float:
     """The singlet fraction of rho[d*d, d*d] by the plain polar power
-    iteration, from the same starts and with the same certificate and Haar
-    fallback as the library's search, which adds a Newton step to it."""
+    iteration from the identity and the spectral start together, with the
+    library's certificate and Haar fallback; the library's search adds a
+    Newton step and refines the identity start only in its fallback."""
 
     def refine(w):
         vals = np.einsum("si,ij,sj->s", w.conj(), rho, w).real / d
@@ -58,7 +60,8 @@ def power_fraction(rho: np.ndarray, d: int) -> float:
                 break
         return vals.max(), w[np.argmax(vals)]
 
-    f, w = refine(resources._start_batch(rho[None], d)[0])
+    eye = np.eye(d).reshape(1, -1)
+    f, w = refine(np.concatenate([eye, resources._start_batch(rho[None], d)[0]]))
     if resources._certified_gap(rho[None], w.reshape(1, d, d), d)[0] > EPS_CERT:
         f = max(f, refine(np.array(resources._haar_starts(d, resources.HAAR_STARTS)))[0])
     return min(f, 1.0)
@@ -125,7 +128,8 @@ class TestFullyEntangledFraction:
         f = np.array([fully_entangled_fraction(pair)[0] for pair in pairs])
         # the search runs on all pairs as one stack; each row searches alone
         stack = np.array([pair.matrix for pair in pairs])
-        haar = resources._haar_starts(2, resources.HAAR_STARTS)
+        haar = np.concatenate([np.eye(2).reshape(1, 4),
+                               resources._haar_starts(2, resources.HAAR_STARTS)])
         w0 = np.concatenate([resources._start_batch(stack, 2),
                              np.broadcast_to(haar, (len(stack),) + haar.shape)], axis=1)
         searched = resources._power_refine(stack, w0, 2)[0]
@@ -219,20 +223,47 @@ class TestNewtonSearch:
         assert np.all(gap >= 0.0)
 
 
+@pytest.fixture
+def haar_calls(monkeypatch):
+    """The calls of ``resources._haar_starts``: one per Haar fallback."""
+    calls = []
+    real = resources._haar_starts
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(resources, "_haar_starts", counted)
+    return calls
+
+
+class TestSplitDualStart:
+    """The certificate starts at the symmetric split A = Lambda/(2d): on pure
+    states and on the qutrit product family it certifies at rounding."""
+
+    @pytest.mark.parametrize("e", [0.1, 1e-2, 1e-4])
+    def test_qutrit_product_family(self, e, haar_calls):
+        rho = states.ket_projector(qutrit_product_ket(e), (3, 3, 3)).marginal([0, 1])
+        f, _, gap = fully_entangled_fraction(rho)
+        assert abs(f - (1 - 2 * e) / 3) <= 1e-15
+        assert 0.0 <= gap <= 1e-14
+        assert haar_calls == []
+
+    @pytest.mark.parametrize("stream", range(4))
+    def test_pure_qutrit_pair_in_one_eigen_step(self, stream, haar_calls, monkeypatch):
+        # a pure state's fraction is (sum of its Schmidt coefficients)^2/d
+        monkeypatch.setattr(resources, "CERT_STEPS", 1)
+        v = states.haar_ket(9, Seed(41, stream))
+        f, _, gap = fully_entangled_fraction(states.ket_projector(v, (3, 3)))
+        schmidt = np.linalg.svd(v.reshape(3, 3), compute_uv=False)
+        assert abs(f - schmidt.sum() ** 2 / 3) <= 1e-14
+        assert 0.0 <= gap <= 1e-14
+        assert haar_calls == []
+
+
 class TestHaarFallback:
-    """The Haar starts run only when the certificate of the cheap starts fails."""
-
-    @pytest.fixture
-    def haar_calls(self, monkeypatch):
-        calls = []
-        real = resources._haar_starts
-
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(resources, "_haar_starts", counted)
-        return calls
+    """The identity and Haar starts run only when the certificate of the
+    spectral start fails."""
 
     def test_runs_only_where_the_certificate_fails(self, haar_calls):
         rho = short_start_state()
@@ -244,11 +275,16 @@ class TestHaarFallback:
         assert gap <= EPS_CERT
 
     def test_without_haar_starts_the_gap_stays_visible(self, haar_calls, monkeypatch):
+        # the fallback then refines the identity start alone
         choi = resources.transfer_choi_state(short_start_state().marginal([0, 2]))
-        starts = resources.HAAR_STARTS
+        starts, refine, refined = resources.HAAR_STARTS, resources._power_refine, []
         monkeypatch.setattr(resources, "HAAR_STARTS", 0)
+        monkeypatch.setattr(resources, "_power_refine",
+                            lambda rho, w0, d: refined.append(w0) or refine(rho, w0, d))
         f_short, _, gap_short = fully_entangled_fraction(choi)
         assert haar_calls == []
+        assert [w0.shape for w0 in refined] == [(1, 1, 9), (1, 9)]
+        assert np.array_equal(refined[1], np.eye(3).reshape(1, 9))
         assert gap_short > EPS_CERT
         monkeypatch.setattr(resources, "HAAR_STARTS", starts)
         f, _, gap = fully_entangled_fraction(choi)
@@ -256,6 +292,7 @@ class TestHaarFallback:
         assert f <= f_short + gap_short  # the first bound held
 
     def test_profile_records_both_gaps(self, haar_calls, monkeypatch):
+        # with no Haar starts the identity start alone leaves the Choi gap open
         starts = resources.HAAR_STARTS
         monkeypatch.setattr(resources, "HAAR_STARTS", 0)
         b = profile(short_start_state()).breakdown
@@ -702,3 +739,18 @@ class TestEntropies:
         for i in range(10):
             rho = states.haar_pure((2, 2), Seed(47, i))
             assert resources.mutual_information(rho) >= -1e-10
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 4), (3, 1)])
+    def test_stacked_entropies_match_one_state_at_a_time(self, dims):
+        # the reference takes one eigvalsh per state and filters its spectrum
+        def entropy(m):
+            w = np.linalg.eigvalsh(m)
+            w = w[w > EPS_PSD]
+            return max(0.0, float(-(w * np.log(w)).sum()))
+
+        d = dims[0] * dims[1]
+        stack = np.array([states.ginibre_matrix(d, 1 + i % d, Seed(49, i)) for i in range(12)])
+        assert resources.entropies(stack).tolist() == [entropy(m) for m in stack]
+        ref = [max(0.0, entropy(linalg.partial_trace(m, dims, [0]))
+                   + entropy(linalg.partial_trace(m, dims, [1])) - entropy(m)) for m in stack]
+        assert resources.mutual_informations(stack, dims).tolist() == ref

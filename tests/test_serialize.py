@@ -70,6 +70,19 @@ class TestDumps:
             '{"m": [[0.10000000000000001, -2], [NaN, -Infinity, 1e-300]], '
             '"mix": [0.5, 1, [2.5]]}')
 
+    def test_rows_of_float_pairs_keep_the_layout(self):
+        # a list of equally long float lists, such as a witness matrix row,
+        # renders from one template, special values included
+        doc = {"m": [[[0.5, -0.0], [float("nan"), math.inf]],
+                     [[1e-300, -math.inf], [2.0, 0.25]]]}
+        assert serialize.dumps(doc) == (
+            '{\n  "m": [\n    [\n      [\n        0.5,\n        -0\n      ],\n'
+            '      [\n        NaN,\n        Infinity\n      ]\n    ],\n'
+            '    [\n      [\n        1e-300,\n        -Infinity\n      ],\n'
+            '      [\n        2,\n        0.25\n      ]\n    ]\n  ]\n}\n')
+        assert serialize.dumps_compact(doc) == (
+            '{"m": [[[0.5, -0], [NaN, Infinity]], [[1e-300, -Infinity], [2, 0.25]]]}')
+
     def test_rejects_unknown_types(self):
         with pytest.raises(TypeError):
             serialize.dumps({"x": object()})

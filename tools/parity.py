@@ -29,6 +29,8 @@ import tarfile
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 REPO = Path(__file__).resolve().parents[1]
 
 # One step of every kind the evolve command knows.
@@ -43,7 +45,22 @@ SCHEDULE = [
     {"type": "unitary", "spec": "local-random"},
     {"type": "unitary", "spec": "haar-global"},
 ]
-INPUTS = {"schedule.json": json.dumps(SCHEDULE)}
+
+
+def qutrit_product_state(e: float) -> str:
+    """The state file of sqrt(1-2e)|a0,0,0> + sqrt(e)|a1,0,1> + sqrt(e)|a2,0,2>,
+    a0 = (|0>+|2>)/sqrt2, a1 = |1>, a2 = (|0>-|2>)/sqrt2. Its rho_AB is a
+    product whose singlet fraction, (1 - 2e)/3, the d >= 3 search finds and
+    certifies at rounding."""
+    z = np.eye(3)
+    a = [(z[0] + z[2]) / np.sqrt(2), z[1], (z[0] - z[2]) / np.sqrt(2)]
+    v = sum(np.sqrt(p) * np.kron(np.kron(a[c], z[0]), z[c])
+            for c, p in enumerate((1 - 2 * e, e, e)))
+    return json.dumps({"dims": [3, 3, 3],
+                       "matrix": [[[x, 0.0] for x in row] for row in np.outer(v, v).tolist()]})
+
+
+INPUTS = {"schedule.json": json.dumps(SCHEDULE), "qutrit_product.json": qutrit_product_state(1e-2)}
 
 COMMANDS = [
     "check all --trials 40 --channels 5 --seed 7 --out out",
@@ -64,6 +81,8 @@ COMMANDS = [
     "check T1 C3 T2 --dims 2,1,2 --trials 3 --channels 2 --out out",
     "check T1 C3 T2 --dims 2,2,1 --trials 3 --channels 2 --out out",
     "profile --family classical:3",
+    # A d >= 3 search whose relaxation is tight and whose value is known.
+    "profile --state qutrit_product.json",
     "profile --family w --out w.json",
     "profile --family ghz",
     "profile --family werner:0.8 --q2-mode uhlmann-marginal",
