@@ -12,8 +12,8 @@ conservation under symmetry-preserving unitaries, and entropy bounds.
 
 __version__ = "0.1.0"
 
-from .channels import (KrausChannel, amplitude_damping, apply, choi, dephasing,
-                       depolarizing, kraus_from_choi, make_channel, random_channel)
+from .channels import (KrausChannel, amplitude_damping, apply, dephasing, depolarizing,
+                       make_channel, random_channel)
 from .claims import (CLAIM_IDS, CampaignConfig, ClaimReport, check_convexity,
                      check_entropic_bounds, check_extremals, check_monotonicity,
                      check_conservation, check_qirc_ball, run_check)
@@ -26,10 +26,10 @@ from .linalg import (HermitianEigen, hermitian_eigen, kron, partial_trace,
                      permute_subsystems, psd_power, uhlmann_fidelity)
 from .resources import (FidelityBreakdown, ProfileConfig, ResourceProfile,
                         coord_q1, coord_q2, coord_q3, fq_max,
-                        fully_entangled_fraction, induced_transfer_channel,
-                        mutual_information, profile, quantum_fisher_information,
-                        teleportation_fidelity, von_neumann_entropy)
+                        fully_entangled_fraction, mutual_information, profile,
+                        quantum_fisher_information, teleportation_fidelity,
+                        von_neumann_entropy)
 from .states import (DensityMatrix, Seed, bell_ac, bell_pair, bell_spectator,
                      classical_correlated, coherent_spectator, compose_product,
                      ghz, gibbs, ginibre_mixed, haar_pure, haar_unitary,
-                     maximally_mixed, plus_state, w_state, werner)
+                     max_entangled_ket, maximally_mixed, plus_state, w_state, werner)

@@ -1,9 +1,9 @@
 """CPTP maps in Kraus form: standard noise, random and generator-covariant
-channels, Choi duality.
+channels.
 
-``apply`` and ``choi`` return derived states (``DensityMatrix._derived``):
-their operands, the input state and the Kraus channel, were checked when
-they were built, so the outputs are not checked again.
+``apply`` returns a derived state (``DensityMatrix._derived``): its
+operands, the input state and the Kraus channel, were checked when they were
+built, so the output is not checked again.
 """
 
 from __future__ import annotations
@@ -16,41 +16,36 @@ import numpy as np
 
 from . import linalg
 from .generators import CoherenceGenerator
-from .states import DensityMatrix, Seed, _haar_unitary_from_rng, max_entangled_ket
-from .tolerances import EPS_CPTP, EPS_PSD
+from .states import DensityMatrix, Seed, _haar_unitary_from_rng
+from .tolerances import EPS_CPTP
 
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """CPTP map rho -> sum_k K_k rho K_k† with sum_k K_k† K_k = I."""
+    """CPTP map rho -> sum_k K_k rho K_k† with sum_k K_k† K_k = I, held as one
+    read-only stack kraus[R, d_out, d_in]."""
 
-    kraus: tuple[np.ndarray, ...]
-    d_in: int
-    d_out: int
+    kraus: np.ndarray
 
     def __post_init__(self):
-        if not self.kraus:
-            raise ValueError("channel needs at least one Kraus operator")
         ops = [linalg.as_complex(k) for k in self.kraus]
-        for k in ops:
-            if k.shape != (self.d_out, self.d_in):
-                raise ValueError(f"Kraus operator shape {k.shape} does not match "
-                                 f"({self.d_out}, {self.d_in})")
+        if len({k.shape for k in ops}) != 1 or ops[0].ndim != 2:
+            raise ValueError("a channel needs one or more Kraus matrices of one shape, "
+                             f"got shapes {[k.shape for k in ops]}")
         stack = stack_kraus([np.array(ops)])[0]
         stack.setflags(write=False)
-        object.__setattr__(self, "kraus", tuple(stack))
+        object.__setattr__(self, "kraus", stack)
 
-    def __call__(self, m: np.ndarray) -> np.ndarray:
-        m = linalg.as_complex(m)
-        return sum(k @ m @ linalg.dagger(k) for k in self.kraus)
+    @property
+    def d_in(self) -> int:
+        return self.kraus.shape[2]
+
+    @property
+    def d_out(self) -> int:
+        return self.kraus.shape[1]
 
 
-def make_channel(kraus: Sequence[np.ndarray]) -> KrausChannel:
-    ops = [linalg.as_complex(k) for k in kraus]
-    if not ops:
-        raise ValueError("channel needs at least one Kraus operator")
-    d_out, d_in = ops[0].shape
-    return KrausChannel(tuple(ops), d_in=d_in, d_out=d_out)
+make_channel = KrausChannel
 
 
 def _weyl_operators(d: int) -> list[np.ndarray]:
@@ -118,14 +113,7 @@ def random_channel(d_in: int, d_out: int, kraus_rank: int, seed: Seed) -> KrausC
     if kraus_rank < 1:
         raise ValueError(f"kraus_rank {kraus_rank} must be >= 1")
     linalg.check_size(d_out * kraus_rank, "a random channel's isometry")
-    kraus = _isometry_kraus(d_in, d_out, kraus_rank, seed.rng())
-    return KrausChannel(tuple(kraus), d_in=d_in, d_out=d_out)
-
-
-def covariant_channel(g: CoherenceGenerator, seed: Seed) -> KrausChannel:
-    """Random channel covariant with the generator's phase group, from
-    ``covariant_kraus``."""
-    return KrausChannel(tuple(covariant_kraus(g, seed)), d_in=g.dim, d_out=g.dim)
+    return KrausChannel(_isometry_kraus(d_in, d_out, kraus_rank, seed.rng()))
 
 
 def covariant_kraus(g: CoherenceGenerator, seed: Seed) -> np.ndarray:
@@ -188,25 +176,7 @@ def apply_batch(kraus: np.ndarray, rho: np.ndarray, dims: Sequence[int],
 def apply(ch: KrausChannel, rho: DensityMatrix, target: int) -> DensityMatrix:
     """Apply the channel to one subsystem, identity elsewhere: the N = 1 call
     of ``apply_batch``."""
-    out = apply_batch(np.array(ch.kraus)[None], rho.matrix[None], rho.dims, target)
+    out = apply_batch(ch.kraus[None], rho.matrix[None], rho.dims, target)
     new_dims = tuple(ch.d_out if i == target else d for i, d in enumerate(rho.dims))
     return DensityMatrix._derived(out[0], new_dims)
 
-
-def choi(ch: KrausChannel) -> DensityMatrix:
-    """(id ⊗ channel) applied to the normalized maximally entangled state,
-    on dims (d_in, d_out)."""
-    omega = max_entangled_ket(ch.d_in)
-    return apply(ch, DensityMatrix._derived(np.outer(omega, omega.conj()),
-                                            (ch.d_in, ch.d_in)), 1)
-
-
-def kraus_from_choi(choi_unnormalized: np.ndarray, d_in: int, d_out: int,
-                    cutoff: float = EPS_PSD) -> KrausChannel:
-    """Extract Kraus operators from sum_ij |i><j| ⊗ L(|i><j|)."""
-    eig = linalg.hermitian_eigen(choi_unnormalized)
-    kraus = [np.sqrt(mu) * vec.reshape(d_in, d_out).T
-             for mu, vec in zip(eig.values, eig.vectors.T) if mu > cutoff]
-    if not kraus:
-        raise ValueError("Choi matrix has empty support")
-    return KrausChannel(tuple(kraus), d_in=d_in, d_out=d_out)

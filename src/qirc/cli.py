@@ -284,7 +284,7 @@ def cmd_evolve(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--q2-mode", choices=["transfer", "uhlmann-marginal"],
+    p.add_argument("--q2-mode", choices=resources.Q2_MODES,
                    default="transfer")
     p.add_argument("--generator", default="default",
                    help="default | sigma-z | diag:v1,v2,...")

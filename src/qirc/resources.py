@@ -15,10 +15,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import channels, linalg
+from . import linalg
 from .generators import CoherenceGenerator, default_generator
 from .states import DensityMatrix, Seed, _haar_unitary_from_rng
-from .tolerances import EPS_CERT, EPS_KRAUS, EPS_NEWTON, EPS_OPT, EPS_PSD, EPS_QFI
+from .tolerances import EPS_CERT, EPS_NEWTON, EPS_OPT, EPS_PSD, EPS_QFI
 
 # The singlet-fraction search at d >= 3: the spectral start, refined by power
 # and Newton steps for at most MAX_ITER steps (the stop gain is EPS_OPT), then
@@ -80,10 +80,17 @@ class ResourceProfile:
         }
 
 
+Q2_MODES = ("transfer", "uhlmann-marginal")
+
+
 @dataclass(frozen=True)
 class ProfileConfig:
     generator: CoherenceGenerator | None = None
     q2_mode: str = "transfer"
+
+    def __post_init__(self):
+        if self.q2_mode not in Q2_MODES:
+            raise ValueError(f"unknown q2 mode {self.q2_mode!r}; expected one of {Q2_MODES}")
 
 
 # ---------------------------------------------------------------------------
@@ -334,14 +341,6 @@ def transfer_choi_state(rho_ac: DensityMatrix) -> DensityMatrix:
         raise ValueError(f"expected a bipartite state, got dims {rho_ac.dims}")
     return DensityMatrix._derived(_transfer_choi(rho_ac.matrix[None], *rho_ac.dims)[0],
                                   rho_ac.dims)
-
-
-def induced_transfer_channel(rho_ac: DensityMatrix) -> channels.KrausChannel:
-    """The state-induced channel A -> C of ``transfer_choi_state``, in Kraus form."""
-    choi_state = transfer_choi_state(rho_ac)
-    d_a, d_c = choi_state.dims
-    return channels.kraus_from_choi(d_a * choi_state.matrix, d_in=d_a, d_out=d_c,
-                                    cutoff=EPS_KRAUS)
 
 
 def coord_q2(rho_ac: DensityMatrix, mode: str = "transfer") -> tuple[float, float]:

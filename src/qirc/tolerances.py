@@ -13,7 +13,6 @@ EPS_OPT = 1e-14        # singlet-fraction search stops when no start gains more
 EPS_NEWTON = 1e-2      # Newton-step Hessian |eigenvalue| floor, relative to the largest
 EPS_CERT = 1e-12       # certified singlet-fraction gap above which the Haar starts run
 EPS_CPTP = 1e-10       # Kraus completeness residual (Frobenius)
-EPS_KRAUS = 1e-12      # Choi eigenvalue cutoff when extracting Kraus operators
 EPS_QFI = 1e-12        # spectral-pair cutoff in the Fisher information sum
 EPS_DEGENERATE = 1e-12  # generator spread floor, relative to its top eigenvalue
 EPS_CLUSTER = 1e-9     # equal generator eigenvalues and charge shifts, relative

@@ -12,6 +12,11 @@ from qirc.states import Seed
 from conftest import random_density
 
 
+def _act(ch, m):
+    """The channel on the one-system state m, through ``channels.apply``."""
+    return channels.apply(ch, states.DensityMatrix(m, (len(m),)), 0).matrix
+
+
 class TestMakeChannel:
     def test_identity_valid(self):
         ch = channels.make_channel([np.eye(2)])
@@ -22,7 +27,7 @@ class TestMakeChannel:
         k0 = np.array([[1, 0], [0, 0]], dtype=complex)
         k1 = np.array([[0, 1], [0, 0]], dtype=complex)
         ch = channels.make_channel([k0, k1])
-        out = ch(np.eye(2, dtype=complex) / 2)
+        out = _act(ch, np.eye(2, dtype=complex) / 2)
         assert np.allclose(out, np.diag([1.0, 0.0]))
 
     def test_overcomplete_rejected(self):
@@ -33,41 +38,51 @@ class TestMakeChannel:
         with pytest.raises(ValueError):
             channels.make_channel([])
 
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(ValueError, match=r"(?=.*\(2, 2\))(?=.*\(3, 3\))"):
+            channels.make_channel([np.eye(2), np.eye(3)])
+
+    def test_one_read_only_stack(self):
+        ch = channels.random_channel(2, 3, 2, Seed(4, 1))
+        assert ch.kraus.shape == (2, 3, 2) and ch.kraus.dtype == complex
+        assert (ch.d_in, ch.d_out) == (2, 3)
+        assert not ch.kraus.flags.writeable
+
 
 class TestStandardChannels:
     def test_full_depolarizing(self):
         ch = channels.depolarizing(2, 1.0)
-        out = ch(np.diag([1.0, 0.0]).astype(complex))
+        out = _act(ch, np.diag([1.0, 0.0]).astype(complex))
         assert np.allclose(out, np.eye(2) / 2, atol=1e-12)
 
     @pytest.mark.parametrize("d,p", [(2, 0.3), (3, 0.7)])
     def test_depolarizing_action(self, rng, d, p):
         ch = channels.depolarizing(d, p)
         m = random_density(rng, d)
-        assert np.allclose(ch(m), (1 - p) * m + p * np.eye(d) / d, atol=1e-12)
+        assert np.allclose(_act(ch, m), (1 - p) * m + p * np.eye(d) / d, atol=1e-12)
 
     def test_full_dephasing_kills_plus(self):
         ch = channels.dephasing(1.0, sigma_z_generator())
-        out = ch(states.plus_state().matrix)
+        out = _act(ch, states.plus_state().matrix)
         assert np.allclose(out, np.eye(2) / 2)
 
     def test_partial_dephasing_scales_offdiagonals(self, rng):
         lam = 0.4
         ch = channels.dephasing(lam, sigma_z_generator())
         m = random_density(rng, 2)
-        out = ch(m)
+        out = _act(ch, m)
         assert np.isclose(out[0, 1], (1 - lam) * m[0, 1])
         assert np.isclose(out[0, 0], m[0, 0])
 
     def test_amplitude_damping_identity_at_zero(self, rng):
         ch = channels.amplitude_damping(0.0)
         m = random_density(rng, 2)
-        assert np.allclose(ch(m), m)
+        assert np.allclose(_act(ch, m), m)
 
     def test_amplitude_damping_full(self, rng):
         ch = channels.amplitude_damping(1.0)
         m = random_density(rng, 2)
-        assert np.allclose(ch(m), np.diag([1.0, 0.0]), atol=1e-12)
+        assert np.allclose(_act(ch, m), np.diag([1.0, 0.0]), atol=1e-12)
 
     @pytest.mark.parametrize("bad", [-0.1, 1.5])
     def test_parameter_ranges(self, bad):
@@ -114,8 +129,8 @@ def _covariance_residual(ch, g, rho):
     worst = 0.0
     for t in (0.3, 1.1, 2.9):
         u = _phase(g, t)
-        lhs = ch(u @ rho @ u.conj().T)
-        rhs = u @ ch(rho) @ u.conj().T
+        lhs = _act(ch, u @ rho @ u.conj().T)
+        rhs = u @ _act(ch, rho) @ u.conj().T
         worst = max(worst, float(np.linalg.norm(lhs - rhs)))
     return worst
 
@@ -128,7 +143,7 @@ class TestCovariantChannel:
     def test_commutes_with_phase_group(self, rng, g):
         for i in range(20):
             rho = random_density(rng, g.dim)
-            cov = channels.covariant_channel(g, Seed(5, i))
+            cov = channels.make_channel(channels.covariant_kraus(g, Seed(5, i)))
             haar = channels.make_channel(_sample_channel(g.dim, Seed(5, i)))
             assert _covariance_residual(cov, g, rho) <= 1e-12
             # the Haar sampler breaks the symmetry, so the check separates them
@@ -138,7 +153,7 @@ class TestCovariantChannel:
     def test_kraus_rank_above_one_occurs(self, g):
         ranks = []
         for i in range(20):
-            ch = channels.covariant_channel(g, Seed(5, i))
+            ch = channels.make_channel(channels.covariant_kraus(g, Seed(5, i)))
             # Kraus rank = rank of the stacked, vectorized Kraus operators
             rank = np.linalg.matrix_rank(np.array([k.ravel() for k in ch.kraus]))
             assert rank == len(ch.kraus)
@@ -147,8 +162,8 @@ class TestCovariantChannel:
 
     def test_completeness_and_determinism(self):
         g = diagonal_generator([0.0, 1.0, 3.0])
-        a = channels.covariant_channel(g, Seed(4, 9))
-        b = channels.covariant_channel(g, Seed(4, 9))
+        a = channels.make_channel(channels.covariant_kraus(g, Seed(4, 9)))
+        b = channels.make_channel(channels.covariant_kraus(g, Seed(4, 9)))
         total = sum(k.conj().T @ k for k in a.kraus)
         assert np.linalg.norm(total - np.eye(3)) <= 1e-10
         assert all(np.array_equal(x, y) for x, y in zip(a.kraus, b.kraus))
@@ -269,9 +284,16 @@ class TestApplyBatch:
             channels.stack_kraus([good, 0.5 * good])
 
 
+def _choi(ch):
+    """(id ⊗ ch) on the maximally entangled state, on dims (d_in, d_out)."""
+    omega = states.max_entangled_ket(ch.d_in)
+    bell = states.DensityMatrix(np.outer(omega, omega.conj()), (ch.d_in, ch.d_in))
+    return channels.apply(ch, bell, 1)
+
+
 class TestChoi:
     def test_identity_gives_bell(self):
-        c = channels.choi(channels.make_channel([np.eye(2)]))
+        c = _choi(channels.make_channel([np.eye(2)]))
         assert np.allclose(c.matrix, states.bell_pair().matrix)
 
     def test_replacement_channel(self, rng):
@@ -281,18 +303,18 @@ class TestChoi:
         kraus = [np.sqrt(w[m]) * np.outer(v[:, m], np.eye(2)[n])
                  for m in range(2) for n in range(2)]
         ch = channels.make_channel(kraus)
-        c = channels.choi(ch)
+        c = _choi(ch)
         assert np.allclose(c.matrix, np.kron(np.eye(2) / 2, sigma), atol=1e-12)
 
     def test_full_dephasing_choi(self):
-        c = channels.choi(channels.dephasing(1.0, sigma_z_generator()))
+        c = _choi(channels.dephasing(1.0, sigma_z_generator()))
         expected = np.diag([0.5, 0.0, 0.0, 0.5])
         assert np.allclose(c.matrix, expected)
 
     def test_input_marginal_invariant(self):
         for rank in (1, 2, 3):
             ch = channels.random_channel(2, 2, rank, Seed(13, rank))
-            c = channels.choi(ch)
+            c = _choi(ch)
             marg = linalg.partial_trace(c.matrix, c.dims, keep=[0])
             assert np.linalg.norm(marg - np.eye(2) / 2) <= 1e-9
 
@@ -306,16 +328,3 @@ class TestComposeAndExtraction:
         kraus = [a @ b for a in ch2.kraus for b in ch1.kraus]
         combined = channels.apply(channels.make_channel(kraus), rho, 0)
         assert np.abs(seq.matrix - combined.matrix).max() <= 1e-10
-
-    def test_kraus_from_choi_round_trip(self, rng):
-        ch = channels.random_channel(2, 2, 3, Seed(14, 3))
-        # unnormalized Choi: sum_ij |i><j| (x) L(|i><j|)
-        j = np.zeros((4, 4), dtype=complex)
-        for i in range(2):
-            for k in range(2):
-                e = np.zeros((2, 2), dtype=complex)
-                e[i, k] = 1.0
-                j[i * 2:(i + 1) * 2, k * 2:(k + 1) * 2] = ch(e)
-        rebuilt = channels.kraus_from_choi(j, 2, 2)
-        m = random_density(rng, 2)
-        assert np.abs(rebuilt(m) - ch(m)).max() <= 1e-10

@@ -81,7 +81,6 @@ def test_derived_states_pass_the_entry_check(d, sampler, seed, rank, lam):
         "evolve": dynamics.evolve(rho, u),
         "mixture": DensityMatrix._derived(lam * rho.matrix + (1 - lam) * other.matrix,
                                           rho.dims),
-        "choi": channels.choi(ch),
         "transfer_choi_state": resources.transfer_choi_state(rho.marginal([0, 2])),
     }
     for name, out in derived.items():

@@ -3,12 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qirc import channels, dynamics, linalg, resources, states
+from qirc import dynamics, linalg, resources, states
 from qirc.generators import (CoherenceGenerator, default_generator,
                              diagonal_generator, sigma_z_generator)
 from qirc.resources import (ProfileConfig, coord_q1, coord_q2, coord_q3,
-                            fq_max, fully_entangled_fraction,
-                            induced_transfer_channel, profile, profile_batch,
+                            fq_max, fully_entangled_fraction, profile, profile_batch,
                             quantum_fisher_information, teleportation_fidelity)
 from qirc.states import DensityMatrix, Seed
 from qirc.tolerances import EPS_CERT, EPS_OPT, EPS_PSD
@@ -423,38 +422,36 @@ class TestTransferChoiState:
 
 
 class TestInducedTransferChannel:
+    """The A -> C channel a state induces, through its Choi state."""
+
     def test_bell_gives_identity_channel(self):
-        ch = induced_transfer_channel(states.bell_pair())
-        c = channels.choi(ch)
+        c = resources.transfer_choi_state(states.bell_pair())
         assert np.abs(c.matrix - states.bell_pair().matrix).max() <= 1e-9
 
     def test_product_gives_replacement(self):
         sigma = DensityMatrix(np.diag([0.7, 0.3]).astype(complex), (2,))
         rho = states.compose_product(states.maximally_mixed(2), sigma)
-        ch = induced_transfer_channel(rho.reshaped((2, 2)))
-        c = channels.choi(ch)
+        c = resources.transfer_choi_state(rho.reshaped((2, 2)))
         assert np.abs(c.matrix - np.kron(np.eye(2) / 2, sigma.matrix)).max() <= 1e-9
 
     def test_classical_gives_dephase_and_copy(self):
         rho_ac = states.classical_correlated(2).marginal([0, 2])
-        ch = induced_transfer_channel(rho_ac)
-        c = channels.choi(ch)
+        c = resources.transfer_choi_state(rho_ac)
         assert np.abs(c.matrix - np.diag([0.5, 0, 0, 0.5])).max() <= 1e-9
 
     def test_cptp_for_rank_deficient_marginal(self):
-        # pure product input leaves rho_A rank one; completion must keep CPTP
+        # pure product input leaves rho_A rank one; the completion must keep
+        # the channel trace preserving: Tr_C J = I/d_A
         rho = states.compose_product(states.basis_state(2, 0),
                                      states.plus_state())
-        ch = induced_transfer_channel(rho.reshaped((2, 2)))
-        total = sum(k.conj().T @ k for k in ch.kraus)
-        assert np.linalg.norm(total - np.eye(2)) <= 1e-10
+        c = resources.transfer_choi_state(rho.reshaped((2, 2)))
+        assert np.linalg.norm(c.marginal([0]).matrix - np.eye(2) / 2) <= 1e-10
 
     def test_cptp_for_random_states(self):
         for i in range(10):
             rho = states.ginibre_mixed(4, 1 + i % 4, Seed(39, i)).reshaped((2, 2))
-            ch = induced_transfer_channel(rho)
-            total = sum(k.conj().T @ k for k in ch.kraus)
-            assert np.linalg.norm(total - np.eye(2)) <= 1e-10
+            c = resources.transfer_choi_state(rho)
+            assert np.linalg.norm(c.marginal([0]).matrix - np.eye(2) / 2) <= 1e-10
 
 
 class TestCoordQ2:
@@ -618,6 +615,13 @@ class TestProfile:
                     ProfileConfig(q2_mode="uhlmann-marginal"))
         assert p.q2_mode == "uhlmann-marginal"
         assert np.isclose(p.q2, 1.0)
+
+    def test_unknown_q2_mode_rejected_on_entry(self):
+        # a mode is checked where it enters, so a bad one never reaches profile
+        assert [ProfileConfig(q2_mode=m).q2_mode for m in resources.Q2_MODES] == \
+            ["transfer", "uhlmann-marginal"]
+        with pytest.raises(ValueError, match="unknown q2 mode 'bogus'"):
+            ProfileConfig(q2_mode="bogus")
 
     def test_trivial_c_pins_q2(self):
         rho = states.compose_product(states.bell_pair(), states.maximally_mixed(1))

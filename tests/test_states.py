@@ -140,7 +140,6 @@ class TestDerivedStates:
         dynamics.evolve(rho, u)
         rho.reshaped((2, 4))
         states.compose_product(rho_a, rho_a)
-        channels.choi(ch)
         resources.transfer_choi_state(rho.marginal([0, 2]))
         assert validations == []
         states.bell_ac(rho_a)

@@ -1,4 +1,5 @@
-"""Every function the benchmark's span tracer wraps still exists in qirc.
+"""Every function the benchmark's span tracer wraps still exists in qirc,
+except those listed in ``DELETED``, which must stay absent.
 
 ``perfbench/spans.py`` names its targets as (module, attribute path) pairs
 and silently skips an absent one, so a renamed or deleted function would
@@ -25,10 +26,19 @@ def _traced():
 TRACED = _traced()
 
 
+# Deleted from qirc with the Kraus-Choi round trip; the tracer still names
+# them and reads 0 calls for each until the benchmark's span list drops them.
+DELETED = {"channels.choi", "channels.kraus_from_choi", "channels.covariant_channel",
+           "resources.induced_transfer_channel"}
+
+
 @pytest.mark.parametrize("module, path", [(m, p) for m, p, _ in TRACED],
                          ids=[name for _, _, name in TRACED])
 def test_trace_target_exists(module, path):
     owner = importlib.import_module(f"qirc.{module}")
+    if f"{module}.{path}" in DELETED:
+        assert not hasattr(owner, path), f"qirc.{module}.{path} was deleted"
+        return
     for attr in path.split("."):
         owner = getattr(owner, attr, None)
         assert owner is not None, f"qirc.{module}.{path} is absent"

@@ -12,8 +12,11 @@ Prints one line per command, ``same`` or ``DIFF`` with what differs, and
 exits 1 when any command differs. Under a ``DIFF`` line, each differing JSON
 or CSV file, and stdout, gets one more line: the largest absolute difference
 between the numbers the two sides print in the same place, and whether any
-other token differs. That tells a change in the last digits from a real one. The temporary directory is removed at the
-end; ``tempfile`` places it under TMPDIR.
+other token differs. That tells a change in the last digits from a real one.
+In JSON files and stdout, the values of keys ending in ``_gap`` (such as the
+certified ``f_max_gap``) are reported apart from every other number, so a
+moved gap does not hide how far the values moved. The temporary directory is
+removed at the end; ``tempfile`` places it under TMPDIR.
 """
 
 from __future__ import annotations
@@ -97,16 +100,28 @@ COMMANDS = [
 NUMBER = re.compile(rb"(-?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|Infinity)|NaN)")
 
 
-def numeric_diff(a: bytes, b: bytes) -> str:
+# The text before a number printed as the value of a JSON key ending in _gap.
+GAP_KEY = re.compile(rb'_gap"\s*:\s*$')
+
+
+def numeric_diff(a: bytes, b: bytes, gaps: bool) -> str:
     """The largest absolute difference between the numbers at the same place
-    in a and b, and whether the rest of the text differs."""
+    in a and b, and whether the rest of the text differs; with ``gaps``, the
+    values of ``*_gap`` keys are reported apart from the other numbers."""
     pa, pb = NUMBER.split(a), NUMBER.split(b)
     same_text = len(pa) == len(pb) and pa[::2] == pb[::2]
     if not same_text:
         return "other tokens differ"
-    gap = max((abs(float(x) - float(y)) if x != y else 0.0
-               for x, y in zip(pa[1::2], pb[1::2])), default=0.0)
-    return f"max |difference| {gap:.3g}, other tokens same"
+    moved = gap_moved = 0.0
+    for before, x, y in zip(pa[::2], pa[1::2], pb[1::2]):
+        if x == y:
+            continue
+        if gaps and GAP_KEY.search(before):
+            gap_moved = max(gap_moved, abs(float(x) - float(y)))
+        else:
+            moved = max(moved, abs(float(x) - float(y)))
+    in_gaps = f" ({gap_moved:.3g} in *_gap keys)" if gaps else ""
+    return f"max |difference| {moved:.3g}{in_gaps}, other tokens same"
 
 
 def export_src(rev: str, dest: Path) -> Path:
@@ -149,9 +164,9 @@ def main(argv=None) -> int:
             print(f"{status:<6} exit {here['exit code']}  qirc {command}", flush=True)
             for key in diffs:
                 if key == "stdout" or key.endswith((".json", ".csv")):
-                    print(f"         {key}: "
-                          f"{numeric_diff(here.get(key, b''), there.get(key, b''))}",
-                          flush=True)
+                    diff = numeric_diff(here.get(key, b""), there.get(key, b""),
+                                        gaps=not key.endswith(".csv"))
+                    print(f"         {key}: {diff}", flush=True)
     print(f"{len(COMMANDS) - differ} of {len(COMMANDS)} commands byte-identical "
           f"with {args.rev}")
     return 1 if differ else 0
