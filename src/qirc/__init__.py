@@ -25,10 +25,9 @@ from .generators import (CoherenceGenerator, default_generator,
 from .linalg import (HermitianEigen, hermitian_eigen, kron, partial_trace,
                      permute_subsystems, psd_power, uhlmann_fidelity)
 from .resources import (FidelityBreakdown, ProfileConfig, ResourceProfile,
-                        coord_q1, coord_q2, coord_q3, fq_max,
                         fully_entangled_fraction, mutual_information, profile,
-                        quantum_fisher_information, teleportation_fidelity,
-                        von_neumann_entropy)
+                        profiles, quantum_fisher_information, teleportation_fidelity,
+                        transfer_choi_state, von_neumann_entropy)
 from .states import (DensityMatrix, Seed, bell_ac, bell_pair, bell_spectator,
                      classical_correlated, coherent_spectator, compose_product,
                      ghz, gibbs, ginibre_mixed, haar_pure, haar_unitary,

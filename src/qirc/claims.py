@@ -21,7 +21,7 @@ import numpy as np
 from . import channels, dynamics, families, linalg, resources, serialize, states
 from .generators import (CoherenceGenerator, default_generator,
                          diagonal_generator, sigma_z_generator)
-from .resources import ProfileConfig, ResourceProfile
+from .resources import ProfileConfig, ResourceProfile, profiles
 from .states import DensityMatrix, Seed
 from .tolerances import (EPS_BALL, EPS_EXTREMAL, EPS_MI, EPS_MONO_REPORT,
                          EPS_Q1_MONO, EPS_Q3_MONO, EPS_TRAJ)
@@ -101,6 +101,12 @@ class CampaignConfig:
     tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for name, value in self.tolerances.items():
+            if name not in DEFAULT_TOLERANCES:
+                known = ", ".join(sorted(DEFAULT_TOLERANCES))
+                raise ValueError(f"unknown tolerance {name!r}; known: {known}")
+            if not math.isfinite(float(value)):
+                raise ValueError(f"tolerance {name} must be finite, got {value!r}")
         d = linalg.check_size(math.prod(self.dims), "the campaign dims")
         if self.ginibre_rank is not None and not 1 <= self.ginibre_rank <= d:
             raise ValueError(f"ginibre rank must lie in 1..{d}, got {self.ginibre_rank}")
@@ -190,15 +196,6 @@ def _profile_stack(stack: np.ndarray, dims: tuple[int, ...],
             for prof in resources.profile_batch(stack[part.start:part.stop], dims, pc)]
 
 
-def _profiles(group: list[DensityMatrix], pc: ProfileConfig) -> list[ResourceProfile]:
-    """Profiles of the states, stacked by dims."""
-    out = {}
-    for dims in dict.fromkeys(state.dims for state in group):
-        ks = [k for k, state in enumerate(group) if state.dims == dims]
-        out.update(zip(ks, _profile_stack(np.array([group[k].matrix for k in ks]), dims, pc)))
-    return [out[k] for k in range(len(group))]
-
-
 class _Tally:
     """Values added one at a time: how many exceed ``tol``, their sum, and
     the largest, ``max``, which starts at ``floor``; a tie keeps the first.
@@ -273,7 +270,7 @@ def check_extremals(cfg: CampaignConfig) -> ClaimReport:
     anchors = _extremal_anchors()
     rows = []
     worst = _Tally(tol, floor=-1.0)
-    for (name, state, target), prof in zip(anchors, _profiles([a[1] for a in anchors], pc)):
+    for (name, state, target), prof in zip(anchors, profiles([a[1] for a in anchors], pc)):
         dev = max(abs(prof.q1 - target[0]), abs(prof.q2 - target[1]),
                   abs(prof.q3 - target[2]))
         rows.append({"anchor": name, "target": list(target), "q1": prof.q1,
@@ -348,7 +345,7 @@ def check_convexity(cfg: CampaignConfig) -> ClaimReport:
         for _, rho, sig in (pairs[p] for p in part):
             mixes = (lam * rho.matrix + (1.0 - lam) * sig.matrix for lam in LAMBDAS)
             group += [rho, sig, *(DensityMatrix._derived(m, rho.dims) for m in mixes)]
-        profs = _profiles(group, pc)
+        profs = profiles(group, pc)
         for k, p in enumerate(part):
             prof_r, prof_s, *prof_mixes = profs[w * k:w * (k + 1)]
             inside = prof_r.norm <= 1.0 + tol and prof_s.norm <= 1.0 + tol
@@ -417,6 +414,7 @@ def check_monotonicity(cfg: CampaignConfig) -> ClaimReport:
     pc = cfg.profile_config()
     g = pc.generator
     d_a = cfg.dims[0]
+    linalg.check_size(d_a ** 3, "a C3 Haar channel's isometry")  # Kraus rank up to d_A^2
     # Increases per coordinate under Haar channels, then under covariant ones.
     incs = {"q1": _Tally(tol_q1), "q3": _Tally(tol_q3), "q2": _Tally(tol_rep),
             "norm": _Tally(tol_rep), "covariant_q3": _Tally(tol_q3)}
@@ -435,7 +433,7 @@ def check_monotonicity(cfg: CampaignConfig) -> ClaimReport:
         profs = _profile_stack(np.concatenate([stack, outs]), dims, pc)
         rho_a = np.repeat(linalg.partial_trace(stack, dims, [0]), n_ch, axis=0)
         cov_q3 = np.clip(resources._fisher(channels.apply_batch(
-            channels.stack_kraus(cov), rho_a, (d_a,), 0), g.h) / resources.fq_max(g), 0.0, 1.0)
+            channels.stack_kraus(cov), rho_a, (d_a,), 0), g.h) / g.spread ** 2, 0.0, 1.0)
         befores = [(DensityMatrix._derived(m, dims), prof) for m, prof in zip(stack, profs)]
         for row, s in enumerate(slots):
             (i, j), (state, before) = divmod(s, n_ch), befores[row // n_ch]
@@ -553,19 +551,19 @@ def check_entropic_bounds(cfg: CampaignConfig) -> ClaimReport:
     for names, stack, dims in groups:
         # each marginal's entropies over the stack; S(A) from rho_A, rho_AB and
         # rho_AC, as three differently rounded matrices
+        profs = resources.profile_batch(stack, dims, pc)  # first: it checks g's dimension
         rho_a = linalg.partial_trace(stack, dims, [0])
-        s_a = resources.entropies(rho_a)
+        s_a, var = resources.entropies(rho_a), resources.variances(rho_a, g)
         i_ab, i_ac = (resources.mutual_informations(linalg.partial_trace(stack, dims, [0, k]),
                                                     (dims[0], dims[k])) for k in (1, 2))
-        for name, m, a, s, iab, iac, prof in zip(names, stack, rho_a, s_a, i_ab, i_ac,
-                                                 resources.profile_batch(stack, dims, pc)):
+        for name, m, v, s, iab, iac, prof in zip(names, stack, var, s_a, i_ab, i_ac, profs):
             gap = iab + iac - 2.0 * s
             if name == "anchor":
                 anchor_gap = abs(gap)
             mi.add(gap, DensityMatrix._derived(m, dims), gap, trial=name, s_a=float(s),
                    i_ab=float(iab), i_ac=float(iac))
             h1.add((prof.q1 + prof.q2) - 2.0 * s / log_d)
-            h2.add(prof.breakdown.f_q - 4.0 * resources.variance(a, g) * (1.0 - s / log_d))
+            h2.add(prof.breakdown.f_q - 4.0 * v * (1.0 - s / log_d))
     return ClaimReport(
         claim_id=CLAIM_IDS["A2"],
         verdict="holds-within-tolerance" if mi.count == 0 else "violated",

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, claims, dynamics, families, resources, serialize, states
-from .channels import amplitude_damping, dephasing, depolarizing, random_channel
+from .channels import amplitude_damping, apply, dephasing, depolarizing, random_channel
 from .claims import CampaignConfig, resolve_generator
 from .linalg import MAX_DIM
 from .resources import ProfileConfig
@@ -31,13 +30,8 @@ def _parse_tolerances(entries) -> dict:
     for entry in entries or []:
         name, _, value = entry.partition("=")
         if not value:
-            raise ValueError(f"--tol expects NAME=VALUE, got {entry!r}")
-        if name not in claims.DEFAULT_TOLERANCES:
-            known = ", ".join(sorted(claims.DEFAULT_TOLERANCES))
-            raise ValueError(f"unknown tolerance {name!r}; known: {known}")
+            raise ValueError(f"expected NAME=VALUE, got {entry!r}")
         out[name] = float(value)
-        if not math.isfinite(out[name]):
-            raise ValueError(f"--tol {name} must be finite, got {value!r}")
     return out
 
 
@@ -102,8 +96,7 @@ def _sweep_state(family: str, value: float, coupling: float) -> states.DensityMa
     if family == "werner":
         return families.build(f"werner:{value}")
     if family == "depolarize-bell":
-        from .channels import apply as apply_channel
-        return apply_channel(depolarizing(2, float(value)), states.bell_spectator(), 0)
+        return apply(depolarizing(2, float(value)), states.bell_spectator(), 0)
     if family == "gibbs-beta":
         return families.build(f"gibbs:{value}:{coupling}")
     raise ValueError(f"unknown sweep family {family!r}; known: {', '.join(SWEEP_FAMILIES)}")
@@ -114,9 +107,7 @@ def cmd_sweep(args) -> int:
     echo = _config_echo(args, "sweep",
                         ["family", "grid", "coupling", "q2_mode", "generator", "seed"])
     grid_states = [_sweep_state(args.family, float(value), args.coupling) for value in grid]
-    dims = grid_states[0].dims
-    profs = resources.profile_batch(np.array([s.matrix for s in grid_states]), dims,
-                                    _profile_config(args, dims[0]))
+    profs = resources.profiles(grid_states, _profile_config(args, grid_states[0].dims[0]))
     rows = [(float(v), p.q1, p.q2, p.q3, p.norm,
              *(getattr(p.breakdown, k) for k in SWEEP_HEADER[5:]))
             for v, p in zip(grid, profs)]
@@ -134,15 +125,17 @@ CLOUD_HEADER = ("trial", "stream", "q1", "q2", "q3", "norm", "q1_raw",
 
 
 def _campaign_config(args) -> CampaignConfig:
-    tolerances = _parse_tolerances(args.tol)
-    # Of what the CLI passes, the config checks the dims, then the rank.
+    # The config checks the tolerances, then the dims, then the rank: each error names its option.
     try:
-        cfg = CampaignConfig(
-            sampler=args.sampler, trials=args.trials,
+        cfg = CampaignConfig(tolerances=_parse_tolerances(args.tol))
+    except ValueError as exc:
+        raise ValueError(f"--tol: {exc}") from exc
+    try:
+        cfg = dataclasses.replace(
+            cfg, sampler=args.sampler, trials=args.trials,
             dims=tuple(int(d) for d in args.dims.split(",")),
             q2_mode=args.q2_mode, generator=args.generator, seed=args.seed,
-            family=args.family, channels_per_state=args.channels,
-            tolerances=tolerances)
+            family=args.family, channels_per_state=args.channels)
     except ValueError as exc:
         raise ValueError(f"--dims {args.dims}: {exc}") from exc
     try:

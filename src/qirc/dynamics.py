@@ -122,13 +122,12 @@ def trajectory(rho0: DensityMatrix, schedule: Sequence[tuple[str, Step]],
     (channel, target) pair. Monotone flags report whether each coordinate and
     the norm were non-increasing along the whole trajectory within EPS_TRAJ.
     """
-    cfg = cfg or resources.ProfileConfig()
-    records = [("init", resources.profile(rho0, cfg))]
-    rho = rho0
-    for label, step in schedule:
-        rho = (evolve(rho, step) if isinstance(step, UnitaryOperator)
-               else channels.apply(step[0], rho, int(step[1])))
-        records.append((label, resources.profile(rho, cfg)))
+    rhos = [rho0]
+    for _, step in schedule:
+        rhos.append(evolve(rhos[-1], step) if isinstance(step, UnitaryOperator)
+                    else channels.apply(step[0], rhos[-1], int(step[1])))
+    # one stack per dims, since a channel may change a subsystem's dimension
+    records = list(zip(["init"] + [label for label, _ in schedule], resources.profiles(rhos, cfg)))
     flags = {}
     for name in ("q1", "q2", "q3", "norm"):
         series = [getattr(p, name) for _, p in records]

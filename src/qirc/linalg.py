@@ -130,19 +130,22 @@ def permute_subsystems(m: np.ndarray, dims: Sequence[int], perm: Sequence[int]) 
 
 
 def hermitian_eigen(m: np.ndarray) -> HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix (symmetrized internally)."""
+    """Eigendecomposition of a Hermitian matrix, or of each of a stack
+    m[..., d, d] (symmetrized internally)."""
     m = as_complex(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not is_hermitian(m):
-        resid = frobenius(m - dagger(m)) / max(1.0, frobenius(m))
+    norm = np.maximum(1.0, np.linalg.norm(m, axis=(-2, -1)))
+    resid = np.max(np.linalg.norm(m - dagger(m), axis=(-2, -1)) / norm, initial=0.0)
+    if resid > EPS_HERM:
         raise ValueError(f"matrix is not Hermitian (residual {resid:.3e} > {EPS_HERM:.1e})")
     w, v = np.linalg.eigh((m + dagger(m)) / 2)
     return HermitianEigen(values=w, vectors=v)
 
 
 def psd_power(m: np.ndarray, exponent: float) -> np.ndarray:
-    """Spectral power of a PSD matrix, evaluated only on its support.
+    """Spectral power of a PSD matrix, or of each of a stack m[..., d, d],
+    evaluated only on its support.
 
     Eigenvalues in (-EPS_PSD, 0) are clipped to zero; anything more negative
     is rejected. Eigenvalues at or below EPS_PSD map to 0, which makes
@@ -150,15 +153,16 @@ def psd_power(m: np.ndarray, exponent: float) -> np.ndarray:
     """
     eig = hermitian_eigen(m)
     w = eig.values
-    if w[0] < -EPS_PSD:
-        raise ValueError(f"matrix is not PSD (min eigenvalue {w[0]:.3e})")
+    if np.any(w[..., 0] < -EPS_PSD):
+        raise ValueError(f"matrix is not PSD (min eigenvalue {w[..., 0].min():.3e})")
     on = w > EPS_PSD  # eigenvalues in (-EPS_PSD, 0] map to 0 with the rest of the kernel
     f = np.where(on, np.where(on, w, 1.0) ** exponent, 0.0)
-    return (eig.vectors * f) @ dagger(eig.vectors)
+    return (eig.vectors * f[..., None, :]) @ dagger(eig.vectors)
 
 
-def uhlmann_fidelity(rho, sigma) -> float:
-    """F(rho, sigma) = (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, in [0, 1]."""
+def uhlmann_fidelity(rho, sigma) -> float | np.ndarray:
+    """F(rho, sigma) = (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, in [0, 1], of two
+    matrices, or of each pair of matrices of two stacks [..., d, d]."""
     r = as_complex(getattr(rho, "matrix", rho))
     s = as_complex(getattr(sigma, "matrix", sigma))
     if r.shape != s.shape:
@@ -166,5 +170,5 @@ def uhlmann_fidelity(rho, sigma) -> float:
     sqrt_r = psd_power(r, 0.5)
     inner = sqrt_r @ s @ sqrt_r
     w = np.linalg.eigvalsh((inner + dagger(inner)) / 2)
-    root_sum = float(np.sqrt(np.clip(w, 0.0, None)).sum())
-    return float(min(1.0, root_sum * root_sum))
+    root_sum = np.sqrt(np.clip(w, 0.0, None)).sum(axis=-1)
+    return np.minimum(1.0, root_sum * root_sum)

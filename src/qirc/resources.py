@@ -306,12 +306,6 @@ def _q1_from_fraction(f, d: int):
     return np.clip(raw, 0.0, 1.0), raw
 
 
-def coord_q1(rho_ab: DensityMatrix) -> tuple[float, float]:
-    """Teleportation advantage of rho_AB, (clamped, raw)."""
-    f, _, _ = fully_entangled_fraction(rho_ab)
-    return _q1_from_fraction(f, rho_ab.dims[0])
-
-
 def _transfer_choi(rho_ac: np.ndarray, d_a: int, d_c: int) -> np.ndarray:
     """``transfer_choi_state`` of each state of rho_ac[N]."""
     rho_a = linalg.partial_trace(rho_ac, (d_a, d_c), [0])
@@ -343,18 +337,6 @@ def transfer_choi_state(rho_ac: DensityMatrix) -> DensityMatrix:
                                   rho_ac.dims)
 
 
-def coord_q2(rho_ac: DensityMatrix, mode: str = "transfer") -> tuple[float, float]:
-    """Transfer capacity of rho_AC (or marginal Uhlmann fidelity, diagnostic)."""
-    if mode == "transfer":
-        if rho_ac.dims[0] != rho_ac.dims[1]:
-            raise ValueError(f"transfer mode needs equal local dims, got {rho_ac.dims}")
-        return coord_q1(transfer_choi_state(rho_ac))
-    if mode == "uhlmann-marginal":
-        f = linalg.uhlmann_fidelity(rho_ac.marginal([0]), rho_ac.marginal([1]))
-        return float(np.clip(f, 0.0, 1.0)), float(f)
-    raise ValueError(f"unknown q2 mode {mode!r}")
-
-
 # ---------------------------------------------------------------------------
 # Fisher information
 
@@ -379,19 +361,10 @@ def quantum_fisher_information(rho: DensityMatrix | np.ndarray,
     return float(_fisher(m[None], g.h)[0])
 
 
-def variance(rho: DensityMatrix | np.ndarray, g: CoherenceGenerator) -> float:
-    m, h = getattr(rho, "matrix", rho), g.h
-    mean = float(np.trace(h @ m).real)
-    return float(np.trace(h @ h @ m).real) - mean * mean
-
-
-def fq_max(g: CoherenceGenerator) -> float:
-    """(l_max - l_min)^2, reached by the equal superposition of the extremes."""
-    return g.spread ** 2
-
-
-def coord_q3(rho_a: DensityMatrix, g: CoherenceGenerator) -> float:
-    return float(np.clip(quantum_fisher_information(rho_a, g) / fq_max(g), 0.0, 1.0))
+def variances(m: np.ndarray, g: CoherenceGenerator) -> np.ndarray:
+    """Tr(H^2 rho) - Tr(H rho)^2 of each state rho of m[N] along g's H."""
+    mean = np.trace(g.h @ m, axis1=1, axis2=2).real
+    return np.trace(g.h @ g.h @ m, axis1=1, axis2=2).real - mean * mean
 
 
 # ---------------------------------------------------------------------------
@@ -434,13 +407,13 @@ def profile_batch(rho: np.ndarray, dims: tuple[int, ...],
     q2, q2_raw = _q1_from_fraction(f[-n:] if transfer else floor, d_a)
     f_trans = (q2_raw + d_a) / (d_a + 1) if transfer else teleportation_fidelity(floor, d_a)
     gap_choi = gap[-n:] if transfer else 0.0
-    if d_c > 1 and not transfer:
-        q2, q2_raw = np.array([coord_q2(DensityMatrix._derived(m, (d_a, d_c)), cfg.q2_mode)
-                               for m in rho_ac]).T
-        f_trans = q2_raw
+    if d_c > 1 and not transfer:  # the Uhlmann fidelity of rho_A and rho_C
+        f_trans = q2_raw = linalg.uhlmann_fidelity(
+            *(linalg.partial_trace(rho_ac, (d_a, d_c), [k]) for k in (0, 1)))
+        q2 = np.clip(q2_raw, 0.0, 1.0)
 
     f_q = _fisher(linalg.partial_trace(rho, dims, [0]), g.h)
-    f_q_top = float(fq_max(g))
+    f_q_top = g.spread ** 2  # reached by the equal superposition of the extreme eigenvectors
     q3 = np.clip(f_q / f_q_top, 0.0, 1.0)
     norm = q1 * q1 + q2 * q2 + q3 * q3
     cols = zip(*(np.broadcast_to(c, n).tolist() for c in (
@@ -454,6 +427,19 @@ def profile(rho: DensityMatrix, cfg: ProfileConfig | None = None) -> ResourcePro
     """Map a tripartite state to its resource coordinates and norm: the N = 1
     call of ``profile_batch``."""
     return profile_batch(rho.matrix[None], rho.dims, cfg)[0]
+
+
+def profiles(group: list[DensityMatrix],
+             cfg: ProfileConfig | None = None) -> list[ResourceProfile]:
+    """Profiles of the states, one stack per dims, of at most MAX_STACK entries."""
+    out = {}
+    for dims in dict.fromkeys(state.dims for state in group):
+        ks = [k for k, state in enumerate(group) if state.dims == dims]
+        for part in linalg.chunks(len(ks), group[ks[0]].dim):
+            rows = ks[part.start:part.stop]
+            out.update(zip(rows, profile_batch(np.array([group[k].matrix for k in rows]),
+                                               dims, cfg)))
+    return [out[k] for k in range(len(group))]
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,8 @@ def test_criterion_3_fisher_information():
         g = CoherenceGenerator(random_hermitian(rng, d))
         rho = states.haar_pure((d,), Seed(SEED, 100 + i))
         fq = resources.quantum_fisher_information(rho, g)
-        worst_pure = max(worst_pure, abs(fq - 4 * resources.variance(rho, g)))
+        var = resources.variances(rho.matrix[None], g)[0]
+        worst_pure = max(worst_pure, abs(fq - 4 * var))
     exact_zero = all(
         resources.quantum_fisher_information(
             states.maximally_mixed(d), CoherenceGenerator(random_hermitian(rng, d))
@@ -83,7 +84,7 @@ def test_criterion_3_fisher_information():
         g = CoherenceGenerator(random_hermitian(rng, d))
         rank = 1 + i % d
         rho = states.ginibre_mixed(d, rank, Seed(SEED, 10_000 + i))
-        excess = resources.quantum_fisher_information(rho, g) - resources.fq_max(g)
+        excess = resources.quantum_fisher_information(rho, g) - g.spread ** 2
         worst_excess = max(worst_excess, excess)
     ok = worst_pure <= 1e-9 and exact_zero and worst_excess <= 1e-9
     _report("3 Fisher information", ok,

@@ -38,6 +38,11 @@ class TestConfig:
         cfg = CampaignConfig(tolerances={"ball": 0.5})
         assert cfg.tolerance("ball") == 0.5
         assert cfg.tolerance("mi") == claims.DEFAULT_TOLERANCES["mi"]
+        # a NaN tolerance would pass every comparison; a misspelt one would be ignored
+        with pytest.raises(ValueError, match="finite"):
+            CampaignConfig(tolerances={"extremal": float("nan")})
+        with pytest.raises(ValueError, match="unknown tolerance 'bogus'"):
+            CampaignConfig(tolerances={"bogus": 3.0})
 
     @pytest.mark.parametrize("rank", [0, -1, 9])
     def test_ginibre_rank_rejected_at_construction(self, rank):

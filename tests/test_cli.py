@@ -228,14 +228,16 @@ class TestCheckCommand:
         assert run(capsys, "check", "Z9")[0] == 2
 
     def test_bad_tolerance_name_exits_2(self, capsys):
-        assert run(capsys, "check", "C1", "--tol", "bogus=1")[0] == 2
+        code, _, err = run(capsys, "check", "C1", "--tol", "bogus=1")
+        assert code == 2
+        assert "--tol" in err and "--dims" not in err
 
     def test_non_finite_tolerance_exits_2(self, capsys):
         for value in ("nan", "inf", "-inf"):
             code, _, err = run(capsys, "check", "T1", "--trials", "2",
                                "--tol", f"ball={value}")
             assert code == 2
-            assert "finite" in err
+            assert "finite" in err and "--tol" in err and "--dims" not in err
 
     def test_zero_channels_exits_2(self, capsys):
         # no channel slots would make both hard tiers of C3 hold vacuously
@@ -258,6 +260,13 @@ class TestCheckCommand:
                            "--trials", "1")
         assert code == 2
         assert "--dims" in err
+
+    def test_oversized_c3_isometry_exits_2(self, capsys):
+        # Kraus rank up to 17^2 on d_A = 17 needs a 4913-dimensional Haar unitary
+        code, _, err = run(capsys, "check", "C3", "--dims", "17,1,17", "--trials", "1",
+                           "--channels", "1")
+        assert code == 2
+        assert "4913" in err and "MAX_DIM" in err
 
     def test_ginibre_rank_out_of_range_exits_2(self, capsys):
         code, _, err = run(capsys, "check", "T1", "--sampler", "ginibre-mixed",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qirc import channels, dynamics, states
+from qirc import channels, dynamics, resources, states
 from qirc.generators import CoherenceGenerator, diagonal_generator, sigma_z_generator
 from qirc.states import Seed
 
@@ -171,6 +171,20 @@ class TestTrajectory:
         traj = dynamics.trajectory(rho, steps)
         norms = [p.norm for _, p in traj.steps]
         assert max(abs(n - norms[0]) for n in norms) <= 1e-6
+
+    def test_dims_changing_channel_profiles_every_step(self):
+        # tracing out C, a 2 -> 1 channel, turns dims (2, 2, 2) into (2, 2, 1)
+        trace_c = channels.make_channel([np.eye(2)[None, k] for k in range(2)])
+        noise = channels.depolarizing(2, 0.1)
+        rho = states.haar_pure((2, 2, 2), Seed(56, 0))
+        traj = dynamics.trajectory(rho, [("trace C", (trace_c, 2)), ("noise", (noise, 0))])
+        after = [rho, channels.apply(trace_c, rho, 2)]
+        after.append(channels.apply(noise, after[1], 0))
+        assert after[2].dims == (2, 2, 1)
+        assert [label for label, _ in traj.steps] == ["init", "trace C", "noise"]
+        assert [p.to_dict() for _, p in traj.steps] == \
+            [resources.profile(s).to_dict() for s in after]
+        assert traj.steps[1][1].q2 == 0.0
 
     def test_labels_and_step_count(self):
         rho = states.bell_spectator()

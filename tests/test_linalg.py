@@ -138,8 +138,10 @@ class TestHermitianEigen:
         assert np.linalg.norm(gram - np.eye(d)) <= 1e-10
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            linalg.hermitian_eigen(np.array([[0, 1], [0, 0]], dtype=complex))
+        bad = np.array([[0, 1], [0, 0]], dtype=complex)
+        for m in (bad, np.array([np.eye(2), bad, np.eye(2)])):  # alone or in a stack
+            with pytest.raises(ValueError, match="Hermitian"):
+                linalg.hermitian_eigen(m)
 
 
 class TestPsdPower:
@@ -160,8 +162,10 @@ class TestPsdPower:
         assert np.allclose(linalg.psd_power(m, 1.0), m, atol=1e-12)
 
     def test_rejects_negative_spectrum(self):
-        with pytest.raises(ValueError, match="PSD"):
-            linalg.psd_power(np.diag([1.0, -0.5]).astype(complex), 0.5)
+        bad = np.diag([1.0, -0.5]).astype(complex)
+        for m in (bad, np.array([np.eye(2), bad])):  # alone or in a stack
+            with pytest.raises(ValueError, match="PSD"):
+                linalg.psd_power(m, 0.5)
 
 
 class TestUhlmannFidelity:
@@ -199,3 +203,14 @@ class TestUhlmannFidelity:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             linalg.uhlmann_fidelity(np.eye(2) / 2, np.eye(3) / 3)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 9])
+    def test_stack_is_each_pair_alone(self, rng, d):
+        # full-rank and rank-deficient pairs; row k is bit for bit pair k alone
+        a = np.array([random_density(rng, d, 1 + k % d) for k in range(24)])
+        b = np.array([random_density(rng, d, 1 + k // 3 % d) for k in range(24)])
+        f = linalg.uhlmann_fidelity(a, b)
+        assert f.shape == (24,)
+        assert f.tolist() == [linalg.uhlmann_fidelity(x, y) for x, y in zip(a, b)]
+        roots = linalg.psd_power(a, 0.5)
+        assert all(np.array_equal(r, linalg.psd_power(x, 0.5)) for r, x in zip(roots, a))

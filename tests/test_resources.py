@@ -6,8 +6,7 @@ import pytest
 from qirc import dynamics, linalg, resources, states
 from qirc.generators import (CoherenceGenerator, default_generator,
                              diagonal_generator, sigma_z_generator)
-from qirc.resources import (ProfileConfig, coord_q1, coord_q2, coord_q3,
-                            fq_max, fully_entangled_fraction, profile, profile_batch,
+from qirc.resources import (ProfileConfig, fully_entangled_fraction, profile, profile_batch,
                             quantum_fisher_information, teleportation_fidelity)
 from qirc.states import DensityMatrix, Seed
 from qirc.tolerances import EPS_CERT, EPS_OPT, EPS_PSD
@@ -27,6 +26,27 @@ def qubit_pairs(n: int, master: int):
             yield states.haar_pure((2, 2), Seed(master, i))
         else:
             yield states.ginibre_mixed(4, 1 + i % 4, Seed(master, i)).reshaped((2, 2))
+
+
+def q1_of(rho_ab: DensityMatrix) -> tuple[float, float]:
+    """(q1, raw q1) of rho_AB alone: the profile of rho_AB on a trivial C."""
+    p = profile(rho_ab.reshaped(rho_ab.dims + (1,)))
+    return p.q1, p.breakdown.q1_raw
+
+
+def q2_of(rho_ac: DensityMatrix, cfg: ProfileConfig | None = None) -> tuple[float, float]:
+    """(q2, raw q2) of rho_AC alone: the profile of rho_AC on a trivial B."""
+    p = profile(rho_ac.reshaped((rho_ac.dims[0], 1, rho_ac.dims[1])), cfg)
+    return p.q2, p.breakdown.q2_raw
+
+
+def alone_on_a(rho_a: DensityMatrix, g: CoherenceGenerator):
+    """The profile of rho_A on trivial B and C, along g."""
+    return profile(rho_a.reshaped((rho_a.dim, 1, 1)), ProfileConfig(generator=g))
+
+
+def variance(rho: DensityMatrix, g: CoherenceGenerator) -> float:
+    return float(resources.variances(rho.matrix[None], g)[0])
 
 
 def isotropic(p: float, d: int) -> DensityMatrix:
@@ -346,12 +366,12 @@ class TestTeleportationFidelity:
 
 class TestCoordQ1:
     def test_bell(self):
-        q1, raw = coord_q1(states.bell_pair())
+        q1, raw = q1_of(states.bell_pair())
         assert np.isclose(q1, 1.0, atol=1e-9)
         assert np.isclose(raw, 1.0, atol=1e-9)
 
     def test_werner_threshold(self):
-        q1, raw = coord_q1(states.werner(1 / 3))
+        q1, raw = q1_of(states.werner(1 / 3))
         assert abs(raw) <= 1e-9
         assert q1 <= 1e-9
 
@@ -359,7 +379,7 @@ class TestCoordQ1:
         for i in range(10):
             a = states.ginibre_mixed(2, 1 + i % 2, Seed(36, 2 * i))
             b = states.ginibre_mixed(2, 1 + (i + 1) % 2, Seed(36, 2 * i + 1))
-            q1, raw = coord_q1(states.compose_product(a, b))
+            q1, raw = q1_of(states.compose_product(a, b))
             assert q1 == 0.0
             assert raw <= 1e-9
 
@@ -370,8 +390,8 @@ class TestCoordQ1:
             u_b = states.haar_unitary(2, Seed(38, 2 * i + 1))
             big = np.kron(u_a, u_b)
             rotated = DensityMatrix(big @ rho.matrix @ big.conj().T, (2, 2))
-            q1, _ = coord_q1(rho)
-            q1_rot, _ = coord_q1(rotated)
+            q1, _ = q1_of(rho)
+            q1_rot, _ = q1_of(rotated)
             assert abs(q1 - q1_rot) <= 1e-6
 
 
@@ -456,24 +476,24 @@ class TestInducedTransferChannel:
 
 class TestCoordQ2:
     def test_bell_transfer(self):
-        q2, raw = coord_q2(states.bell_pair())
+        q2, raw = q2_of(states.bell_pair())
         assert np.isclose(q2, 1.0, atol=1e-9)
 
     def test_product_transfer_is_zero(self):
         rho = states.compose_product(states.maximally_mixed(2),
                                      states.maximally_mixed(2)).reshaped((2, 2))
-        q2, raw = coord_q2(rho)
+        q2, raw = q2_of(rho)
         assert q2 == 0.0
         assert raw < 0
 
     def test_classical_uhlmann_marginal(self):
         rho_ac = states.classical_correlated(2).marginal([0, 2])
-        q2, raw = coord_q2(rho_ac, mode="uhlmann-marginal")
+        q2, raw = q2_of(rho_ac, ProfileConfig(q2_mode="uhlmann-marginal"))
         assert np.isclose(q2, 1.0, atol=1e-9)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
-            coord_q2(states.bell_pair(), mode="nope")
+            q2_of(states.bell_pair(), ProfileConfig(q2_mode="nope"))
 
 
 class TestQuantumFisherInformation:
@@ -496,14 +516,25 @@ class TestQuantumFisherInformation:
         for i in range(20):
             rho = states.haar_pure((d,), Seed(41, 20 * d + i))
             fq = quantum_fisher_information(rho, g)
-            assert abs(fq - 4 * resources.variance(rho, g)) <= 1e-9
+            assert abs(fq - 4 * variance(rho, g)) <= 1e-9
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 16])
+    def test_stacked_variances_are_each_state_alone(self, rng, d):
+        # the reference is Tr(H^2 rho) - Tr(H rho)^2 of one state at a time
+        g = CoherenceGenerator(random_hermitian(rng, d))
+        stack = np.array([states.ginibre_matrix(d, 1 + i % d, Seed(42, i)) for i in range(30)])
+        ref = []
+        for m in stack:
+            mean = float(np.trace(g.h @ m).real)
+            ref.append(float(np.trace(g.h @ g.h @ m).real) - mean * mean)
+        assert resources.variances(stack, g).tolist() == ref
 
     def test_bounded_by_four_variance(self, rng):
         g = CoherenceGenerator(random_hermitian(rng, 3))
         for i in range(50):
             rho = states.ginibre_mixed(3, 1 + i % 3, Seed(42, i))
             fq = quantum_fisher_information(rho, g)
-            assert fq <= 4 * resources.variance(rho, g) + 1e-9
+            assert fq <= 4 * variance(rho, g) + 1e-9
 
     def test_invariant_under_commuting_unitary(self):
         g = sigma_z_generator()
@@ -522,22 +553,26 @@ class TestQuantumFisherInformation:
 
 class TestFqMax:
     def test_sigma_z(self):
-        assert np.isclose(fq_max(sigma_z_generator()), 4.0)
+        p = alone_on_a(states.plus_state(), sigma_z_generator())
+        assert np.isclose(p.breakdown.f_q_max, 4.0)
 
     def test_two_qubit_collective(self):
         h = np.kron(states.SIGMA_Z, np.eye(2)) + np.kron(np.eye(2), states.SIGMA_Z)
-        assert np.isclose(fq_max(CoherenceGenerator(h)), 16.0)
+        p = alone_on_a(states.maximally_mixed(4), CoherenceGenerator(h))
+        assert np.isclose(p.breakdown.f_q_max, 16.0)
 
     def test_extreme_superposition_attains_it(self, rng):
         g = CoherenceGenerator(random_hermitian(rng, 4))
         v = g.eigen.vectors
         psi = (v[:, 0] + v[:, -1]) / np.sqrt(2)
         rho = states.ket_projector(psi, (4,))
-        assert abs(quantum_fisher_information(rho, g) - fq_max(g)) <= 1e-9
+        b = alone_on_a(rho, g).breakdown
+        assert abs(quantum_fisher_information(rho, g) - b.f_q_max) <= 1e-9
+        assert b.f_q == quantum_fisher_information(rho, g)
 
     def test_random_pure_states_never_exceed(self, rng):
         g = CoherenceGenerator(random_hermitian(rng, 3))
-        top = fq_max(g)
+        top = g.spread ** 2
         for i in range(300):
             rho = states.haar_pure((3,), Seed(44, i))
             assert quantum_fisher_information(rho, g) <= top + 1e-9
@@ -549,13 +584,13 @@ class TestFqMax:
 
 class TestCoordQ3:
     def test_plus_state_maximal(self):
-        assert np.isclose(coord_q3(states.plus_state(), sigma_z_generator()), 1.0)
+        assert np.isclose(alone_on_a(states.plus_state(), sigma_z_generator()).q3, 1.0)
 
     def test_maximally_mixed_zero(self):
-        assert coord_q3(states.maximally_mixed(2), sigma_z_generator()) == 0.0
+        assert alone_on_a(states.maximally_mixed(2), sigma_z_generator()).q3 == 0.0
 
     def test_basis_state_zero(self):
-        assert coord_q3(states.basis_state(2, 0), sigma_z_generator()) <= 1e-12
+        assert alone_on_a(states.basis_state(2, 0), sigma_z_generator()).q3 <= 1e-12
 
 
 class TestProfile:
@@ -654,7 +689,8 @@ class TestProfileBatch:
     @pytest.mark.parametrize("dims, mode", [((2, 2, 2), "transfer"), ((3, 3, 3), "transfer"),
                                             ((2, 1, 2), "transfer"), ((2, 2, 1), "transfer"),
                                             ((2, 2, 2), "uhlmann-marginal"),
-                                            ((4, 4, 4), "transfer")])
+                                            ((4, 4, 4), "transfer"),
+                                            ((3, 3, 3), "uhlmann-marginal")])
     def test_row_is_the_state_alone(self, dims, mode):
         # seed-7 stream 81 at d = 3: its rho_AB needs the Haar fallback, and
         # the fallback still leaves it uncertified (gap > EPS_CERT)

@@ -89,6 +89,10 @@ COMMANDS = [
     "profile --family w --out w.json",
     "profile --family ghz",
     "profile --family werner:0.8 --q2-mode uhlmann-marginal",
+    # The diagnostic q2 mode on every sampled check; exits 1 on both sides, as
+    # F(rho_A, rho_C) is not invariant under u_A ⊗ u_C (T2's local family).
+    "check T1 C2 C3 T2 A2 --q2-mode uhlmann-marginal --trials 40 --channels 3 --seed 7"
+    " --out out",
     "sweep werner --out werner.csv",
     "sweep depolarize-bell --grid 0:1:11",
     "sweep gibbs-beta --grid 0:2:11 --coupling 0.5",
