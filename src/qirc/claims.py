@@ -13,6 +13,7 @@ always report ``report-only`` or sit in a hard check's
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass, field, fields
 
@@ -108,6 +109,7 @@ class CampaignConfig:
             if not math.isfinite(float(value)):
                 raise ValueError(f"tolerance {name} must be finite, got {value!r}")
         d = linalg.check_size(math.prod(self.dims), "the campaign dims")
+        resources.check_profile_dims(self.dims, d)
         if self.ginibre_rank is not None and not 1 <= self.ginibre_rank <= d:
             raise ValueError(f"ginibre rank must lie in 1..{d}, got {self.ginibre_rank}")
 
@@ -162,18 +164,19 @@ def _family_state(cfg: CampaignConfig, trial: int, n_trials: int) -> DensityMatr
 
 
 def _samples(cfg: CampaignConfig, n: int, pure_only: bool = False, stream_offset: int = 0,
-             width: int = 1):
+             width: int = 1, per: int = 1):
     """Yield (trials, stack, dims): the states 0..n-1 of n, state k drawn from
-    stream stream_offset + k, in stacks of at most linalg.MAX_STACK entries
-    with ``width`` states scored per state, each checked once where it is
-    drawn (family states where they are built)."""
+    stream stream_offset + k, in stacks of whole groups of ``per`` states, at
+    most linalg.MAX_STACK entries with ``width`` states scored per group, each
+    checked once where it is drawn (family states where they are built)."""
     sampler = "haar-pure" if pure_only else cfg.sampler
     if sampler not in ("haar-pure", "ginibre-mixed", "named-family"):
         raise ValueError(f"unknown sampler {cfg.sampler!r}")
     first = _family_state(cfg, 0, n) if sampler == "named-family" and n else None
     dims = cfg.dims if first is None else first.dims
     d = math.prod(dims)
-    for trials in linalg.chunks(n, d, width):
+    for part in linalg.chunks(n // per, d, width):
+        trials = range(per * part.start, per * part.stop)
         if first is not None:
             yield trials, np.array([(_family_state(cfg, k, n) if k else first).matrix
                                     for k in trials]), dims
@@ -187,13 +190,6 @@ def _samples(cfg: CampaignConfig, n: int, pure_only: bool = False, stream_offset
                               for seed in seeds])
         states.check_states(stack, dims)
         yield trials, stack, dims
-
-
-def _profile_stack(stack: np.ndarray, dims: tuple[int, ...],
-                   pc: ProfileConfig) -> list[ResourceProfile]:
-    """Profiles of the states stack[N] on dims, at most linalg.MAX_STACK entries a call."""
-    return [prof for part in linalg.chunks(len(stack), math.prod(dims))
-            for prof in resources.profile_batch(stack[part.start:part.stop], dims, pc)]
 
 
 class _Tally:
@@ -330,23 +326,25 @@ def check_convexity(cfg: CampaignConfig) -> ClaimReport:
     tol = cfg.tolerance("ball")
     n_pairs = cfg.n_trials("C2")
     pc = cfg.profile_config()
-    pairs: list[tuple[str, DensityMatrix, DensityMatrix]] = [
-        ("anchor", states.bell_spectator(), states.coherent_spectator())]
-    ends = [DensityMatrix._derived(m, dims) for _, stack, dims in
-            _samples(cfg, 2 * (n_pairs - 1), stream_offset=_STREAM_PAIR) for m in stack]
-    pairs += [(f"sampled[{i}]", ends[2 * i], ends[2 * i + 1]) for i in range(n_pairs - 1)]
+    w = 2 + len(LAMBDAS)  # a pair is scored as its endpoints and mixtures, in a row
+    # The anchor pair is the first chunk. Each later chunk draws its own whole
+    # pairs: pair k is endpoints 2k and 2k + 1 of the pair streams.
+    anchor = [("anchor", states.bell_spectator(), states.coherent_spectator())]
+    sampled = ([(f"sampled[{(trials.start + r) // 2}]",
+                 *(DensityMatrix._derived(m, dims) for m in stack[r:r + 2]))
+                for r in range(0, len(stack), 2)] for trials, stack, dims in
+               _samples(cfg, 2 * (n_pairs - 1), stream_offset=_STREAM_PAIR, width=w, per=2))
     endpoint_mismatches = 0
     ball_violations = 0
     max_segment_dev = 0.0
     worst = _Tally(floor=-1.0)
-    w = 2 + len(LAMBDAS)  # a pair is scored as its endpoints and mixtures, in a row
-    for part in linalg.chunks(len(pairs), max(rho.dim for _, rho, _ in pairs), w):
+    for pairs in itertools.chain([anchor], sampled):
         group = []
-        for _, rho, sig in (pairs[p] for p in part):
+        for _, rho, sig in pairs:
             mixes = (lam * rho.matrix + (1.0 - lam) * sig.matrix for lam in LAMBDAS)
             group += [rho, sig, *(DensityMatrix._derived(m, rho.dims) for m in mixes)]
         profs = profiles(group, pc)
-        for k, p in enumerate(part):
+        for k, (name, _, _) in enumerate(pairs):
             prof_r, prof_s, *prof_mixes = profs[w * k:w * (k + 1)]
             inside = prof_r.norm <= 1.0 + tol and prof_s.norm <= 1.0 + tol
             for lam, mix, prof_m in zip(LAMBDAS, group[w * k + 2:w * (k + 1)], prof_mixes):
@@ -360,17 +358,17 @@ def check_convexity(cfg: CampaignConfig) -> ClaimReport:
                        for a, b in zip(prof_r.coords(), prof_s.coords())]
                 dev = max(abs(m - s) for m, s in zip(prof_m.coords(), seg))
                 max_segment_dev = max(max_segment_dev, dev)
-                worst.add(prof_m.norm, mix, prof_m.norm - 1.0, prof_m, pair=pairs[p][0],
+                worst.add(prof_m.norm, mix, prof_m.norm - 1.0, prof_m, pair=name,
                           mixing=float(lam))
                 if inside and prof_m.norm > 1.0 + tol:
                     ball_violations += 1
     verdict = "violated" if endpoint_mismatches else "report-only"
     return ClaimReport(
         claim_id=CLAIM_IDS["C2"], verdict=verdict,
-        trials=len(pairs) * len(LAMBDAS), violations=ball_violations,
+        trials=n_pairs * len(LAMBDAS), violations=ball_violations,
         report_only_violations=ball_violations,
         tolerances={"ball": tol}, seed=cfg.seed,
-        stats={"pairs": len(pairs), "lambda_grid": list(LAMBDAS),
+        stats={"pairs": n_pairs, "lambda_grid": list(LAMBDAS),
                "endpoint_mismatches": endpoint_mismatches,
                "max_mixture_norm": float(worst.max),
                "max_segment_deviation": float(max_segment_dev)},
@@ -421,45 +419,51 @@ def check_monotonicity(cfg: CampaignConfig) -> ClaimReport:
     # Witness: the covariant slot of largest margin when a margin is above 0
     # (a hard violation), else the slot of largest margin in either family.
     margins, hard = _Tally(floor=-np.inf), _Tally(0.0, floor=-np.inf)
-    # Slot s = i * n_ch + j is channel j on state i. The channels of a chunk
-    # act as one stack, and its states and their outputs are one profile stack.
+    # Slot s = i * n_ch + j is channel j on state i. A chunk's states and the
+    # outputs of a range of its channels are one profile stack. The range is
+    # every channel unless the chunk is one state whose outputs exceed
+    # MAX_STACK; then a range holds the outputs that fit beside the state (at
+    # least one), and the state heads the stack of each range again.
     for trials, stack, dims in _samples(cfg, n_states, width=1 + n_ch):
-        slots = range(trials.start * n_ch, trials.stop * n_ch)
-        haar = [_sample_channel(d_a, Seed(cfg.seed, _STREAM_CHANNEL + s)) for s in slots]
-        cov = [channels.covariant_kraus(g, Seed(cfg.seed, _STREAM_COVARIANT + s))
-               for s in slots]
-        outs = channels.apply_batch(channels.stack_kraus(haar), np.repeat(stack, n_ch, axis=0),
-                                    dims, 0)
-        profs = _profile_stack(np.concatenate([stack, outs]), dims, pc)
-        rho_a = np.repeat(linalg.partial_trace(stack, dims, [0]), n_ch, axis=0)
-        cov_q3 = np.clip(resources._fisher(channels.apply_batch(
-            channels.stack_kraus(cov), rho_a, (d_a,), 0), g.h) / g.spread ** 2, 0.0, 1.0)
-        befores = [(DensityMatrix._derived(m, dims), prof) for m, prof in zip(stack, profs)]
-        for row, s in enumerate(slots):
-            (i, j), (state, before) = divmod(s, n_ch), befores[row // n_ch]
-            after = profs[len(trials) + row]
-            delta = {k: getattr(after, k) - getattr(before, k)
-                     for k in ("q1", "q3", "q2", "norm")}
-            for k, v in delta.items():
-                incs[k].add(v)
-            margin = max(delta["q1"] - tol_q1, delta["q3"] - tol_q3,
-                         delta["norm"] - tol_rep)
-            margins.add(margin, state, margin, trial=i, channel_index=j,
-                        channel_family="haar", state_stream=i,
-                        channel_stream=_STREAM_CHANNEL + s,
-                        kraus_rank=len(haar[row]),
-                        **{f"{k}_increase": float(v) for k, v in delta.items()},
-                        profile_before=before, profile_after=after)
+        sampled = [DensityMatrix._derived(m, dims) for m in stack]
+        rho_a = linalg.partial_trace(stack, dims, [0])
+        step = max(1, linalg.MAX_STACK // math.prod(dims) ** 2 - 1)
+        for js in (range(j, min(n_ch, j + step)) for j in range(0, n_ch, step)):
+            slots = [i * n_ch + j for i in trials for j in js]
+            haar = [_sample_channel(d_a, Seed(cfg.seed, _STREAM_CHANNEL + s)) for s in slots]
+            cov = [channels.covariant_kraus(g, Seed(cfg.seed, _STREAM_COVARIANT + s))
+                   for s in slots]
+            outs = channels.apply_batch(channels.stack_kraus(haar),
+                                        np.repeat(stack, len(js), axis=0), dims, 0)
+            profs = resources.profile_batch(np.concatenate([stack, outs]), dims, pc)
+            cov_q3 = np.clip(resources._fisher(channels.apply_batch(
+                channels.stack_kraus(cov), np.repeat(rho_a, len(js), axis=0), (d_a,), 0),
+                g.h) / g.spread ** 2, 0.0, 1.0)
+            for row, s in enumerate(slots):
+                (i, j), state = divmod(s, n_ch), sampled[row // len(js)]
+                before, after = profs[row // len(js)], profs[len(trials) + row]
+                delta = {k: getattr(after, k) - getattr(before, k)
+                         for k in ("q1", "q3", "q2", "norm")}
+                for k, v in delta.items():
+                    incs[k].add(v)
+                margin = max(delta["q1"] - tol_q1, delta["q3"] - tol_q3,
+                             delta["norm"] - tol_rep)
+                margins.add(margin, state, margin, trial=i, channel_index=j,
+                            channel_family="haar", state_stream=i,
+                            channel_stream=_STREAM_CHANNEL + s,
+                            kraus_rank=len(haar[row]),
+                            **{f"{k}_increase": float(v) for k, v in delta.items()},
+                            profile_before=before, profile_after=after)
 
-            d_cov = float(cov_q3[row]) - before.q3
-            incs["covariant_q3"].add(d_cov)
-            margin = d_cov - tol_q3
-            case = dict(trial=i, channel_index=j, channel_family="covariant",
-                        state_stream=i, channel_stream=_STREAM_COVARIANT + s,
-                        kraus_rank=len(cov[row]), q3_increase=float(d_cov),
-                        profile_before=before)
-            margins.add(margin, state, margin, **case)
-            hard.add(margin, state, margin, **case)
+                d_cov = float(cov_q3[row]) - before.q3
+                incs["covariant_q3"].add(d_cov)
+                margin = d_cov - tol_q3
+                case = dict(trial=i, channel_index=j, channel_family="covariant",
+                            state_stream=i, channel_stream=_STREAM_COVARIANT + s,
+                            kraus_rank=len(cov[row]), q3_increase=float(d_cov),
+                            profile_before=before)
+                margins.add(margin, state, margin, **case)
+                hard.add(margin, state, margin, **case)
     return ClaimReport(
         claim_id=CLAIM_IDS["C3"],
         verdict="holds-within-tolerance" if hard.count == 0 else "violated",
@@ -486,13 +490,12 @@ def check_conservation(cfg: CampaignConfig) -> ClaimReport:
     n = cfg.n_trials("T2")
     pc = cfg.profile_config()
     g = pc.generator
-    dims = cfg.dims
     # Drifts are >= 0; from -inf, a state with zero local drift is a witness.
     local, local_norm, glob = _Tally(tol, floor=-np.inf), _Tally(), _Tally(tol)
     # A chunk of states and their two images is one profile stack: the
     # states, then the local and the global image of each in turn.
-    for trials, stack, sampled_dims in _samples(cfg, n, width=3):
-        sampled = [DensityMatrix._derived(m, sampled_dims) for m in stack]
+    for trials, stack, dims in _samples(cfg, n, width=3):
+        sampled = [DensityMatrix._derived(m, dims) for m in stack]
         images = []
         for i, state in zip(trials, sampled):
             u_a = dynamics.commuting_local_unitary(g, Seed(cfg.seed, _STREAM_UA + i))
@@ -501,7 +504,7 @@ def check_conservation(cfg: CampaignConfig) -> ClaimReport:
             u_l = dynamics.local_product_unitary(u_a, u_b, u_c)
             u_g = dynamics.sample_commutant_unitary(g, dims, Seed(cfg.seed, _STREAM_UG + i))
             images += [dynamics.evolve(state, u).matrix for u in (u_l, u_g)]
-        profs = _profile_stack(np.concatenate([stack, images]), sampled_dims, pc)
+        profs = resources.profile_batch(np.concatenate([stack, images]), dims, pc)
         rest = iter(profs[len(trials):])
         for i, state, before, after, after_g in zip(trials, sampled, profs, rest, rest):
             drift = max(abs(after.q1 - before.q1), abs(after.q2 - before.q2),

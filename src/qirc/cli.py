@@ -149,6 +149,10 @@ def cmd_check(args) -> int:
     shorts = (list(claims.CHECK_ORDER) if any(c.lower() == "all" for c in requested)
               else [claims.normalize_claim_id(c) for c in requested])
     cfg = _campaign_config(args)
+    for short in shorts:  # every count is checked before the first artifact is written
+        cfg.n_trials(short)
+    if "C3" in shorts:
+        cfg.n_channels()
     echo = _config_echo(args, "check",
                         ["claims", "sampler", "trials", "dims", "q2_mode",
                          "generator", "seed", "family", "rank", "channels",
@@ -209,15 +213,15 @@ def _schedule_step(entry: dict, index: int, rho_dims, generator, master: int):
         if not 0 <= target < len(rho_dims):
             raise ValueError(f"schedule step {index}: target {target} out of range "
                              f"for dims {tuple(rho_dims)}")
-        if name == "depolarizing":
-            ch = depolarizing(int(rho_dims[target]), float(entry["p"]))
-            label = f"depolarizing(p={entry['p']})@{target}"
-        elif name == "dephasing":
-            ch = dephasing(float(entry["lambda"]), generator)
-            label = f"dephasing(lambda={entry['lambda']})@{target}"
-        elif name == "amplitude-damping":
-            ch = amplitude_damping(float(entry["gamma"]))
-            label = f"amplitude-damping(gamma={entry['gamma']})@{target}"
+        # A one-parameter channel: its parameter's key and its constructor.
+        makers = {"depolarizing": ("p", lambda x: depolarizing(int(rho_dims[target]), x)),
+                  "dephasing": ("lambda", lambda x: dephasing(x, generator)),
+                  "amplitude-damping": ("gamma", amplitude_damping)}
+        if isinstance(name, str) and name in makers:
+            key, make = makers[name]
+            if key not in entry:
+                raise ValueError(f"schedule step {index}: channel {name!r} needs {key!r}")
+            ch, label = make(float(entry[key])), f"{name}({key}={entry[key]})@{target}"
         elif name == "random":
             rank = _whole(entry, "kraus_rank", 2, index)
             d = int(rho_dims[target])

@@ -371,6 +371,18 @@ def variances(m: np.ndarray, g: CoherenceGenerator) -> np.ndarray:
 # Profile assembly
 
 
+def check_profile_dims(dims: tuple[int, ...], dim: int) -> tuple[int, ...]:
+    """The dims a profile takes: three positive whole numbers multiplying to
+    dim, with d_B and d_C each equal to 1 or to d_A."""
+    if len(dims) != 3:
+        raise ValueError(f"profile needs a tripartite state, got dims {dims}")
+    dims = linalg.check_dims(dims, dim)
+    for name, d in (("B", dims[1]), ("C", dims[2])):
+        if d > 1 and d != dims[0]:
+            raise ValueError(f"unsupported dims {dims}: need d_{name} == d_A or d_{name} == 1")
+    return dims
+
+
 def profile_batch(rho: np.ndarray, dims: tuple[int, ...],
                   cfg: ProfileConfig | None = None) -> list[ResourceProfile]:
     """Profiles of the checked states rho[N, D, D] on ``dims``, in one pass.
@@ -381,13 +393,7 @@ def profile_batch(rho: np.ndarray, dims: tuple[int, ...],
     with the floor fidelity 1/d^2 recorded in the breakdown.
     """
     cfg = cfg or ProfileConfig()
-    if len(dims) != 3:
-        raise ValueError(f"profile needs a tripartite state, got dims {dims}")
-    dims = linalg.check_dims(dims, rho.shape[-1])
-    d_a, d_b, d_c = dims
-    for name, d in (("B", d_b), ("C", d_c)):
-        if d > 1 and d != d_a:
-            raise ValueError(f"unsupported dims {dims}: need d_{name} == d_A or d_{name} == 1")
+    d_a, d_b, d_c = dims = check_profile_dims(dims, rho.shape[-1])
     g = cfg.generator or default_generator(d_a)
     if g.dim != d_a:
         raise ValueError(f"generator dimension {g.dim} does not match d_A={d_a}")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,35 @@ class TestStacks:
         cut = run_check(check, cfg)
         assert max(sizes) <= 3
         assert cut[0].to_dict() == whole[0].to_dict() and cut[1] == whole[1]
+
+    def test_c3_memory_does_not_grow_with_the_channels(self, monkeypatch):
+        # one dims-(4, 4, 4) state with MAX_STACK at two states: its channel
+        # outputs are built one range at a time, so the peak stays flat
+        monkeypatch.setattr(claims.linalg, "MAX_STACK", 2 * 64 * 64)
+
+        def peak(n_ch):
+            tracemalloc.start()
+            try:
+                check_monotonicity(small(dims=(4, 4, 4), trials=1, channels_per_state=n_ch))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # first-call caches
+        assert peak(40) <= 1.1 * peak(20)
+
+    def test_c2_draws_its_endpoints_per_chunk(self, monkeypatch):
+        # with one pair a chunk, the anchor pair is profiled before any
+        # sampled endpoint is drawn, and each chunk draws its own pair
+        monkeypatch.setattr(claims.linalg, "MAX_STACK", 7 * 8 * 8)
+        events = []
+        real_profile, real_ket = resources.profile_batch, states.haar_ket
+        monkeypatch.setattr(resources, "profile_batch",
+                            lambda *a: events.append("profile") or real_profile(*a))
+        monkeypatch.setattr(states, "haar_ket",
+                            lambda *a: events.append("draw") or real_ket(*a))
+        check_convexity(small(trials=3))
+        assert events == ["profile"] + ["draw", "draw", "profile"] * 2
 
 
 class TestConvexity:

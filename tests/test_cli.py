@@ -239,11 +239,28 @@ class TestCheckCommand:
             assert code == 2
             assert "finite" in err and "--tol" in err and "--dims" not in err
 
-    def test_zero_channels_exits_2(self, capsys):
+    def test_zero_channels_exits_2(self, capsys, tmp_path):
         # no channel slots would make both hard tiers of C3 hold vacuously
         code, _, err = run(capsys, "check", "C3", "--trials", "2", "--channels", "0")
         assert code == 2
         assert "channels per state" in err
+        # zero counts are rejected before the first check writes its artifact
+        cases = [(["C1", "C3", "--channels", "0"], "channels per state"),
+                 (["all", "--trials", "0"], "trials must be >= 1")]
+        for k, (argv, message) in enumerate(cases):
+            out = tmp_path / f"out{k}"
+            code, _, err = run(capsys, "check", *argv, "--out", str(out))
+            assert code == 2 and message in err
+            assert not out.exists() or not any(out.iterdir())
+        assert run(capsys, "check", "C1", "--trials", "0")[0] == 0
+
+    def test_t2_samples_on_the_family_dims(self, capsys):
+        # bell-ac is (2, 1, 2) under the default --dims 2,2,2, as in T1, C2, C3 and A2
+        code, out, _ = run(capsys, "check", "T2", "--sampler", "named-family",
+                           "--family", "bell-ac", "--trials", "3")
+        assert code == 0
+        report = json.loads(out)[0]
+        assert report["stats"]["local_max_coord_drift"] <= report["tolerances"]["traj"]
 
     def test_optimizer_echo_reports_the_applied_settings(self, capsys):
         code, out, _ = run(capsys, "check", "T1", "--dims", "3,3,3", "--trials", "1")
@@ -254,12 +271,20 @@ class TestCheckCommand:
             "starts": 32, "tol": 1e-14, "max_iter": 400, "seed": 20240817,
             "method": "power-newton+certificate", "cert_tol": 1e-12, "cert_steps": 50}
 
-    def test_oversized_dims_exit_2(self, capsys):
+    def test_oversized_dims_exit_2(self, capsys, tmp_path):
         # 17 * 16 * 16 = 4352 is just above MAX_DIM; rejected before sampling
         code, _, err = run(capsys, "check", "T1", "--dims", "17,16,16",
                            "--trials", "1")
         assert code == 2
         assert "--dims" in err
+        # dims a profile cannot take are rejected before the first artifact
+        for dims, message in [("2,2", "tripartite"), ("0,2,2", "positive whole numbers"),
+                              ("2,-2,2", "positive whole numbers"), ("2,3,2", "d_B == d_A")]:
+            out = tmp_path / dims
+            code, _, err = run(capsys, "check", "all", "--dims", dims, "--out", str(out))
+            assert code == 2
+            assert f"--dims {dims}:" in err and message in err
+            assert not out.exists() or not any(out.iterdir())
 
     def test_oversized_c3_isometry_exits_2(self, capsys):
         # Kraus rank up to 17^2 on d_A = 17 needs a 4913-dimensional Haar unitary
@@ -344,6 +369,13 @@ class TestEvolveCommand:
         path.write_text(json.dumps([{"type": "mystery"}]))
         assert run(capsys, "evolve", "--family", "ghz",
                    "--schedule", str(path))[0] == 2
+        for name, key in [("depolarizing", "p"), ("dephasing", "lambda"),
+                          ("amplitude-damping", "gamma")]:
+            path.write_text(json.dumps([{"type": "unitary", "spec": "identity"},
+                                        {"type": "channel", "name": name}]))
+            code, _, err = run(capsys, "evolve", "--family", "ghz", "--schedule", str(path))
+            assert code == 2
+            assert f"schedule step 1: channel {name!r} needs {key!r}" in err
 
     @pytest.mark.parametrize("name", ["depolarizing", "random"])
     def test_target_outside_the_state_exits_2(self, capsys, tmp_path, name):

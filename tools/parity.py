@@ -83,6 +83,9 @@ COMMANDS = [
     # Trivial B and C factors: profile's floor-fidelity branches.
     "check T1 C3 T2 --dims 2,1,2 --trials 3 --channels 2 --out out",
     "check T1 C3 T2 --dims 2,2,1 --trials 3 --channels 2 --out out",
+    # C2's (2,2,2) anchor pair, then sampled pairs of the family's (2,1,2).
+    "check C2 C3 T2 --sampler named-family --family bell-ac --dims 2,1,2 --trials 4"
+    " --channels 2 --out out",
     "profile --family classical:3",
     # A d >= 3 search whose relaxation is tight and whose value is known.
     "profile --state qutrit_product.json",
