@@ -18,8 +18,8 @@ from .claims import (CLAIM_IDS, CampaignConfig, ClaimReport, check_convexity,
                      check_entropic_bounds, check_extremals, check_monotonicity,
                      check_conservation, check_qirc_ball, run_check)
 from .dynamics import (Trajectory, UnitaryOperator, commuting_local_unitary,
-                       evolve, global_unitary, local_product_unitary,
-                       sample_commutant_unitary, trajectory)
+                       evolve, local_product_unitary, sample_commutant_unitary,
+                       trajectory)
 from .generators import (CoherenceGenerator, default_generator,
                          diagonal_generator, sigma_z_generator)
 from .linalg import (HermitianEigen, hermitian_eigen, kron, partial_trace,

@@ -112,6 +112,14 @@ class CampaignConfig:
         resources.check_profile_dims(self.dims, d)
         if self.ginibre_rank is not None and not 1 <= self.ginibre_rank <= d:
             raise ValueError(f"ginibre rank must lie in 1..{d}, got {self.ginibre_rank}")
+        if self.sampler == "named-family":
+            if not self.family:
+                raise ValueError("the named-family sampler needs a family name")
+            # the generator and C3's channels act on the d_A of dims
+            d_a = _family_state(self, 0, 1).dims[0]
+            if d_a != self.dims[0]:
+                raise ValueError(f"family {self.family!r} has d_A = {d_a}, "
+                                 f"the dims have d_A = {self.dims[0]}")
 
     def tolerance(self, name: str) -> float:
         return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
@@ -155,8 +163,6 @@ class ClaimReport:
 
 def _family_state(cfg: CampaignConfig, trial: int, n_trials: int) -> DensityMatrix:
     """The named-family state of a trial; the Werner weight is trial / (n_trials - 1)."""
-    if not cfg.family:
-        raise ValueError("named-family sampler needs a family name")
     if cfg.family == "werner":
         p = trial / (n_trials - 1) if n_trials > 1 else 1.0
         return families.build(f"werner:{p}")
@@ -423,7 +429,7 @@ def check_monotonicity(cfg: CampaignConfig) -> ClaimReport:
     # outputs of a range of its channels are one profile stack. The range is
     # every channel unless the chunk is one state whose outputs exceed
     # MAX_STACK; then a range holds the outputs that fit beside the state (at
-    # least one), and the state heads the stack of each range again.
+    # least one), and only the first range's stack holds the state.
     for trials, stack, dims in _samples(cfg, n_states, width=1 + n_ch):
         sampled = [DensityMatrix._derived(m, dims) for m in stack]
         rho_a = linalg.partial_trace(stack, dims, [0])
@@ -435,13 +441,17 @@ def check_monotonicity(cfg: CampaignConfig) -> ClaimReport:
                    for s in slots]
             outs = channels.apply_batch(channels.stack_kraus(haar),
                                         np.repeat(stack, len(js), axis=0), dims, 0)
-            profs = resources.profile_batch(np.concatenate([stack, outs]), dims, pc)
+            if js.start == 0:
+                profs = resources.profile_batch(np.concatenate([stack, outs]), dims, pc)
+                befores, afters = profs[:len(trials)], profs[len(trials):]
+            else:
+                afters = resources.profile_batch(outs, dims, pc)
             cov_q3 = np.clip(resources._fisher(channels.apply_batch(
                 channels.stack_kraus(cov), np.repeat(rho_a, len(js), axis=0), (d_a,), 0),
                 g.h) / g.spread ** 2, 0.0, 1.0)
             for row, s in enumerate(slots):
                 (i, j), state = divmod(s, n_ch), sampled[row // len(js)]
-                before, after = profs[row // len(js)], profs[len(trials) + row]
+                before, after = befores[row // len(js)], afters[row]
                 delta = {k: getattr(after, k) - getattr(before, k)
                          for k in ("q1", "q3", "q2", "norm")}
                 for k, v in delta.items():

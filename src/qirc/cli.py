@@ -67,7 +67,7 @@ def cmd_profile(args) -> int:
     state = _load_input_state(args)
     prof = resources.profile(state, _profile_config(args, state.dims[0]))
     echo = _config_echo(args, "profile",
-                        ["family", "state", "q2_mode", "generator", "seed"])
+                        ["family", "state", "q2_mode", "generator"])
     doc = {**prof.to_dict(), "generator": args.generator, "config": echo}
     _write_text(args.out, serialize.dumps(doc))
     return 0
@@ -105,7 +105,7 @@ def _sweep_state(family: str, value: float, coupling: float) -> states.DensityMa
 def cmd_sweep(args) -> int:
     grid = _parse_grid(args.grid)
     echo = _config_echo(args, "sweep",
-                        ["family", "grid", "coupling", "q2_mode", "generator", "seed"])
+                        ["family", "grid", "coupling", "q2_mode", "generator"])
     grid_states = [_sweep_state(args.family, float(value), args.coupling) for value in grid]
     profs = resources.profiles(grid_states, _profile_config(args, grid_states[0].dims[0]))
     rows = [(float(v), p.q1, p.q2, p.q3, p.norm,
@@ -125,23 +125,22 @@ CLOUD_HEADER = ("trial", "stream", "q1", "q2", "q3", "norm", "q1_raw",
 
 
 def _campaign_config(args) -> CampaignConfig:
-    # The config checks the tolerances, then the dims, then the rank: each error names its option.
-    try:
-        cfg = CampaignConfig(tolerances=_parse_tolerances(args.tol))
-    except ValueError as exc:
-        raise ValueError(f"--tol: {exc}") from exc
-    try:
-        cfg = dataclasses.replace(
-            cfg, sampler=args.sampler, trials=args.trials,
-            dims=tuple(int(d) for d in args.dims.split(",")),
-            q2_mode=args.q2_mode, generator=args.generator, seed=args.seed,
-            family=args.family, channels_per_state=args.channels)
-    except ValueError as exc:
-        raise ValueError(f"--dims {args.dims}: {exc}") from exc
-    try:
-        return dataclasses.replace(cfg, ginibre_rank=args.rank)
-    except ValueError as exc:
-        raise ValueError(f"--rank {args.rank}: {exc}") from exc
+    # The config checks the tolerances, then the dims, then the rank, then the
+    # family: each error names its option.
+    steps = [("--tol", lambda: {"tolerances": _parse_tolerances(args.tol)}),
+             (f"--dims {args.dims}", lambda: {
+                 "trials": args.trials, "dims": tuple(int(d) for d in args.dims.split(",")),
+                 "q2_mode": args.q2_mode, "generator": args.generator, "seed": args.seed,
+                 "channels_per_state": args.channels}),
+             (f"--rank {args.rank}", lambda: {"ginibre_rank": args.rank}),
+             ("--family", lambda: {"sampler": args.sampler, "family": args.family})]
+    cfg = CampaignConfig()
+    for option, fields in steps:
+        try:
+            cfg = dataclasses.replace(cfg, **fields())
+        except ValueError as exc:
+            raise ValueError(f"{option}: {exc}") from exc
+    return cfg
 
 
 def cmd_check(args) -> int:
@@ -234,8 +233,7 @@ def _schedule_step(entry: dict, index: int, rho_dims, generator, master: int):
         spec = entry.get("spec")
         dims = tuple(int(d) for d in rho_dims)
         if spec == "identity":
-            u = dynamics.global_unitary(np.eye(int(np.prod(dims)), dtype=complex), dims)
-            return "identity", u
+            return "identity", dynamics.UnitaryOperator(np.eye(int(np.prod(dims))))
         if spec == "commutant-random":
             u = dynamics.sample_commutant_unitary(generator, dims, seed)
             return f"commutant-random(seed={stream})", u
@@ -248,8 +246,7 @@ def _schedule_step(entry: dict, index: int, rho_dims, generator, master: int):
                     for k in (1, 2)]
             return f"{spec}(seed={stream})", dynamics.local_product_unitary(u_a, *u_bc)
         if spec == "haar-global":
-            u = dynamics.global_unitary(
-                states.haar_unitary(int(np.prod(dims)), seed), dims)
+            u = dynamics.UnitaryOperator(states.haar_unitary(int(np.prod(dims)), seed))
             return f"haar-global(seed={stream})", u
         raise ValueError(f"schedule step {index}: unknown unitary spec {spec!r}")
     raise ValueError(f"schedule step {index}: unknown type {kind!r}")
@@ -285,7 +282,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    default="transfer")
     p.add_argument("--generator", default="default",
                    help="default | sigma-z | diag:v1,v2,...")
-    p.add_argument("--seed", type=int, default=7, help="master seed")
     p.add_argument("--out", default=None)
 
 
@@ -326,6 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true",
                    help="report-only findings also set exit code 1")
     p.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE")
+    p.add_argument("--seed", type=int, default=7, help="master seed")
     _add_common(p)
     p.set_defaults(func=cmd_check)
 
@@ -333,6 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default=None)
     p.add_argument("--state", default=None)
     p.add_argument("--schedule", required=True, help="schedule JSON file")
+    p.add_argument("--seed", type=int, default=7, help="master seed")
     _add_common(p)
     p.set_defaults(func=cmd_evolve)
     return parser

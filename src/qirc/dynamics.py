@@ -25,21 +25,14 @@ def _check_unitary(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class UnitaryOperator:
-    """A unitary on the whole state, with the subsystem dims it acts on."""
+    """A unitary on the whole state: one read-only matrix, checked when built."""
 
     matrix: np.ndarray
-    dims: tuple[int, ...] = ()
 
     def __post_init__(self):
-        m = _check_unitary(self.matrix)
-        m = m.copy()
+        m = _check_unitary(self.matrix).copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "dims", linalg.check_dims(self.dims, m.shape[0]))
-
-
-def global_unitary(matrix: np.ndarray, dims: Sequence[int]) -> UnitaryOperator:
-    return UnitaryOperator(matrix, dims=tuple(dims))
 
 
 def evolve(rho: DensityMatrix, u: UnitaryOperator) -> DensityMatrix:
@@ -89,15 +82,12 @@ def sample_commutant_unitary(g: CoherenceGenerator, dims: Sequence[int],
         raise ValueError(f"expected tripartite dims, got {dims}")
     if dims[0] != g.dim:
         raise ValueError(f"generator dimension {g.dim} does not match d_A={dims[0]}")
-    return UnitaryOperator(_block_commutant(g, dims[1] * dims[2], seed.rng()),
-                           dims=dims)
+    return UnitaryOperator(_block_commutant(g, dims[1] * dims[2], seed.rng()))
 
 
 def local_product_unitary(u_a: np.ndarray, u_b: np.ndarray,
                           u_c: np.ndarray) -> UnitaryOperator:
-    factors = [_check_unitary(m) for m in (u_a, u_b, u_c)]
-    dims = tuple(f.shape[0] for f in factors)
-    return UnitaryOperator(linalg.kron_all(factors), dims=dims)
+    return UnitaryOperator(linalg.kron_all([_check_unitary(m) for m in (u_a, u_b, u_c)]))
 
 
 # ---------------------------------------------------------------------------

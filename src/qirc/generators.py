@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,7 +22,7 @@ class CoherenceGenerator:
     """
 
     h: np.ndarray
-    eigen: HermitianEigen = None  # type: ignore[assignment]
+    eigen: HermitianEigen = field(init=False)
 
     def __post_init__(self):
         h = linalg.as_complex(self.h)

@@ -79,9 +79,9 @@ def _emit(obj: Any, indent: int | None, level: int, pieces: list[str]) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def dumps(obj: Any, indent: int = 2) -> str:
+def dumps(obj: Any) -> str:
     pieces: list[str] = []
-    _emit(obj, indent, 0, pieces)
+    _emit(obj, 2, 0, pieces)
     return "".join(pieces) + "\n"
 
 

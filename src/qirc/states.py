@@ -10,8 +10,6 @@ import numpy as np
 from . import linalg
 from .tolerances import EPS_HERM, EPS_PSD, EPS_TRACE
 
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 

@@ -157,6 +157,17 @@ class TestStacks:
         peak(1)  # first-call caches
         assert peak(40) <= 1.1 * peak(20)
 
+    def test_c3_profiles_each_state_once(self, monkeypatch):
+        # one dims-(4, 4, 4) state with MAX_STACK at two states, so one output
+        # a range: the state heads the first range's stack only
+        monkeypatch.setattr(claims.linalg, "MAX_STACK", 2 * 64 * 64)
+        rows = []
+        real = resources.profile_batch
+        monkeypatch.setattr(resources, "profile_batch",
+                            lambda rho, *a: rows.append(len(rho)) or real(rho, *a))
+        check_monotonicity(small(dims=(4, 4, 4), trials=1, channels_per_state=4))
+        assert rows == [2, 1, 1, 1]
+
     def test_c2_draws_its_endpoints_per_chunk(self, monkeypatch):
         # with one pair a chunk, the anchor pair is profiled before any
         # sampled endpoint is drawn, and each chunk draws its own pair
@@ -184,13 +195,14 @@ class TestConvexity:
         assert report.violations == 0
 
     def test_werner_endpoints_span_the_family(self, monkeypatch):
-        # endpoint k of the 2 (n - 1) sampled ones is werner:k/(2n - 3)
+        # endpoint k of the 2 (n - 1) sampled ones is werner:k/(2n - 3); the
+        # config, which builds the family once to check its d_A, comes first
+        cfg = small(trials=4, sampler="named-family", family="werner")
         built = []
         real = claims.families.build
         monkeypatch.setattr(claims.families, "build",
                             lambda name: built.append(name) or real(name))
-        report = check_convexity(small(trials=4, sampler="named-family",
-                                       family="werner"))
+        report = check_convexity(cfg)
         assert report.verdict == "report-only"
         assert built == [f"werner:{k / 5}" for k in range(6)]
 

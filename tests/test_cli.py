@@ -24,6 +24,7 @@ class TestProfileCommand:
         doc = json.loads(out)
         assert doc["q1"] == 1.0
         assert doc["config"]["subcommand"] == "profile"
+        assert "seed" not in doc["config"]
 
     def test_ghz_norm_zero(self, capsys):
         code, out, _ = run(capsys, "profile", "--family", "ghz")
@@ -106,6 +107,10 @@ class TestProfileCommand:
     def test_usage_error_exits_2(self, capsys):
         code, _, _ = run(capsys, "profile", "--no-such-flag")
         assert code == 2
+        # profile and sweep read no seed, so they take none
+        for argv in (["profile", "--family", "ghz"], ["sweep", "werner"]):
+            code, _, err = run(capsys, *argv, "--seed", "3")
+            assert code == 2 and "--seed" in err
 
     def test_oversized_classical_family_exits_2(self, capsys):
         # d = 65 is the smallest d with d^2 above MAX_DIM; rejected before the
@@ -244,9 +249,18 @@ class TestCheckCommand:
         code, _, err = run(capsys, "check", "C3", "--trials", "2", "--channels", "0")
         assert code == 2
         assert "channels per state" in err
-        # zero counts are rejected before the first check writes its artifact
+        # zero counts, and named-family configs whose states the generator and
+        # C3's channels cannot act on, are rejected before the first check
+        # writes its artifact
         cases = [(["C1", "C3", "--channels", "0"], "channels per state"),
-                 (["all", "--trials", "0"], "trials must be >= 1")]
+                 (["all", "--trials", "0"], "trials must be >= 1"),
+                 (["all", "--sampler", "named-family", "--trials", "3"],
+                  "--family: the named-family sampler needs a family name"),
+                 (["all", "--sampler", "named-family", "--family", "nope"],
+                  "--family: unknown family 'nope'")]
+        cases += [([claim, "--sampler", "named-family", "--family", "classical:3"],
+                   "--family: family 'classical:3' has d_A = 3, the dims have d_A = 2")
+                  for claim in ("T1", "C2", "C3", "T2")]
         for k, (argv, message) in enumerate(cases):
             out = tmp_path / f"out{k}"
             code, _, err = run(capsys, "check", *argv, "--out", str(out))

@@ -1,5 +1,5 @@
-"""Every module-level function and class of the library is used: read by
-some module of ``qirc`` or exported by ``qirc/__init__.py``."""
+"""Every module-level function, class and assignment of the library is used:
+read by some module of ``qirc`` or exported by ``qirc/__init__.py``."""
 
 import ast
 from pathlib import Path
@@ -9,16 +9,26 @@ import qirc
 SRC = Path(qirc.__file__).resolve().parent
 
 
+def _defined_names(node: ast.stmt) -> list[str]:
+    """The names a module-level statement defines: a function, a class or the
+    plain names an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
 def test_every_definition_is_read_or_exported():
-    # code that nothing reads and nobody can import from the package is dead
+    # code and constants that nothing reads and nobody can import from the
+    # package are dead
     defined, read = [], set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.append((node.name, f"{path.stem}.{node.name}"))
+        defined += [(name, f"{path.stem}.{name}") for node in tree.body
+                    for name in _defined_names(node)]
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
@@ -26,4 +36,5 @@ def test_every_definition_is_read_or_exported():
     exported = {alias.name for node in init.body if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
     assert defined, "no definitions found in qirc"
+    assert any(q == "states.SIGMA_Z" for _, q in defined), "assignments not scanned"
     assert sorted(q for name, q in defined if name not in read | exported) == []

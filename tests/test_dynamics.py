@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import qirc
 from qirc import channels, dynamics, resources, states
 from qirc.generators import CoherenceGenerator, diagonal_generator, sigma_z_generator
 from qirc.states import Seed
@@ -9,22 +12,24 @@ from qirc.states import Seed
 class TestUnitaryOperator:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="unitary"):
-            dynamics.global_unitary(np.eye(4) * 2, (2, 2))
+            dynamics.UnitaryOperator(np.eye(4) * 2)
 
-    def test_requires_exactly_one_scope(self):
-        with pytest.raises(ValueError):
-            dynamics.UnitaryOperator(np.eye(2))
+    def test_one_read_only_matrix(self):
+        u = dynamics.UnitaryOperator(np.eye(2))
+        assert [f.name for f in dataclasses.fields(u)] == ["matrix"]
+        assert not u.matrix.flags.writeable
+        assert not hasattr(qirc, "global_unitary")
 
 
 class TestEvolve:
     def test_identity(self):
         rho = states.ghz()
-        u = dynamics.global_unitary(np.eye(8), (2, 2, 2))
+        u = dynamics.UnitaryOperator(np.eye(8))
         assert np.abs(dynamics.evolve(rho, u).matrix - rho.matrix).max() <= 1e-15
 
     def test_spectrum_invariant(self):
         rho = states.ginibre_mixed(8, 5, Seed(51, 0)).reshaped((2, 2, 2))
-        u = dynamics.global_unitary(states.haar_unitary(8, Seed(51, 1)), (2, 2, 2))
+        u = dynamics.UnitaryOperator(states.haar_unitary(8, Seed(51, 1)))
         out = dynamics.evolve(rho, u)
         assert np.allclose(np.linalg.eigvalsh(out.matrix),
                            np.linalg.eigvalsh(rho.matrix), atol=1e-10)
@@ -43,7 +48,7 @@ class TestEvolve:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             dynamics.evolve(states.ghz(),
-                            dynamics.global_unitary(np.eye(4), (2, 2)))
+                            dynamics.UnitaryOperator(np.eye(4)))
 
 
 class TestCommutingLocalUnitary:
@@ -86,7 +91,7 @@ class TestSampleCommutantUnitary:
     def test_unitarity_and_dims(self):
         g = sigma_z_generator()
         u = dynamics.sample_commutant_unitary(g, (2, 2, 2), Seed(53, 9))
-        assert u.dims == (2, 2, 2)
+        assert u.matrix.shape == (8, 8)
         assert np.linalg.norm(u.matrix.conj().T @ u.matrix - np.eye(8)) <= 1e-10
 
     def test_determinism(self):
@@ -135,7 +140,7 @@ class TestLocalProductUnitary:
 class TestTrajectory:
     def test_identity_schedule_constant_norm(self):
         rho = states.bell_spectator()
-        ident = dynamics.global_unitary(np.eye(8), (2, 2, 2))
+        ident = dynamics.UnitaryOperator(np.eye(8))
         traj = dynamics.trajectory(rho, [("identity", ident)] * 3)
         norms = [p.norm for _, p in traj.steps]
         assert all(n == norms[0] for n in norms)
@@ -189,7 +194,7 @@ class TestTrajectory:
     def test_labels_and_step_count(self):
         rho = states.bell_spectator()
         schedule = [("noise", (channels.depolarizing(2, 0.1), 0)),
-                    ("identity", dynamics.global_unitary(np.eye(8), (2, 2, 2)))]
+                    ("identity", dynamics.UnitaryOperator(np.eye(8)))]
         traj = dynamics.trajectory(rho, schedule)
         labels = [label for label, _ in traj.steps]
         assert labels == ["init", "noise", "identity"]

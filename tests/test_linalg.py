@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qirc import linalg
-from qirc.states import SIGMA_X, SIGMA_Z, bell_pair
+from qirc.states import SIGMA_Z, bell_pair
 
 from conftest import random_density, random_hermitian
 
@@ -121,7 +121,7 @@ class TestHermitianEigen:
 
     def test_sigma_x_eigenvectors(self):
         # closed form: |-> and |+> at eigenvalues -1, +1
-        eig = linalg.hermitian_eigen(SIGMA_X)
+        eig = linalg.hermitian_eigen(np.array([[0, 1], [1, 0]], dtype=complex))
         assert np.allclose(eig.values, [-1.0, 1.0])
         minus = eig.vectors[:, 0]
         plus = eig.vectors[:, 1]

@@ -213,7 +213,8 @@ class TestGibbs:
 
     def test_unit_trace_any_beta(self):
         for beta in (0.3, 2.0, 11.0):
-            rho = states.gibbs(states.SIGMA_X, states.SIGMA_Z, states.SIGMA_Z,
+            sigma_x = np.array([[0, 1], [1, 0]], dtype=complex)
+            rho = states.gibbs(sigma_x, states.SIGMA_Z, states.SIGMA_Z,
                                coupling=0.5, beta=beta)
             assert np.isclose(np.trace(rho.matrix), 1.0)
 

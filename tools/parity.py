@@ -86,6 +86,9 @@ COMMANDS = [
     # C2's (2,2,2) anchor pair, then sampled pairs of the family's (2,1,2).
     "check C2 C3 T2 --sampler named-family --family bell-ac --dims 2,1,2 --trials 4"
     " --channels 2 --out out",
+    # A family of d_A = 3 under --dims of the same d_A, as the config requires.
+    "check T1 C3 T2 --sampler named-family --family classical:3 --dims 3,1,3 --trials 2"
+    " --channels 2 --out out",
     "profile --family classical:3",
     # A d >= 3 search whose relaxation is tight and whose value is known.
     "profile --state qutrit_product.json",
