@@ -110,8 +110,16 @@ class CampaignConfig:
                 raise ValueError(f"tolerance {name} must be finite, got {value!r}")
         d = linalg.check_size(math.prod(self.dims), "the campaign dims")
         resources.check_profile_dims(self.dims, d)
-        if self.ginibre_rank is not None and not 1 <= self.ginibre_rank <= d:
-            raise ValueError(f"ginibre rank must lie in 1..{d}, got {self.ginibre_rank}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        # a setting the sampler never reads would be echoed by every artifact
+        if self.family is not None and self.sampler != "named-family":
+            raise ValueError(f"the {self.sampler} sampler reads no family")
+        if self.ginibre_rank is not None:
+            if self.sampler != "ginibre-mixed":
+                raise ValueError(f"the {self.sampler} sampler reads no rank")
+            if not 1 <= self.ginibre_rank <= d:
+                raise ValueError(f"ginibre rank must lie in 1..{d}, got {self.ginibre_rank}")
         if self.sampler == "named-family":
             if not self.family:
                 raise ValueError("the named-family sampler needs a family name")
@@ -425,33 +433,27 @@ def check_monotonicity(cfg: CampaignConfig) -> ClaimReport:
     # Witness: the covariant slot of largest margin when a margin is above 0
     # (a hard violation), else the slot of largest margin in either family.
     margins, hard = _Tally(floor=-np.inf), _Tally(0.0, floor=-np.inf)
-    # Slot s = i * n_ch + j is channel j on state i. A chunk's states and the
-    # outputs of a range of its channels are one profile stack. The range is
-    # every channel unless the chunk is one state whose outputs exceed
-    # MAX_STACK; then a range holds the outputs that fit beside the state (at
-    # least one), and only the first range's stack holds the state.
+    # Slot s = i * n_ch + j is channel j on state i. A chunk's states are one
+    # profile stack; linalg.chunks cuts its slots into ranges, and the outputs
+    # of each range are one more.
     for trials, stack, dims in _samples(cfg, n_states, width=1 + n_ch):
         sampled = [DensityMatrix._derived(m, dims) for m in stack]
+        befores = resources.profile_batch(stack, dims, pc)
         rho_a = linalg.partial_trace(stack, dims, [0])
-        step = max(1, linalg.MAX_STACK // math.prod(dims) ** 2 - 1)
-        for js in (range(j, min(n_ch, j + step)) for j in range(0, n_ch, step)):
-            slots = [i * n_ch + j for i in trials for j in js]
+        for part in linalg.chunks(len(trials) * n_ch, math.prod(dims)):
+            rows = np.arange(part.start, part.stop) // n_ch  # the state of each slot
+            slots = [trials.start * n_ch + r for r in part]
             haar = [_sample_channel(d_a, Seed(cfg.seed, _STREAM_CHANNEL + s)) for s in slots]
             cov = [channels.covariant_kraus(g, Seed(cfg.seed, _STREAM_COVARIANT + s))
                    for s in slots]
-            outs = channels.apply_batch(channels.stack_kraus(haar),
-                                        np.repeat(stack, len(js), axis=0), dims, 0)
-            if js.start == 0:
-                profs = resources.profile_batch(np.concatenate([stack, outs]), dims, pc)
-                befores, afters = profs[:len(trials)], profs[len(trials):]
-            else:
-                afters = resources.profile_batch(outs, dims, pc)
+            afters = resources.profile_batch(channels.apply_batch(
+                channels.stack_kraus(haar), stack[rows], dims, 0), dims, pc)
             cov_q3 = np.clip(resources._fisher(channels.apply_batch(
-                channels.stack_kraus(cov), np.repeat(rho_a, len(js), axis=0), (d_a,), 0),
+                channels.stack_kraus(cov), rho_a[rows], (d_a,), 0),
                 g.h) / g.spread ** 2, 0.0, 1.0)
             for row, s in enumerate(slots):
-                (i, j), state = divmod(s, n_ch), sampled[row // len(js)]
-                before, after = befores[row // len(js)], afters[row]
+                (i, j), state = divmod(s, n_ch), sampled[rows[row]]
+                before, after = befores[rows[row]], afters[row]
                 delta = {k: getattr(after, k) - getattr(before, k)
                          for k in ("q1", "q3", "q2", "norm")}
                 for k, v in delta.items():

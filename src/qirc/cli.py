@@ -125,15 +125,16 @@ CLOUD_HEADER = ("trial", "stream", "q1", "q2", "q3", "norm", "q1_raw",
 
 
 def _campaign_config(args) -> CampaignConfig:
-    # The config checks the tolerances, then the dims, then the rank, then the
-    # family: each error names its option.
+    # The config checks the tolerances, then the dims, the seed, the sampler
+    # with its family, and the rank: each error names its option.
     steps = [("--tol", lambda: {"tolerances": _parse_tolerances(args.tol)}),
              (f"--dims {args.dims}", lambda: {
                  "trials": args.trials, "dims": tuple(int(d) for d in args.dims.split(",")),
-                 "q2_mode": args.q2_mode, "generator": args.generator, "seed": args.seed,
+                 "q2_mode": args.q2_mode, "generator": args.generator,
                  "channels_per_state": args.channels}),
-             (f"--rank {args.rank}", lambda: {"ginibre_rank": args.rank}),
-             ("--family", lambda: {"sampler": args.sampler, "family": args.family})]
+             (f"--seed {args.seed}", lambda: {"seed": args.seed}),
+             ("--family", lambda: {"sampler": args.sampler, "family": args.family}),
+             (f"--rank {args.rank}", lambda: {"ginibre_rank": args.rank})]
     cfg = CampaignConfig()
     for option, fields in steps:
         try:
@@ -205,6 +206,8 @@ def _schedule_step(entry: dict, index: int, rho_dims, generator, master: int):
         raise ValueError(f"schedule step {index} must be an object with a 'type'")
     kind = entry["type"]
     stream = _whole(entry, "seed", 9_000_000 + index, index)
+    if stream < 0:
+        raise ValueError(f"schedule step {index}: seed must be >= 0, got {stream}")
     seed = states.Seed(master, stream)
     if kind == "channel":
         name = entry.get("name")
@@ -253,6 +256,8 @@ def _schedule_step(entry: dict, index: int, rho_dims, generator, master: int):
 
 
 def cmd_evolve(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed {args.seed}: seed must be >= 0, got {args.seed}")
     state = _load_input_state(args)
     entries = serialize.load_json(args.schedule)
     if not isinstance(entries, list):

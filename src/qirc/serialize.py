@@ -1,7 +1,9 @@
-"""Deterministic serialization: JSON and CSV with fixed float formatting.
+"""Deterministic serialization: JSON and CSV with one float spelling.
 
-Floats are always rendered with 17 significant digits so that a rerun with
-the same configuration reproduces every artifact byte for byte.
+A float is printed as its ``repr``, the shortest text that reads back as the
+same double (``NaN``, ``Infinity``, ``-Infinity`` for the special values), as
+the standard ``json`` encoder prints it. So a rerun with the same
+configuration reproduces every artifact byte for byte.
 """
 
 from __future__ import annotations
@@ -18,78 +20,26 @@ _SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def fmt_float(x: float) -> str:
-    text = format(float(x), ".17g")
+    text = repr(float(x))
     return _SPECIAL.get(text, text)
 
 
-def _layout(opening: str, indent: int | None, level: int) -> tuple[str, str, str, str]:
-    """Item separator, item pad, opening and closing pad of a container at level."""
-    if indent is None:
-        return ", ", "", opening, ""
-    pad = " " * (indent * (level + 1))
-    return ",\n", pad, opening + "\n", "\n" + " " * (indent * level)
-
-
-def _float_items(items: list, indent: int | None, level: int) -> str | None:
-    """The text of the items of a list at level, when all are floats or all are
-    lists of n floats, from one %.17g template: fmt_float's text; else None."""
-    if all(isinstance(x, (float, np.floating)) for x in items):
-        item, flat = "%.17g", items
-    elif (n := len(items[0]) if isinstance(items[0], list) else 0) and all(
-            isinstance(x, list) and len(x) == n and all(isinstance(v, float) for v in x)
-            for x in items):
-        sep, pad, opening, end = _layout("[", indent, level + 1)
-        item = opening + pad + (sep + pad).join(["%.17g"] * n) + end + "]"
-        flat = [v for x in items for v in x]
-    else:
-        return None
-    sep, pad, _, _ = _layout("[", indent, level)
-    text = pad + (sep + pad).join([item] * len(items)) % tuple(flat)
-    return text.replace("nan", "NaN").replace("inf", "Infinity")
-
-
-def _emit(obj: Any, indent: int | None, level: int, pieces: list[str]) -> None:
-    """Append the JSON text of obj; an indent of None renders one line."""
-    if isinstance(obj, (dict, list, tuple)):
-        is_dict = isinstance(obj, dict)
-        items = list(obj.items() if is_dict else obj)
-        opening, closing = "{}" if is_dict else "[]"
-        if not items:
-            pieces.append(opening + closing)
-            return
-        sep, pad, opening, end = _layout(opening, indent, level)
-        pieces.append(opening)
-        if not is_dict and (text := _float_items(items, indent, level)) is not None:
-            pieces.append(text)
-        else:
-            for i, item in enumerate(items):
-                pieces.append(sep + pad if i else pad)
-                if is_dict:
-                    key, item = item
-                    pieces.append(f"{json.dumps(str(key))}: ")
-                _emit(item, indent, level + 1, pieces)
-        pieces.append(end + closing)
-    elif isinstance(obj, (str, bool)) or obj is None:
-        pieces.append(json.dumps(obj))
-    elif isinstance(obj, (int, np.integer)):
-        pieces.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        pieces.append(fmt_float(obj))
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+def _plain(obj: Any) -> int | float:
+    """The Python number of a numpy integer or floating scalar."""
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def dumps(obj: Any) -> str:
-    pieces: list[str] = []
-    _emit(obj, 2, 0, pieces)
-    return "".join(pieces) + "\n"
+    return json.dumps(obj, indent=2, default=_plain) + "\n"
 
 
 def dumps_compact(obj: Any) -> str:
     """Single-line rendering with the same float formatting as dumps()."""
-    pieces: list[str] = []
-    _emit(obj, None, 0, pieces)
-    return "".join(pieces)
+    return json.dumps(obj, default=_plain)
 
 
 def state_to_dict(rho: DensityMatrix) -> dict:

@@ -56,6 +56,17 @@ class TestConfig:
         for rank in (1, 8):
             CampaignConfig(sampler="ginibre-mixed", ginibre_rank=rank)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"family": "ghz"}, "the haar-pure sampler reads no family"),
+        ({"sampler": "ginibre-mixed", "family": "ghz"}, "reads no family"),
+        ({"ginibre_rank": 2}, "the haar-pure sampler reads no rank"),
+        ({"sampler": "named-family", "family": "ghz", "ginibre_rank": 2}, "reads no rank"),
+        ({"seed": -1}, "seed must be >= 0, got -1")])
+    def test_unread_settings_and_negative_seeds_rejected(self, fields, message):
+        # the artifacts echo every setting, so each must be one the run reads
+        with pytest.raises(ValueError, match=message):
+            CampaignConfig(**fields)
+
 
 class TestExtremals:
     def test_holds(self):
@@ -158,15 +169,15 @@ class TestStacks:
         assert peak(40) <= 1.1 * peak(20)
 
     def test_c3_profiles_each_state_once(self, monkeypatch):
-        # one dims-(4, 4, 4) state with MAX_STACK at two states, so one output
-        # a range: the state heads the first range's stack only
+        # one dims-(4, 4, 4) state with MAX_STACK at two states: the state and
+        # its 4 outputs are each profiled once, in stacks of at most two
         monkeypatch.setattr(claims.linalg, "MAX_STACK", 2 * 64 * 64)
         rows = []
         real = resources.profile_batch
         monkeypatch.setattr(resources, "profile_batch",
                             lambda rho, *a: rows.append(len(rho)) or real(rho, *a))
         check_monotonicity(small(dims=(4, 4, 4), trials=1, channels_per_state=4))
-        assert rows == [2, 1, 1, 1]
+        assert sum(rows) == 1 + 4 and max(rows) <= 2
 
     def test_c2_draws_its_endpoints_per_chunk(self, monkeypatch):
         # with one pair a chunk, the anchor pair is profiled before any

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qirc import resources, serialize, states
+from qirc import claims, resources, serialize, states
 from qirc.cli import main
 from qirc.linalg import MAX_DIM
 from qirc.tolerances import EPS_CERT
@@ -261,6 +261,18 @@ class TestCheckCommand:
         cases += [([claim, "--sampler", "named-family", "--family", "classical:3"],
                    "--family: family 'classical:3' has d_A = 3, the dims have d_A = 2")
                   for claim in ("T1", "C2", "C3", "T2")]
+        # settings the sampler never reads, and negative seeds, which every
+        # check would otherwise reach only when it draws
+        cases += [(["T1", "--family", "ghz", "--trials", "2"],
+                   "--family: the haar-pure sampler reads no family"),
+                  (["T1", "--sampler", "ginibre-mixed", "--family", "ghz"],
+                   "--family: the ginibre-mixed sampler reads no family"),
+                  (["T1", "--rank", "2", "--trials", "2"],
+                   "--rank 2: the haar-pure sampler reads no rank"),
+                  (["all", "--sampler", "named-family", "--family", "ghz", "--rank", "2"],
+                   "--rank 2: the named-family sampler reads no rank"),
+                  (["all", "--seed", "-1", "--trials", "2", "--channels", "1"],
+                   "--seed -1: seed must be >= 0, got -1")]
         for k, (argv, message) in enumerate(cases):
             out = tmp_path / f"out{k}"
             code, _, err = run(capsys, "check", *argv, "--out", str(out))
@@ -333,9 +345,21 @@ class TestCheckCommand:
         code, out, _ = run(capsys, "check", "T1", "C3", "T2", "--dims", "3,3,3",
                            "--trials", "3", "--channels", "3", "--out", str(tmp_path))
         assert code == 0
-        docs = [json.loads((tmp_path / f"{name}.json").read_text(), parse_int=float)
+        docs = [json.loads((tmp_path / f"{name}.json").read_text())
                 for name in ("T1.ball", "C3.monotonicity", "T2.conservation")]
         assert out == serialize.dumps(docs)
+
+    def test_artifacts_are_canonical_json(self, capsys, tmp_path):
+        # each JSON artifact is the standard encoder's text of its own document
+        code, _, _ = run(capsys, "check", "all", "--trials", "3", "--channels", "2",
+                         "--out", str(tmp_path))
+        assert code == 0
+        paths = sorted(tmp_path.glob("*.json"))
+        assert len(paths) == len(claims.CHECK_ORDER)
+        for path in paths:
+            text = path.read_text()
+            doc = json.loads(text)
+            assert serialize.dumps(doc) == text == json.dumps(doc, indent=2) + "\n"
 
 
 class TestEvolveCommand:
@@ -351,7 +375,7 @@ class TestEvolveCommand:
         assert code == 0
         rows = [l for l in out.splitlines() if l and not l.startswith("#")][1:]
         norms = {row.split(",")[-1] for row in rows}
-        assert norms == {"1"}
+        assert norms == {"1.0"}
 
     def test_depolarizing_ramp_monotone(self, capsys, tmp_path):
         sched = self._write_schedule(tmp_path, [
@@ -383,6 +407,18 @@ class TestEvolveCommand:
         path.write_text(json.dumps([{"type": "mystery"}]))
         assert run(capsys, "evolve", "--family", "ghz",
                    "--schedule", str(path))[0] == 2
+        # a negative seed is rejected before anything is written
+        out = tmp_path / "out.csv"
+        path.write_text(json.dumps([{"type": "channel", "name": "random"}]))
+        code, _, err = run(capsys, "evolve", "--family", "ghz", "--schedule", str(path),
+                           "--seed", "-1", "--out", str(out))
+        assert code == 2 and "--seed -1: seed must be >= 0" in err
+        path.write_text(json.dumps([{"type": "unitary", "spec": "identity"},
+                                    {"type": "channel", "name": "random", "seed": -2}]))
+        code, _, err = run(capsys, "evolve", "--family", "ghz", "--schedule", str(path),
+                           "--out", str(out))
+        assert code == 2 and "schedule step 1: seed must be >= 0, got -2" in err
+        assert not out.exists()
         for name, key in [("depolarizing", "p"), ("dephasing", "lambda"),
                           ("amplitude-damping", "gamma")]:
             path.write_text(json.dumps([{"type": "unitary", "spec": "identity"},

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,10 +9,13 @@ from qirc import serialize, states
 
 
 class TestFloatFormat:
-    def test_17_significant_digits(self):
-        assert serialize.fmt_float(1 / 3) == "0.33333333333333331"
+    def test_shortest_repr(self):
+        # the shortest text that reads back as the same double, as json prints it
+        assert serialize.fmt_float(1 / 3) == "0.3333333333333333"
+        assert serialize.fmt_float(0.1) == "0.1"
         assert serialize.fmt_float(0.5) == "0.5"
-        assert serialize.fmt_float(1.0) == "1"
+        assert serialize.fmt_float(1.0) == "1.0"
+        assert serialize.fmt_float(np.float32(0.5)) == "0.5"
 
     def test_round_trip_exact(self):
         for x in (math.pi, 1e-300, -2.5e17, 0.1):
@@ -19,6 +23,7 @@ class TestFloatFormat:
 
     def test_special_values(self):
         assert serialize.fmt_float(float("inf")) == "Infinity"
+        assert serialize.fmt_float(-math.inf) == "-Infinity"
         assert serialize.fmt_float(float("nan")) == "NaN"
 
 
@@ -49,7 +54,7 @@ class TestDumps:
                "t": (False, 1e-14)}
         assert serialize.dumps_compact(doc) == (
             '{"a": {"b": [1, [2.5, {}]], "c": []}, "none": null, "flag": true, '
-            '"n": -3, "x": 0.10000000000000001, "s": "say \\"hi\\"", '
+            '"n": -3, "x": 0.1, "s": "say \\"hi\\"", '
             '"t": [false, 1e-14]}')
 
     def test_indented_bytes(self):
@@ -59,33 +64,85 @@ class TestDumps:
             '  "e": {},\n  "f": []\n}\n')
 
     def test_float_lists_keep_the_layout(self):
-        # all-float lists render in one join; lists mixing types one item at
-        # a time; both in the same layout
+        # lists of floats and lists mixing types render in the same layout
         doc = {"m": [[0.1, np.float64(-2.0)], [float("nan"), -math.inf, 1e-300]], "mix": [0.5, 1, (2.5,)]}
         assert serialize.dumps(doc) == (
-            '{\n  "m": [\n    [\n      0.10000000000000001,\n      -2\n    ],\n'
+            '{\n  "m": [\n    [\n      0.1,\n      -2.0\n    ],\n'
             '    [\n      NaN,\n      -Infinity,\n      1e-300\n    ]\n  ],\n'
             '  "mix": [\n    0.5,\n    1,\n    [\n      2.5\n    ]\n  ]\n}\n')
         assert serialize.dumps_compact(doc) == (
-            '{"m": [[0.10000000000000001, -2], [NaN, -Infinity, 1e-300]], '
+            '{"m": [[0.1, -2.0], [NaN, -Infinity, 1e-300]], '
             '"mix": [0.5, 1, [2.5]]}')
 
     def test_rows_of_float_pairs_keep_the_layout(self):
         # a list of equally long float lists, such as a witness matrix row,
-        # renders from one template, special values included
+        # special values included
         doc = {"m": [[[0.5, -0.0], [float("nan"), math.inf]],
                      [[1e-300, -math.inf], [2.0, 0.25]]]}
         assert serialize.dumps(doc) == (
-            '{\n  "m": [\n    [\n      [\n        0.5,\n        -0\n      ],\n'
+            '{\n  "m": [\n    [\n      [\n        0.5,\n        -0.0\n      ],\n'
             '      [\n        NaN,\n        Infinity\n      ]\n    ],\n'
             '    [\n      [\n        1e-300,\n        -Infinity\n      ],\n'
-            '      [\n        2,\n        0.25\n      ]\n    ]\n  ]\n}\n')
+            '      [\n        2.0,\n        0.25\n      ]\n    ]\n  ]\n}\n')
         assert serialize.dumps_compact(doc) == (
-            '{"m": [[[0.5, -0], [NaN, Infinity]], [[1e-300, -Infinity], [2, 0.25]]]}')
+            '{"m": [[[0.5, -0.0], [NaN, Infinity]], [[1e-300, -Infinity], [2.0, 0.25]]]}')
 
     def test_rejects_unknown_types(self):
         with pytest.raises(TypeError):
             serialize.dumps({"x": object()})
+
+
+def _bits(values) -> list[int]:
+    return np.array(values, dtype=float).view(np.uint64).tolist()
+
+
+class TestRoundTrip:
+    """Every finite double reloads bit for bit, and as a float, from the JSON
+    and CSV text; NaN and the infinities reload by their spelling."""
+
+    @pytest.fixture
+    def values(self) -> list[float]:
+        rng = np.random.default_rng(0)
+        drawn = np.frombuffer(rng.bytes(8 * 4000), dtype=np.float64)
+        subnormals = rng.integers(1, 2 ** 52, 200).view(np.float64)
+        return [0.0, -0.0, 1.0, -2.0, 2.0 ** 53, 1e16, 1e17, 0.1, 1 / 3, 5e-324,
+                sys.float_info.min, sys.float_info.max, -sys.float_info.max,
+                *map(float, subnormals), *map(float, drawn[np.isfinite(drawn)])]
+
+    def test_json_reloads_every_bit(self, values):
+        for text in (serialize.dumps(values), serialize.dumps_compact(values),
+                     serialize.dumps({"v": [values[:50], values[50:]]})):
+            back = json.loads(text)
+            if isinstance(back, dict):
+                back = [x for part in back["v"] for x in part]
+            assert all(type(x) is float for x in back)
+            assert _bits(back) == _bits(values)
+
+    def test_numpy_floats_reload_every_bit(self, values):
+        back = json.loads(serialize.dumps_compact(list(np.array(values))))
+        assert _bits(back) == _bits(values)
+
+    def test_csv_reloads_every_bit(self, values):
+        # a CSV cell spells a float as the JSON artifacts do
+        lines = serialize.csv_lines(("x",), [(v,) for v in values])
+        assert lines[1:] == [json.dumps(v) for v in values]
+        assert _bits([float(cell) for cell in lines[1:]]) == _bits(values)
+
+    def test_whole_floats_reload_as_floats(self):
+        doc = {"f": 1.0, "g": np.float64(-3.0), "h": np.float32(2.0), "i": 1,
+               "j": np.int64(2)}
+        back = json.loads(serialize.dumps(doc))
+        assert back == {"f": 1.0, "g": -3.0, "h": 2.0, "i": 1, "j": 2}
+        assert [type(v) for v in back.values()] == [float, float, float, int, int]
+        assert serialize.csv_lines(("a", "b"), [(1.0, 1)])[1] == "1.0,1"
+
+    def test_special_values_by_spelling(self):
+        specials = [math.nan, math.inf, -math.inf]
+        assert serialize.dumps_compact(specials) == "[NaN, Infinity, -Infinity]"
+        assert serialize.csv_lines(("x",), [(v,) for v in specials])[1:] == [
+            "NaN", "Infinity", "-Infinity"]
+        back = json.loads(serialize.dumps(specials))
+        assert math.isnan(back[0]) and back[1:] == [math.inf, -math.inf]
 
 
 class TestStateFiles:
@@ -124,4 +181,4 @@ class TestCsv:
         assert lines[0] == "# hello"
         assert lines[1] == "a,b"
         assert lines[2] == "1,0.5"
-        assert lines[3] == "2,0.33333333333333331"
+        assert lines[3] == "2,0.3333333333333333"

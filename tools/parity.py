@@ -15,8 +15,11 @@ between the numbers the two sides print in the same place, and whether any
 other token differs. That tells a change in the last digits from a real one.
 In JSON files and stdout, the values of keys ending in ``_gap`` (such as the
 certified ``f_max_gap``) are reported apart from every other number, so a
-moved gap does not hide how far the values moved. The temporary directory is
-removed at the end; ``tempfile`` places it under TMPDIR.
+moved gap does not hide how far the values moved. The last line counts the
+commands that are byte-identical, and the commands whose every difference is
+in how equal numbers are spelled (``1`` and ``1.0``, say), the exit code and
+stderr the same. The temporary directory is removed at the end; ``tempfile``
+places it under TMPDIR.
 """
 
 from __future__ import annotations
@@ -114,14 +117,16 @@ NUMBER = re.compile(rb"(-?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|Infinity)|NaN)")
 GAP_KEY = re.compile(rb'_gap"\s*:\s*$')
 
 
-def numeric_diff(a: bytes, b: bytes, gaps: bool) -> str:
+def numeric_diff(a: bytes, b: bytes, gaps: bool) -> tuple[str, bool]:
     """The largest absolute difference between the numbers at the same place
     in a and b, and whether the rest of the text differs; with ``gaps``, the
-    values of ``*_gap`` keys are reported apart from the other numbers."""
+    values of ``*_gap`` keys are reported apart from the other numbers. Also
+    whether a and b print equal numbers (``1`` equals ``1.0``) among the
+    same other tokens."""
     pa, pb = NUMBER.split(a), NUMBER.split(b)
     same_text = len(pa) == len(pb) and pa[::2] == pb[::2]
     if not same_text:
-        return "other tokens differ"
+        return "other tokens differ", False
     moved = gap_moved = 0.0
     for before, x, y in zip(pa[::2], pa[1::2], pb[1::2]):
         if x == y:
@@ -131,7 +136,8 @@ def numeric_diff(a: bytes, b: bytes, gaps: bool) -> str:
         else:
             moved = max(moved, abs(float(x) - float(y)))
     in_gaps = f" ({gap_moved:.3g} in *_gap keys)" if gaps else ""
-    return f"max |difference| {moved:.3g}{in_gaps}, other tokens same"
+    return (f"max |difference| {moved:.3g}{in_gaps}, other tokens same",
+            moved == gap_moved == 0)
 
 
 def export_src(rev: str, dest: Path) -> Path:
@@ -161,7 +167,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="git revision to compare the working tree with")
     args = parser.parse_args(argv)
-    differ = 0
+    differ = unequal = 0
     with tempfile.TemporaryDirectory(prefix="qirc-parity-") as tmp:
         base = export_src(args.rev, Path(tmp) / "rev")
         for k, command in enumerate(COMMANDS):
@@ -172,13 +178,19 @@ def main(argv=None) -> int:
             differ += bool(diffs)
             status = f"DIFF ({', '.join(diffs)})" if diffs else "same"
             print(f"{status:<6} exit {here['exit code']}  qirc {command}", flush=True)
+            equal = True
             for key in diffs:
                 if key == "stdout" or key.endswith((".json", ".csv")):
-                    diff = numeric_diff(here.get(key, b""), there.get(key, b""),
-                                        gaps=not key.endswith(".csv"))
+                    diff, same = numeric_diff(here.get(key, b""), there.get(key, b""),
+                                              gaps=not key.endswith(".csv"))
                     print(f"         {key}: {diff}", flush=True)
+                    equal &= same
+                else:
+                    equal = False
+            unequal += not equal
     print(f"{len(COMMANDS) - differ} of {len(COMMANDS)} commands byte-identical "
-          f"with {args.rev}")
+          f"with {args.rev}, {len(COMMANDS) - unequal} of {len(COMMANDS)} equal in "
+          f"every number")
     return 1 if differ else 0
 
 
