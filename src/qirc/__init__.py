@@ -13,7 +13,7 @@ conservation under symmetry-preserving unitaries, and entropy bounds.
 __version__ = "0.1.0"
 
 from .channels import (KrausChannel, amplitude_damping, apply, dephasing, depolarizing,
-                       make_channel, random_channel)
+                       random_channel)
 from .claims import (CLAIM_IDS, CampaignConfig, ClaimReport, check_convexity,
                      check_entropic_bounds, check_extremals, check_monotonicity,
                      check_conservation, check_qirc_ball, run_check)
@@ -24,10 +24,8 @@ from .generators import (CoherenceGenerator, default_generator,
                          diagonal_generator, sigma_z_generator)
 from .linalg import (HermitianEigen, hermitian_eigen, kron, partial_trace,
                      permute_subsystems, psd_power, uhlmann_fidelity)
-from .resources import (FidelityBreakdown, ProfileConfig, ResourceProfile,
-                        fully_entangled_fraction, mutual_information, profile,
-                        profiles, quantum_fisher_information, teleportation_fidelity,
-                        transfer_choi_state, von_neumann_entropy)
+from .resources import (FidelityBreakdown, ProfileConfig, ResourceProfile, profile,
+                        profiles, teleportation_fidelity)
 from .states import (DensityMatrix, Seed, bell_ac, bell_pair, bell_spectator,
                      classical_correlated, coherent_spectator, compose_product,
                      ghz, gibbs, ginibre_mixed, haar_pure, haar_unitary,

@@ -45,9 +45,6 @@ class KrausChannel:
         return self.kraus.shape[1]
 
 
-make_channel = KrausChannel
-
-
 def _weyl_operators(d: int) -> list[np.ndarray]:
     """Shift/clock unitaries X^a Z^b; the d=2 case is the Pauli set up to phase."""
     omega = np.exp(2j * np.pi / d)
@@ -63,7 +60,7 @@ def depolarizing(d: int, p: float) -> KrausChannel:
         raise ValueError(f"depolarizing strength p={p} outside [0, 1]")
     ops = _weyl_operators(d)
     rest = [np.sqrt(p / d**2) * w for w in ops[1:]] if p > 0 else []
-    return make_channel([np.sqrt(1.0 - p + p / d**2) * ops[0]] + rest)
+    return KrausChannel([np.sqrt(1.0 - p + p / d**2) * ops[0]] + rest)
 
 
 def dephasing(lam: float, basis: CoherenceGenerator) -> KrausChannel:
@@ -75,7 +72,7 @@ def dephasing(lam: float, basis: CoherenceGenerator) -> KrausChannel:
     kraus = [np.sqrt(1.0 - lam) * np.eye(d, dtype=complex)] if lam < 1.0 else []
     if lam > 0.0:
         kraus += [np.sqrt(lam) * np.outer(col, col.conj()) for col in v.T]
-    return make_channel(kraus)
+    return KrausChannel(kraus)
 
 
 def amplitude_damping(gamma: float) -> KrausChannel:
@@ -84,7 +81,7 @@ def amplitude_damping(gamma: float) -> KrausChannel:
         raise ValueError(f"damping strength gamma={gamma} outside [0, 1]")
     k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]], dtype=complex)
     k1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
-    return make_channel([k0, k1])
+    return KrausChannel([k0, k1])
 
 
 def stack_kraus(sets: Sequence[np.ndarray]) -> np.ndarray:

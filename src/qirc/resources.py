@@ -244,16 +244,26 @@ _MAGIC.setflags(write=False)
 
 
 def optimizer_settings(d: int) -> dict:
-    """How ``fully_entangled_fraction`` searches at local dimension d."""
-    out = {"starts": HAAR_STARTS, "tol": EPS_OPT, "max_iter": MAX_ITER,
-           "seed": START_SEED, "method": "closed-form"}
-    if d != 2:
-        out.update(method="power-newton+certificate", cert_tol=EPS_CERT, cert_steps=CERT_STEPS)
-    return out
+    """How ``_singlet_fractions`` searches at local dimension d."""
+    if d == 2:
+        return {"method": "closed-form"}
+    return {"starts": HAAR_STARTS, "tol": EPS_OPT, "max_iter": MAX_ITER, "seed": START_SEED,
+            "method": "power-newton+certificate", "cert_tol": EPS_CERT, "cert_steps": CERT_STEPS}
 
 
 def _singlet_fractions(rho: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``fully_entangled_fraction`` of each state of rho[N]: f, W = U† and the gap."""
+    """max_U <Phi+| (U ⊗ I) rho (U ⊗ I)† |Phi+> of each state of rho[N], its
+    maximizer W = U† and the certified gap: how far the true maximum can lie
+    above the returned value.
+
+    d = 2 is exact (gap 0): the maximally entangled two-qubit states are, up
+    to a phase, the real unit vectors x in the magic basis, so the fraction is
+    the top eigenvalue of Re(Q† rho Q)/2 (Badziąg et al., PRA 62, 012311,
+    2000) and Q x reshapes to W. d >= 3 refines a spectral start by
+    ``_power_refine`` and bounds the result by ``_certified_gap``; only when
+    that gap exceeds EPS_CERT are the identity and the HAAR_STARTS Haar starts
+    refined too, and the gap is the tighter bound less the best value.
+    """
     if d == 2:
         vals, vecs = np.linalg.eigh((_MAGIC.conj().T @ rho @ _MAGIC).real / 2)
         w = (vecs[..., -1] @ _MAGIC.T).reshape(-1, 2, 2)
@@ -273,25 +283,6 @@ def _singlet_fractions(rho: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray,
     return np.minimum(f, 1.0), w, gap
 
 
-def fully_entangled_fraction(rho: DensityMatrix) -> tuple[float, np.ndarray, float]:
-    """max_U <Phi+| (U ⊗ I) rho (U ⊗ I)† |Phi+>, the maximizing U, and the
-    certified gap: how far the true maximum can lie above the returned value.
-
-    d = 2 is exact (gap 0): the maximally entangled two-qubit states are, up
-    to a phase, the real unit vectors x in the magic basis, so the fraction is
-    the top eigenvalue of Re(Q† rho Q)/2 (Badziąg et al., PRA 62, 012311,
-    2000) and Q x reshapes to U†. d >= 3 refines a spectral start by
-    ``_power_refine`` and bounds the result by ``_certified_gap``; only when
-    that gap exceeds EPS_CERT are the identity and the HAAR_STARTS Haar starts
-    refined too, and the gap is the tighter bound less the best value.
-    """
-    if len(rho.dims) != 2 or rho.dims[0] != rho.dims[1]:
-        raise ValueError(f"expected equal local dims, got {rho.dims}")
-    f, w, gap = _singlet_fractions(rho.matrix[None], rho.dims[0])
-    # W parameterizes U† of the physical rotation.
-    return float(f[0]), linalg.dagger(w[0]), float(gap[0])
-
-
 def teleportation_fidelity(f_max, d: int):
     """(d f + 1)/(d + 1); the qubit case is the familiar (2f + 1)/3."""
     if d < 2:
@@ -307,7 +298,17 @@ def _q1_from_fraction(f, d: int):
 
 
 def _transfer_choi(rho_ac: np.ndarray, d_a: int, d_c: int) -> np.ndarray:
-    """``transfer_choi_state`` of each state of rho_ac[N]."""
+    """Normalized Choi state of the channel A -> C that each state of
+    rho_ac[N] induces.
+
+    ((B ⊗ I) rho_AC (B ⊗ I) + (I - P) ⊗ rho_C) / d_A, with P the support
+    projector of rho_A and B = rho_A^{-1/2} on that support: the Choi state of
+    the pretty-good recovery L(X) = Tr_A[(B X^T B ⊗ I) rho_AC], X^T the
+    transpose in the computational basis, whose input weight outside the
+    support is replaced by rho_C. Maximally entangled rho_AC induces the
+    identity channel; product states induce replacement with rho_C. The output
+    is not re-checked: its rounding grows like 1/lambda_min(rho_A).
+    """
     rho_a = linalg.partial_trace(rho_ac, (d_a, d_c), [0])
     w, v = np.linalg.eigh((rho_a + linalg.dagger(rho_a)) / 2)
     on = w > EPS_PSD
@@ -320,29 +321,13 @@ def _transfer_choi(rho_ac: np.ndarray, d_a: int, d_c: int) -> np.ndarray:
     return j / d_a
 
 
-def transfer_choi_state(rho_ac: DensityMatrix) -> DensityMatrix:
-    """Normalized Choi state of the channel A -> C that rho_AC induces.
-
-    ((B ⊗ I) rho_AC (B ⊗ I) + (I - P) ⊗ rho_C) / d_A, with P the support
-    projector of rho_A and B = rho_A^{-1/2} on that support: the Choi state of
-    the pretty-good recovery L(X) = Tr_A[(B X^T B ⊗ I) rho_AC], X^T the
-    transpose in the computational basis, whose input weight outside the
-    support is replaced by rho_C. Maximally entangled rho_AC induces the
-    identity channel; product states induce replacement with rho_C. A derived
-    state: rounding that grows like 1/lambda_min(rho_A) is not re-checked.
-    """
-    if len(rho_ac.dims) != 2:
-        raise ValueError(f"expected a bipartite state, got dims {rho_ac.dims}")
-    return DensityMatrix._derived(_transfer_choi(rho_ac.matrix[None], *rho_ac.dims)[0],
-                                  rho_ac.dims)
-
-
 # ---------------------------------------------------------------------------
 # Fisher information
 
 
 def _fisher(rho: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """``quantum_fisher_information`` of each state of rho[N] along h."""
+    """The Fisher information of each state of rho[N] along h, by the spectral
+    formula 2 sum_{ij} (l_i - l_j)^2/(l_i + l_j) |<i|h|j>|^2."""
     w, v = np.linalg.eigh((rho + linalg.dagger(rho)) / 2)
     hp = linalg.dagger(v) @ h @ v
     li, lj = w[:, :, None], w[:, None, :]
@@ -350,15 +335,6 @@ def _fisher(rho: np.ndarray, h: np.ndarray) -> np.ndarray:
     mask = denom > EPS_QFI
     ratio = np.where(mask, (li - lj) ** 2 / np.where(mask, denom, 1.0), 0.0)
     return 2.0 * np.sum((ratio * np.abs(hp) ** 2).reshape(len(rho), -1), axis=1)
-
-
-def quantum_fisher_information(rho: DensityMatrix | np.ndarray,
-                               g: CoherenceGenerator) -> float:
-    """Spectral formula 2 sum_{ij} (l_i - l_j)^2/(l_i + l_j) |<i|H|j>|^2."""
-    m = linalg.as_complex(getattr(rho, "matrix", rho))
-    if m.shape != g.h.shape:
-        raise ValueError(f"state dim {m.shape} does not match generator {g.h.shape}")
-    return float(_fisher(m[None], g.h)[0])
 
 
 def variances(m: np.ndarray, g: CoherenceGenerator) -> np.ndarray:
@@ -458,18 +434,7 @@ def entropies(m: np.ndarray) -> np.ndarray:
     return np.array([max(0.0, -(x * np.log(x)).sum()) for x in (r[r > EPS_PSD] for r in w)])
 
 
-def von_neumann_entropy(rho: DensityMatrix | np.ndarray) -> float:
-    return float(entropies(np.asarray(getattr(rho, "matrix", rho))[None])[0])
-
-
 def mutual_informations(m: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     """I(A:B) = S(A) + S(B) - S(AB) of each bipartite state of m[N] on dims."""
     s_a, s_b = (entropies(linalg.partial_trace(m, dims, [k])) for k in (0, 1))
     return np.maximum(0.0, s_a + s_b - entropies(m))
-
-
-def mutual_information(rho: DensityMatrix) -> float:
-    """I(A:B) = S(A) + S(B) - S(AB) for a bipartite state."""
-    if len(rho.dims) != 2:
-        raise ValueError(f"mutual information needs a bipartite state, got {rho.dims}")
-    return float(mutual_informations(rho.matrix[None], rho.dims)[0])

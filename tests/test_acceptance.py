@@ -15,6 +15,7 @@ from qirc.claims import CampaignConfig, check_conservation, check_entropic_bound
     check_extremals, check_monotonicity
 from qirc.cli import main
 from qirc.generators import CoherenceGenerator
+from qirc.resources import ProfileConfig
 from qirc.states import Seed
 
 from conftest import random_hermitian
@@ -62,6 +63,12 @@ def test_criterion_2_werner_sweep():
             f"max |q1 - closed form| {worst_q1:.2e}, max q2/q3 {worst_q23:.2e}")
 
 
+def _f_q(rho_a: states.DensityMatrix, g: CoherenceGenerator) -> float:
+    """F_Q of rho_A along g: the profile of rho_A on trivial B and C."""
+    return resources.profile(rho_a.reshaped((rho_a.dim, 1, 1)),
+                             ProfileConfig(generator=g)).breakdown.f_q
+
+
 def test_criterion_3_fisher_information():
     """Pure spectral = 4 Var within 1e-9; F_Q(I/d) = 0 exactly; F_Q <= max."""
     rng = np.random.default_rng(SEED)
@@ -70,13 +77,11 @@ def test_criterion_3_fisher_information():
         d = 2 + i % 7
         g = CoherenceGenerator(random_hermitian(rng, d))
         rho = states.haar_pure((d,), Seed(SEED, 100 + i))
-        fq = resources.quantum_fisher_information(rho, g)
+        fq = _f_q(rho, g)
         var = resources.variances(rho.matrix[None], g)[0]
         worst_pure = max(worst_pure, abs(fq - 4 * var))
     exact_zero = all(
-        resources.quantum_fisher_information(
-            states.maximally_mixed(d), CoherenceGenerator(random_hermitian(rng, d))
-        ) == 0.0
+        _f_q(states.maximally_mixed(d), CoherenceGenerator(random_hermitian(rng, d))) == 0.0
         for d in range(2, 9))
     worst_excess = -np.inf
     for i in range(1000):
@@ -84,7 +89,7 @@ def test_criterion_3_fisher_information():
         g = CoherenceGenerator(random_hermitian(rng, d))
         rank = 1 + i % d
         rho = states.ginibre_mixed(d, rank, Seed(SEED, 10_000 + i))
-        excess = resources.quantum_fisher_information(rho, g) - g.spread ** 2
+        excess = _f_q(rho, g) - g.spread ** 2
         worst_excess = max(worst_excess, excess)
     ok = worst_pure <= 1e-9 and exact_zero and worst_excess <= 1e-9
     _report("3 Fisher information", ok,

@@ -19,28 +19,28 @@ def _act(ch, m):
 
 class TestMakeChannel:
     def test_identity_valid(self):
-        ch = channels.make_channel([np.eye(2)])
+        ch = channels.KrausChannel([np.eye(2)])
         assert ch.d_in == ch.d_out == 2
 
     def test_full_damping_valid(self):
         # {|0><0|, |0><1|} satisfies completeness by hand
         k0 = np.array([[1, 0], [0, 0]], dtype=complex)
         k1 = np.array([[0, 1], [0, 0]], dtype=complex)
-        ch = channels.make_channel([k0, k1])
+        ch = channels.KrausChannel([k0, k1])
         out = _act(ch, np.eye(2, dtype=complex) / 2)
         assert np.allclose(out, np.diag([1.0, 0.0]))
 
     def test_overcomplete_rejected(self):
         with pytest.raises(ValueError, match="completeness"):
-            channels.make_channel([np.eye(2), np.eye(2)])
+            channels.KrausChannel([np.eye(2), np.eye(2)])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            channels.make_channel([])
+            channels.KrausChannel([])
 
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ValueError, match=r"(?=.*\(2, 2\))(?=.*\(3, 3\))"):
-            channels.make_channel([np.eye(2), np.eye(3)])
+            channels.KrausChannel([np.eye(2), np.eye(3)])
 
     def test_one_read_only_stack(self):
         ch = channels.random_channel(2, 3, 2, Seed(4, 1))
@@ -143,8 +143,8 @@ class TestCovariantChannel:
     def test_commutes_with_phase_group(self, rng, g):
         for i in range(20):
             rho = random_density(rng, g.dim)
-            cov = channels.make_channel(channels.covariant_kraus(g, Seed(5, i)))
-            haar = channels.make_channel(_sample_channel(g.dim, Seed(5, i)))
+            cov = channels.KrausChannel(channels.covariant_kraus(g, Seed(5, i)))
+            haar = channels.KrausChannel(_sample_channel(g.dim, Seed(5, i)))
             assert _covariance_residual(cov, g, rho) <= 1e-12
             # the Haar sampler breaks the symmetry, so the check separates them
             assert _covariance_residual(haar, g, rho) > 1e-3
@@ -153,7 +153,7 @@ class TestCovariantChannel:
     def test_kraus_rank_above_one_occurs(self, g):
         ranks = []
         for i in range(20):
-            ch = channels.make_channel(channels.covariant_kraus(g, Seed(5, i)))
+            ch = channels.KrausChannel(channels.covariant_kraus(g, Seed(5, i)))
             # Kraus rank = rank of the stacked, vectorized Kraus operators
             rank = np.linalg.matrix_rank(np.array([k.ravel() for k in ch.kraus]))
             assert rank == len(ch.kraus)
@@ -162,8 +162,8 @@ class TestCovariantChannel:
 
     def test_completeness_and_determinism(self):
         g = diagonal_generator([0.0, 1.0, 3.0])
-        a = channels.make_channel(channels.covariant_kraus(g, Seed(4, 9)))
-        b = channels.make_channel(channels.covariant_kraus(g, Seed(4, 9)))
+        a = channels.KrausChannel(channels.covariant_kraus(g, Seed(4, 9)))
+        b = channels.KrausChannel(channels.covariant_kraus(g, Seed(4, 9)))
         total = sum(k.conj().T @ k for k in a.kraus)
         assert np.linalg.norm(total - np.eye(3)) <= 1e-10
         assert all(np.array_equal(x, y) for x, y in zip(a.kraus, b.kraus))
@@ -211,7 +211,7 @@ def test_clusters_reach_from_the_first_value():
 class TestApply:
     def test_identity_channel(self):
         rho = states.bell_spectator()
-        out = channels.apply(channels.make_channel([np.eye(2)]), rho, 0)
+        out = channels.apply(channels.KrausChannel([np.eye(2)]), rho, 0)
         assert np.abs(out.matrix - rho.matrix).max() <= 1e-12
 
     def test_full_depolarization_decouples(self):
@@ -233,7 +233,7 @@ class TestApply:
         with pytest.raises(ValueError):
             channels.apply(channels.depolarizing(3, 0.5), rho, 0)
         with pytest.raises(ValueError):
-            channels.apply(channels.make_channel([np.eye(2)]), rho, 5)
+            channels.apply(channels.KrausChannel([np.eye(2)]), rho, 5)
 
 
 def _kron_apply(kraus, rho, dims, target):
@@ -293,7 +293,7 @@ def _choi(ch):
 
 class TestChoi:
     def test_identity_gives_bell(self):
-        c = _choi(channels.make_channel([np.eye(2)]))
+        c = _choi(channels.KrausChannel([np.eye(2)]))
         assert np.allclose(c.matrix, states.bell_pair().matrix)
 
     def test_replacement_channel(self, rng):
@@ -302,7 +302,7 @@ class TestChoi:
         w, v = np.linalg.eigh(sigma)
         kraus = [np.sqrt(w[m]) * np.outer(v[:, m], np.eye(2)[n])
                  for m in range(2) for n in range(2)]
-        ch = channels.make_channel(kraus)
+        ch = channels.KrausChannel(kraus)
         c = _choi(ch)
         assert np.allclose(c.matrix, np.kron(np.eye(2) / 2, sigma), atol=1e-12)
 
@@ -326,5 +326,5 @@ class TestComposeAndExtraction:
         ch2 = channels.random_channel(2, 2, 2, Seed(14, 2))
         seq = channels.apply(ch2, channels.apply(ch1, rho, 0), 0)
         kraus = [a @ b for a in ch2.kraus for b in ch1.kraus]
-        combined = channels.apply(channels.make_channel(kraus), rho, 0)
+        combined = channels.apply(channels.KrausChannel(kraus), rho, 0)
         assert np.abs(seq.matrix - combined.matrix).max() <= 1e-10

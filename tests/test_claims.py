@@ -277,7 +277,7 @@ class TestMonotonicity:
         # q3 is not monotone under channels that break the phase symmetry:
         # resetting A from |0> to |+> takes q3 from 0 to 1
         plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-        reset = channels.make_channel([np.outer(plus, np.eye(2)[i]) for i in range(2)])
+        reset = channels.KrausChannel([np.outer(plus, np.eye(2)[i]) for i in range(2)])
         state = states.compose_product(states.basis_state(2, 0), states.bell_pair())
         before = resources.profile(state)
         after = resources.profile(channels.apply(reset, state, 0))
@@ -335,7 +335,7 @@ class TestStackIndependence:
         state = serialize.state_from_dict(w["state"])
         assert w["profile_before"] == resources.profile(state).to_dict()
         assert w["channel_family"] == "haar"
-        ch = channels.make_channel(_sample_channel(3, Seed(7, w["channel_stream"])))
+        ch = channels.KrausChannel(_sample_channel(3, Seed(7, w["channel_stream"])))
         after = resources.profile(channels.apply(ch, state, 0))
         assert w["profile_after"] == after.to_dict()
 

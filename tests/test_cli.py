@@ -289,13 +289,17 @@ class TestCheckCommand:
         assert report["stats"]["local_max_coord_drift"] <= report["tolerances"]["traj"]
 
     def test_optimizer_echo_reports_the_applied_settings(self, capsys):
-        code, out, _ = run(capsys, "check", "T1", "--dims", "3,3,3", "--trials", "1")
-        assert code == 0
-        echo = json.loads(out)[0]["config"]
-        assert "starts" not in echo
-        assert echo["campaign"]["optimizer"] == {
-            "starts": 32, "tol": 1e-14, "max_iter": 400, "seed": 20240817,
-            "method": "power-newton+certificate", "cert_tol": 1e-12, "cert_steps": 50}
+        # the d = 2 closed form reads none of the search settings
+        expected = {"3,3,3": {"starts": 32, "tol": 1e-14, "max_iter": 400, "seed": 20240817,
+                              "method": "power-newton+certificate", "cert_tol": 1e-12,
+                              "cert_steps": 50},
+                    "2,2,2": {"method": "closed-form"}}
+        for dims, optimizer in expected.items():
+            code, out, _ = run(capsys, "check", "T1", "--dims", dims, "--trials", "1")
+            assert code == 0
+            echo = json.loads(out)[0]["config"]
+            assert "starts" not in echo
+            assert echo["campaign"]["optimizer"] == optimizer
 
     def test_oversized_dims_exit_2(self, capsys, tmp_path):
         # 17 * 16 * 16 = 4352 is just above MAX_DIM; rejected before sampling

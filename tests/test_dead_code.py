@@ -1,12 +1,18 @@
 """Every module-level function, class and assignment of the library is used:
-read by some module of ``qirc`` or exported by ``qirc/__init__.py``."""
+read by some module of ``qirc`` or exported by ``qirc/__init__.py``. Every
+``module.name`` the README quotes still exists."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import qirc
 
 SRC = Path(qirc.__file__).resolve().parent
+README = Path(__file__).resolve().parents[1] / "README.md"
+MODULES = ("resources", "linalg", "channels", "states", "claims", "dynamics", "serialize",
+           "cli", "generators", "families", "tolerances")
 
 
 def _defined_names(node: ast.stmt) -> list[str]:
@@ -38,3 +44,13 @@ def test_every_definition_is_read_or_exported():
     assert defined, "no definitions found in qirc"
     assert any(q == "states.SIGMA_Z" for _, q in defined), "assignments not scanned"
     assert sorted(q for name, q in defined if name not in read | exported) == []
+
+
+def test_readme_names_resolve():
+    # a backticked `module.name` in the README names qirc.module.name
+    pattern = rf"`({'|'.join(MODULES)})\.([A-Za-z_]\w*)"
+    names = sorted(set(re.findall(pattern, README.read_text(encoding="utf-8"))))
+    assert names, "no module names found in the README"
+    missing = [f"{module}.{name}" for module, name in names
+               if not hasattr(importlib.import_module(f"qirc.{module}"), name)]
+    assert missing == []

@@ -179,7 +179,7 @@ class TestTrajectory:
 
     def test_dims_changing_channel_profiles_every_step(self):
         # tracing out C, a 2 -> 1 channel, turns dims (2, 2, 2) into (2, 2, 1)
-        trace_c = channels.make_channel([np.eye(2)[None, k] for k in range(2)])
+        trace_c = channels.KrausChannel([np.eye(2)[None, k] for k in range(2)])
         noise = channels.depolarizing(2, 0.1)
         rho = states.haar_pure((2, 2, 2), Seed(56, 0))
         traj = dynamics.trajectory(rho, [("trace C", (trace_c, 2)), ("noise", (noise, 0))])

@@ -86,7 +86,8 @@ def test_derived_states_pass_the_entry_check(d, sampler, seed, rank, lam):
         "evolve": dynamics.evolve(rho, u),
         "mixture": DensityMatrix._derived(lam * rho.matrix + (1 - lam) * other.matrix,
                                           rho.dims),
-        "transfer_choi_state": resources.transfer_choi_state(rho.marginal([0, 2])),
+        "_transfer_choi": DensityMatrix._derived(
+            resources._transfer_choi(rho.marginal([0, 2]).matrix[None], d, d)[0], (d, d)),
     }
     for name, out in derived.items():
         m = out.matrix

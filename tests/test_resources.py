@@ -6,8 +6,7 @@ import pytest
 from qirc import dynamics, linalg, resources, states
 from qirc.generators import (CoherenceGenerator, default_generator,
                              diagonal_generator, sigma_z_generator)
-from qirc.resources import (ProfileConfig, fully_entangled_fraction, profile, profile_batch,
-                            quantum_fisher_information, teleportation_fidelity)
+from qirc.resources import ProfileConfig, profile, profile_batch, teleportation_fidelity
 from qirc.states import DensityMatrix, Seed
 from qirc.tolerances import EPS_CERT, EPS_OPT, EPS_PSD
 
@@ -43,6 +42,22 @@ def q2_of(rho_ac: DensityMatrix, cfg: ProfileConfig | None = None) -> tuple[floa
 def alone_on_a(rho_a: DensityMatrix, g: CoherenceGenerator):
     """The profile of rho_A on trivial B and C, along g."""
     return profile(rho_a.reshaped((rho_a.dim, 1, 1)), ProfileConfig(generator=g))
+
+
+def fraction(rho: DensityMatrix) -> list:
+    """(f, W = U†, gap) of one bipartite state: row 0 of ``_singlet_fractions``."""
+    return [x[0] for x in resources._singlet_fractions(rho.matrix[None], rho.dims[0])]
+
+
+def choi(rho_ac: DensityMatrix) -> DensityMatrix:
+    """The q2 Choi state of rho_AC alone: row 0 of ``_transfer_choi``."""
+    return DensityMatrix._derived(resources._transfer_choi(rho_ac.matrix[None], *rho_ac.dims)[0],
+                                  rho_ac.dims)
+
+
+def f_q(rho_a: DensityMatrix, g: CoherenceGenerator) -> float:
+    """The Fisher information of rho_A along g, from its profile alone."""
+    return alone_on_a(rho_a, g).breakdown.f_q
 
 
 def variance(rho: DensityMatrix, g: CoherenceGenerator) -> float:
@@ -98,38 +113,38 @@ def qutrit_product_ket(e: float) -> np.ndarray:
 
 class TestFullyEntangledFraction:
     def test_bell_is_one(self):
-        f, u, _ = fully_entangled_fraction(states.bell_pair())
+        f, w, _ = fraction(states.bell_pair())
         assert np.isclose(f, 1.0, atol=1e-12)
-        assert np.allclose(u.conj().T @ u, np.eye(2), atol=1e-10)
+        assert np.allclose(w.conj().T @ w, np.eye(2), atol=1e-10)
 
     def test_maximally_mixed_constant_objective(self):
-        f, _, _ = fully_entangled_fraction(states.maximally_mixed(4, dims=(2, 2)))
+        f, _, _ = fraction(states.maximally_mixed(4, dims=(2, 2)))
         assert np.isclose(f, 0.25, atol=1e-12)
 
     @pytest.mark.parametrize("p", [0.0, 0.25, 1 / 3, 0.5, 0.8, 1.0])
     def test_werner_closed_form(self, p):
         # oracle: the Bell overlap p + (1-p)/4 is already optimal at U = I
-        f, _, _ = fully_entangled_fraction(states.werner(p))
+        f, _, _ = fraction(states.werner(p))
         assert np.isclose(f, (3 * p + 1) / 4, atol=1e-9)
 
     def test_matches_exact_two_qubit_oracle(self):
         worst = 0.0
         for rho in qubit_pairs(60, 31):
-            f, _, _ = fully_entangled_fraction(rho)
+            f, _, _ = fraction(rho)
             worst = max(worst, abs(f - fmax_two_qubit_oracle(rho.matrix)))
         assert worst <= 1e-9
 
     def test_never_below_identity_overlap_or_floor(self):
         for i in range(30):
             rho = states.ginibre_mixed(4, 1 + i % 4, Seed(32, i)).reshaped((2, 2))
-            f, _, _ = fully_entangled_fraction(rho)
+            f, _, _ = fraction(rho)
             assert f >= max(bell_overlap(rho), 1 / 4) - 1e-12
 
     def test_returned_unitary_reproduces_value(self):
         rho = states.haar_pure((2, 2), Seed(33, 0))
-        f, u, _ = fully_entangled_fraction(rho)
+        f, w, _ = fraction(rho)
         v = states.max_entangled_ket(2)
-        big = np.kron(u, np.eye(2))
+        big = np.kron(linalg.dagger(w), np.eye(2))
         assert np.isclose((v.conj() @ big @ rho.matrix @ big.conj().T @ v).real, f,
                           atol=1e-12)
 
@@ -142,9 +157,8 @@ class TestFullyEntangledFraction:
                 rho = states.haar_pure((2, 2, 2), Seed(48, i))
             else:
                 rho = states.ginibre_mixed(8, 1 + i % 8, Seed(48, i)).reshaped((2, 2, 2))
-            pairs += [rho.marginal([0, 1]),
-                      resources.transfer_choi_state(rho.marginal([0, 2]))]
-        f = np.array([fully_entangled_fraction(pair)[0] for pair in pairs])
+            pairs += [rho.marginal([0, 1]), choi(rho.marginal([0, 2]))]
+        f = np.array([fraction(pair)[0] for pair in pairs])
         # the search runs on all pairs as one stack; each row searches alone
         stack = np.array([pair.matrix for pair in pairs])
         haar = np.concatenate([np.eye(2).reshape(1, 4),
@@ -158,14 +172,14 @@ class TestFullyEntangledFraction:
     def test_d3_search_is_deterministic(self):
         # the Haar starts are cached; a second call must repeat the first
         rho = states.ginibre_mixed(9, 3, Seed(33, 1)).reshaped((3, 3))
-        f1, u1, _ = fully_entangled_fraction(rho)
-        f2, u2, _ = fully_entangled_fraction(rho)
-        assert f1 == f2 and np.array_equal(u1, u2)
+        f1, w1, _ = fraction(rho)
+        f2, w2, _ = fraction(rho)
+        assert f1 == f2 and np.array_equal(w1, w2)
 
     def test_exhaustive_random_search_never_beats_it(self):
         # brute force over many unoptimized unitaries stays below the result
         rho = states.ginibre_mixed(4, 3, Seed(33, 2)).reshaped((2, 2))
-        f, _, _ = fully_entangled_fraction(rho)
+        f, _, _ = fraction(rho)
         v = states.max_entangled_ket(2)
         best = 0.0
         for i in range(2000):
@@ -174,13 +188,13 @@ class TestFullyEntangledFraction:
         assert best <= f + 1e-9
 
     def test_rejects_unequal_dims(self):
-        rho = states.maximally_mixed(6, dims=(2, 3))
-        with pytest.raises(ValueError):
-            fully_entangled_fraction(rho)
+        rho = states.maximally_mixed(6, dims=(2, 3, 1))
+        with pytest.raises(ValueError, match="need d_B == d_A"):
+            profile(rho)
 
     def test_d3_upper_bound_and_floor(self):
         rho = states.ginibre_mixed(9, 4, Seed(35, 0)).reshaped((3, 3))
-        f, _, _ = fully_entangled_fraction(rho)
+        f, _, _ = fraction(rho)
         top = float(np.linalg.eigvalsh(rho.matrix).max())
         assert 1 / 9 - 1e-12 <= f <= top + 1e-9
 
@@ -193,14 +207,14 @@ class TestCertificate:
         # the relaxation is exact at d = 2: at the closed-form W the bound is
         # the closed form
         for rho in qubit_pairs(60, 31):
-            f, u, gap = fully_entangled_fraction(rho)
+            f, w, gap = fraction(rho)
             assert gap == 0.0
-            bound = f + resources._certified_gap(rho.matrix[None], linalg.dagger(u)[None], 2)[0]
+            bound = f + resources._certified_gap(rho.matrix[None], w[None], 2)[0]
             assert abs(bound - fmax_two_qubit_oracle(rho.matrix)) <= 1e-12
 
     @pytest.mark.parametrize("p", [0.0, 0.25, 1 / 3, 0.5, 0.8, 1.0])
     def test_isotropic_qutrits(self, p):
-        f, _, gap = fully_entangled_fraction(isotropic(p, 3))
+        f, _, gap = fraction(isotropic(p, 3))
         assert abs(f - (p + (1 - p) / 9)) <= 1e-12
         assert 0.0 <= gap <= EPS_CERT
 
@@ -212,7 +226,7 @@ class TestCertificate:
                        for i in range(2000)])
         for i in range(12):
             rho = states.ginibre_mixed(9, 1 + i % 9, Seed(36, i)).reshaped((3, 3))
-            f, _, gap = fully_entangled_fraction(rho)
+            f, _, gap = fraction(rho)
             brute = np.einsum("ni,ij,nj->n", ws.conj(), rho.matrix, ws).real.max() / 3
             assert gap >= 0.0
             assert brute <= f + gap + 1e-12
@@ -225,16 +239,16 @@ class TestNewtonSearch:
     @pytest.mark.parametrize("e", [0.1, 1e-2, 1e-4])
     def test_qutrit_product_family(self, e):
         rho = states.ket_projector(qutrit_product_ket(e), (3, 3, 3)).marginal([0, 1])
-        f, u, _ = fully_entangled_fraction(rho)
+        f, w, _ = fraction(rho)
         assert abs(f - (1 - 2 * e) / 3) <= 1e-15
-        assert np.abs(u.conj().T @ u - np.eye(3)).max() <= 1e-13
+        assert np.abs(w.conj().T @ w - np.eye(3)).max() <= 1e-13
 
     @pytest.mark.parametrize("d, n", [(3, 60), (4, 16)])
     def test_never_below_the_power_iteration(self, d, n):
         # seed-7 Haar states, rho_AB and the q2 Choi state of each
         rhos = [states.haar_pure((d, d, d), Seed(7, i)) for i in range(n)]
         stack = np.array([m.matrix for rho in rhos for m in (
-            rho.marginal([0, 1]), resources.transfer_choi_state(rho.marginal([0, 2])))])
+            rho.marginal([0, 1]), choi(rho.marginal([0, 2])))])
         f, w, gap = resources._singlet_fractions(stack, d)
         ref = np.array([power_fraction(m, d) for m in stack])
         assert np.min(f - ref) >= -1e-15
@@ -263,7 +277,7 @@ class TestSplitDualStart:
     @pytest.mark.parametrize("e", [0.1, 1e-2, 1e-4])
     def test_qutrit_product_family(self, e, haar_calls):
         rho = states.ket_projector(qutrit_product_ket(e), (3, 3, 3)).marginal([0, 1])
-        f, _, gap = fully_entangled_fraction(rho)
+        f, _, gap = fraction(rho)
         assert abs(f - (1 - 2 * e) / 3) <= 1e-15
         assert 0.0 <= gap <= 1e-14
         assert haar_calls == []
@@ -273,7 +287,7 @@ class TestSplitDualStart:
         # a pure state's fraction is (sum of its Schmidt coefficients)^2/d
         monkeypatch.setattr(resources, "CERT_STEPS", 1)
         v = states.haar_ket(9, Seed(41, stream))
-        f, _, gap = fully_entangled_fraction(states.ket_projector(v, (3, 3)))
+        f, _, gap = fraction(states.ket_projector(v, (3, 3)))
         schmidt = np.linalg.svd(v.reshape(3, 3), compute_uv=False)
         assert abs(f - schmidt.sum() ** 2 / 3) <= 1e-14
         assert 0.0 <= gap <= 1e-14
@@ -286,27 +300,26 @@ class TestHaarFallback:
 
     def test_runs_only_where_the_certificate_fails(self, haar_calls):
         rho = short_start_state()
-        _, _, gap_ab = fully_entangled_fraction(rho.marginal([0, 1]))
+        _, _, gap_ab = fraction(rho.marginal([0, 1]))
         assert gap_ab <= EPS_CERT and haar_calls == []
-        choi = resources.transfer_choi_state(rho.marginal([0, 2]))
-        _, _, gap = fully_entangled_fraction(choi)
+        _, _, gap = fraction(choi(rho.marginal([0, 2])))
         assert len(haar_calls) == 1
         assert gap <= EPS_CERT
 
     def test_without_haar_starts_the_gap_stays_visible(self, haar_calls, monkeypatch):
         # the fallback then refines the identity start alone
-        choi = resources.transfer_choi_state(short_start_state().marginal([0, 2]))
+        c = choi(short_start_state().marginal([0, 2]))
         starts, refine, refined = resources.HAAR_STARTS, resources._power_refine, []
         monkeypatch.setattr(resources, "HAAR_STARTS", 0)
         monkeypatch.setattr(resources, "_power_refine",
                             lambda rho, w0, d: refined.append(w0) or refine(rho, w0, d))
-        f_short, _, gap_short = fully_entangled_fraction(choi)
+        f_short, _, gap_short = fraction(c)
         assert haar_calls == []
         assert [w0.shape for w0 in refined] == [(1, 1, 9), (1, 9)]
         assert np.array_equal(refined[1], np.eye(3).reshape(1, 9))
         assert gap_short > EPS_CERT
         monkeypatch.setattr(resources, "HAAR_STARTS", starts)
-        f, _, gap = fully_entangled_fraction(choi)
+        f, _, gap = fraction(c)
         assert f - f_short > EPS_CERT
         assert f <= f_short + gap_short  # the first bound held
 
@@ -328,20 +341,18 @@ class TestHaarFallback:
         # relaxation is not tight: 256 starts raise f by round-off only, and
         # stay under the first bound
         rho = states.haar_pure((3, 3, 3), Seed(7, stream))
-        rho = (rho.marginal([0, 1]) if pair == "ab"
-               else resources.transfer_choi_state(rho.marginal([0, 2])))
-        f, _, gap = fully_entangled_fraction(rho)
+        rho = rho.marginal([0, 1]) if pair == "ab" else choi(rho.marginal([0, 2]))
+        f, _, gap = fraction(rho)
         assert gap > EPS_CERT
         monkeypatch.setattr(resources, "HAAR_STARTS", 256)
-        f_more, _, _ = fully_entangled_fraction(rho)
+        f_more, _, _ = fraction(rho)
         assert f <= f_more <= f + min(gap, 1e-9)
 
     def test_search_that_stopped_short_now_certifies(self, haar_calls):
         # seed 7, stream 770: power steps alone stop a few 1e-12 short of this
         # q2 Choi state's fraction and leave it uncertified
-        rho = resources.transfer_choi_state(
-            states.haar_pure((3, 3, 3), Seed(7, 770)).marginal([0, 2]))
-        f, _, gap = fully_entangled_fraction(rho)
+        rho = choi(states.haar_pure((3, 3, 3), Seed(7, 770)).marginal([0, 2]))
+        f, _, gap = fraction(rho)
         assert 0.0 <= gap <= EPS_CERT and haar_calls == []
         f_more = resources._power_refine(rho.matrix[None], resources._haar_starts(3, 256), 3)[0]
         assert f_more[0] <= f + gap
@@ -425,7 +436,7 @@ class TestTransferChoiState:
             else:
                 rho = states.ginibre_mixed(d * d, 1 + i % (d * d),
                                            Seed(49, 100 * d + i)).reshaped((d, d))
-            c = resources.transfer_choi_state(rho)
+            c = choi(rho)
             assert np.abs(c.matrix - choi_by_blocks(rho)).max() <= 1e-12
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -437,7 +448,7 @@ class TestTransferChoiState:
             g = states.ginibre_mixed((d - 1) * d, 2, Seed(50, 10 * d + i))
             rho = DensityMatrix(iso @ g.matrix @ iso.T, (d, d))
             assert np.linalg.matrix_rank(rho.marginal([0]).matrix, tol=1e-10) == d - 1
-            c = resources.transfer_choi_state(rho)
+            c = choi(rho)
             assert np.abs(c.matrix - choi_by_blocks(rho)).max() <= 1e-12
 
 
@@ -445,18 +456,18 @@ class TestInducedTransferChannel:
     """The A -> C channel a state induces, through its Choi state."""
 
     def test_bell_gives_identity_channel(self):
-        c = resources.transfer_choi_state(states.bell_pair())
+        c = choi(states.bell_pair())
         assert np.abs(c.matrix - states.bell_pair().matrix).max() <= 1e-9
 
     def test_product_gives_replacement(self):
         sigma = DensityMatrix(np.diag([0.7, 0.3]).astype(complex), (2,))
         rho = states.compose_product(states.maximally_mixed(2), sigma)
-        c = resources.transfer_choi_state(rho.reshaped((2, 2)))
+        c = choi(rho.reshaped((2, 2)))
         assert np.abs(c.matrix - np.kron(np.eye(2) / 2, sigma.matrix)).max() <= 1e-9
 
     def test_classical_gives_dephase_and_copy(self):
         rho_ac = states.classical_correlated(2).marginal([0, 2])
-        c = resources.transfer_choi_state(rho_ac)
+        c = choi(rho_ac)
         assert np.abs(c.matrix - np.diag([0.5, 0, 0, 0.5])).max() <= 1e-9
 
     def test_cptp_for_rank_deficient_marginal(self):
@@ -464,13 +475,13 @@ class TestInducedTransferChannel:
         # the channel trace preserving: Tr_C J = I/d_A
         rho = states.compose_product(states.basis_state(2, 0),
                                      states.plus_state())
-        c = resources.transfer_choi_state(rho.reshaped((2, 2)))
+        c = choi(rho.reshaped((2, 2)))
         assert np.linalg.norm(c.marginal([0]).matrix - np.eye(2) / 2) <= 1e-10
 
     def test_cptp_for_random_states(self):
         for i in range(10):
             rho = states.ginibre_mixed(4, 1 + i % 4, Seed(39, i)).reshaped((2, 2))
-            c = resources.transfer_choi_state(rho)
+            c = choi(rho)
             assert np.linalg.norm(c.marginal([0]).matrix - np.eye(2) / 2) <= 1e-10
 
 
@@ -499,23 +510,22 @@ class TestCoordQ2:
 class TestQuantumFisherInformation:
     def test_maximally_mixed_is_exactly_zero(self):
         g = sigma_z_generator()
-        assert quantum_fisher_information(states.maximally_mixed(2), g) == 0.0
+        assert f_q(states.maximally_mixed(2), g) == 0.0
 
     def test_plus_state(self):
         g = sigma_z_generator()
-        assert np.isclose(quantum_fisher_information(states.plus_state(), g), 4.0,
-                          atol=1e-12)
+        assert np.isclose(f_q(states.plus_state(), g), 4.0, atol=1e-12)
 
     def test_generator_eigenstate(self):
         g = sigma_z_generator()
-        assert quantum_fisher_information(states.basis_state(2, 0), g) <= 1e-12
+        assert f_q(states.basis_state(2, 0), g) <= 1e-12
 
     @pytest.mark.parametrize("d", [2, 4, 8])
     def test_pure_state_is_four_variance(self, rng, d):
         g = CoherenceGenerator(random_hermitian(rng, d))
         for i in range(20):
             rho = states.haar_pure((d,), Seed(41, 20 * d + i))
-            fq = quantum_fisher_information(rho, g)
+            fq = f_q(rho, g)
             assert abs(fq - 4 * variance(rho, g)) <= 1e-9
 
     @pytest.mark.parametrize("d", [2, 3, 8, 16])
@@ -533,7 +543,7 @@ class TestQuantumFisherInformation:
         g = CoherenceGenerator(random_hermitian(rng, 3))
         for i in range(50):
             rho = states.ginibre_mixed(3, 1 + i % 3, Seed(42, i))
-            fq = quantum_fisher_information(rho, g)
+            fq = f_q(rho, g)
             assert fq <= 4 * variance(rho, g) + 1e-9
 
     def test_invariant_under_commuting_unitary(self):
@@ -543,12 +553,11 @@ class TestQuantumFisherInformation:
             theta = 0.3 + i
             u = np.diag([np.exp(-1j * theta), np.exp(1j * theta)])
             rotated = DensityMatrix(u @ rho.matrix @ u.conj().T, (2,))
-            assert abs(quantum_fisher_information(rho, g)
-                       - quantum_fisher_information(rotated, g)) <= 1e-9
+            assert abs(f_q(rho, g) - f_q(rotated, g)) <= 1e-9
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            quantum_fisher_information(states.maximally_mixed(3), sigma_z_generator())
+        with pytest.raises(ValueError, match="generator dimension 2 does not match d_A=3"):
+            f_q(states.maximally_mixed(3), sigma_z_generator())
 
 
 class TestFqMax:
@@ -567,15 +576,15 @@ class TestFqMax:
         psi = (v[:, 0] + v[:, -1]) / np.sqrt(2)
         rho = states.ket_projector(psi, (4,))
         b = alone_on_a(rho, g).breakdown
-        assert abs(quantum_fisher_information(rho, g) - b.f_q_max) <= 1e-9
-        assert b.f_q == quantum_fisher_information(rho, g)
+        assert abs(f_q(rho, g) - b.f_q_max) <= 1e-9
+        assert b.f_q == resources._fisher(rho.matrix[None], g.h)[0]
 
     def test_random_pure_states_never_exceed(self, rng):
         g = CoherenceGenerator(random_hermitian(rng, 3))
         top = g.spread ** 2
         for i in range(300):
             rho = states.haar_pure((3,), Seed(44, i))
-            assert quantum_fisher_information(rho, g) <= top + 1e-9
+            assert f_q(rho, g) <= top + 1e-9
 
     def test_degenerate_generator_rejected(self):
         with pytest.raises(ValueError):
@@ -676,6 +685,29 @@ class TestProfile:
         assert np.isclose(q.norm, 0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_one_quantity_is_the_profile_of_trivial_factors(d, rng):
+    # each documented route reads, bit for bit, its kernel on the state alone
+    rhos = [states.haar_pure((d, d, d), Seed(7, i)) for i in range(40)]
+    for rho in rhos:
+        rho_ab, rho_ac, rho_a = rho.marginal([0, 1]), rho.marginal([0, 2]), rho.marginal([0])
+        b = profile(rho_ab.reshaped((d, d, 1))).breakdown
+        f, _, gap = resources._singlet_fractions(rho_ab.matrix[None], d)
+        assert (b.f_max, b.f_max_gap) == (f[0], gap[0])
+        b = profile(rho_ac.reshaped((d, 1, d))).breakdown
+        f, _, gap = resources._singlet_fractions(
+            resources._transfer_choi(rho_ac.matrix[None], d, d), d)
+        raw = resources._q1_from_fraction(f, d)[1]
+        assert (b.q2_raw, b.f_trans, b.f_choi_gap) == (raw[0], (raw[0] + d) / (d + 1), gap[0])
+        g = CoherenceGenerator(random_hermitian(rng, d))
+        b = alone_on_a(rho_a, g).breakdown
+        assert b.f_q == resources._fisher(rho_a.matrix[None], g.h)[0]
+    stack = np.array([rho.marginal([0, 1]).matrix for rho in rhos])
+    assert [resources.entropies(m[None])[0] for m in stack] == resources.entropies(stack).tolist()
+    assert ([resources.mutual_informations(m[None], (d, d))[0] for m in stack]
+            == resources.mutual_informations(stack, (d, d)).tolist())
+
+
 def _bits(prof) -> tuple[str, ...]:
     """Every float of a profile, exactly."""
     values = (prof.q1, prof.q2, prof.q3, prof.norm, *dataclasses.astuple(prof.breakdown))
@@ -759,26 +791,27 @@ class TestNearProductFamily:
 
 class TestEntropies:
     def test_bell_marginal_entropy(self):
-        s = resources.von_neumann_entropy(states.bell_pair().marginal([0]))
+        s = resources.entropies(states.bell_pair().marginal([0]).matrix[None])[0]
         assert np.isclose(s, np.log(2))
 
     def test_pure_state_entropy_zero(self):
-        assert resources.von_neumann_entropy(states.ghz()) <= 1e-12
+        assert resources.entropies(states.ghz().matrix[None])[0] <= 1e-12
 
     def test_bell_mutual_information(self):
-        assert np.isclose(resources.mutual_information(states.bell_pair()),
+        rho = states.bell_pair()
+        assert np.isclose(resources.mutual_informations(rho.matrix[None], rho.dims)[0],
                           2 * np.log(2))
 
     def test_entropy_bounds(self, rng):
         for i in range(10):
             rho = states.ginibre_mixed(4, 1 + i % 4, Seed(46, i))
-            s = resources.von_neumann_entropy(rho)
+            s = resources.entropies(rho.matrix[None])[0]
             assert -1e-10 <= s <= np.log(4) + 1e-10
 
     def test_mutual_information_nonnegative(self):
         for i in range(10):
             rho = states.haar_pure((2, 2), Seed(47, i))
-            assert resources.mutual_information(rho) >= -1e-10
+            assert resources.mutual_informations(rho.matrix[None], rho.dims)[0] >= -1e-10
 
     @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 4), (3, 1)])
     def test_stacked_entropies_match_one_state_at_a_time(self, dims):

@@ -140,7 +140,7 @@ class TestDerivedStates:
         dynamics.evolve(rho, u)
         rho.reshaped((2, 4))
         states.compose_product(rho_a, rho_a)
-        resources.transfer_choi_state(rho.marginal([0, 2]))
+        resources.profile(rho.marginal([0, 2]).reshaped((2, 1, 2)))  # builds the q2 Choi state
         assert validations == []
         states.bell_ac(rho_a)
         assert len(validations) == 1  # the Bell pair, a zoo state
@@ -239,7 +239,8 @@ class TestClassicalCorrelated:
         # classical perfect correlation: S_A + S_C - S_AC = log d
         for d in (2, 3):
             ac = states.classical_correlated(d).marginal([0, 2])
-            assert np.isclose(resources.mutual_information(ac), np.log(d))
+            assert np.isclose(resources.mutual_informations(ac.matrix[None], ac.dims)[0],
+                              np.log(d))
 
     def test_rejects_small_d(self):
         with pytest.raises(ValueError):

@@ -26,10 +26,13 @@ def _traced():
 TRACED = _traced()
 
 
-# Deleted from qirc with the Kraus-Choi round trip; the tracer still names
-# them and reads 0 calls for each until the benchmark's span list drops them.
+# Deleted from qirc with the Kraus-Choi round trip, and the single-state
+# twins of the stacked singlet-fraction, Fisher-information and entropy
+# kernels; the tracer still names them and reads 0 calls for each until the
+# benchmark's span list drops them.
 DELETED = {"channels.choi", "channels.kraus_from_choi", "channels.covariant_channel",
-           "resources.induced_transfer_channel"}
+           "resources.induced_transfer_channel", "resources.fully_entangled_fraction",
+           "resources.quantum_fisher_information", "resources.von_neumann_entropy"}
 
 
 @pytest.mark.parametrize("module, path", [(m, p) for m, p, _ in TRACED],
