@@ -23,7 +23,7 @@ from .dynamics import (Trajectory, UnitaryOperator, commuting_local_unitary,
 from .generators import (CoherenceGenerator, default_generator,
                          diagonal_generator, sigma_z_generator)
 from .linalg import (HermitianEigen, hermitian_eigen, kron, partial_trace,
-                     permute_subsystems, psd_power, uhlmann_fidelity)
+                     permute_subsystems, psd_power)
 from .resources import (FidelityBreakdown, ProfileConfig, ResourceProfile, profile,
                         profiles, teleportation_fidelity)
 from .states import (DensityMatrix, Seed, bell_ac, bell_pair, bell_spectator,

@@ -110,6 +110,7 @@ class CampaignConfig:
                 raise ValueError(f"tolerance {name} must be finite, got {value!r}")
         d = linalg.check_size(math.prod(self.dims), "the campaign dims")
         resources.check_profile_dims(self.dims, d)
+        self.profile_config()  # the generator and the q2 mode
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         # a setting the sampler never reads would be echoed by every artifact

@@ -125,13 +125,13 @@ CLOUD_HEADER = ("trial", "stream", "q1", "q2", "q3", "norm", "q1_raw",
 
 
 def _campaign_config(args) -> CampaignConfig:
-    # The config checks the tolerances, then the dims, the seed, the sampler
-    # with its family, and the rank: each error names its option.
+    # The config checks the tolerances, then the dims, the generator, the seed,
+    # the sampler with its family, and the rank: each error names its option.
     steps = [("--tol", lambda: {"tolerances": _parse_tolerances(args.tol)}),
              (f"--dims {args.dims}", lambda: {
                  "trials": args.trials, "dims": tuple(int(d) for d in args.dims.split(",")),
-                 "q2_mode": args.q2_mode, "generator": args.generator,
-                 "channels_per_state": args.channels}),
+                 "q2_mode": args.q2_mode, "channels_per_state": args.channels}),
+             (f"--generator {args.generator}", lambda: {"generator": args.generator}),
              (f"--seed {args.seed}", lambda: {"seed": args.seed}),
              ("--family", lambda: {"sampler": args.sampler, "family": args.family}),
              (f"--rank {args.rank}", lambda: {"ginibre_rank": args.rank})]
@@ -196,7 +196,8 @@ def cmd_check(args) -> int:
 
 def _whole(entry: dict, key: str, default: int, index: int) -> int:
     value = entry.get(key, default)
-    if not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+    # not isinstance(value, int): a bool is an int, and JSON true is not a number
+    if not (type(value) is int or isinstance(value, float) and value.is_integer()):
         raise ValueError(f"schedule step {index}: {key} must be a whole number, got {value!r}")
     return int(value)
 

@@ -2,8 +2,8 @@
 
 All quantum objects in this package are plain ``numpy`` arrays underneath;
 this module provides the handful of operations everything else is built on:
-tensor products, partial traces, validated Hermitian eigendecompositions,
-spectral functions of positive semidefinite matrices, and Uhlmann fidelity.
+tensor products, partial traces, validated Hermitian eigendecompositions
+and spectral functions of positive semidefinite matrices.
 
 Conventions: row-major storage, subsystem index 0 is the leftmost tensor
 factor. Composite row index for dims (d0, d1, ...) is i0*d1*... + i1*... .
@@ -158,17 +158,3 @@ def psd_power(m: np.ndarray, exponent: float) -> np.ndarray:
     on = w > EPS_PSD  # eigenvalues in (-EPS_PSD, 0] map to 0 with the rest of the kernel
     f = np.where(on, np.where(on, w, 1.0) ** exponent, 0.0)
     return (eig.vectors * f[..., None, :]) @ dagger(eig.vectors)
-
-
-def uhlmann_fidelity(rho, sigma) -> float | np.ndarray:
-    """F(rho, sigma) = (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, in [0, 1], of two
-    matrices, or of each pair of matrices of two stacks [..., d, d]."""
-    r = as_complex(getattr(rho, "matrix", rho))
-    s = as_complex(getattr(sigma, "matrix", sigma))
-    if r.shape != s.shape:
-        raise ValueError(f"dimension mismatch: {r.shape} vs {s.shape}")
-    sqrt_r = psd_power(r, 0.5)
-    inner = sqrt_r @ s @ sqrt_r
-    w = np.linalg.eigvalsh((inner + dagger(inner)) / 2)
-    root_sum = np.sqrt(np.clip(w, 0.0, None)).sum(axis=-1)
-    return np.minimum(1.0, root_sum * root_sum)

@@ -2,8 +2,8 @@
 
 q1: teleportation advantage of rho_AB, from the maximal singlet fraction.
 q2: transfer capacity of the state-induced A -> C channel, scored on its
-    Choi state exactly like q1 (default mode), or the Uhlmann fidelity of
-    the A and C marginals (diagnostic mode).
+    Choi state exactly like q1 (the default ``transfer`` mode), or C's
+    teleportation advantage, the q1 map applied to rho_AC (``singlet-ac``).
 q3: Fisher-information utility of rho_A for phase estimation along a fixed
     Hermitian generator, normalized by the best pure state.
 """
@@ -36,9 +36,11 @@ class FidelityBreakdown:
     """Raw fidelities behind a profile, before clamping.
 
     ``f_max_gap`` and ``f_choi_gap`` are the certified gaps of the two
-    singlet-fraction searches, on rho_AB and on the q2 Choi state: each true
-    fraction lies within its gap above the value found. They are 0.0 where
-    the value is exact (d = 2, a trivial factor, the Uhlmann q2 mode).
+    singlet-fraction searches, on rho_AB and on the second searched matrix
+    (the q2 Choi state, or rho_AC under ``singlet-ac``): each true fraction
+    lies within its gap above the value found. They are 0.0 where the value
+    is exact (d = 2, a trivial factor). ``f_trans`` is the teleportation
+    fidelity of the second searched matrix.
     """
 
     f_max: float
@@ -80,7 +82,7 @@ class ResourceProfile:
         }
 
 
-Q2_MODES = ("transfer", "uhlmann-marginal")
+Q2_MODES = ("transfer", "singlet-ac")
 
 
 @dataclass(frozen=True)
@@ -373,26 +375,21 @@ def profile_batch(rho: np.ndarray, dims: tuple[int, ...],
     g = cfg.generator or default_generator(d_a)
     if g.dim != d_a:
         raise ValueError(f"generator dimension {g.dim} does not match d_A={d_a}")
-    transfer = d_c > 1 and cfg.q2_mode == "transfer"
 
     n, floor = len(rho), 1.0 / (d_a * d_a)
-    rho_ac = linalg.partial_trace(rho, dims, [0, 2])
     searched = [linalg.partial_trace(rho, dims, [0, 1])] if d_b > 1 else []
-    if transfer:
-        searched.append(_transfer_choi(rho_ac, d_a, d_c))
-    if searched:  # rho_AB and the q2 Choi state, as one stack
+    if d_c > 1:  # the transfer Choi state of rho_AC, or rho_AC itself under singlet-ac
+        rho_ac = linalg.partial_trace(rho, dims, [0, 2])
+        searched.append(_transfer_choi(rho_ac, d_a, d_c) if cfg.q2_mode == "transfer" else rho_ac)
+    if searched:  # rho_AB and the q2 matrix, as one stack
         f, _, gap = _singlet_fractions(np.concatenate(searched), d_a)
     f_ab, gap_ab = (f[:n], gap[:n]) if d_b > 1 else (floor, 0.0)
     f_tele = teleportation_fidelity(f_ab, d_a)
     q1, q1_raw = _q1_from_fraction(f_ab, d_a)
     # A trivial C gives the floor, clamped to q2 = 0.
-    q2, q2_raw = _q1_from_fraction(f[-n:] if transfer else floor, d_a)
-    f_trans = (q2_raw + d_a) / (d_a + 1) if transfer else teleportation_fidelity(floor, d_a)
-    gap_choi = gap[-n:] if transfer else 0.0
-    if d_c > 1 and not transfer:  # the Uhlmann fidelity of rho_A and rho_C
-        f_trans = q2_raw = linalg.uhlmann_fidelity(
-            *(linalg.partial_trace(rho_ac, (d_a, d_c), [k]) for k in (0, 1)))
-        q2 = np.clip(q2_raw, 0.0, 1.0)
+    q2, q2_raw = _q1_from_fraction(f[-n:] if d_c > 1 else floor, d_a)
+    f_trans = (q2_raw + d_a) / (d_a + 1) if d_c > 1 else teleportation_fidelity(floor, d_a)
+    gap_choi = gap[-n:] if d_c > 1 else 0.0
 
     f_q = _fisher(linalg.partial_trace(rho, dims, [0]), g.h)
     f_q_top = g.spread ** 2  # reached by the equal superposition of the extreme eigenvectors

@@ -67,6 +67,16 @@ class TestConfig:
         with pytest.raises(ValueError, match=message):
             CampaignConfig(**fields)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"q2_mode": "bogus"}, "unknown q2 mode 'bogus'"),
+        ({"generator": "bogus"}, "unknown generator spec 'bogus'"),
+        ({"dims": (3, 3, 3), "generator": "diag:1,2"}, "2 entries for d_A = 3"),
+        ({"dims": (3, 3, 3), "generator": "diag:1,1,1"}, "fully degenerate")])
+    def test_generator_and_q2_mode_rejected_at_construction(self, fields, message):
+        # a bad value would otherwise be echoed by to_dict() until a check ran
+        with pytest.raises(ValueError, match=message):
+            CampaignConfig(**fields)
+
 
 class TestExtremals:
     def test_holds(self):
@@ -75,6 +85,13 @@ class TestExtremals:
         assert report.violations == 0
         assert report.trials == 10
         assert report.stats["max_deviation"] <= 1e-6
+
+    def test_vertices_reached_under_singlet_ac(self):
+        report = check_extremals(small(q2_mode="singlet-ac"))
+        assert report.verdict == "holds-within-tolerance"
+        targets = {tuple(a["target"]) for a in report.stats["anchors"]}
+        assert targets == {(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)}
+        assert report.stats["max_deviation"] <= 1e-12
 
     def test_targets_cover_all_axes(self):
         report = check_extremals(small())

@@ -280,6 +280,29 @@ class TestCheckCommand:
             assert not out.exists() or not any(out.iterdir())
         assert run(capsys, "check", "C1", "--trials", "0")[0] == 0
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--generator", "bogus"], "--generator bogus: unknown generator spec 'bogus'"),
+        (["--generator", "diag:1,2", "--dims", "3,3,3"],
+         "--generator diag:1,2: diag generator has 2 entries for d_A = 3"),
+        (["--generator", "diag:1,1,1", "--dims", "3,3,3"],
+         "--generator diag:1,1,1: generator spectrum is fully degenerate")],
+        ids=["unknown", "wrong-length", "degenerate"])
+    def test_bad_generator_exits_2_before_the_output_directory(self, capsys, tmp_path,
+                                                                argv, message):
+        out = tmp_path / "out"
+        code, stdout, err = run(capsys, "check", "T1", *argv, "--out", str(out))
+        assert code == 2
+        assert f"error: {message}" in err
+        assert not out.exists() and stdout == ""
+
+    def test_t2_local_family_holds_under_singlet_ac(self, capsys):
+        # q2 as the singlet fraction of rho_AC is invariant under u_A ⊗ u_C
+        code, out, _ = run(capsys, "check", "T2", "--q2-mode", "singlet-ac", "--trials", "20")
+        assert code == 0
+        report = json.loads(out)[0]
+        assert report["violations"] == 0
+        assert report["stats"]["local_max_coord_drift"] <= report["tolerances"]["traj"]
+
     def test_t2_samples_on_the_family_dims(self, capsys):
         # bell-ac is (2, 1, 2) under the default --dims 2,2,2, as in T1, C2, C3 and A2
         code, out, _ = run(capsys, "check", "T2", "--sampler", "named-family",
@@ -440,9 +463,11 @@ class TestEvolveCommand:
         assert "target 5 out of range" in err
 
     @pytest.mark.parametrize("key, value", [("target", 1.9), ("kraus_rank", 2.7),
-                                            ("seed", 5.5)])
+                                            ("seed", 5.5), ("target", True),
+                                            ("kraus_rank", True), ("seed", False)])
     def test_non_whole_schedule_numbers_exit_2(self, capsys, tmp_path, key, value):
-        # rejected, not truncated: random(rank=2,seed=5)@1 must not run
+        # rejected, not truncated: random(rank=2,seed=5)@1 must not run, and
+        # JSON true and false are not read as 1 and 0
         step = {"type": "channel", "name": "random", "kraus_rank": 2, "target": 1, "seed": 5}
         sched = self._write_schedule(tmp_path, [{**step, key: value}])
         code, out, err = run(capsys, "evolve", "--family", "w", "--schedule", sched)

@@ -497,14 +497,46 @@ class TestCoordQ2:
         assert q2 == 0.0
         assert raw < 0
 
-    def test_classical_uhlmann_marginal(self):
+    def test_classical_correlation_scores_zero_singlet_ac(self):
+        # (|00><00| + |11><11|)/2 has singlet fraction 1/2: no teleportation advantage
         rho_ac = states.classical_correlated(2).marginal([0, 2])
-        q2, raw = q2_of(rho_ac, ProfileConfig(q2_mode="uhlmann-marginal"))
-        assert np.isclose(q2, 1.0, atol=1e-9)
+        q2, raw = q2_of(rho_ac, ProfileConfig(q2_mode="singlet-ac"))
+        assert np.isclose(q2, 0.0, atol=1e-9)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             q2_of(states.bell_pair(), ProfileConfig(q2_mode="nope"))
+
+
+def cloner_state() -> DensityMatrix:
+    """The optimal universal 1 -> 2 qubit cloner (Bužek and Hillery, PRA 54,
+    1844, 1996) on B of a Bell pair on AB, copying into C:
+    (2/3)(I ⊗ P_sym)(Phi_AB ⊗ I_C)(I ⊗ P_sym), P_sym the symmetric projector on BC."""
+    p_sym = linalg.kron(np.eye(2), (np.eye(4) + np.eye(4)[[0, 2, 1, 3]]) / 2)
+    return DensityMatrix(2 / 3 * p_sym @ linalg.kron(states.bell_pair().matrix, np.eye(2))
+                         @ p_sym, (2, 2, 2))
+
+
+class TestMonogamyReading:
+    """Under singlet-ac, q2 is C's teleportation advantage: the q1 map on rho_AC."""
+
+    @pytest.mark.parametrize("mode", resources.Q2_MODES)
+    def test_cloner_splits_the_bell_pair_evenly(self, mode):
+        p = profile(cloner_state(), ProfileConfig(q2_mode=mode))
+        assert np.allclose(p.coords(), (0.5, 0.5, 0.0), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_q2_is_invariant_under_local_unitaries_on_a_and_c(self, d):
+        cfg = ProfileConfig(q2_mode="singlet-ac")
+        for i in range(10):
+            rho = states.haar_pure((d, d, d), Seed(3, i))
+            u = linalg.kron_all([states.haar_unitary(d, Seed(4, i)), np.eye(d),
+                                 states.haar_unitary(d, Seed(5, i))])
+            before = profile(rho, cfg)
+            after = profile(DensityMatrix(u @ rho.matrix @ linalg.dagger(u), (d, d, d)), cfg)
+            # the raw advantage, which the clamp to [0, 1] would hide below 0
+            assert abs(after.breakdown.q2_raw - before.breakdown.q2_raw) <= 1e-12
+            assert abs(after.q2 - before.q2) <= 1e-12
 
 
 class TestQuantumFisherInformation:
@@ -633,16 +665,14 @@ class TestProfile:
         assert b.f_q <= b.f_q_max + 1e-9
 
     def test_exact_values_have_zero_gap(self):
-        # the qubit closed form, a trivial factor and the Uhlmann mode are exact
+        # the qubit closed form and a trivial factor are exact
         qutrit = states.haar_pure((3, 3, 3), Seed(45, 0))
-        cases = [(states.haar_pure((2, 2, 2), Seed(45, 9)), ProfileConfig()),
-                 (qutrit.marginal([0, 2]).reshaped((3, 1, 3)), ProfileConfig()),
-                 (qutrit, ProfileConfig(q2_mode="uhlmann-marginal"))]
+        cases = [states.haar_pure((2, 2, 2), Seed(45, 9)),
+                 qutrit.marginal([0, 2]).reshaped((3, 1, 3))]
         gaps = [(p.breakdown.f_max_gap, p.breakdown.f_choi_gap)
-                for p in (profile(rho, cfg) for rho, cfg in cases)]
+                for p in (profile(rho) for rho in cases)]
         assert gaps[0] == (0.0, 0.0)
         assert gaps[1][0] == 0.0
-        assert gaps[2][1] == 0.0
 
     def test_dims_validation(self):
         with pytest.raises(ValueError):
@@ -654,16 +684,15 @@ class TestProfile:
         with pytest.raises(ValueError):
             profile(states.ghz(), ProfileConfig(generator=default_generator(3)))
 
-    def test_uhlmann_mode_recorded(self):
-        p = profile(states.classical_correlated(2),
-                    ProfileConfig(q2_mode="uhlmann-marginal"))
-        assert p.q2_mode == "uhlmann-marginal"
+    def test_singlet_ac_mode_recorded(self):
+        p = profile(states.bell_ac(), ProfileConfig(q2_mode="singlet-ac"))
+        assert p.q2_mode == "singlet-ac"
         assert np.isclose(p.q2, 1.0)
 
     def test_unknown_q2_mode_rejected_on_entry(self):
         # a mode is checked where it enters, so a bad one never reaches profile
         assert [ProfileConfig(q2_mode=m).q2_mode for m in resources.Q2_MODES] == \
-            ["transfer", "uhlmann-marginal"]
+            ["transfer", "singlet-ac"]
         with pytest.raises(ValueError, match="unknown q2 mode 'bogus'"):
             ProfileConfig(q2_mode="bogus")
 
@@ -720,9 +749,9 @@ class TestProfileBatch:
 
     @pytest.mark.parametrize("dims, mode", [((2, 2, 2), "transfer"), ((3, 3, 3), "transfer"),
                                             ((2, 1, 2), "transfer"), ((2, 2, 1), "transfer"),
-                                            ((2, 2, 2), "uhlmann-marginal"),
+                                            ((2, 2, 2), "singlet-ac"),
                                             ((4, 4, 4), "transfer"),
-                                            ((3, 3, 3), "uhlmann-marginal")])
+                                            ((3, 3, 3), "singlet-ac")])
     def test_row_is_the_state_alone(self, dims, mode):
         # seed-7 stream 81 at d = 3: its rho_AB needs the Haar fallback, and
         # the fallback still leaves it uncertified (gap > EPS_CERT)

@@ -66,7 +66,20 @@ def qutrit_product_state(e: float) -> str:
                        "matrix": [[[x, 0.0] for x in row] for row in np.outer(v, v).tolist()]})
 
 
-INPUTS = {"schedule.json": json.dumps(SCHEDULE), "qutrit_product.json": qutrit_product_state(1e-2)}
+def cloner_state() -> str:
+    """The state file of the optimal universal 1 -> 2 qubit cloner (Bužek and
+    Hillery, PRA 54, 1844, 1996) on B of a Bell pair on AB, copying into C:
+    (2/3)(I ⊗ P_sym)(Phi_AB ⊗ I_C)(I ⊗ P_sym), P_sym the symmetric projector
+    on BC. Both q2 readings profile it to (0.5, 0.5, 0)."""
+    phi = np.outer(*2 * [np.eye(2).reshape(4) / np.sqrt(2)])
+    p_sym = np.kron(np.eye(2), (np.eye(4) + np.eye(4)[[0, 2, 1, 3]]) / 2)
+    m = 2 / 3 * p_sym @ np.kron(phi, np.eye(2)) @ p_sym
+    return json.dumps({"dims": [2, 2, 2],
+                       "matrix": [[[x, 0.0] for x in row] for row in m.tolist()]})
+
+
+INPUTS = {"schedule.json": json.dumps(SCHEDULE), "qutrit_product.json": qutrit_product_state(1e-2),
+          "cloner.json": cloner_state()}
 
 COMMANDS = [
     "check all --trials 40 --channels 5 --seed 7 --out out",
@@ -97,11 +110,13 @@ COMMANDS = [
     "profile --state qutrit_product.json",
     "profile --family w --out w.json",
     "profile --family ghz",
-    "profile --family werner:0.8 --q2-mode uhlmann-marginal",
-    # The diagnostic q2 mode on every sampled check; exits 1 on both sides, as
-    # F(rho_A, rho_C) is not invariant under u_A ⊗ u_C (T2's local family).
-    "check T1 C2 C3 T2 A2 --q2-mode uhlmann-marginal --trials 40 --channels 3 --seed 7"
-    " --out out",
+    # The cloner's rho_A is I/2, so the two q2 readings agree on it.
+    "profile --state cloner.json",
+    "profile --state cloner.json --q2-mode singlet-ac",
+    "profile --family werner:0.8 --q2-mode singlet-ac",
+    # The monogamy q2 reading on every sampled check; exits 0, as the singlet
+    # fraction of rho_AC is invariant under u_A ⊗ u_C (T2's local family).
+    "check T1 C2 C3 T2 A2 --q2-mode singlet-ac --trials 40 --channels 3 --seed 7 --out out",
     "sweep werner --out werner.csv",
     "sweep depolarize-bell --grid 0:1:11",
     "sweep gibbs-beta --grid 0:2:11 --coupling 0.5",
