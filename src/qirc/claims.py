@@ -419,24 +419,34 @@ def check_monotonicity(cfg: CampaignConfig) -> ClaimReport:
     that outranks every report-only finding; otherwise it is the slot of
     largest margin in either family.
     """
-    tol_q1 = cfg.tolerance("q1_mono")
-    tol_q3 = cfg.tolerance("q3_mono")
-    tol_rep = cfg.tolerance("mono_report")
-    n_states = cfg.n_trials("C3")
-    n_ch = cfg.n_channels()
-    pc = cfg.profile_config()
+    tol_q1, tol_q3, tol_rep = map(cfg.tolerance, ("q1_mono", "q3_mono", "mono_report"))
+    n_states, n_ch = cfg.n_trials("C3"), cfg.n_channels()
+    pc, d_a = cfg.profile_config(), cfg.dims[0]
     g = pc.generator
-    d_a = cfg.dims[0]
     linalg.check_size(d_a ** 3, "a C3 Haar channel's isometry")  # Kraus rank up to d_A^2
     # Increases per coordinate under Haar channels, then under covariant ones.
     incs = {"q1": _Tally(tol_q1), "q3": _Tally(tol_q3), "q2": _Tally(tol_rep),
             "norm": _Tally(tol_rep), "covariant_q3": _Tally(tol_q3)}
-    # Witness: the covariant slot of largest margin when a margin is above 0
-    # (a hard violation), else the slot of largest margin in either family.
-    margins, hard = _Tally(floor=-np.inf), _Tally(0.0, floor=-np.inf)
-    # Slot s = i * n_ch + j is channel j on state i. A chunk's states are one
-    # profile stack; linalg.chunks cuts its slots into ranges, and the outputs
-    # of each range are one more.
+
+    def full_profile(kraus, rows):  # each output's profile, by field name; the witness shows it
+        out = channels.apply_batch(kraus, stack[rows], dims, 0)
+        return [(vars(p), {"profile_after": p}) for p in resources.profile_batch(out, dims, pc)]
+
+    def a_q3(kraus, rows):  # q3 of each output's A marginal alone
+        f_q = resources._fisher(channels.apply_batch(kraus, rho_a[rows], (d_a,), 0), g.h)
+        return [({"q3": float(q3)}, {}) for q3 in np.clip(f_q / g.spread ** 2, 0.0, 1.0)]
+
+    # The families, scored in this order in each slot: name, stream block, Kraus
+    # draw, score (per slot, the coordinates after and the witness fields it adds),
+    # the tallies of the increases, the coordinates whose increase past its tally's
+    # tol sets the slot's margin, and whether a margin above 0 is a hard violation.
+    table = [("haar", _STREAM_CHANNEL, lambda seed: _sample_channel(d_a, seed), full_profile,
+              {k: incs[k] for k in ("q1", "q3", "q2", "norm")}, ("q1", "q3", "norm"), False),
+             ("covariant", _STREAM_COVARIANT, lambda seed: channels.covariant_kraus(g, seed),
+              a_q3, {"q3": incs["covariant_q3"]}, ("q3",), True)]
+    margins, hard = _Tally(floor=-np.inf), _Tally(0.0, floor=-np.inf)  # all slots; hard slots
+    # Slot s = i * n_ch + j is channel j on state i. A chunk's states are one profile
+    # stack; linalg.chunks cuts its slots into ranges, each family's outputs one more.
     for trials, stack, dims in _samples(cfg, n_states, width=1 + n_ch):
         sampled = [DensityMatrix._derived(m, dims) for m in stack]
         befores = resources.profile_batch(stack, dims, pc)
@@ -444,39 +454,24 @@ def check_monotonicity(cfg: CampaignConfig) -> ClaimReport:
         for part in linalg.chunks(len(trials) * n_ch, math.prod(dims)):
             rows = np.arange(part.start, part.stop) // n_ch  # the state of each slot
             slots = [trials.start * n_ch + r for r in part]
-            haar = [_sample_channel(d_a, Seed(cfg.seed, _STREAM_CHANNEL + s)) for s in slots]
-            cov = [channels.covariant_kraus(g, Seed(cfg.seed, _STREAM_COVARIANT + s))
-                   for s in slots]
-            afters = resources.profile_batch(channels.apply_batch(
-                channels.stack_kraus(haar), stack[rows], dims, 0), dims, pc)
-            cov_q3 = np.clip(resources._fisher(channels.apply_batch(
-                channels.stack_kraus(cov), rho_a[rows], (d_a,), 0),
-                g.h) / g.spread ** 2, 0.0, 1.0)
-            for row, s in enumerate(slots):
-                (i, j), state = divmod(s, n_ch), sampled[rows[row]]
-                before, after = befores[rows[row]], afters[row]
-                delta = {k: getattr(after, k) - getattr(before, k)
-                         for k in ("q1", "q3", "q2", "norm")}
-                for k, v in delta.items():
-                    incs[k].add(v)
-                margin = max(delta["q1"] - tol_q1, delta["q3"] - tol_q3,
-                             delta["norm"] - tol_rep)
-                margins.add(margin, state, margin, trial=i, channel_index=j,
-                            channel_family="haar", state_stream=i,
-                            channel_stream=_STREAM_CHANNEL + s,
-                            kraus_rank=len(haar[row]),
-                            **{f"{k}_increase": float(v) for k, v in delta.items()},
-                            profile_before=before, profile_after=after)
-
-                d_cov = float(cov_q3[row]) - before.q3
-                incs["covariant_q3"].add(d_cov)
-                margin = d_cov - tol_q3
-                case = dict(trial=i, channel_index=j, channel_family="covariant",
-                            state_stream=i, channel_stream=_STREAM_COVARIANT + s,
-                            kraus_rank=len(cov[row]), q3_increase=float(d_cov),
-                            profile_before=before)
-                margins.add(margin, state, margin, **case)
-                hard.add(margin, state, margin, **case)
+            outs = []  # per family: the range's Kraus sets, and its score of each slot
+            for _, stream, draw, score, *_ in table:
+                kraus = [draw(Seed(cfg.seed, stream + s)) for s in slots]
+                outs.append((kraus, score(channels.stack_kraus(kraus), rows)))
+            for r, s in enumerate(slots):
+                (i, j), state, before = divmod(s, n_ch), sampled[rows[r]], befores[rows[r]]
+                for (name, stream, *_, tallies, coords, is_hard), (kraus, out) in zip(table, outs):
+                    after, shown = out[r]
+                    delta = {k: after[k] - getattr(before, k) for k in tallies}
+                    for k, v in delta.items():
+                        tallies[k].add(v)
+                    margin = max(delta[k] - tallies[k].tol for k in coords)
+                    case = dict(trial=i, channel_index=j, channel_family=name, state_stream=i,
+                                channel_stream=stream + s, kraus_rank=len(kraus[r]),
+                                **{f"{k}_increase": float(v) for k, v in delta.items()},
+                                profile_before=before, **shown)
+                    for tally in (margins, hard) if is_hard else (margins,):
+                        tally.add(margin, state, margin, **case)
     return ClaimReport(
         claim_id=CLAIM_IDS["C3"],
         verdict="holds-within-tolerance" if hard.count == 0 else "violated",

@@ -55,8 +55,16 @@ def _write_text(path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _named(option: str, make):
+    try:
+        return make()
+    except ValueError as exc:
+        raise ValueError(f"{option}: {exc}") from exc
+
+
 def _profile_config(args, d_a: int) -> ProfileConfig:
-    return ProfileConfig(generator=resolve_generator(args.generator, d_a), q2_mode=args.q2_mode)
+    g = _named(f"--generator {args.generator}", lambda: resolve_generator(args.generator, d_a))
+    return ProfileConfig(generator=g, q2_mode=args.q2_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -137,10 +145,7 @@ def _campaign_config(args) -> CampaignConfig:
              (f"--rank {args.rank}", lambda: {"ginibre_rank": args.rank})]
     cfg = CampaignConfig()
     for option, fields in steps:
-        try:
-            cfg = dataclasses.replace(cfg, **fields())
-        except ValueError as exc:
-            raise ValueError(f"{option}: {exc}") from exc
+        cfg = _named(option, lambda: dataclasses.replace(cfg, **fields()))
     return cfg
 
 

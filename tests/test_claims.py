@@ -273,6 +273,13 @@ class TestMonotonicity:
         assert report.violations == 0
         assert report.verdict == "holds-within-tolerance"
         assert report.report_only_violations >= report.stats["q1_increases"]
+        # the Haar witness layout, in artifact order (the stats order is pinned
+        # by test_stats_keys_and_order)
+        assert list(report.worst_case) == [
+            "margin", "trial", "channel_index", "channel_family", "state_stream",
+            "channel_stream", "kraus_rank", "q1_increase", "q3_increase", "q2_increase",
+            "norm_increase", "profile_before", "profile_after", "state"]
+        assert report.worst_case["channel_family"] == "haar"
 
     def test_q3_never_increases_under_covariant_channels(self):
         for gen, dims in [("default", (2, 2, 2)), ("default", (3, 3, 3)),
@@ -289,6 +296,11 @@ class TestMonotonicity:
         assert report.stats["covariant_q3_increases"] == 6
         assert report.verdict == "violated"
         assert report.worst_case["channel_family"] == "covariant"
+        # a covariant witness scores q3 alone, on the A marginal: one increase,
+        # and no profile after
+        assert list(report.worst_case) == [
+            "margin", "trial", "channel_index", "channel_family", "state_stream",
+            "channel_stream", "kraus_rank", "q3_increase", "profile_before", "state"]
 
     def test_reset_to_plus_raises_q3(self):
         # q3 is not monotone under channels that break the phase symmetry:

@@ -487,3 +487,22 @@ class TestEvolveCommand:
                              "--schedule", sched, "--out", str(f))
             assert code == 0
         assert f1.read_bytes() == f2.read_bytes()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["profile", "--family", "w", "--generator", "bogus"],
+     "--generator bogus: unknown generator spec 'bogus'"),
+    (["sweep", "werner", "--grid", "0:1:3", "--generator", "diag:1,1"],
+     "--generator diag:1,1: generator spectrum is fully degenerate"),
+    (["evolve", "--family", "w", "--schedule", "SCHEDULE", "--generator", "bogus"],
+     "--generator bogus: unknown generator spec 'bogus'")],
+    ids=["profile", "sweep", "evolve"])
+def test_bad_generator_error_names_the_option(capsys, tmp_path, argv, message):
+    # as check does: the message says which option holds the bad spec
+    schedule = tmp_path / "schedule.json"
+    schedule.write_text(json.dumps([{"type": "unitary", "spec": "identity"}]))
+    out = tmp_path / "out"
+    argv = [str(schedule) if a == "SCHEDULE" else a for a in argv]
+    code, stdout, err = run(capsys, *argv, "--out", str(out))
+    assert code == 2 and f"error: {message}" in err
+    assert not out.exists() and stdout == ""

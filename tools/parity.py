@@ -121,6 +121,10 @@ COMMANDS = [
     "sweep depolarize-bell --grid 0:1:11",
     "sweep gibbs-beta --grid 0:2:11 --coupling 0.5",
     "evolve --family w --schedule schedule.json --out w.csv",
+    # A bad --generator exits 2, with an error that names the option.
+    "profile --family w --generator bogus",
+    "sweep werner --grid 0:1:3 --generator diag:1,1",
+    "evolve --family w --schedule schedule.json --generator bogus",
 ]
 
 
