@@ -430,11 +430,13 @@ def check_monotonicity(cfg: CampaignConfig) -> ClaimReport:
 
     def full_profile(kraus, rows):  # each output's profile, by field name; the witness shows it
         out = channels.apply_batch(kraus, stack[rows], dims, 0)
-        return [(vars(p), {"profile_after": p}) for p in resources.profile_batch(out, dims, pc)]
+        profs = resources.profile_batch(np.concatenate([lead, out]), dims, pc)
+        befores.extend(profs[:len(lead)])
+        return [(vars(p), {"profile_after": p}) for p in profs[len(lead):]]
 
     def a_q3(kraus, rows):  # q3 of each output's A marginal alone
-        f_q = resources._fisher(channels.apply_batch(kraus, rho_a[rows], (d_a,), 0), g.h)
-        return [({"q3": float(q3)}, {}) for q3 in np.clip(f_q / g.spread ** 2, 0.0, 1.0)]
+        _, q3 = resources.fisher_q3(channels.apply_batch(kraus, rho_a[rows], (d_a,), 0), g)
+        return [({"q3": float(v)}, {}) for v in q3]
 
     # The families, scored in this order in each slot: name, stream block, Kraus
     # draw, score (per slot, the coordinates after and the witness fields it adds),
@@ -445,13 +447,18 @@ def check_monotonicity(cfg: CampaignConfig) -> ClaimReport:
              ("covariant", _STREAM_COVARIANT, lambda seed: channels.covariant_kraus(g, seed),
               a_q3, {"q3": incs["covariant_q3"]}, ("q3",), True)]
     margins, hard = _Tally(floor=-np.inf), _Tally(0.0, floor=-np.inf)  # all slots; hard slots
-    # Slot s = i * n_ch + j is channel j on state i. A chunk's states are one profile
-    # stack; linalg.chunks cuts its slots into ranges, each family's outputs one more.
+    # Slot s = i * n_ch + j is channel j on state i. linalg.chunks cuts a chunk's
+    # states, then its slots, into ranges; a range's states lead the profile stack
+    # of its Haar outputs, and one whose slots do not fit beside a state holds it alone.
     for trials, stack, dims in _samples(cfg, n_states, width=1 + n_ch):
-        sampled = [DensityMatrix._derived(m, dims) for m in stack]
-        befores = resources.profile_batch(stack, dims, pc)
+        sampled, befores, n = [DensityMatrix._derived(m, dims) for m in stack], [], len(trials)
         rho_a = linalg.partial_trace(stack, dims, [0])
-        for part in linalg.chunks(len(trials) * n_ch, math.prod(dims)):
+        for part in linalg.chunks(n * (1 + n_ch), math.prod(dims)):
+            lead = stack[part.start:min(part.stop, n)]
+            part = range(max(part.start, n) - n, max(part.stop, n) - n)  # its slots
+            if not part:
+                befores += resources.profile_batch(lead, dims, pc)
+                continue
             rows = np.arange(part.start, part.stop) // n_ch  # the state of each slot
             slots = [trials.start * n_ch + r for r in part]
             outs = []  # per family: the range's Kraus sets, and its score of each slot

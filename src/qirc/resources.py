@@ -327,16 +327,19 @@ def _transfer_choi(rho_ac: np.ndarray, d_a: int, d_c: int) -> np.ndarray:
 # Fisher information
 
 
-def _fisher(rho: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """The Fisher information of each state of rho[N] along h, by the spectral
-    formula 2 sum_{ij} (l_i - l_j)^2/(l_i + l_j) |<i|h|j>|^2."""
-    w, v = np.linalg.eigh((rho + linalg.dagger(rho)) / 2)
-    hp = linalg.dagger(v) @ h @ v
+def fisher_q3(rho_a: np.ndarray, g: CoherenceGenerator) -> tuple[np.ndarray, np.ndarray]:
+    """The Fisher information F_Q of each state of rho_a[N] along g's H, by the
+    spectral formula 2 sum_{ij} (l_i - l_j)^2/(l_i + l_j) |<i|H|j>|^2, and
+    q3 = F_Q / spread^2 clipped to [0, 1]: spread^2 is the largest F_Q,
+    reached by the equal superposition of H's extreme eigenvectors."""
+    w, v = np.linalg.eigh((rho_a + linalg.dagger(rho_a)) / 2)
+    hp = linalg.dagger(v) @ g.h @ v
     li, lj = w[:, :, None], w[:, None, :]
     denom = li + lj
     mask = denom > EPS_QFI
     ratio = np.where(mask, (li - lj) ** 2 / np.where(mask, denom, 1.0), 0.0)
-    return 2.0 * np.sum((ratio * np.abs(hp) ** 2).reshape(len(rho), -1), axis=1)
+    f_q = 2.0 * np.sum((ratio * np.abs(hp) ** 2).reshape(len(rho_a), -1), axis=1)
+    return f_q, np.clip(f_q / g.spread ** 2, 0.0, 1.0)
 
 
 def variances(m: np.ndarray, g: CoherenceGenerator) -> np.ndarray:
@@ -391,14 +394,12 @@ def profile_batch(rho: np.ndarray, dims: tuple[int, ...],
     f_trans = (q2_raw + d_a) / (d_a + 1) if d_c > 1 else teleportation_fidelity(floor, d_a)
     gap_choi = gap[-n:] if d_c > 1 else 0.0
 
-    f_q = _fisher(linalg.partial_trace(rho, dims, [0]), g.h)
-    f_q_top = g.spread ** 2  # reached by the equal superposition of the extreme eigenvectors
-    q3 = np.clip(f_q / f_q_top, 0.0, 1.0)
+    f_q, q3 = fisher_q3(linalg.partial_trace(rho, dims, [0]), g)
     norm = q1 * q1 + q2 * q2 + q3 * q3
     cols = zip(*(np.broadcast_to(c, n).tolist() for c in (
         q1, q2, q3, norm, f_ab, f_tele, f_trans, f_q, q1_raw, q2_raw, gap_ab, gap_choi)))
     return [ResourceProfile(a, b, c, nm, FidelityBreakdown(
-                fm, ft, fr, fq, f_q_top, r1, r2, d_a, g1, g2), cfg.q2_mode, g)
+                fm, ft, fr, fq, g.spread ** 2, r1, r2, d_a, g1, g2), cfg.q2_mode, g)
             for a, b, c, nm, fm, ft, fr, fq, r1, r2, g1, g2 in cols]
 
 

@@ -8,6 +8,7 @@ configuration reproduces every artifact byte for byte.
 
 from __future__ import annotations
 
+import functools
 import json
 from typing import Any, Iterable, Sequence
 
@@ -33,8 +34,51 @@ def _plain(obj: Any) -> int | float:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+# Stands in for a state's matrix while the encoder renders the rest of a document.
+_MARK = "\x00qirc-matrix\x00"
+_QUOTED = json.dumps(_MARK)
+
+
+def _lift(obj: Any, found: list, key: Any = None) -> Any:
+    """obj with every "matrix" value that is a list of equally long rows of
+    [re, im] float pairs, as ``state_to_dict`` writes, replaced by _MARK; the
+    (rows, cols, entries) of each are appended to found, in encoder order."""
+    if isinstance(obj, dict):
+        return {k: _lift(v, found, k) for k, v in obj.items()}
+    if key == "matrix" and type(obj) is list and obj and type(obj[0]) is list and obj[0]:
+        rows, cols = len(obj), len(obj[0])
+        flat = [x for r in obj if type(r) is list and len(r) == cols
+                for p in r if type(p) is list and len(p) == 2 for x in p if type(x) is float]
+        if len(flat) == 2 * rows * cols:
+            found.append((rows, cols, flat))
+            return _MARK
+    return [_lift(v, found) for v in obj] if isinstance(obj, (list, tuple)) else obj
+
+
+@functools.cache
+def _template(rows: int, cols: int, indent: int) -> str:
+    """The %-template of a rows x cols matrix of [re, im] pairs, laid out as the
+    indented encoder lays it out under a key indented by ``indent`` spaces."""
+    pad = "\n" + " " * indent
+    pair = f"[{pad}      %s,{pad}      %s{pad}    ]"
+    row = f"[{pad}    " + f",{pad}    ".join([pair] * cols) + f"{pad}  ]"
+    return f"[{pad}  " + f",{pad}  ".join([row] * rows) + f"{pad}]"
+
+
 def dumps(obj: Any) -> str:
-    return json.dumps(obj, indent=2, default=_plain) + "\n"
+    """``json.dumps(obj, indent=2)`` and a newline, byte for byte. A state's
+    matrix is rendered through one cached template, and the standard encoder,
+    whose indented mode is pure Python, renders the rest."""
+    found = []
+    pieces = json.dumps(_lift(obj, found), indent=2, default=_plain).split(_QUOTED)
+    if len(pieces) != len(found) + 1:  # a string of the document equals _MARK
+        return json.dumps(obj, indent=2, default=_plain) + "\n"
+    out = [pieces[0]]
+    for (rows, cols, flat), piece in zip(found, pieces[1:]):
+        line = out[-1][out[-1].rfind("\n") + 1:]
+        out += [_template(rows, cols, len(line) - len(line.lstrip(" ")))
+                % tuple(map(fmt_float, flat)), piece]
+    return "".join(out) + "\n"
 
 
 def dumps_compact(obj: Any) -> str:

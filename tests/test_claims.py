@@ -196,6 +196,30 @@ class TestStacks:
         check_monotonicity(small(dims=(4, 4, 4), trials=1, channels_per_state=4))
         assert sum(rows) == 1 + 4 and max(rows) <= 2
 
+    def test_c3_profiles_a_qutrit_chunk_in_one_stack(self, monkeypatch):
+        # at the default MAX_STACK the chunk's 3 states lead the stack of their
+        # 9 Haar outputs: one full-dims profile_batch call, where states and
+        # outputs took one call each
+        calls = []
+        real = resources.profile_batch
+        monkeypatch.setattr(resources, "profile_batch",
+                            lambda rho, dims, *a: calls.append((len(rho), dims)) or real(rho, dims, *a))
+        check_monotonicity(small(dims=(3, 3, 3), trials=3, channels_per_state=3))
+        assert calls == [(3 + 3 * 3, (3, 3, 3))]
+
+    def test_c3_stacks_of_one_state_give_the_same_report(self, monkeypatch):
+        # with MAX_STACK at one state, each state and each output is a stack
+        # of its own: a range of one state holds no slot
+        cfg = small(trials=2, channels_per_state=3)
+        whole = check_monotonicity(cfg).to_dict()
+        monkeypatch.setattr(claims.linalg, "MAX_STACK", 8 * 8)
+        rows = []
+        real = resources.profile_batch
+        monkeypatch.setattr(resources, "profile_batch",
+                            lambda rho, *a: rows.append(len(rho)) or real(rho, *a))
+        assert check_monotonicity(cfg).to_dict() == whole
+        assert rows == [1] * (2 + 2 * 3)
+
     def test_c2_draws_its_endpoints_per_chunk(self, monkeypatch):
         # with one pair a chunk, the anchor pair is profiled before any
         # sampled endpoint is drawn, and each chunk draws its own pair
@@ -288,6 +312,37 @@ class TestMonotonicity:
                                               dims=dims, generator=gen))
             assert report.stats["covariant_q3_increases"] == 0
             assert report.stats["max_covariant_q3_increase"] <= 1e-8
+
+    @pytest.mark.parametrize("dims,gen", [((2, 2, 2), "default"), ((3, 3, 3), "default"),
+                                          ((3, 3, 3), "diag:1,1,-2")])
+    def test_covariant_q3_is_the_profile_q3(self, dims, gen, monkeypatch):
+        # the covariant row scores each output's A marginal with the q3 of
+        # profile_batch on dims (d_A, 1, 1), bit for bit
+        cfg = small(trials=3, channels_per_state=4, dims=dims, generator=gen)
+        outs, scored = [], []
+        real_apply, real_q3 = channels.apply_batch, resources.fisher_q3
+
+        def apply_batch(kraus, rho, on, target):
+            out = real_apply(kraus, rho, on, target)
+            if len(on) == 1:  # a covariant range's outputs on A
+                outs.append(out)
+            return out
+
+        def fisher_q3(rho_a, g):
+            f_q, q3 = real_q3(rho_a, g)
+            if any(rho_a is out for out in outs):
+                scored.append((rho_a, q3))
+            return f_q, q3
+
+        monkeypatch.setattr(channels, "apply_batch", apply_batch)
+        monkeypatch.setattr(resources, "fisher_q3", fisher_q3)
+        check_monotonicity(cfg)
+        monkeypatch.undo()
+        assert sum(len(q3) for _, q3 in scored) == 3 * 4
+        d_a = dims[0]
+        for rho_a, q3 in scored:
+            profs = resources.profile_batch(rho_a, (d_a, 1, 1), cfg.profile_config())
+            assert q3.tobytes() == np.array([p.q3 for p in profs]).tobytes()
 
     def test_forced_covariant_violation_is_hard(self):
         # a negative q3 tolerance turns every covariant slot into a violation

@@ -609,7 +609,7 @@ class TestFqMax:
         rho = states.ket_projector(psi, (4,))
         b = alone_on_a(rho, g).breakdown
         assert abs(f_q(rho, g) - b.f_q_max) <= 1e-9
-        assert b.f_q == resources._fisher(rho.matrix[None], g.h)[0]
+        assert b.f_q == resources.fisher_q3(rho.matrix[None], g)[0][0]
 
     def test_random_pure_states_never_exceed(self, rng):
         g = CoherenceGenerator(random_hermitian(rng, 3))
@@ -730,7 +730,7 @@ def test_one_quantity_is_the_profile_of_trivial_factors(d, rng):
         assert (b.q2_raw, b.f_trans, b.f_choi_gap) == (raw[0], (raw[0] + d) / (d + 1), gap[0])
         g = CoherenceGenerator(random_hermitian(rng, d))
         b = alone_on_a(rho_a, g).breakdown
-        assert b.f_q == resources._fisher(rho_a.matrix[None], g.h)[0]
+        assert b.f_q == resources.fisher_q3(rho_a.matrix[None], g)[0][0]
     stack = np.array([rho.marginal([0, 1]).matrix for rho in rhos])
     assert [resources.entropies(m[None])[0] for m in stack] == resources.entropies(stack).tolist()
     assert ([resources.mutual_informations(m[None], (d, d))[0] for m in stack]

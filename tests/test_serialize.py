@@ -92,6 +92,68 @@ class TestDumps:
             serialize.dumps({"x": object()})
 
 
+class TestWitnessMatrices:
+    """dumps renders a state's matrix through a cached template and the rest
+    through the encoder: the text is the encoder's, byte for byte."""
+
+    @staticmethod
+    def encoder(doc) -> str:
+        return json.dumps(doc, indent=2, default=serialize._plain) + "\n"
+
+    @pytest.fixture
+    def rendered(self, monkeypatch) -> list:
+        """The (rows, cols, indent) of every matrix rendered by template."""
+        keys, real = [], serialize._template
+        monkeypatch.setattr(serialize, "_template", lambda *k: keys.append(k) or real(*k))
+        return keys
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 1, 2), (3, 3, 3)])
+    def test_state_dicts_wherever_they_sit(self, dims, rendered):
+        state = serialize.state_to_dict(states.haar_pure(dims, states.Seed(3, 1)))
+        d = 8 if dims == (2, 2, 2) else 4 if dims == (2, 1, 2) else 27
+        for doc, indents in ((state, [2]),
+                             ({"margin": 0.5, "worst_case": {"trial": 2, "state": state}}, [6]),
+                             ([state, {"cases": [1, state]}, (state,)], [4, 8, 6]),
+                             ({"claims": [{"worst_case": {"state": state,
+                                                          "q": np.float64(0.25)}}] * 2}, [10, 10])):
+            rendered.clear()
+            assert serialize.dumps(doc) == self.encoder(doc)
+            assert rendered == [(d, d, i) for i in indents]
+
+    def test_special_and_extreme_entries(self, rendered):
+        entries = [-0.0, 5e-324, 1e-300, 1e16, math.nan, math.inf, -math.inf, 0.1]
+        matrix = [[[entries[2 * r + c], entries[(2 * r + c + 3) % 8]] for c in range(2)]
+                  for r in range(4)]
+        for doc in ({"dims": [4], "matrix": matrix}, {"worst_case": {"state": {"matrix": matrix}}}):
+            assert serialize.dumps(doc) == self.encoder(doc)
+        assert rendered == [(4, 2, 2), (4, 2, 6)]
+
+    @pytest.mark.parametrize("matrix", [
+        [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],            # ints
+        [[[0.5, 0.0]], [[0.5, 0.0], [0.0, 0.0]]],        # ragged rows
+        [[[0.5, 0.0, 0.0]]],                             # not pairs
+        [[[0.5, True]]], [[(0.5, 0.0)]], [[]], [], [[[]]],  # a bool, a tuple, empty
+        [[[np.float64(0.5), 0.0]]], "text", {"matrix": [[[0.5, 0.25]]]}])
+    def test_other_matrix_values_go_through_the_encoder(self, matrix, rendered):
+        doc = {"state": {"dims": [1], "matrix": matrix}, "matrix": matrix}
+        assert serialize.dumps(doc) == self.encoder(doc)
+        # a "matrix" dict is walked like any other: its own matrix is a template's
+        assert rendered == ([(1, 1, 6), (1, 1, 4)] if isinstance(matrix, dict) else [])
+
+    def test_a_string_equal_to_the_placeholder(self):
+        state = serialize.state_to_dict(states.haar_pure((2, 2, 2), states.Seed(3, 1)))
+        for doc in ({"state": state, "note": serialize._MARK},
+                    {"matrix": serialize._MARK}, {serialize._MARK: state}):
+            assert serialize.dumps(doc) == self.encoder(doc)
+
+    def test_does_not_change_the_document(self):
+        state = serialize.state_to_dict(states.haar_pure((2, 2, 2), states.Seed(3, 1)))
+        doc = {"worst_case": {"state": state}}
+        before = json.dumps(doc)
+        serialize.dumps(doc)
+        assert json.dumps(doc) == before and doc["worst_case"]["state"] is state
+
+
 def _bits(values) -> list[int]:
     return np.array(values, dtype=float).view(np.uint64).tolist()
 
