@@ -13,6 +13,7 @@ always report ``report-only`` or sit in a hard check's
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import asdict, dataclass, field, fields
@@ -36,6 +37,7 @@ CLAIM_IDS = {
     "A2": "A2.entropic",
 }
 CHECK_ORDER = ("C1", "T1", "C2", "C3", "T2", "A2")
+SAMPLERS = ("haar-pure", "ginibre-mixed", "named-family")
 
 DEFAULT_TOLERANCES = {
     "extremal": EPS_EXTREMAL,
@@ -70,8 +72,10 @@ _STREAM_PAIR = 6_000_003
 _STREAM_COVARIANT = 7_000_003
 
 
+@functools.cache
 def resolve_generator(spec: str, d: int) -> CoherenceGenerator:
-    """Generator spec strings: 'default', 'sigma-z', 'diag:v1,v2,...'."""
+    """Generator spec strings: 'default', 'sigma-z', 'diag:v1,v2,...'. Each
+    (spec, d) is built and checked once; the read-only generator is shared."""
     if spec == "default":
         return default_generator(d)
     if spec == "sigma-z":
@@ -113,6 +117,8 @@ class CampaignConfig:
         self.profile_config()  # the generator and the q2 mode
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.sampler not in SAMPLERS:
+            raise ValueError(f"unknown sampler {self.sampler!r}")
         # a setting the sampler never reads would be echoed by every artifact
         if self.family is not None and self.sampler != "named-family":
             raise ValueError(f"the {self.sampler} sampler reads no family")
@@ -185,8 +191,6 @@ def _samples(cfg: CampaignConfig, n: int, pure_only: bool = False, stream_offset
     most linalg.MAX_STACK entries with ``width`` states scored per group, each
     checked once where it is drawn (family states where they are built)."""
     sampler = "haar-pure" if pure_only else cfg.sampler
-    if sampler not in ("haar-pure", "ginibre-mixed", "named-family"):
-        raise ValueError(f"unknown sampler {cfg.sampler!r}")
     first = _family_state(cfg, 0, n) if sampler == "named-family" and n else None
     dims = cfg.dims if first is None else first.dims
     d = math.prod(dims)
@@ -244,6 +248,18 @@ class _Tally:
         return out
 
 
+def _report(claim: str, cfg: CampaignConfig, tolerances: tuple[str, ...], trials: int,
+            violations: int, report_only: int, stats: dict, worst: _Tally,
+            verdict: str | None = None) -> ClaimReport:
+    """A check's report, echoing the named tolerances in order and the
+    witness of ``worst``. A hard check holds within tolerance when it has no
+    violations and is violated otherwise; a finding passes its ``verdict``."""
+    verdict = verdict or ("violated" if violations else "holds-within-tolerance")
+    return ClaimReport(CLAIM_IDS[claim], verdict, trials, violations, report_only,
+                       {name: cfg.tolerance(name) for name in tolerances}, cfg.seed,
+                       stats, worst.witness())
+
+
 # ---------------------------------------------------------------------------
 # C1: extremal anchors
 
@@ -276,11 +292,10 @@ def _extremal_anchors() -> list[tuple[str, DensityMatrix, tuple[float, float, fl
 
 def check_extremals(cfg: CampaignConfig) -> ClaimReport:
     """The three axis points are reached by the named anchor families."""
-    tol = cfg.tolerance("extremal")
     pc = cfg.profile_config()
     anchors = _extremal_anchors()
     rows = []
-    worst = _Tally(tol, floor=-1.0)
+    worst = _Tally(cfg.tolerance("extremal"), floor=-1.0)
     for (name, state, target), prof in zip(anchors, profiles([a[1] for a in anchors], pc)):
         dev = max(abs(prof.q1 - target[0]), abs(prof.q2 - target[1]),
                   abs(prof.q3 - target[2]))
@@ -288,13 +303,8 @@ def check_extremals(cfg: CampaignConfig) -> ClaimReport:
                      "q2": prof.q2, "q3": prof.q3, "norm": prof.norm,
                      "deviation": float(dev)})
         worst.add(dev, state, dev, prof, anchor=name)
-    return ClaimReport(
-        claim_id=CLAIM_IDS["C1"],
-        verdict="holds-within-tolerance" if worst.count == 0 else "violated",
-        trials=len(anchors), violations=worst.count, report_only_violations=0,
-        tolerances={"extremal": tol}, seed=cfg.seed,
-        stats={"anchors": rows, "max_deviation": float(worst.max)},
-        worst_case=worst.witness())
+    return _report("C1", cfg, ("extremal",), len(anchors), worst.count, 0,
+                   {"anchors": rows, "max_deviation": float(worst.max)}, worst)
 
 
 # ---------------------------------------------------------------------------
@@ -320,14 +330,10 @@ def check_qirc_ball(cfg: CampaignConfig) -> tuple[ClaimReport, list[dict]]:
                 violations.append(i)
             worst.add(prof.norm, DensityMatrix._derived(m, dims), prof.norm - 1.0, prof,
                       trial=i, stream=i)
-    report = ClaimReport(
-        claim_id=CLAIM_IDS["T1"], verdict="report-only",
-        trials=n, violations=len(violations), report_only_violations=len(violations),
-        tolerances={"ball": tol}, seed=cfg.seed,
-        stats={"max_norm": float(worst.max), "mean_norm": worst.sum / n,
-               "violation_trials": violations},
-        worst_case=worst.witness())
-    return report, cloud
+    stats = {"max_norm": float(worst.max), "mean_norm": worst.sum / n,
+             "violation_trials": violations}
+    return _report("T1", cfg, ("ball",), n, len(violations), len(violations), stats, worst,
+                   "report-only"), cloud
 
 
 # ---------------------------------------------------------------------------
@@ -377,17 +383,12 @@ def check_convexity(cfg: CampaignConfig) -> ClaimReport:
                           mixing=float(lam))
                 if inside and prof_m.norm > 1.0 + tol:
                     ball_violations += 1
-    verdict = "violated" if endpoint_mismatches else "report-only"
-    return ClaimReport(
-        claim_id=CLAIM_IDS["C2"], verdict=verdict,
-        trials=n_pairs * len(LAMBDAS), violations=ball_violations,
-        report_only_violations=ball_violations,
-        tolerances={"ball": tol}, seed=cfg.seed,
-        stats={"pairs": n_pairs, "lambda_grid": list(LAMBDAS),
-               "endpoint_mismatches": endpoint_mismatches,
-               "max_mixture_norm": float(worst.max),
-               "max_segment_deviation": float(max_segment_dev)},
-        worst_case=worst.witness())
+    stats = {"pairs": n_pairs, "lambda_grid": list(LAMBDAS),
+             "endpoint_mismatches": endpoint_mismatches, "max_mixture_norm": float(worst.max),
+             "max_segment_deviation": float(max_segment_dev)}
+    return _report("C2", cfg, ("ball",), n_pairs * len(LAMBDAS), ball_violations,
+                   ball_violations, stats, worst,
+                   "violated" if endpoint_mismatches else "report-only")
 
 
 # ---------------------------------------------------------------------------
@@ -479,17 +480,12 @@ def check_monotonicity(cfg: CampaignConfig) -> ClaimReport:
                                 profile_before=before, **shown)
                     for tally in (margins, hard) if is_hard else (margins,):
                         tally.add(margin, state, margin, **case)
-    return ClaimReport(
-        claim_id=CLAIM_IDS["C3"],
-        verdict="holds-within-tolerance" if hard.count == 0 else "violated",
-        trials=n_states * n_ch, violations=hard.count,
-        report_only_violations=sum(incs[k].count for k in ("q1", "q3", "norm")),
-        tolerances={"q1_mono": tol_q1, "q3_mono": tol_q3, "mono_report": tol_rep},
-        seed=cfg.seed,
-        stats={"states": n_states, "channels_per_state": n_ch,
-               **{f"{k}_increases": t.count for k, t in incs.items()},
-               **{f"max_{k}_increase": float(t.max) for k, t in incs.items()}},
-        worst_case=(hard if hard.count else margins).witness())
+    stats = {"states": n_states, "channels_per_state": n_ch,
+             **{f"{k}_increases": t.count for k, t in incs.items()},
+             **{f"max_{k}_increase": float(t.max) for k, t in incs.items()}}
+    return _report("C3", cfg, ("q1_mono", "q3_mono", "mono_report"), n_states * n_ch,
+                   hard.count, sum(incs[k].count for k in ("q1", "q3", "norm")), stats,
+                   hard if hard.count else margins)
 
 
 # ---------------------------------------------------------------------------
@@ -532,19 +528,13 @@ def check_conservation(cfg: CampaignConfig) -> ClaimReport:
             glob.add(d_norm, state, d_norm, family="global", trial=i,
                      unitary_stream=_STREAM_UG + i, profile_before=before,
                      profile_after=after_g)
+    stats = {"local_trials": n, "local_max_coord_drift": float(local.max),
+             "local_max_norm_drift": float(local_norm.max),
+             "global_trials": n, "global_max_drift": float(glob.max),
+             "global_mean_abs_drift": glob.sum / n, "global_exceed_count": glob.count}
     # The global witness replaces the local one only when strictly larger.
-    worst = glob if glob.max > local.max else local
-    return ClaimReport(
-        claim_id=CLAIM_IDS["T2"],
-        verdict="holds-within-tolerance" if local.count == 0 else "violated",
-        trials=2 * n, violations=local.count, report_only_violations=glob.count,
-        tolerances={"traj": tol}, seed=cfg.seed,
-        stats={"local_trials": n, "local_max_coord_drift": float(local.max),
-               "local_max_norm_drift": float(local_norm.max),
-               "global_trials": n, "global_max_drift": float(glob.max),
-               "global_mean_abs_drift": glob.sum / n,
-               "global_exceed_count": glob.count},
-        worst_case=worst.witness())
+    return _report("T2", cfg, ("traj",), 2 * n, local.count, glob.count, stats,
+                   glob if glob.max > local.max else local)
 
 
 # ---------------------------------------------------------------------------
@@ -555,13 +545,12 @@ def check_entropic_bounds(cfg: CampaignConfig) -> ClaimReport:
     """I(A:B) + I(A:C) <= 2 S(A) for pure global states (hard; equality holds
     there) plus two heuristic entropy bounds, recorded report-only:
     q1 + q2 <= 2 S(A)/ln d_A and F_Q <= 4 Var (1 - S(A)/ln d_A)."""
-    tol = cfg.tolerance("mi")
     n = cfg.n_trials("A2")
     pc = cfg.profile_config()
     g = pc.generator
     log_d = float(np.log(cfg.dims[0]))
 
-    mi, h1, h2 = (_Tally(tol, floor=-np.inf) for _ in range(3))
+    mi, h1, h2 = (_Tally(cfg.tolerance("mi"), floor=-np.inf) for _ in range(3))
     anchor = states.compose_product(states.bell_pair(), states.basis_state(2, 0))
     groups = [(["anchor"], anchor.matrix[None], anchor.dims)]
     groups += ((map(str, trials), stack, dims) for trials, stack, dims
@@ -582,19 +571,10 @@ def check_entropic_bounds(cfg: CampaignConfig) -> ClaimReport:
                    i_ab=float(iab), i_ac=float(iac))
             h1.add((prof.q1 + prof.q2) - 2.0 * s / log_d)
             h2.add(prof.breakdown.f_q - 4.0 * v * (1.0 - s / log_d))
-    return ClaimReport(
-        claim_id=CLAIM_IDS["A2"],
-        verdict="holds-within-tolerance" if mi.count == 0 else "violated",
-        trials=n + 1, violations=mi.count,
-        report_only_violations=h1.count + h2.count,
-        tolerances={"mi": tol}, seed=cfg.seed,
-        stats={"max_mi_gap": float(mi.max),
-               "anchor_saturation_gap": float(anchor_gap),
-               "q1q2_bound_violations": h1.count,
-               "q1q2_bound_max_excess": float(h1.max),
-               "fisher_bound_violations": h2.count,
-               "fisher_bound_max_excess": float(h2.max)},
-        worst_case=mi.witness())
+    stats = {"max_mi_gap": float(mi.max), "anchor_saturation_gap": float(anchor_gap),
+             "q1q2_bound_violations": h1.count, "q1q2_bound_max_excess": float(h1.max),
+             "fisher_bound_violations": h2.count, "fisher_bound_max_excess": float(h2.max)}
+    return _report("A2", cfg, ("mi",), n + 1, mi.count, h1.count + h2.count, stats, mi)
 
 
 # ---------------------------------------------------------------------------

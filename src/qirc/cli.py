@@ -323,8 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("claims", nargs="*", default=["all"],
                    help="claim ids (T1 C1 C2 C3 T2 A2 or full names) or 'all'")
     p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--sampler", choices=["haar-pure", "ginibre-mixed", "named-family"],
-                   default="haar-pure")
+    p.add_argument("--sampler", choices=claims.SAMPLERS, default="haar-pure")
     p.add_argument("--family", default=None, help="family for the named-family sampler")
     p.add_argument("--dims", default="2,2,2")
     p.add_argument("--rank", type=int, default=None, help="ginibre sampler rank")

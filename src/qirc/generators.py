@@ -18,7 +18,8 @@ class CoherenceGenerator:
 
     The eigendecomposition is cached because everything downstream (the
     Fisher information task, dephasing, commutant sampling) consumes it.
-    A fully degenerate spectrum defines no task and is rejected.
+    ``h`` and both halves of ``eigen`` are read-only, so one generator can
+    be shared. A fully degenerate spectrum defines no task and is rejected.
     """
 
     h: np.ndarray
@@ -31,7 +32,8 @@ class CoherenceGenerator:
         if spread <= EPS_DEGENERATE * max(1.0, abs(float(eig.values[-1]))):
             raise ValueError("generator spectrum is fully degenerate")
         h = h.copy()
-        h.setflags(write=False)
+        for a in (h, eig.values, eig.vectors):
+            a.setflags(write=False)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "eigen", eig)
 

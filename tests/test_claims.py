@@ -3,12 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qirc import channels, claims, dynamics, resources, serialize, states
+from qirc import channels, claims, cli, dynamics, resources, serialize, states
 from qirc.claims import (CampaignConfig, _sample_channel, check_convexity,
                          check_conservation, check_entropic_bounds, check_extremals,
                          check_monotonicity, check_qirc_ball,
                          normalize_claim_id, resolve_generator, run_check)
-from qirc.generators import default_generator
+from qirc.generators import CoherenceGenerator, default_generator
 from qirc.resources import ProfileConfig
 from qirc.states import Seed
 
@@ -66,6 +66,28 @@ class TestConfig:
         # the artifacts echo every setting, so each must be one the run reads
         with pytest.raises(ValueError, match=message):
             CampaignConfig(**fields)
+
+    def test_unknown_sampler_rejected_at_construction(self):
+        # otherwise C1, which draws nothing, would hold before the first draw failed
+        with pytest.raises(ValueError, match="unknown sampler 'bogus'"):
+            CampaignConfig(sampler="bogus")
+
+    def test_one_generator_per_spec_and_dimension(self, monkeypatch, tmp_path, capsys):
+        # every config step and every check reads the generator the first one built
+        built, init = [], CoherenceGenerator.__post_init__
+        monkeypatch.setattr(CoherenceGenerator, "__post_init__",
+                            lambda self: (built.append(self), init(self)))
+        resolve_generator.cache_clear()
+        cli.main(["check", "C1", "C2", "T2", "A2", "--trials", "2", "--channels", "2",
+                  "--out", str(tmp_path)])
+        assert len(built) == 1
+
+    def test_shared_generator_is_read_only(self):
+        g = resolve_generator("default", 3)
+        assert resolve_generator("default", 3) is g
+        for a in (g.h, g.eigen.values, g.eigen.vectors):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
 
     @pytest.mark.parametrize("fields, message", [
         ({"q2_mode": "bogus"}, "unknown q2 mode 'bogus'"),

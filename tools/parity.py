@@ -89,6 +89,8 @@ COMMANDS = [
     "check T1 --dims 3,3,3 --trials 82 --seed 7 --out out",
     "check C3 --trials 4 --seed 1 --out out",
     "check C3 --trials 4 --seed 1 --strict --out out",
+    # The exit path of every check's verdict: T2's and A2's findings exit 1.
+    "check all --trials 3 --channels 2 --strict --out out",
     # Negative tolerances force a violation in every hard check.
     "check C1 C3 T2 A2 --trials 3 --channels 3 --tol extremal=-1 --tol q3_mono=-1"
     " --tol traj=-1 --tol mi=-1 --out out",
