@@ -90,6 +90,26 @@ def resolve_generator(spec: str, d: int) -> CoherenceGenerator:
     raise ValueError(f"unknown generator spec {spec!r}")
 
 
+def check_tolerances(tolerances: dict) -> dict:
+    """Tolerance overrides a campaign takes: known names with finite values."""
+    for name, value in tolerances.items():
+        if name not in DEFAULT_TOLERANCES:
+            known = ", ".join(sorted(DEFAULT_TOLERANCES))
+            raise ValueError(f"unknown tolerance {name!r}; known: {known}")
+        if not math.isfinite(float(value)):
+            raise ValueError(f"tolerance {name} must be finite, got {value!r}")
+    return tolerances
+
+
+def check_campaign_dims(dims: tuple[int, ...]) -> tuple[int, ...]:
+    """Campaign dims: at most MAX_DIM in all, dims a profile takes, a d_A >= 2."""
+    dims = resources.check_profile_dims(
+        dims, linalg.check_size(math.prod(dims), "the campaign dims"))
+    if dims[0] < 2:  # every generator acts on A
+        raise ValueError(f"generator needs dimension >= 2, got {dims[0]}")
+    return dims
+
+
 @dataclass
 class CampaignConfig:
     """Sampling plan and tolerances for one check run."""
@@ -106,14 +126,8 @@ class CampaignConfig:
     tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name, value in self.tolerances.items():
-            if name not in DEFAULT_TOLERANCES:
-                known = ", ".join(sorted(DEFAULT_TOLERANCES))
-                raise ValueError(f"unknown tolerance {name!r}; known: {known}")
-            if not math.isfinite(float(value)):
-                raise ValueError(f"tolerance {name} must be finite, got {value!r}")
-        d = linalg.check_size(math.prod(self.dims), "the campaign dims")
-        resources.check_profile_dims(self.dims, d)
+        check_tolerances(self.tolerances)
+        d = math.prod(check_campaign_dims(self.dims))
         self.profile_config()  # the generator and the q2 mode
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")

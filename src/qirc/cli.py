@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import sys
 from pathlib import Path
 
@@ -133,19 +134,18 @@ CLOUD_HEADER = ("trial", "stream", "q1", "q2", "q3", "norm", "q1_raw",
 
 
 def _campaign_config(args) -> CampaignConfig:
-    # The config checks the tolerances, then the dims, the generator, the seed,
-    # the sampler with its family, and the rank: each error names its option.
-    steps = [("--tol", lambda: {"tolerances": _parse_tolerances(args.tol)}),
-             (f"--dims {args.dims}", lambda: {
-                 "trials": args.trials, "dims": tuple(int(d) for d in args.dims.split(",")),
-                 "q2_mode": args.q2_mode, "channels_per_state": args.channels}),
-             (f"--generator {args.generator}", lambda: {"generator": args.generator}),
-             (f"--seed {args.seed}", lambda: {"seed": args.seed}),
-             ("--family", lambda: {"sampler": args.sampler, "family": args.family}),
-             (f"--rank {args.rank}", lambda: {"ginibre_rank": args.rank})]
-    cfg = CampaignConfig()
-    for option, fields in steps:
-        cfg = _named(option, lambda: dataclasses.replace(cfg, **fields()))
+    # Each error names its option: the tolerances and the dims are checked first,
+    # so the first config is built on the run's dims and generator, and no other.
+    tolerances = _named("--tol", lambda: claims.check_tolerances(_parse_tolerances(args.tol)))
+    dims = _named(f"--dims {args.dims}", lambda: claims.check_campaign_dims(
+        tuple(int(d) for d in args.dims.split(","))))
+    cfg = _named(f"--generator {args.generator}", lambda: CampaignConfig(
+        tolerances=tolerances, trials=args.trials, dims=dims, q2_mode=args.q2_mode,
+        channels_per_state=args.channels, generator=args.generator))
+    for option, fields in [(f"--seed {args.seed}", {"seed": args.seed}),
+                           ("--family", {"sampler": args.sampler, "family": args.family}),
+                           (f"--rank {args.rank}", {"ginibre_rank": args.rank})]:
+        cfg = _named(option, lambda: dataclasses.replace(cfg, **fields))
     return cfg
 
 
@@ -359,5 +359,12 @@ def main(argv=None) -> int:
         return 2
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """The process entry. What the imports made lives until exit anyway: frozen,
+    no later collection walks it, at exit included. main leaves collection alone."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

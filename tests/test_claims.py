@@ -72,14 +72,17 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown sampler 'bogus'"):
             CampaignConfig(sampler="bogus")
 
-    def test_one_generator_per_spec_and_dimension(self, monkeypatch, tmp_path, capsys):
-        # every config step and every check reads the generator the first one built
+    @pytest.mark.parametrize("argv", [
+        ["C1", "C2", "T2", "A2"], ["T1", "C3", "T2", "--dims", "3,3,3"]],
+        ids=["claims-qubit", "campaign-qutrit"])
+    def test_one_generator_per_spec_and_dimension(self, monkeypatch, tmp_path, capsys, argv):
+        # every config step and every check reads the generator the first one
+        # built, and no step builds one at dims the run does not use
         built, init = [], CoherenceGenerator.__post_init__
         monkeypatch.setattr(CoherenceGenerator, "__post_init__",
                             lambda self: (built.append(self), init(self)))
         resolve_generator.cache_clear()
-        cli.main(["check", "C1", "C2", "T2", "A2", "--trials", "2", "--channels", "2",
-                  "--out", str(tmp_path)])
+        cli.main(["check", *argv, "--trials", "2", "--channels", "2", "--out", str(tmp_path)])
         assert len(built) == 1
 
     def test_shared_generator_is_read_only(self):

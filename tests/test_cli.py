@@ -1,9 +1,16 @@
+import ast
+import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qirc import claims, resources, serialize, states
+import qirc
+from qirc import claims, cli, resources, serialize, states
 from qirc.cli import main
 from qirc.linalg import MAX_DIM
 from qirc.tolerances import EPS_CERT
@@ -332,7 +339,8 @@ class TestCheckCommand:
         assert "--dims" in err
         # dims a profile cannot take are rejected before the first artifact
         for dims, message in [("2,2", "tripartite"), ("0,2,2", "positive whole numbers"),
-                              ("2,-2,2", "positive whole numbers"), ("2,3,2", "d_B == d_A")]:
+                              ("2,-2,2", "positive whole numbers"), ("2,3,2", "d_B == d_A"),
+                              ("1,1,1", "generator needs dimension >= 2")]:
             out = tmp_path / dims
             code, _, err = run(capsys, "check", "all", "--dims", dims, "--out", str(out))
             assert code == 2
@@ -506,3 +514,35 @@ def test_bad_generator_error_names_the_option(capsys, tmp_path, argv, message):
     code, stdout, err = run(capsys, *argv, "--out", str(out))
     assert code == 2 and f"error: {message}" in err
     assert not out.exists() and stdout == ""
+
+
+class TestProcessEntry:
+    def test_module_run_freezes_the_import_heap(self):
+        # python -m qirc.cli: what the imports made is out of every collection at exit
+        code = ("import atexit, gc, runpy, sys\n"
+                "atexit.register(lambda: print(gc.get_freeze_count()))\n"
+                "sys.argv = ['qirc', '--version']\n"
+                "runpy.run_module('qirc.cli', run_name='__main__')\n")
+        src = str(Path(qirc.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        version, frozen = proc.stdout.split("\n")[:2]
+        assert version == f"qirc {qirc.__version__}" and int(frozen) > 0
+
+    def test_main_leaves_collection_alone(self, capsys):
+        # tests and the tracing benchmark call main in process
+        frozen = gc.get_freeze_count()
+        assert run(capsys, "check", "C1")[0] == 0
+        assert gc.get_freeze_count() == frozen
+
+    def test_installed_script_runs_the_main_block_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["qirc"]
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        block, = [n for n in tree.body if isinstance(n, ast.If)
+                  and ast.unparse(n.test) == "__name__ == '__main__'"]
+        assert [ast.unparse(n) for n in block.body] == [f"{target.split(':')[1]}()"]
+        assert target.split(":")[0] == "qirc.cli"
