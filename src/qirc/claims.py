@@ -28,14 +28,6 @@ from .states import DensityMatrix, Seed
 from .tolerances import (EPS_BALL, EPS_EXTREMAL, EPS_MI, EPS_MONO_REPORT,
                          EPS_Q1_MONO, EPS_Q3_MONO, EPS_TRAJ)
 
-CLAIM_IDS = {
-    "T1": "T1.ball",
-    "C1": "C1.extremal",
-    "C2": "C2.convexity",
-    "C3": "C3.monotonicity",
-    "T2": "T2.conservation",
-    "A2": "A2.entropic",
-}
 CHECK_ORDER = ("C1", "T1", "C2", "C3", "T2", "A2")
 SAMPLERS = ("haar-pure", "ginibre-mixed", "named-family")
 
@@ -47,15 +39,6 @@ DEFAULT_TOLERANCES = {
     "mono_report": EPS_MONO_REPORT,
     "traj": EPS_TRAJ,
     "mi": EPS_MI,
-}
-
-DEFAULT_TRIALS = {
-    "C1": 0,       # fixed anchor list, no sampling
-    "T1": 1000,
-    "C2": 100,     # state pairs
-    "C3": 200,     # states (each hit by channels_per_state channels)
-    "T2": 100,     # local trials; the global family reuses the count
-    "A2": 1000,
 }
 
 # C2's mixing weights: the endpoints 0 and 1 and three interior mixtures.
@@ -102,12 +85,9 @@ def check_tolerances(tolerances: dict) -> dict:
 
 
 def check_campaign_dims(dims: tuple[int, ...]) -> tuple[int, ...]:
-    """Campaign dims: at most MAX_DIM in all, dims a profile takes, a d_A >= 2."""
-    dims = resources.check_profile_dims(
+    """Campaign dims: at most MAX_DIM in all, dims a profile takes (the generator checks d_A)."""
+    return resources.check_profile_dims(
         dims, linalg.check_size(math.prod(dims), "the campaign dims"))
-    if dims[0] < 2:  # every generator acts on A
-        raise ValueError(f"generator needs dimension >= 2, got {dims[0]}")
-    return dims
 
 
 @dataclass
@@ -154,8 +134,9 @@ class CampaignConfig:
         return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
 
     def n_trials(self, check: str) -> int:
-        n = DEFAULT_TRIALS[check] if self.trials is None else int(self.trials)
-        if n < 1 and check != "C1":
+        default = CLAIMS[check][2]  # a check whose default count is 0 draws nothing
+        n = default if self.trials is None else int(self.trials)
+        if n < 1 and default:
             raise ValueError(f"trials must be >= 1, got {n}")
         return n
 
@@ -262,14 +243,15 @@ class _Tally:
         return out
 
 
-def _report(claim: str, cfg: CampaignConfig, tolerances: tuple[str, ...], trials: int,
-            violations: int, report_only: int, stats: dict, worst: _Tally,
+def _report(claim: str, cfg: CampaignConfig, trials: int, violations: int,
+            report_only: int, stats: dict, worst: _Tally,
             verdict: str | None = None) -> ClaimReport:
-    """A check's report, echoing the named tolerances in order and the
+    """A check's report, echoing the claim's tolerances in order and the
     witness of ``worst``. A hard check holds within tolerance when it has no
     violations and is violated otherwise; a finding passes its ``verdict``."""
     verdict = verdict or ("violated" if violations else "holds-within-tolerance")
-    return ClaimReport(CLAIM_IDS[claim], verdict, trials, violations, report_only,
+    report_id, _, _, tolerances = CLAIMS[claim]
+    return ClaimReport(report_id, verdict, trials, violations, report_only,
                        {name: cfg.tolerance(name) for name in tolerances}, cfg.seed,
                        stats, worst.witness())
 
@@ -317,7 +299,7 @@ def check_extremals(cfg: CampaignConfig) -> ClaimReport:
                      "q2": prof.q2, "q3": prof.q3, "norm": prof.norm,
                      "deviation": float(dev)})
         worst.add(dev, state, dev, prof, anchor=name)
-    return _report("C1", cfg, ("extremal",), len(anchors), worst.count, 0,
+    return _report("C1", cfg, len(anchors), worst.count, 0,
                    {"anchors": rows, "max_deviation": float(worst.max)}, worst)
 
 
@@ -346,7 +328,7 @@ def check_qirc_ball(cfg: CampaignConfig) -> tuple[ClaimReport, list[dict]]:
                       trial=i, stream=i)
     stats = {"max_norm": float(worst.max), "mean_norm": worst.sum / n,
              "violation_trials": violations}
-    return _report("T1", cfg, ("ball",), n, len(violations), len(violations), stats, worst,
+    return _report("T1", cfg, n, len(violations), len(violations), stats, worst,
                    "report-only"), cloud
 
 
@@ -400,9 +382,8 @@ def check_convexity(cfg: CampaignConfig) -> ClaimReport:
     stats = {"pairs": n_pairs, "lambda_grid": list(LAMBDAS),
              "endpoint_mismatches": endpoint_mismatches, "max_mixture_norm": float(worst.max),
              "max_segment_deviation": float(max_segment_dev)}
-    return _report("C2", cfg, ("ball",), n_pairs * len(LAMBDAS), ball_violations,
-                   ball_violations, stats, worst,
-                   "violated" if endpoint_mismatches else "report-only")
+    return _report("C2", cfg, n_pairs * len(LAMBDAS), ball_violations, ball_violations,
+                   stats, worst, "violated" if endpoint_mismatches else "report-only")
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +478,8 @@ def check_monotonicity(cfg: CampaignConfig) -> ClaimReport:
     stats = {"states": n_states, "channels_per_state": n_ch,
              **{f"{k}_increases": t.count for k, t in incs.items()},
              **{f"max_{k}_increase": float(t.max) for k, t in incs.items()}}
-    return _report("C3", cfg, ("q1_mono", "q3_mono", "mono_report"), n_states * n_ch,
-                   hard.count, sum(incs[k].count for k in ("q1", "q3", "norm")), stats,
+    return _report("C3", cfg, n_states * n_ch, hard.count,
+                   sum(incs[k].count for k in ("q1", "q3", "norm")), stats,
                    hard if hard.count else margins)
 
 
@@ -547,7 +528,7 @@ def check_conservation(cfg: CampaignConfig) -> ClaimReport:
              "global_trials": n, "global_max_drift": float(glob.max),
              "global_mean_abs_drift": glob.sum / n, "global_exceed_count": glob.count}
     # The global witness replaces the local one only when strictly larger.
-    return _report("T2", cfg, ("traj",), 2 * n, local.count, glob.count, stats,
+    return _report("T2", cfg, 2 * n, local.count, glob.count, stats,
                    glob if glob.max > local.max else local)
 
 
@@ -588,7 +569,7 @@ def check_entropic_bounds(cfg: CampaignConfig) -> ClaimReport:
     stats = {"max_mi_gap": float(mi.max), "anchor_saturation_gap": float(anchor_gap),
              "q1q2_bound_violations": h1.count, "q1q2_bound_max_excess": float(h1.max),
              "fisher_bound_violations": h2.count, "fisher_bound_max_excess": float(h2.max)}
-    return _report("A2", cfg, ("mi",), n + 1, mi.count, h1.count + h2.count, stats, mi)
+    return _report("A2", cfg, n + 1, mi.count, h1.count + h2.count, stats, mi)
 
 
 # ---------------------------------------------------------------------------
@@ -606,13 +587,29 @@ def normalize_claim_id(claim: str) -> str:
         f"unknown claim {claim!r}; known: {', '.join(CLAIM_IDS.values())}")
 
 
-_CHECKS = {"C1": check_extremals, "T1": check_qirc_ball, "C2": check_convexity,
-           "C3": check_monotonicity, "T2": check_conservation,
-           "A2": check_entropic_bounds}
-
-
 def run_check(claim: str, cfg: CampaignConfig) -> tuple[ClaimReport, list[dict] | None]:
     """Run one check; the T1 campaign also returns its point cloud."""
     short = normalize_claim_id(claim)
-    out = _CHECKS[short](cfg)
+    out = CLAIMS[short][1](cfg)
     return out if short == "T1" else (out, None)
+
+
+def check_anchor_dims(claim: str, d_a: int) -> None:
+    """C1, C2 and A2 score fixed qubit anchors, so they run at d_A = 2 alone."""
+    if claim in ("C1", "C2", "A2") and d_a != 2:
+        raise ValueError(f"{CLAIM_IDS[claim]}: its anchors are qubit states, "
+                         f"so it needs d_A = 2, got {d_a}")
+
+
+# Each claim: its report id, check, default trial count (C2's counts state pairs, C3's
+# states, each hit by channels_per_state channels, T2's local trials, which the global
+# family reuses) and the tolerances its report echoes, in order.
+CLAIMS = {
+    "T1": ("T1.ball", check_qirc_ball, 1000, ("ball",)),
+    "C1": ("C1.extremal", check_extremals, 0, ("extremal",)),
+    "C2": ("C2.convexity", check_convexity, 100, ("ball",)),
+    "C3": ("C3.monotonicity", check_monotonicity, 200, ("q1_mono", "q3_mono", "mono_report")),
+    "T2": ("T2.conservation", check_conservation, 100, ("traj",)),
+    "A2": ("A2.entropic", check_entropic_bounds, 1000, ("mi",)),
+}
+CLAIM_IDS = {short: claim[0] for short, claim in CLAIMS.items()}

@@ -134,11 +134,12 @@ CLOUD_HEADER = ("trial", "stream", "q1", "q2", "q3", "norm", "q1_raw",
 
 
 def _campaign_config(args) -> CampaignConfig:
-    # Each error names its option: the tolerances and the dims are checked first,
-    # so the first config is built on the run's dims and generator, and no other.
+    # Each error names its option; a d_A of 1, which no generator acts on, is an error of --dims.
+    # Tolerances and dims come first, so the first config is built on the run's dims and generator.
     tolerances = _named("--tol", lambda: claims.check_tolerances(_parse_tolerances(args.tol)))
     dims = _named(f"--dims {args.dims}", lambda: claims.check_campaign_dims(
         tuple(int(d) for d in args.dims.split(","))))
+    _named(f"--dims {args.dims}", lambda: resolve_generator("default", dims[0]))
     cfg = _named(f"--generator {args.generator}", lambda: CampaignConfig(
         tolerances=tolerances, trials=args.trials, dims=dims, q2_mode=args.q2_mode,
         channels_per_state=args.channels, generator=args.generator))
@@ -154,10 +155,11 @@ def cmd_check(args) -> int:
     shorts = (list(claims.CHECK_ORDER) if any(c.lower() == "all" for c in requested)
               else [claims.normalize_claim_id(c) for c in requested])
     cfg = _campaign_config(args)
-    for short in shorts:  # every count is checked before the first artifact is written
-        cfg.n_trials(short)
+    for short in shorts:  # each claim's settings are checked before the first artifact
+        claims.check_anchor_dims(short, cfg.dims[0])
+        _named(f"--trials {args.trials}", lambda: cfg.n_trials(short))
     if "C3" in shorts:
-        cfg.n_channels()
+        _named(f"--channels {args.channels}", cfg.n_channels)
     echo = _config_echo(args, "check",
                         ["claims", "sampler", "trials", "dims", "q2_mode",
                          "generator", "seed", "family", "rank", "channels",

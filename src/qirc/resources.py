@@ -54,32 +54,23 @@ class FidelityBreakdown:
     f_max_gap: float
     f_choi_gap: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class ResourceProfile:
+    """Fields in the order artifacts print them; a profile compares and hashes by them."""
+
     q1: float
     q2: float
     q3: float
     norm: float
-    breakdown: FidelityBreakdown
     q2_mode: str
-    generator: CoherenceGenerator
+    breakdown: FidelityBreakdown
 
     def coords(self) -> tuple[float, float, float]:
         return (self.q1, self.q2, self.q3)
 
     def to_dict(self) -> dict:
-        return {
-            "q1": self.q1,
-            "q2": self.q2,
-            "q3": self.q3,
-            "norm": self.norm,
-            "q2_mode": self.q2_mode,
-            "breakdown": self.breakdown.to_dict(),
-        }
+        return asdict(self)
 
 
 Q2_MODES = ("transfer", "singlet-ac")
@@ -398,8 +389,8 @@ def profile_batch(rho: np.ndarray, dims: tuple[int, ...],
     norm = q1 * q1 + q2 * q2 + q3 * q3
     cols = zip(*(np.broadcast_to(c, n).tolist() for c in (
         q1, q2, q3, norm, f_ab, f_tele, f_trans, f_q, q1_raw, q2_raw, gap_ab, gap_choi)))
-    return [ResourceProfile(a, b, c, nm, FidelityBreakdown(
-                fm, ft, fr, fq, g.spread ** 2, r1, r2, d_a, g1, g2), cfg.q2_mode, g)
+    return [ResourceProfile(a, b, c, nm, cfg.q2_mode, FidelityBreakdown(
+                fm, ft, fr, fq, g.spread ** 2, r1, r2, d_a, g1, g2))
             for a, b, c, nm, fm, ft, fr, fq, r1, r2, g1, g2 in cols]
 
 

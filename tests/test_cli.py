@@ -259,8 +259,8 @@ class TestCheckCommand:
         # zero counts, and named-family configs whose states the generator and
         # C3's channels cannot act on, are rejected before the first check
         # writes its artifact
-        cases = [(["C1", "C3", "--channels", "0"], "channels per state"),
-                 (["all", "--trials", "0"], "trials must be >= 1"),
+        cases = [(["C1", "C3", "--channels", "0"], "--channels 0: channels per state"),
+                 (["all", "--trials", "0"], "--trials 0: trials must be >= 1"),
                  (["all", "--sampler", "named-family", "--trials", "3"],
                   "--family: the named-family sampler needs a family name"),
                  (["all", "--sampler", "named-family", "--family", "nope"],
@@ -268,6 +268,10 @@ class TestCheckCommand:
         cases += [([claim, "--sampler", "named-family", "--family", "classical:3"],
                    "--family: family 'classical:3' has d_A = 3, the dims have d_A = 2")
                   for claim in ("T1", "C2", "C3", "T2")]
+        # qubit anchors, which a qudit run would reach only after T1 wrote its artifacts
+        cases += [(["T1", claim, "--dims", "3,3,3", "--trials", "2"],
+                   f"{claims.CLAIM_IDS[claim]}: its anchors are qubit states, so it needs "
+                   "d_A = 2, got 3") for claim in ("C1", "C2", "A2")]
         # settings the sampler never reads, and negative seeds, which every
         # check would otherwise reach only when it draws
         cases += [(["T1", "--family", "ghz", "--trials", "2"],

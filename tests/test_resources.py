@@ -768,7 +768,13 @@ class TestProfileBatch:
             rows = profile_batch(np.array([rhos[k].matrix for k in order]), dims, cfg)
             assert [_bits(p) for p in rows] == [_bits(alone[k]) for k in order]
             assert all(p.q2_mode == mode for p in rows)
-            assert all(np.array_equal(p.generator.h, alone[0].generator.h) for p in rows)
+            assert rows == [alone[k] for k in order]  # profiles compare by their fields
+
+    def test_profiles_compare_as_values(self):
+        # equal fields compare and hash equal; the q2 reading is one of the fields
+        assert profile(states.ghz()) == profile(states.ghz())
+        assert len({profile(states.ghz()), profile(states.ghz())}) == 1
+        assert profile(states.ghz()) != profile(states.ghz(), ProfileConfig(q2_mode="singlet-ac"))
 
     def test_dims_are_checked_against_the_stack(self):
         stack = states.ghz().matrix[None]

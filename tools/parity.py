@@ -127,6 +127,12 @@ COMMANDS = [
     "profile --family w --generator bogus",
     "sweep werner --grid 0:1:3 --generator diag:1,1",
     "evolve --family w --schedule schedule.json --generator bogus",
+    # An unknown claim, a d_A no generator acts on, C1's zero default count, and
+    # a generator spec other than the default.
+    "check Z9",
+    "check T1 --dims 1,1,1 --trials 2",
+    "check C1 --trials 0 --out out",
+    "check T1 C1 --generator sigma-z --trials 3 --out out",
 ]
 
 
