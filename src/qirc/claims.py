@@ -1,5 +1,6 @@
 """Falsification harness: each structural claim becomes a seeded, tolerance-
-parameterized check that emits a ClaimReport.
+parameterized check that emits a ClaimReport, at any d_A with d_A^3 <= MAX_DIM
+(C1, C2 and A2 build their anchors at d_A from the generator, ``_anchors``).
 
 Two verdict tiers keep mathematics and conjecture apart. Hard-assertion
 checks (extremal anchors, q3 monotonicity under generator-covariant
@@ -260,36 +261,37 @@ def _report(claim: str, cfg: CampaignConfig, trials: int, violations: int,
 # C1: extremal anchors
 
 
-def _spectators() -> list[tuple[str, DensityMatrix]]:
-    return [
-        ("pure", states.basis_state(2, 0)),
-        ("mixed", DensityMatrix(np.diag([0.75, 0.25]).astype(complex), (2,))),
-        ("maximally-mixed", states.maximally_mixed(2)),
-    ]
+def _anchors(g: CoherenceGenerator) -> tuple[DensityMatrix, DensityMatrix]:
+    """On C^d, d = g.dim: the maximally entangled pair, which gives q1 = 1 on
+    A,B and q2 = 1 on A,C, and the equal superposition of g's extreme
+    eigenvectors, which gives q3 = 1 on A."""
+    v = g.eigen.vectors
+    return states.bell_pair(g.dim), states.ket_projector(v[:, -1] + v[:, 0], (g.dim,))
 
 
-def _extremal_anchors() -> list[tuple[str, DensityMatrix, tuple[float, float, float]]]:
-    anchors = []
-    for tag, spec in _spectators():
-        anchors.append((f"bell-spectator/{tag}", states.bell_spectator(spec), (1.0, 0.0, 0.0)))
-    anchors.append(("bell-ac/trivial-B", states.bell_ac(), (0.0, 1.0, 0.0)))
-    for tag, spec in _spectators():
-        anchors.append((f"bell-ac/{tag}", states.bell_ac(spec), (0.0, 1.0, 0.0)))
-    bc_pure = states.compose_product(states.basis_state(2, 0), states.basis_state(2, 0))
-    bc_mixed = states.compose_product(
-        DensityMatrix(np.diag([0.75, 0.25]).astype(complex), (2,)),
-        DensityMatrix(np.diag([0.6, 0.4]).astype(complex), (2,)))
-    bc_max = states.maximally_mixed(4, dims=(2, 2))
-    for tag, spec in [("pure", bc_pure), ("mixed", bc_mixed), ("maximally-mixed", bc_max)]:
-        anchors.append((f"coherent-spectator/{tag}", states.coherent_spectator(spec),
-                        (0.0, 0.0, 1.0)))
-    return anchors
+def _extremal_anchors(g: CoherenceGenerator) -> list[tuple[str, DensityMatrix, tuple]]:
+    """Each of g's anchors beside pure, mixed and maximally mixed spectators on C^d (two
+    on the q3 anchor's B,C), the A,C pair also beside a trivial B. At d = 2 the mixed
+    spectators are diag(0.75, 0.25) and diag(0.6, 0.4)."""
+    (pair, coherent), d, k = _anchors(g), g.dim, np.arange(g.dim)
+    mixed = [DensityMatrix(np.diag(w).astype(complex), (d,))
+             for w in ((2 * (d - k) - 1) / d ** 2, (d + 1 - k) / np.sum(d + 1 - k))]
+    spectators = [("pure", *2 * [states.basis_state(d, 0)]), ("mixed", *mixed),
+                  ("maximally-mixed", *2 * [states.maximally_mixed(d)])]
+    return ([(f"bell-spectator/{tag}", states.compose_product(pair, c), (1.0, 0.0, 0.0))
+             for tag, c, _ in spectators]
+            + [(f"bell-ac/{tag}", states.bell_ac(b, d), (0.0, 1.0, 0.0))
+               for tag, b, _ in [("trivial-B", None, None), *spectators]]
+            + [(f"coherent-spectator/{tag}",
+                states.compose_product(coherent, states.compose_product(b, c)), (0.0, 0.0, 1.0))
+               for tag, b, c in spectators])
 
 
 def check_extremals(cfg: CampaignConfig) -> ClaimReport:
-    """The three axis points are reached by the named anchor families."""
+    """The three axis points are reached at d_A by the generator's anchors
+    (``_anchors``), each beside pure, mixed and maximally mixed spectators."""
     pc = cfg.profile_config()
-    anchors = _extremal_anchors()
+    anchors = _extremal_anchors(pc.generator)
     rows = []
     worst = _Tally(cfg.tolerance("extremal"), floor=-1.0)
     for (name, state, target), prof in zip(anchors, profiles([a[1] for a in anchors], pc)):
@@ -346,7 +348,9 @@ def check_convexity(cfg: CampaignConfig) -> ClaimReport:
     w = 2 + len(LAMBDAS)  # a pair is scored as its endpoints and mixtures, in a row
     # The anchor pair is the first chunk. Each later chunk draws its own whole
     # pairs: pair k is endpoints 2k and 2k + 1 of the pair streams.
-    anchor = [("anchor", states.bell_spectator(), states.coherent_spectator())]
+    (pair, coherent), d = _anchors(pc.generator), cfg.dims[0]
+    anchor = [("anchor", states.compose_product(pair, states.maximally_mixed(d)),
+               states.compose_product(coherent, states.maximally_mixed(d * d, (d, d))))]
     sampled = ([(f"sampled[{(trials.start + r) // 2}]",
                  *(DensityMatrix._derived(m, dims) for m in stack[r:r + 2]))
                 for r in range(0, len(stack), 2)] for trials, stack, dims in
@@ -419,7 +423,6 @@ def check_monotonicity(cfg: CampaignConfig) -> ClaimReport:
     n_states, n_ch = cfg.n_trials("C3"), cfg.n_channels()
     pc, d_a = cfg.profile_config(), cfg.dims[0]
     g = pc.generator
-    linalg.check_size(d_a ** 3, "a C3 Haar channel's isometry")  # Kraus rank up to d_A^2
     # Increases per coordinate under Haar channels, then under covariant ones.
     incs = {"q1": _Tally(tol_q1), "q3": _Tally(tol_q3), "q2": _Tally(tol_rep),
             "norm": _Tally(tol_rep), "covariant_q3": _Tally(tol_q3)}
@@ -546,7 +549,7 @@ def check_entropic_bounds(cfg: CampaignConfig) -> ClaimReport:
     log_d = float(np.log(cfg.dims[0]))
 
     mi, h1, h2 = (_Tally(cfg.tolerance("mi"), floor=-np.inf) for _ in range(3))
-    anchor = states.compose_product(states.bell_pair(), states.basis_state(2, 0))
+    anchor = states.compose_product(_anchors(g)[0], states.basis_state(g.dim, 0))
     groups = [(["anchor"], anchor.matrix[None], anchor.dims)]
     groups += ((map(str, trials), stack, dims) for trials, stack, dims
                in _samples(cfg, n, pure_only=True))
@@ -590,15 +593,16 @@ def normalize_claim_id(claim: str) -> str:
 def run_check(claim: str, cfg: CampaignConfig) -> tuple[ClaimReport, list[dict] | None]:
     """Run one check; the T1 campaign also returns its point cloud."""
     short = normalize_claim_id(claim)
+    check_claim_dims(short, cfg.dims[0])
     out = CLAIMS[short][1](cfg)
     return out if short == "T1" else (out, None)
 
 
-def check_anchor_dims(claim: str, d_a: int) -> None:
-    """C1, C2 and A2 score fixed qubit anchors, so they run at d_A = 2 alone."""
-    if claim in ("C1", "C2", "A2") and d_a != 2:
-        raise ValueError(f"{CLAIM_IDS[claim]}: its anchors are qubit states, "
-                         f"so it needs d_A = 2, got {d_a}")
+def check_claim_dims(claim: str, d_a: int) -> None:
+    """C1, C2 and A2 score anchors on (d_A, d_A, d_A), and C3 draws Haar channels of
+    Kraus rank up to d_A^2 from isometries of d_A^3 rows: each needs d_A^3 <= MAX_DIM."""
+    if claim in ("C1", "C2", "C3", "A2"):
+        linalg.check_size(d_a ** 3, f"the d_A^3 rows of {CLAIM_IDS[claim]}")
 
 
 # Each claim: its report id, check, default trial count (C2's counts state pairs, C3's

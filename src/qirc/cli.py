@@ -156,7 +156,7 @@ def cmd_check(args) -> int:
               else [claims.normalize_claim_id(c) for c in requested])
     cfg = _campaign_config(args)
     for short in shorts:  # each claim's settings are checked before the first artifact
-        claims.check_anchor_dims(short, cfg.dims[0])
+        _named(f"--dims {args.dims}", lambda: claims.check_claim_dims(short, cfg.dims[0]))
         _named(f"--trials {args.trials}", lambda: cfg.n_trials(short))
     if "C3" in shorts:
         _named(f"--channels {args.channels}", cfg.n_channels)

@@ -117,9 +117,9 @@ def max_entangled_ket(d: int) -> np.ndarray:
     return np.eye(d, dtype=complex).reshape(d * d) / np.sqrt(d)
 
 
-def bell_pair() -> DensityMatrix:
-    """Projector onto (|00> + |11>)/sqrt(2)."""
-    return ket_projector(np.array([1, 0, 0, 1]), (2, 2))
+def bell_pair(d: int = 2) -> DensityMatrix:
+    """Projector onto ``max_entangled_ket(d)``, (|00> + |11>)/sqrt(2) at d = 2."""
+    return ket_projector(max_entangled_ket(d), (d, d))
 
 
 def werner(p: float) -> DensityMatrix:
@@ -234,26 +234,20 @@ def ginibre_mixed(d: int, rank: int, seed: Seed) -> DensityMatrix:
 
 # Tripartite assemblies used by the named families and the claim checks.
 
-def bell_spectator(spectator: DensityMatrix | None = None) -> DensityMatrix:
-    """Bell pair on A,B with an uncorrelated spectator on C."""
-    if spectator is None:
-        spectator = maximally_mixed(2)
-    return compose_product(bell_pair(), spectator)
+def bell_spectator() -> DensityMatrix:
+    """Bell pair on A,B with a maximally mixed spectator on C."""
+    return compose_product(bell_pair(), maximally_mixed(2))
 
 
-def bell_ac(spectator_b: DensityMatrix | None = None) -> DensityMatrix:
-    """Bell pair across A and C; B is a spectator (trivial if omitted)."""
+def bell_ac(spectator_b: DensityMatrix | None = None, d: int = 2) -> DensityMatrix:
+    """``bell_pair(d)`` across A and C; B is a spectator (trivial if omitted)."""
     if spectator_b is None:
-        return bell_pair().reshaped((2, 1, 2))
-    acb = compose_product(bell_pair(), spectator_b)  # ordering (A, C, B)
+        return bell_pair(d).reshaped((d, 1, d))
+    acb = compose_product(bell_pair(d), spectator_b)  # ordering (A, C, B)
     m = linalg.permute_subsystems(acb.matrix, acb.dims, [0, 2, 1])
-    return DensityMatrix._derived(m, (2, spectator_b.dim, 2))
+    return DensityMatrix._derived(m, (d, spectator_b.dim, d))
 
 
-def coherent_spectator(spectator_bc: DensityMatrix | None = None) -> DensityMatrix:
-    """|+><+| on A with an uncorrelated spectator on B,C."""
-    if spectator_bc is None:
-        spectator_bc = maximally_mixed(4, dims=(2, 2))
-    if len(spectator_bc.dims) == 1:
-        raise ValueError("spectator for B,C must carry two subsystem dims")
-    return compose_product(plus_state(), spectator_bc)
+def coherent_spectator() -> DensityMatrix:
+    """|+><+| on A with a maximally mixed spectator on B,C."""
+    return compose_product(plus_state(), maximally_mixed(4, dims=(2, 2)))

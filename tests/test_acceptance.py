@@ -9,6 +9,7 @@ import json
 import time
 
 import numpy as np
+import pytest
 
 from qirc import channels, resources, states
 from qirc.claims import CampaignConfig, check_conservation, check_entropic_bounds, \
@@ -30,17 +31,23 @@ def _report(criterion: str, ok: bool, detail: str = "") -> None:
     assert ok, f"{criterion}{suffix}"
 
 
-def test_criterion_1_extremal_anchors():
-    """check C1 reaches (1,0,0), (0,1,0), (0,0,1) within 1e-6 in < 10 s."""
+@pytest.mark.parametrize("d, q2_mode, generator",
+                         [(d, mode, "default") for d in (2, 3, 4)
+                          for mode in ("transfer", "singlet-ac")]
+                         + [(3, "transfer", "diag:1,1,-2")])
+def test_criterion_1_extremal_anchors(d, q2_mode, generator):
+    """check C1 reaches (1,0,0), (0,1,0), (0,0,1) within 1e-6 in < 10 s, at
+    every d_A, under both q2 readings and a generator with a degenerate level."""
     t0 = time.monotonic()
-    report = check_extremals(CampaignConfig(seed=SEED))
+    report = check_extremals(CampaignConfig(seed=SEED, dims=(d, d, d), q2_mode=q2_mode,
+                                            generator=generator))
     elapsed = time.monotonic() - t0
     targets = {tuple(a["target"]) for a in report.stats["anchors"]}
     ok = (report.violations == 0
           and report.stats["max_deviation"] <= 1e-6
           and targets == {(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)}
           and elapsed < 10.0)
-    _report("1 extremal anchors", ok,
+    _report(f"1 extremal anchors at d_A = {d}, {q2_mode}, {generator}", ok,
             f"max deviation {report.stats['max_deviation']:.2e}, {elapsed:.1f}s")
 
 

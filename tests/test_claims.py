@@ -559,6 +559,18 @@ class TestDispatch:
         report, cloud = run_check("C1", small())
         assert cloud is None
 
+    def test_run_check_takes_the_anchors_at_d_a(self):
+        # C1, C2 and A2 build their anchors on (d_A, d_A, d_A)
+        for claim in ("C1", "C2", "A2"):
+            report, _ = run_check(claim, small(trials=2, dims=(3, 3, 3)))
+            assert report.verdict != "violated"
+        # anchors and C3's Haar isometries of d_A^3 = 4913 rows are rejected before
+        # anything is drawn
+        for claim in ("C1", "C2", "C3", "A2"):
+            with pytest.raises(ValueError, match=f"4913 of the d_A\\^3 rows of "
+                                                 f"{claims.CLAIM_IDS[claim]}"):
+                run_check(claim, small(trials=1, channels_per_state=1, dims=(17, 1, 17)))
+
     def test_reports_are_serializable(self):
         import json
         from qirc import serialize

@@ -13,7 +13,7 @@ import qirc
 from qirc import claims, cli, resources, serialize, states
 from qirc.cli import main
 from qirc.linalg import MAX_DIM
-from qirc.tolerances import EPS_CERT
+from qirc.tolerances import EPS_CERT, EPS_MI
 
 from conftest import near_product_ket
 
@@ -268,10 +268,12 @@ class TestCheckCommand:
         cases += [([claim, "--sampler", "named-family", "--family", "classical:3"],
                    "--family: family 'classical:3' has d_A = 3, the dims have d_A = 2")
                   for claim in ("T1", "C2", "C3", "T2")]
-        # qubit anchors, which a qudit run would reach only after T1 wrote its artifacts
-        cases += [(["T1", claim, "--dims", "3,3,3", "--trials", "2"],
-                   f"{claims.CLAIM_IDS[claim]}: its anchors are qubit states, so it needs "
-                   "d_A = 2, got 3") for claim in ("C1", "C2", "A2")]
+        # anchors on (d_A, d_A, d_A) and C3's Haar isometries have d_A^3 = 4913 rows,
+        # which a run would reach only after T1 wrote its artifacts
+        cases += [(["T1", claim, "--dims", "17,1,17", "--trials", "1", "--channels", "1"],
+                   "--dims 17,1,17: total dimension 4913 of the d_A^3 rows of "
+                   f"{claims.CLAIM_IDS[claim]} exceeds MAX_DIM")
+                  for claim in ("C1", "C2", "C3", "A2")]
         # settings the sampler never reads, and negative seeds, which every
         # check would otherwise reach only when it draws
         cases += [(["T1", "--family", "ghz", "--trials", "2"],
@@ -350,6 +352,15 @@ class TestCheckCommand:
             assert code == 2
             assert f"--dims {dims}:" in err and message in err
             assert not out.exists() or not any(out.iterdir())
+
+    def test_qudit_anchors_exit_0(self, capsys):
+        # C1, C2 and A2 build their anchors at d_A = 3
+        code, out, _ = run(capsys, "check", "all", "--dims", "3,3,3", "--trials", "4",
+                           "--channels", "3")
+        assert code == 0
+        docs = {doc["claim_id"]: doc for doc in json.loads(out)}
+        assert docs["C1.extremal"]["verdict"] == "holds-within-tolerance"
+        assert docs["A2.entropic"]["stats"]["anchor_saturation_gap"] <= EPS_MI
 
     def test_oversized_c3_isometry_exits_2(self, capsys):
         # Kraus rank up to 17^2 on d_A = 17 needs a 4913-dimensional Haar unitary

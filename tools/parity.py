@@ -133,6 +133,11 @@ COMMANDS = [
     "check T1 --dims 1,1,1 --trials 2",
     "check C1 --trials 0 --out out",
     "check T1 C1 --generator sigma-z --trials 3 --out out",
+    # The q3 anchor is built from the generator's extreme eigenvectors, and the
+    # maximally entangled pair from d_A: other generators, and a qudit run.
+    "check C1 C2 A2 --trials 5 --generator diag:3,1 --out out",
+    "check C1 C2 A2 --trials 5 --generator sigma-z --q2-mode singlet-ac --out out",
+    "check C1 C2 A2 --dims 3,3,3 --trials 4 --out out",
 ]
 
 
