@@ -309,6 +309,10 @@ def check_extremals(cfg: CampaignConfig) -> ClaimReport:
 # T1: ball membership campaign
 
 
+# The columns of T1's cloud rows, in the order its CSV prints them.
+CLOUD_HEADER = ("trial", "stream", "q1", "q2", "q3", "norm", "q1_raw", "q2_raw", "f_max", "f_q")
+
+
 def check_qirc_ball(cfg: CampaignConfig) -> tuple[ClaimReport, list[dict]]:
     """Sample states and record where their profiles land relative to the
     unit ball. Report-only: excursions past 1 are findings."""
@@ -321,9 +325,8 @@ def check_qirc_ball(cfg: CampaignConfig) -> tuple[ClaimReport, list[dict]]:
     for trials, stack, dims in _samples(cfg, n):
         for i, m, prof in zip(trials, stack, resources.profile_batch(stack, dims, pc)):
             b = prof.breakdown
-            cloud.append({"trial": i, "stream": i, "q1": prof.q1, "q2": prof.q2,
-                          "q3": prof.q3, "norm": prof.norm, "q1_raw": b.q1_raw,
-                          "q2_raw": b.q2_raw, "f_max": b.f_max, "f_q": b.f_q})
+            cloud.append(dict(zip(CLOUD_HEADER, (i, i, prof.q1, prof.q2, prof.q3, prof.norm,
+                                                 b.q1_raw, b.q2_raw, b.f_max, b.f_q))))
             if prof.norm > 1.0 + tol:
                 violations.append(i)
             worst.add(prof.norm, DensityMatrix._derived(m, dims), prof.norm - 1.0, prof,

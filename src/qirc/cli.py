@@ -85,7 +85,13 @@ def cmd_profile(args) -> int:
 # ---------------------------------------------------------------------------
 # sweep
 
-SWEEP_FAMILIES = ("werner", "depolarize-bell", "gibbs-beta")
+# Each sweep family: its state at one grid value, given the --coupling.
+SWEEPS = {
+    "werner": lambda value, coupling: families.build(f"werner:{value}"),
+    "depolarize-bell": lambda value, coupling: apply(depolarizing(2, value),
+                                                     states.bell_spectator(), 0),
+    "gibbs-beta": lambda value, coupling: families.build(f"gibbs:{value}:{coupling}"),
+}
 SWEEP_HEADER = ("param", "q1", "q2", "q3", "norm", "q1_raw", "q2_raw",
                 "f_max", "f_tele", "f_trans", "f_q", "f_q_max")
 
@@ -101,21 +107,11 @@ def _parse_grid(spec: str) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def _sweep_state(family: str, value: float, coupling: float) -> states.DensityMatrix:
-    if family == "werner":
-        return families.build(f"werner:{value}")
-    if family == "depolarize-bell":
-        return apply(depolarizing(2, float(value)), states.bell_spectator(), 0)
-    if family == "gibbs-beta":
-        return families.build(f"gibbs:{value}:{coupling}")
-    raise ValueError(f"unknown sweep family {family!r}; known: {', '.join(SWEEP_FAMILIES)}")
-
-
 def cmd_sweep(args) -> int:
     grid = _parse_grid(args.grid)
     echo = _config_echo(args, "sweep",
                         ["family", "grid", "coupling", "q2_mode", "generator"])
-    grid_states = [_sweep_state(args.family, float(value), args.coupling) for value in grid]
+    grid_states = [SWEEPS[args.family](float(value), args.coupling) for value in grid]
     profs = resources.profiles(grid_states, _profile_config(args, grid_states[0].dims[0]))
     rows = [(float(v), p.q1, p.q2, p.q3, p.norm,
              *(getattr(p.breakdown, k) for k in SWEEP_HEADER[5:]))
@@ -128,10 +124,6 @@ def cmd_sweep(args) -> int:
 
 # ---------------------------------------------------------------------------
 # check
-
-CLOUD_HEADER = ("trial", "stream", "q1", "q2", "q3", "norm", "q1_raw",
-                "q2_raw", "f_max", "f_q")
-
 
 def _campaign_config(args) -> CampaignConfig:
     # Each error names its option; a d_A of 1, which no generator acts on, is an error of --dims.
@@ -181,9 +173,9 @@ def cmd_check(args) -> int:
         if out_dir:
             (out_dir / f"{report.claim_id}.json").write_text(texts[-1], encoding="utf-8")
             if cloud is not None:
-                rows = [tuple(r[k] for k in CLOUD_HEADER) for r in cloud]
+                rows = [tuple(r.values()) for r in cloud]
                 lines = serialize.csv_lines(
-                    CLOUD_HEADER, rows,
+                    claims.CLOUD_HEADER, rows,
                     comments=[f"config: {serialize.dumps_compact(echo)}"])
                 (out_dir / f"{report.claim_id}.cloud.csv").write_text(
                     "\n".join(lines) + "\n", encoding="utf-8")
@@ -308,13 +300,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile", help="profile one state")
     p.add_argument("--family", default=None,
-                   help=f"one of: {', '.join(families.FAMILY_NAMES)}")
+                   help=f"one of: {families.KNOWN}")
     p.add_argument("--state", default=None, help="state JSON file")
     _add_common(p)
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("sweep", help="profile a one-parameter family over a grid")
-    p.add_argument("family", choices=list(SWEEP_FAMILIES))
+    p.add_argument("family", choices=list(SWEEPS))
     p.add_argument("--grid", default="0:1:21", help="START:STOP:COUNT")
     p.add_argument("--coupling", type=float, default=1.0,
                    help="pair coupling for gibbs-beta")

@@ -17,7 +17,7 @@ def _check_unitary(m: np.ndarray) -> np.ndarray:
     m = linalg.as_complex(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"unitary must be square, got shape {m.shape}")
-    resid = linalg.frobenius(linalg.dagger(m) @ m - np.eye(m.shape[0]))
+    resid = np.linalg.norm(linalg.dagger(m) @ m - np.eye(m.shape[0]))
     if resid > EPS_UNITARY:
         raise ValueError(f"matrix is not unitary: ||U†U - I|| = {resid:.3e}")
     return m
@@ -62,8 +62,8 @@ def _block_commutant(g: CoherenceGenerator, d_rest: int,
         block = _haar_unitary_from_rng(len(cluster) * d_rest, rng)
         u += iso @ block @ linalg.dagger(iso)
     lifted = linalg.kron(g.h, eye)
-    resid = linalg.frobenius(u @ lifted - lifted @ u)
-    if resid > EPS_COMMUTANT * max(1.0, linalg.frobenius(lifted)):
+    resid = np.linalg.norm(u @ lifted - lifted @ u)
+    if resid > EPS_COMMUTANT * max(1.0, np.linalg.norm(lifted)):
         raise AssertionError(f"commutant construction failed: residual {resid:.3e}")
     return u
 

@@ -1,43 +1,34 @@
-"""Named tripartite state families addressable from the CLI and the checks.
-
-Family strings: ``bell-spectator``, ``bell-ac``, ``coherent-spectator``,
-``ghz``, ``w``, ``werner:<p>``, ``classical:<d>``, ``gibbs:<beta>:<J>``.
-"""
+"""Named tripartite state families addressable from the CLI and the checks,
+by family strings such as ``ghz``, ``werner:<p>`` and ``gibbs:<beta>:<J>``."""
 
 from __future__ import annotations
 
 from . import states
 
-FAMILY_NAMES = (
-    "bell-spectator", "bell-ac", "coherent-spectator", "ghz", "w",
-    "werner:<p>", "classical:<d>", "gibbs:<beta>:<J>",
-)
+# Each family: its parameter names, in the order the family string gives them,
+# and the builder that takes them as strings.
+FAMILIES = {
+    "bell-spectator": ((), states.bell_spectator),
+    "bell-ac": ((), states.bell_ac),
+    "coherent-spectator": ((), states.coherent_spectator),
+    "ghz": ((), states.ghz),
+    "w": ((), states.w_state),
+    "werner": (("p",), lambda p: states.compose_product(states.werner(float(p)),
+                                                        states.maximally_mixed(2))),
+    "classical": (("d",), lambda d: states.classical_correlated(int(d))),
+    "gibbs": (("beta", "J"), lambda beta, j: states.gibbs(float(j), float(beta))),
+}
+KNOWN = ", ".join(base + "".join(f":<{p}>" for p in params)
+                  for base, (params, _) in FAMILIES.items())
 
 
 def build(name: str) -> states.DensityMatrix:
     base, _, rest = name.partition(":")
     args = rest.split(":") if rest else []
+    params, make = FAMILIES.get(base, (None, None))
+    if params is None or len(args) != len(params):
+        raise ValueError(f"unknown family {name!r}; known families: {KNOWN}")
     try:
-        if base == "bell-spectator" and not args:
-            return states.bell_spectator()
-        if base == "bell-ac" and not args:
-            return states.bell_ac()
-        if base == "coherent-spectator" and not args:
-            return states.coherent_spectator()
-        if base == "ghz" and not args:
-            return states.ghz()
-        if base == "w" and not args:
-            return states.w_state()
-        if base == "werner" and len(args) == 1:
-            return states.compose_product(states.werner(float(args[0])),
-                                          states.maximally_mixed(2))
-        if base == "classical" and len(args) == 1:
-            return states.classical_correlated(int(args[0]))
-        if base == "gibbs" and len(args) == 2:
-            sz = states.SIGMA_Z
-            return states.gibbs(sz, sz, sz, coupling=float(args[1]),
-                                beta=float(args[0]))
+        return make(*args)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"bad parameters for family {name!r}: {exc}") from exc
-    raise ValueError(
-        f"unknown family {name!r}; known families: {', '.join(FAMILY_NAMES)}")

@@ -35,19 +35,11 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a.conj(), -1, -2)
 
 
-def frobenius(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
-
-
 def as_complex(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError("matrix contains non-finite entries")
     return m
-
-
-def is_hermitian(m: np.ndarray) -> bool:
-    return frobenius(m - dagger(m)) <= EPS_HERM * max(1.0, frobenius(m))
 
 
 def check_dims(dims: Sequence[int], dim: int) -> tuple[int, ...]:

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -287,6 +288,35 @@ class TestConvexity:
         a = check_convexity(small(trials=4)).to_dict()
         b = check_convexity(small(trials=4)).to_dict()
         assert a == b
+
+    @staticmethod
+    def _perturb(monkeypatch, index, **change):
+        # one pair, the anchor pair: its row is rho, sigma, then one mixture per lambda
+        real = claims.profiles
+
+        def perturbed(group, pc):
+            profs = real(group, pc)
+            profs[index] = dataclasses.replace(profs[index], **change)
+            return profs
+        monkeypatch.setattr(claims, "profiles", perturbed)
+
+    def test_endpoint_mismatch_is_a_hard_violation(self, monkeypatch, capsys):
+        # the lambda = 1 mixture is rho itself, so its profile must be rho's bit for bit
+        self._perturb(monkeypatch, 2 + claims.LAMBDAS.index(1.0), q1=1.0 - 1e-12)
+        report = check_convexity(small(trials=1))
+        assert report.stats["endpoint_mismatches"] == 1
+        assert report.violations == 0 and report.verdict == "violated"
+        assert cli.main(["check", "C2", "--trials", "1"]) == 1
+        assert "C2.convexity: violated" in capsys.readouterr().err
+
+    def test_interior_mixture_outside_the_ball_is_report_only(self, monkeypatch):
+        # both anchor endpoints lie in the ball; the lambda = 0.5 mixture is put outside
+        self._perturb(monkeypatch, 2 + claims.LAMBDAS.index(0.5), norm=1.5)
+        report = check_convexity(small(trials=1))
+        assert report.violations == report.report_only_violations == 1
+        assert report.stats["endpoint_mismatches"] == 0
+        assert report.stats["max_mixture_norm"] == 1.5
+        assert report.verdict == "report-only"
 
 
 class TestMonotonicity:

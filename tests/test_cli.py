@@ -244,6 +244,10 @@ class TestCheckCommand:
         assert code == 2
         assert "--tol" in err and "--dims" not in err
 
+    def test_tolerance_without_a_value_exits_2(self, capsys):
+        code, _, err = run(capsys, "check", "T1", "--trials", "2", "--tol", "ball")
+        assert code == 2 and "--tol: expected NAME=VALUE, got 'ball'" in err
+
     def test_non_finite_tolerance_exits_2(self, capsys):
         for value in ("nan", "inf", "-inf"):
             code, _, err = run(capsys, "check", "T1", "--trials", "2",
@@ -476,6 +480,26 @@ class TestEvolveCommand:
             code, _, err = run(capsys, "evolve", "--family", "ghz", "--schedule", str(path))
             assert code == 2
             assert f"schedule step 1: channel {name!r} needs {key!r}" in err
+
+    @pytest.mark.parametrize("spec", ["haar-global", "local-commutant-random"])
+    def test_unitary_spec_runs_with_its_label(self, capsys, tmp_path, spec):
+        sched = self._write_schedule(tmp_path, [{"type": "unitary", "spec": spec, "seed": 3}])
+        code, out, _ = run(capsys, "evolve", "--family", "w", "--schedule", sched)
+        assert code == 0
+        rows = [l for l in out.splitlines() if l and not l.startswith("#")][1:]
+        assert rows[1].split(",")[1] == f"{spec}(seed=3)"
+
+    @pytest.mark.parametrize("steps, message", [
+        ({"type": "unitary", "spec": "identity"}, "schedule must be a JSON list of steps"),
+        ([{"spec": "identity"}], "schedule step 0 must be an object with a 'type'"),
+        ([{"type": "unitary", "spec": "identity"}, {"type": "channel", "name": "bogus"}],
+         "schedule step 1: unknown channel 'bogus'"),
+        ([{"type": "unitary", "spec": "bogus"}], "schedule step 0: unknown unitary spec 'bogus'")],
+        ids=["not-a-list", "no-type", "unknown-channel", "unknown-unitary"])
+    def test_bad_step_exits_2_naming_it(self, capsys, tmp_path, steps, message):
+        sched = self._write_schedule(tmp_path, steps)
+        code, out, err = run(capsys, "evolve", "--family", "w", "--schedule", sched)
+        assert code == 2 and f"error: {message}" in err and out == ""
 
     @pytest.mark.parametrize("name", ["depolarizing", "random"])
     def test_target_outside_the_state_exits_2(self, capsys, tmp_path, name):

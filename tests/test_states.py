@@ -199,29 +199,42 @@ class TestTripartitePure:
         assert np.isclose(np.trace(states.w_state().matrix), 1.0)
 
 
+def _gibbs_by_eigh(coupling, beta):
+    """exp(-beta H)/Z with H built from Kronecker products and diagonalized by
+    eigh: the general construction the closed form must reproduce bit for bit."""
+    z, eye = states.SIGMA_Z, np.eye(2, dtype=complex)
+    h = (np.kron(np.kron(z, eye), eye) + np.kron(np.kron(eye, z), eye)
+         + np.kron(np.kron(eye, eye), z) + coupling * np.kron(np.kron(z, z), eye)
+         + coupling * np.kron(np.kron(z, eye), z))
+    w, v = np.linalg.eigh(h)
+    boltz = np.exp(-beta * (w - w[0]))
+    return (v * (boltz / boltz.sum())) @ v.conj().T
+
+
 class TestGibbs:
+    @pytest.mark.parametrize("coupling", [0.0, 0.5, 0.7, 1.0, -1.3, 2.5, -3.0])
+    def test_closed_form_matches_the_eigh_construction(self, coupling):
+        for beta in np.linspace(0.0, 60.0, 61):
+            rho = states.gibbs(coupling, float(beta)).matrix
+            assert rho.tobytes() == _gibbs_by_eigh(coupling, float(beta)).tobytes(), beta
+
+    def test_rejects_negative_beta(self):
+        with pytest.raises(ValueError, match="beta=-0.5 must be >= 0"):
+            states.gibbs(1.0, -0.5)
+
     def test_infinite_temperature(self):
-        rho = states.gibbs(states.SIGMA_Z, states.SIGMA_Z, states.SIGMA_Z,
-                           coupling=0.7, beta=0.0)
+        rho = states.gibbs(coupling=0.7, beta=0.0)
         assert np.allclose(rho.matrix, np.eye(8) / 8)
 
     def test_ground_state_limit(self):
         # sigma_z ground state is |1> (eigenvalue -1)
-        rho = states.gibbs(states.SIGMA_Z, states.SIGMA_Z, states.SIGMA_Z,
-                           coupling=0.0, beta=60.0)
+        rho = states.gibbs(coupling=0.0, beta=60.0)
         assert np.allclose(rho.marginal([0]).matrix, np.diag([0.0, 1.0]), atol=1e-12)
 
     def test_unit_trace_any_beta(self):
         for beta in (0.3, 2.0, 11.0):
-            sigma_x = np.array([[0, 1], [1, 0]], dtype=complex)
-            rho = states.gibbs(sigma_x, states.SIGMA_Z, states.SIGMA_Z,
-                               coupling=0.5, beta=beta)
+            rho = states.gibbs(coupling=0.5, beta=beta)
             assert np.isclose(np.trace(rho.matrix), 1.0)
-
-    def test_rejects_non_hermitian_terms(self):
-        bad = np.array([[0, 1], [0, 0]], dtype=complex)
-        with pytest.raises(ValueError):
-            states.gibbs(bad, states.SIGMA_Z, states.SIGMA_Z, 0.0, 1.0)
 
 
 class TestClassicalCorrelated:

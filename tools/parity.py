@@ -138,6 +138,18 @@ COMMANDS = [
     "check C1 C2 A2 --trials 5 --generator diag:3,1 --out out",
     "check C1 C2 A2 --trials 5 --generator sigma-z --q2-mode singlet-ac --out out",
     "check C1 C2 A2 --dims 3,3,3 --trials 4 --out out",
+    # Every row of the family table, its two errors (arity and a bad parameter),
+    # and the closed-form Gibbs state at an inexact coupling, alone, swept and sampled.
+    "profile --family coherent-spectator",
+    "profile --family bell-spectator",
+    "profile --family bell-ac",
+    "profile --family classical:2",
+    "profile --family gibbs:0.7:0.7",
+    "profile --family werner",
+    "profile --family werner:2",
+    "profile --family gibbs:1",
+    "sweep gibbs-beta --grid 0:3:13 --coupling 0.7",
+    "check T1 C2 --sampler named-family --family gibbs:0.9:0.7 --trials 3 --out out",
 ]
 
 
