@@ -9,7 +9,6 @@ built, so the output is not checked again.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -20,21 +19,17 @@ from .states import DensityMatrix, Seed, _haar_unitary_from_rng
 from .tolerances import EPS_CPTP
 
 
-@dataclass(frozen=True)
 class KrausChannel:
     """CPTP map rho -> sum_k K_k rho K_k† with sum_k K_k† K_k = I, held as one
-    read-only stack kraus[R, d_out, d_in]."""
+    read-only stack kraus[R, d_out, d_in]; it compares and hashes by identity."""
 
-    kraus: np.ndarray
-
-    def __post_init__(self):
-        ops = [linalg.as_complex(k) for k in self.kraus]
+    def __init__(self, kraus: Sequence[np.ndarray]):
+        ops = [linalg.as_complex(k) for k in kraus]
         if len({k.shape for k in ops}) != 1 or ops[0].ndim != 2:
             raise ValueError("a channel needs one or more Kraus matrices of one shape, "
                              f"got shapes {[k.shape for k in ops]}")
-        stack = stack_kraus([np.array(ops)])[0]
-        stack.setflags(write=False)
-        object.__setattr__(self, "kraus", stack)
+        self.kraus = stack_kraus([np.array(ops)])[0]
+        self.kraus.setflags(write=False)
 
     @property
     def d_in(self) -> int:

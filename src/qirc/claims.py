@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import asdict, dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,23 +91,22 @@ def check_campaign_dims(dims: tuple[int, ...]) -> tuple[int, ...]:
         dims, linalg.check_size(math.prod(dims), "the campaign dims"))
 
 
-@dataclass
 class CampaignConfig:
-    """Sampling plan and tolerances for one check run."""
+    """Sampling plan and tolerances for one check run, checked when it is
+    built. Its attributes are its settings, set in the order artifacts print
+    them (``to_dict``); a config compares and hashes by identity."""
 
-    sampler: str = "haar-pure"          # haar-pure | ginibre-mixed | named-family
-    trials: int | None = None           # per-check default when None
-    dims: tuple[int, ...] = (2, 2, 2)
-    q2_mode: str = "transfer"
-    generator: str = "default"
-    seed: int = 7
-    family: str | None = None           # named-family sampler target
-    ginibre_rank: int | None = None
-    channels_per_state: int = 20
-    tolerances: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        check_tolerances(self.tolerances)
+    def __init__(self, sampler: str = "haar-pure", trials: int | None = None,
+                 dims: tuple[int, ...] = (2, 2, 2), q2_mode: str = "transfer",
+                 generator: str = "default", seed: int = 7, family: str | None = None,
+                 ginibre_rank: int | None = None, channels_per_state: int = 20,
+                 tolerances: dict | None = None):
+        # sampler: one of SAMPLERS; trials: each check's default when None;
+        # family: the named-family sampler's target
+        self.sampler, self.trials, self.dims, self.q2_mode = sampler, trials, dims, q2_mode
+        self.generator, self.seed, self.family = generator, seed, family
+        self.ginibre_rank, self.channels_per_state = ginibre_rank, channels_per_state
+        self.tolerances = check_tolerances({} if tolerances is None else tolerances)
         d = math.prod(check_campaign_dims(self.dims))
         self.profile_config()  # the generator and the q2 mode
         if self.seed < 0:
@@ -152,11 +151,10 @@ class CampaignConfig:
                              q2_mode=self.q2_mode)
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "optimizer": resources.optimizer_settings(self.dims[0])}
+        return {**vars(self), "optimizer": resources.optimizer_settings(self.dims[0])}
 
 
-@dataclass
-class ClaimReport:
+class ClaimReport(NamedTuple):
     claim_id: str
     verdict: str                 # holds-within-tolerance | violated | report-only
     trials: int
@@ -169,7 +167,7 @@ class ClaimReport:
 
     def to_dict(self) -> dict:
         """The fields, not deep copies: a report's values are built for it alone."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return self._asdict()
 
 
 def _family_state(cfg: CampaignConfig, trial: int, n_trials: int) -> DensityMatrix:
@@ -434,7 +432,7 @@ def check_monotonicity(cfg: CampaignConfig) -> ClaimReport:
         out = channels.apply_batch(kraus, stack[rows], dims, 0)
         profs = resources.profile_batch(np.concatenate([lead, out]), dims, pc)
         befores.extend(profs[:len(lead)])
-        return [(vars(p), {"profile_after": p}) for p in profs[len(lead):]]
+        return [(p._asdict(), {"profile_after": p}) for p in profs[len(lead):]]
 
     def a_q3(kraus, rows):  # q3 of each output's A marginal alone
         _, q3 = resources.fisher_q3(channels.apply_batch(kraus, rho_a[rows], (d_a,), 0), g)

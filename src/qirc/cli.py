@@ -12,7 +12,6 @@ and reproduces byte for byte when rerun with the same configuration.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import sys
 from pathlib import Path
@@ -138,7 +137,7 @@ def _campaign_config(args) -> CampaignConfig:
     for option, fields in [(f"--seed {args.seed}", {"seed": args.seed}),
                            ("--family", {"sampler": args.sampler, "family": args.family}),
                            (f"--rank {args.rank}", {"ginibre_rank": args.rank})]:
-        cfg = _named(option, lambda: dataclasses.replace(cfg, **fields))
+        cfg = _named(option, lambda: CampaignConfig(**{**vars(cfg), **fields}))
     return cfg
 
 

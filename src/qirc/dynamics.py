@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -23,16 +22,13 @@ def _check_unitary(m: np.ndarray) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
 class UnitaryOperator:
-    """A unitary on the whole state: one read-only matrix, checked when built."""
+    """A unitary on the whole state: one read-only matrix, checked when built;
+    it compares and hashes by identity."""
 
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = _check_unitary(self.matrix).copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = _check_unitary(matrix).copy()
+        self.matrix.setflags(write=False)
 
 
 def evolve(rho: DensityMatrix, u: UnitaryOperator) -> DensityMatrix:
@@ -57,11 +53,15 @@ def _block_commutant(g: CoherenceGenerator, d_rest: int,
     total = g.dim * d_rest
     u = np.zeros((total, total), dtype=complex)
     eye = np.eye(d_rest, dtype=complex)
+
+    def lift(m: np.ndarray) -> np.ndarray:  # m ⊗ I, and m itself where d_rest is 1
+        return m if d_rest == 1 else linalg.kron(m, eye)
+
     for cluster in g.eigenvalue_clusters():
-        iso = linalg.kron(v[:, cluster], eye)  # (total, r * d_rest) isometry
+        iso = lift(v[:, cluster])  # (total, r * d_rest) isometry
         block = _haar_unitary_from_rng(len(cluster) * d_rest, rng)
         u += iso @ block @ linalg.dagger(iso)
-    lifted = linalg.kron(g.h, eye)
+    lifted = lift(g.h)
     resid = np.linalg.norm(u @ lifted - lifted @ u)
     if resid > EPS_COMMUTANT * max(1.0, np.linalg.norm(lifted)):
         raise AssertionError(f"commutant construction failed: residual {resid:.3e}")
@@ -96,12 +96,13 @@ def local_product_unitary(u_a: np.ndarray, u_b: np.ndarray,
 Step = UnitaryOperator | tuple[channels.KrausChannel, int]
 
 
-@dataclass(frozen=True)
 class Trajectory:
-    """Profiles before the first step and after each one, with drift flags."""
+    """Profiles before the first step and after each one, with drift flags;
+    it compares and hashes by identity."""
 
-    steps: tuple[tuple[str, resources.ResourceProfile], ...]
-    monotone: dict[str, bool] = field(default_factory=dict)
+    def __init__(self, steps: tuple[tuple[str, resources.ResourceProfile], ...],
+                 monotone: dict[str, bool]):
+        self.steps, self.monotone = steps, monotone
 
 
 def trajectory(rho0: DensityMatrix, schedule: Sequence[tuple[str, Step]],

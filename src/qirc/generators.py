@@ -3,27 +3,28 @@
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg
-from .linalg import HermitianEigen
 from .tolerances import EPS_CLUSTER, EPS_DEGENERATE
 
 
-@dataclass(frozen=True)
 class CoherenceGenerator:
     """Fixed Hermitian observable whose eigenbasis is the coherence basis.
 
     The eigendecomposition is cached because everything downstream (the
     Fisher information task, dephasing, commutant sampling) consumes it.
     ``h`` and both halves of ``eigen`` are read-only, so one generator can
-    be shared. A fully degenerate spectrum defines no task and is rejected.
+    be shared; it compares and hashes by identity. A fully degenerate
+    spectrum defines no task and is rejected. ``__init__`` runs that check
+    and the decomposition in a method of its own, ``__post_init__``, which
+    the tests wrap to count the generators a command builds.
     """
 
-    h: np.ndarray
-    eigen: HermitianEigen = field(init=False)
+    def __init__(self, h: np.ndarray):
+        self.h = h
+        self.__post_init__()
 
     def __post_init__(self):
         h = linalg.as_complex(self.h)
@@ -34,8 +35,7 @@ class CoherenceGenerator:
         h = h.copy()
         for a in (h, eig.values, eig.vectors):
             a.setflags(write=False)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "eigen", eig)
+        self.h, self.eigen = h, eig
 
     @property
     def dim(self) -> int:

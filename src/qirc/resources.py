@@ -11,7 +11,7 @@ q3: Fisher-information utility of rho_A for phase estimation along a fixed
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +31,7 @@ CERT_STEPS = 50
 START_SEED = 20240817
 
 
-@dataclass(frozen=True)
-class FidelityBreakdown:
+class FidelityBreakdown(NamedTuple):
     """Raw fidelities behind a profile, before clamping.
 
     ``f_max_gap`` and ``f_choi_gap`` are the certified gaps of the two
@@ -55,8 +54,7 @@ class FidelityBreakdown:
     f_choi_gap: float
 
 
-@dataclass(frozen=True)
-class ResourceProfile:
+class ResourceProfile(NamedTuple):
     """Fields in the order artifacts print them; a profile compares and hashes by them."""
 
     q1: float
@@ -70,20 +68,20 @@ class ResourceProfile:
         return (self.q1, self.q2, self.q3)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**self._asdict(), "breakdown": self.breakdown._asdict()}
 
 
 Q2_MODES = ("transfer", "singlet-ac")
 
 
-@dataclass(frozen=True)
 class ProfileConfig:
-    generator: CoherenceGenerator | None = None
-    q2_mode: str = "transfer"
+    """The generator of q3 (``default_generator(d_A)`` when None) and the q2
+    reading; it compares and hashes by identity."""
 
-    def __post_init__(self):
-        if self.q2_mode not in Q2_MODES:
-            raise ValueError(f"unknown q2 mode {self.q2_mode!r}; expected one of {Q2_MODES}")
+    def __init__(self, generator: CoherenceGenerator | None = None, q2_mode: str = "transfer"):
+        if q2_mode not in Q2_MODES:
+            raise ValueError(f"unknown q2 mode {q2_mode!r}; expected one of {Q2_MODES}")
+        self.generator, self.q2_mode = generator, q2_mode
 
 
 # ---------------------------------------------------------------------------

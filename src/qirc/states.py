@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -48,7 +47,6 @@ def check_states(m: np.ndarray, dims: Sequence[int]) -> tuple[int, ...]:
     return dims
 
 
-@dataclass(frozen=True)
 class DensityMatrix:
     """Quantum state: Hermitian, unit trace, PSD, with subsystem dims.
 
@@ -56,26 +54,29 @@ class DensityMatrix:
     library callers) is checked by ``check_states``, alone as here or in a
     stack. States qirc computes from checked states (marginals, products,
     channel outputs, unitary evolutions, mixtures, Choi states) are built by
-    ``_derived`` and are not checked again.
+    ``_derived`` and are not checked again. ``__init__`` runs the entry check
+    in a method of its own, ``__post_init__``, so that it can be wrapped:
+    ``perfbench/spans.py`` times it as ``states.validate``, and the tests
+    count its runs. The matrix is read-only; a state compares and hashes by
+    identity.
     """
 
-    matrix: np.ndarray
-    dims: tuple[int, ...]
+    def __init__(self, matrix: np.ndarray, dims: tuple[int, ...]):
+        self.matrix, self.dims = matrix, dims
+        self.__post_init__()
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
-        object.__setattr__(self, "dims", check_states(m[None], self.dims))
+        self.dims = check_states(m[None], self.dims)
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        self.matrix = m
 
     @classmethod
     def _derived(cls, matrix: np.ndarray, dims: tuple[int, ...]) -> "DensityMatrix":
         """A state computed from checked states: a read-only copy, unchecked."""
-        m = np.array(matrix, dtype=complex)
-        m.setflags(write=False)
         out = object.__new__(cls)
-        object.__setattr__(out, "matrix", m)
-        object.__setattr__(out, "dims", tuple(dims))
+        out.matrix, out.dims = np.array(matrix, dtype=complex), tuple(dims)
+        out.matrix.setflags(write=False)
         return out
 
     @property

@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -296,7 +295,7 @@ class TestConvexity:
 
         def perturbed(group, pc):
             profs = real(group, pc)
-            profs[index] = dataclasses.replace(profs[index], **change)
+            profs[index] = profs[index]._replace(**change)
             return profs
         monkeypatch.setattr(claims, "profiles", perturbed)
 

@@ -1,6 +1,7 @@
 """Every module-level function, class and assignment of the library is used:
 read by some module of ``qirc`` or exported by ``qirc/__init__.py``. Every
-``module.name`` the README quotes still exists."""
+``module.name`` the README quotes still exists. The library stays within its
+line budget."""
 
 import ast
 import importlib
@@ -11,6 +12,7 @@ import qirc
 
 SRC = Path(qirc.__file__).resolve().parent
 README = Path(__file__).resolve().parents[1] / "README.md"
+LINE_CAP = 2480  # ROADMAP aim 2: src/qirc/*.py in all
 MODULES = ("resources", "linalg", "channels", "states", "claims", "dynamics", "serialize",
            "cli", "generators", "families", "tolerances")
 
@@ -54,3 +56,8 @@ def test_readme_names_resolve():
     missing = [f"{module}.{name}" for module, name in names
                if not hasattr(importlib.import_module(f"qirc.{module}"), name)]
     assert missing == []
+
+
+def test_library_stays_within_its_line_cap():
+    lines = sum(len(p.read_text(encoding="utf-8").splitlines()) for p in SRC.glob("*.py"))
+    assert 0 < lines <= LINE_CAP

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -16,7 +14,7 @@ class TestUnitaryOperator:
 
     def test_one_read_only_matrix(self):
         u = dynamics.UnitaryOperator(np.eye(2))
-        assert [f.name for f in dataclasses.fields(u)] == ["matrix"]
+        assert list(vars(u)) == ["matrix"]
         assert not u.matrix.flags.writeable
         assert not hasattr(qirc, "global_unitary")
 

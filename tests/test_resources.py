@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -739,7 +737,7 @@ def test_one_quantity_is_the_profile_of_trivial_factors(d, rng):
 
 def _bits(prof) -> tuple[str, ...]:
     """Every float of a profile, exactly."""
-    values = (prof.q1, prof.q2, prof.q3, prof.norm, *dataclasses.astuple(prof.breakdown))
+    values = (prof.q1, prof.q2, prof.q3, prof.norm, *prof.breakdown)
     return tuple(float(v).hex() for v in values)
 
 
