@@ -16,7 +16,7 @@ import numpy as np
 from . import linalg
 from .generators import CoherenceGenerator
 from .states import DensityMatrix, Seed, _haar_unitary_from_rng
-from .tolerances import EPS_CPTP
+from .tolerances import EPS_CPTP, EPS_PSD
 
 
 class KrausChannel:
@@ -130,7 +130,10 @@ def covariant_kraus(g: CoherenceGenerator, seed: Seed) -> np.ndarray:
         for _ in range(int(rng.integers(0 if abs(w) > g.cluster_tol else 1, top + 1))):
             a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             ops.append(a * mask)
-    s_inv_half = linalg.psd_power(sum(linalg.dagger(a) @ a for a in ops), -0.5)
+    s = sum(linalg.dagger(a) @ a for a in ops)  # a sum of A†A is PSD: no check is needed
+    w, u = np.linalg.eigh((s + linalg.dagger(s)) / 2)
+    f = np.where(w > EPS_PSD, np.maximum(w, EPS_PSD) ** -0.5, 0.0)  # 0 off the support
+    s_inv_half = (u * f[..., None, :]) @ linalg.dagger(u)
     v = g.eigen.vectors
     return np.array([v @ a @ s_inv_half @ linalg.dagger(v) for a in ops])
 

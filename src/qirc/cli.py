@@ -192,25 +192,26 @@ def cmd_check(args) -> int:
 # evolve
 
 
-def _whole(entry: dict, key: str, default: int, index: int) -> int:
+def _number(entry: dict, key: str, default, index: int, whole: bool = True):
     value = entry.get(key, default)
     # not isinstance(value, int): a bool is an int, and JSON true is not a number
-    if not (type(value) is int or isinstance(value, float) and value.is_integer()):
-        raise ValueError(f"schedule step {index}: {key} must be a whole number, got {value!r}")
-    return int(value)
+    if not (type(value) is int or isinstance(value, float) and (value.is_integer() or not whole)):
+        kind = "a whole number" if whole else "a number"
+        raise ValueError(f"schedule step {index}: {key} must be {kind}, got {value!r}")
+    return int(value) if whole else float(value)
 
 
 def _schedule_step(entry: dict, index: int, rho_dims, generator, master: int):
     if not isinstance(entry, dict) or "type" not in entry:
         raise ValueError(f"schedule step {index} must be an object with a 'type'")
     kind = entry["type"]
-    stream = _whole(entry, "seed", 9_000_000 + index, index)
+    stream = _number(entry, "seed", 9_000_000 + index, index)
     if stream < 0:
         raise ValueError(f"schedule step {index}: seed must be >= 0, got {stream}")
     seed = states.Seed(master, stream)
     if kind == "channel":
         name = entry.get("name")
-        target = _whole(entry, "target", 0, index)
+        target = _number(entry, "target", 0, index)
         if not 0 <= target < len(rho_dims):
             raise ValueError(f"schedule step {index}: target {target} out of range "
                              f"for dims {tuple(rho_dims)}")
@@ -222,9 +223,10 @@ def _schedule_step(entry: dict, index: int, rho_dims, generator, master: int):
             key, make = makers[name]
             if key not in entry:
                 raise ValueError(f"schedule step {index}: channel {name!r} needs {key!r}")
-            ch, label = make(float(entry[key])), f"{name}({key}={entry[key]})@{target}"
+            strength = _number(entry, key, None, index, whole=False)
+            ch, label = make(strength), f"{name}({key}={entry[key]})@{target}"
         elif name == "random":
-            rank = _whole(entry, "kraus_rank", 2, index)
+            rank = _number(entry, "kraus_rank", 2, index)
             d = int(rho_dims[target])
             ch = random_channel(d, d, rank, seed)
             label = f"random(rank={rank},seed={stream})@{target}"

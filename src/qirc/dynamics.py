@@ -71,7 +71,7 @@ def _block_commutant(g: CoherenceGenerator, d_rest: int,
 def commuting_local_unitary(g: CoherenceGenerator, seed: Seed) -> np.ndarray:
     """Haar-random unitary on A commuting with the generator; for a
     non-degenerate spectrum this is a random phase on each eigenvector."""
-    return _check_unitary(_block_commutant(g, 1, seed.rng()))
+    return _block_commutant(g, 1, seed.rng())
 
 
 def sample_commutant_unitary(g: CoherenceGenerator, dims: Sequence[int],
@@ -87,7 +87,8 @@ def sample_commutant_unitary(g: CoherenceGenerator, dims: Sequence[int],
 
 def local_product_unitary(u_a: np.ndarray, u_b: np.ndarray,
                           u_c: np.ndarray) -> UnitaryOperator:
-    return UnitaryOperator(linalg.kron_all([_check_unitary(m) for m in (u_a, u_b, u_c)]))
+    a, b, c = (_check_unitary(m) for m in (u_a, u_b, u_c))
+    return UnitaryOperator(linalg.kron(linalg.kron(a, b), c))
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,7 @@
 
 All quantum objects in this package are plain ``numpy`` arrays underneath;
 this module provides the handful of operations everything else is built on:
-tensor products, partial traces, validated Hermitian eigendecompositions
-and spectral functions of positive semidefinite matrices.
+tensor products, partial traces and validated Hermitian eigendecompositions.
 
 Conventions: row-major storage, subsystem index 0 is the leftmost tensor
 factor. Composite row index for dims (d0, d1, ...) is i0*d1*... + i1*... .
@@ -16,7 +15,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .tolerances import EPS_HERM, EPS_PSD
+from .tolerances import EPS_HERM
 
 # Dimensions beyond this are out of scope (dense storage only).
 MAX_DIM = 4096
@@ -44,8 +43,8 @@ def as_complex(a) -> np.ndarray:
 
 def check_dims(dims: Sequence[int], dim: int) -> tuple[int, ...]:
     """Validate a subsystem dimension list against a total dimension."""
-    try:
-        out = tuple(int(d) for d in dims)
+    try:  # a bool is dropped, so that out differs from dims: JSON true is not a number
+        out = tuple(int(d) for d in dims if not isinstance(d, bool))
     except (TypeError, ValueError, OverflowError):
         out = ()
     if not out or min(out) < 1 or out != tuple(dims):
@@ -73,18 +72,8 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tensor product a ⊗ b with row-major index (i*rb + k, j*cb + l)."""
     a = as_complex(a)
     b = as_complex(b)
-    if a.shape[0] * b.shape[0] > MAX_DIM or a.shape[1] * b.shape[1] > MAX_DIM:
-        raise ValueError("tensor product dimension exceeds supported size")
+    check_size(max(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]), "a tensor product")
     return np.kron(a, b)
-
-
-def kron_all(factors: Iterable[np.ndarray]) -> np.ndarray:
-    out = None
-    for f in factors:
-        out = np.asarray(f, dtype=complex) if out is None else kron(out, f)
-    if out is None:
-        raise ValueError("empty factor list")
-    return out
 
 
 def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
@@ -134,19 +123,3 @@ def hermitian_eigen(m: np.ndarray) -> HermitianEigen:
     w, v = np.linalg.eigh((m + dagger(m)) / 2)
     return HermitianEigen(values=w, vectors=v)
 
-
-def psd_power(m: np.ndarray, exponent: float) -> np.ndarray:
-    """Spectral power of a PSD matrix, or of each of a stack m[..., d, d],
-    evaluated only on its support.
-
-    Eigenvalues in (-EPS_PSD, 0) are clipped to zero; anything more negative
-    is rejected. Eigenvalues at or below EPS_PSD map to 0, which makes
-    negative exponents act as pseudo-inverse powers.
-    """
-    eig = hermitian_eigen(m)
-    w = eig.values
-    if np.any(w[..., 0] < -EPS_PSD):
-        raise ValueError(f"matrix is not PSD (min eigenvalue {w[..., 0].min():.3e})")
-    on = w > EPS_PSD  # eigenvalues in (-EPS_PSD, 0] map to 0 with the rest of the kernel
-    f = np.where(on, np.where(on, w, 1.0) ** exponent, 0.0)
-    return (eig.vectors * f[..., None, :]) @ dagger(eig.vectors)

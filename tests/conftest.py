@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from qirc.tolerances import EPS_HERM, EPS_PSD
+
 _S2 = 1.0 / np.sqrt(2.0)
 # Rows are the magic-basis vectors expressed in the computational basis.
 MAGIC = np.array([
@@ -36,6 +38,23 @@ def near_product_ket(e: float) -> np.ndarray:
     zero, one = np.eye(2)
     return (np.sqrt(1 - e) * np.kron(np.kron(plus, zero), zero)
             + np.sqrt(e) * np.kron(np.kron(minus, zero), one))
+
+
+def psd_power(m: np.ndarray, exponent: float) -> np.ndarray:
+    """Spectral power of a finite Hermitian PSD matrix, or of each of a stack
+    m[..., d, d], on its support: eigenvalues at or below EPS_PSD map to 0, and
+    one below -EPS_PSD raises. The library's S^{-1/2} of a covariant channel,
+    which skips the checks, must equal it bit for bit."""
+    m = np.asarray(m, dtype=complex)
+    h = np.swapaxes(m.conj(), -1, -2)
+    if not np.all(np.isfinite(m)) or np.abs(m - h).max() > EPS_HERM * max(1.0, np.abs(m).max()):
+        raise ValueError("matrix is not finite and Hermitian")
+    w, v = np.linalg.eigh((m + h) / 2)
+    if np.any(w[..., 0] < -EPS_PSD):
+        raise ValueError(f"matrix is not PSD (min eigenvalue {w[..., 0].min():.3e})")
+    on = w > EPS_PSD
+    f = np.where(on, np.where(on, w, 1.0) ** exponent, 0.0)
+    return (v * f[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
 def random_density(rng: np.random.Generator, d: int, rank: int | None = None) -> np.ndarray:

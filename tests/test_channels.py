@@ -9,7 +9,7 @@ from qirc.generators import (clusters, default_generator, diagonal_generator,
                              sigma_z_generator)
 from qirc.states import Seed
 
-from conftest import random_density
+from conftest import psd_power, random_density
 
 
 def _act(ch, m):
@@ -111,6 +111,10 @@ class TestRandomChannel:
         b = channels.random_channel(2, 2, 3, Seed(4, 9))
         assert all(np.array_equal(x, y) for x, y in zip(a.kraus, b.kraus))
 
+    def test_rejects_kraus_rank_zero(self):
+        with pytest.raises(ValueError, match="kraus_rank 0 must be >= 1"):
+            channels.random_channel(2, 2, 0, Seed(4, 0))
+
     def test_oversized_kraus_rank_rejected_before_drawing(self, monkeypatch):
         def draw(d, rng):
             raise AssertionError(f"drew a {d} x {d} Haar matrix")
@@ -181,10 +185,24 @@ class TestCovariantChannel:
             assert np.array_equal(
                 channels.covariant_kraus(diagonal_generator(values), Seed(4, i)), fresh)
 
+    def test_s_is_not_checked_again(self, monkeypatch):
+        # S = sum A†A is PSD by construction, so its inverse square root takes
+        # no checked eigendecomposition, and still equals the checked reference
+        g = diagonal_generator([1.0, 1.0, -2.0])
+        expected = [fresh_covariant_kraus(g, Seed(4, i)) for i in range(4)]
+
+        def refuse(m):
+            raise AssertionError("S was checked")
+
+        monkeypatch.setattr(linalg, "hermitian_eigen", refuse)
+        for i, kraus in enumerate(expected):
+            assert np.array_equal(channels.covariant_kraus(g, Seed(4, i)), kraus)
+
 
 def fresh_covariant_kraus(g, seed: Seed) -> np.ndarray:
     """``channels.covariant_kraus`` with the levels, shifts and masks
-    recomputed from g's spectrum on the draw."""
+    recomputed from g's spectrum on the draw, and S^{-1/2} from the checked
+    reference ``psd_power``."""
     rng, d, tol = seed.rng(), g.dim, g.cluster_tol
     level = np.empty(d)
     for cluster in clusters(g.eigen.values, tol):
@@ -196,7 +214,7 @@ def fresh_covariant_kraus(g, seed: Seed) -> np.ndarray:
         mask = np.abs(shift - w) <= tol
         for _ in range(int(rng.integers(0 if abs(w) > tol else 1, min(2, int(mask.sum())) + 1))):
             ops.append((rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) * mask)
-    s_inv_half = linalg.psd_power(sum(linalg.dagger(a) @ a for a in ops), -0.5)
+    s_inv_half = psd_power(sum(linalg.dagger(a) @ a for a in ops), -0.5)
     v = g.eigen.vectors
     return np.array([v @ a @ s_inv_half @ linalg.dagger(v) for a in ops])
 

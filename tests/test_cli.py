@@ -93,6 +93,22 @@ class TestProfileCommand:
         assert code == 2
         assert "whole numbers" in err
 
+    def test_boolean_dims_exit_2(self, capsys, tmp_path):
+        # JSON true is not read as 1: I/4 is not profiled as a state on (2, 2, 1)
+        doc = serialize.state_to_dict(states.maximally_mixed(4, (2, 2)))
+        doc["dims"] = [2, 2, True]
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "profile", "--state", str(path))
+        assert code == 2 and out == ""
+        assert "error: dims must be positive whole numbers, got [2, 2, True]" in err
+
+    def test_missing_state_file_exits_2_naming_it(self, capsys, tmp_path):
+        path = tmp_path / "missing.json"
+        code, out, err = run(capsys, "profile", "--state", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}: ")
+
     def test_near_rank_deficient_marginal_exits_0(self, capsys, tmp_path):
         # rho_A has eigenvalues e and 1 - e; the q2 Choi state is derived from
         # the checked file state and is not rejected for its rounding
@@ -521,6 +537,17 @@ class TestEvolveCommand:
         assert code == 2
         assert f"{key} must be a whole number, got {value!r}" in err
         assert "random(" not in out
+
+    @pytest.mark.parametrize("name, key, value", [
+        ("depolarizing", "p", True), ("depolarizing", "p", "abc"),
+        ("dephasing", "lambda", "0.5"), ("amplitude-damping", "gamma", None)])
+    def test_non_number_channel_strengths_exit_2(self, capsys, tmp_path, name, key, value):
+        # a strength is a JSON number: true is not p = 1, and a string is not
+        # converted, with an error that names the step
+        sched = self._write_schedule(tmp_path, [{"type": "channel", "name": name, key: value}])
+        code, out, err = run(capsys, "evolve", "--family", "w", "--schedule", sched)
+        assert code == 2 and out == ""
+        assert f"error: schedule step 0: {key} must be a number, got {value!r}" in err
 
     def test_reproducible_csv(self, capsys, tmp_path):
         sched = self._write_schedule(tmp_path, [

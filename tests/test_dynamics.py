@@ -12,6 +12,10 @@ class TestUnitaryOperator:
         with pytest.raises(ValueError, match="unitary"):
             dynamics.UnitaryOperator(np.eye(4) * 2)
 
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match=r"unitary must be square, got shape \(2, 3\)"):
+            dynamics.UnitaryOperator(np.ones((2, 3)))
+
     def test_one_read_only_matrix(self):
         u = dynamics.UnitaryOperator(np.eye(2))
         assert list(vars(u)) == ["matrix"]

@@ -4,7 +4,7 @@ import pytest
 from qirc import linalg
 from qirc.states import SIGMA_Z, bell_pair
 
-from conftest import random_density, random_hermitian
+from conftest import psd_power, random_density, random_hermitian
 
 
 class TestKron:
@@ -32,8 +32,33 @@ class TestKron:
 
     def test_dimension_guard(self):
         big = np.eye(1 << 11)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="8192 of a tensor product exceeds MAX_DIM"):
             linalg.kron(big, np.eye(4))
+
+
+class TestInputChecks:
+    """Each check of a library input raises with its own message."""
+
+    @pytest.mark.parametrize("dims", [["a", 2], [None, 2], [2, True]])
+    def test_dims_that_are_not_whole_numbers(self, dims):
+        with pytest.raises(ValueError, match="dims must be positive whole numbers"):
+            linalg.check_dims(dims, 4)
+
+    def test_partial_trace_of_a_non_square_matrix(self):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            linalg.partial_trace(np.ones((4, 2)), (2, 2), keep=[0])
+
+    def test_partial_trace_keep_out_of_range(self):
+        with pytest.raises(ValueError, match=r"keep \[2\] out of range for 2 subsystems"):
+            linalg.partial_trace(np.eye(4) / 4, (2, 2), keep=[2])
+
+    def test_permute_by_a_non_permutation(self):
+        with pytest.raises(ValueError, match="is not a permutation of 0..1"):
+            linalg.permute_subsystems(np.eye(4), (2, 2), [0, 0])
+
+    def test_hermitian_eigen_of_a_non_square_matrix(self):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            linalg.hermitian_eigen(np.ones((2, 3)))
 
 
 class TestPartialTrace:
@@ -105,9 +130,9 @@ class TestPermuteSubsystems:
 
     def test_three_factor_cycle(self, rng):
         mats = [random_density(rng, 2) for _ in range(3)]
-        full = linalg.kron_all(mats)
+        full = linalg.kron(linalg.kron(mats[0], mats[1]), mats[2])
         cycled = linalg.permute_subsystems(full, (2, 2, 2), [2, 0, 1])
-        assert np.allclose(cycled, linalg.kron_all([mats[2], mats[0], mats[1]]))
+        assert np.allclose(cycled, linalg.kron(linalg.kron(mats[2], mats[0]), mats[1]))
 
 
 class TestHermitianEigen:
@@ -145,33 +170,36 @@ class TestHermitianEigen:
 
 
 class TestPsdPower:
+    """The reference ``psd_power`` of the tests: covariant channels take their
+    S^{-1/2} unchecked, and test_channels pins them to it bit for bit."""
+
     def test_identity_sqrt(self):
-        assert np.allclose(linalg.psd_power(np.eye(3), 0.5), np.eye(3))
+        assert np.allclose(psd_power(np.eye(3), 0.5), np.eye(3))
 
     def test_pseudo_inverse_on_support(self):
-        out = linalg.psd_power(np.diag([4.0, 0.0]).astype(complex), -0.5)
+        out = psd_power(np.diag([4.0, 0.0]).astype(complex), -0.5)
         assert np.allclose(out, np.diag([0.5, 0.0]))
 
     def test_sqrt_round_trip(self, rng):
         m = random_density(rng, 4)
-        root = linalg.psd_power(m, 0.5)
+        root = psd_power(m, 0.5)
         assert np.allclose(root @ root, m, atol=1e-12)
 
     def test_power_one_is_support_projection(self, rng):
         m = random_density(rng, 5)
-        assert np.allclose(linalg.psd_power(m, 1.0), m, atol=1e-12)
+        assert np.allclose(psd_power(m, 1.0), m, atol=1e-12)
 
     def test_rejects_negative_spectrum(self):
         bad = np.diag([1.0, -0.5]).astype(complex)
         for m in (bad, np.array([np.eye(2), bad])):  # alone or in a stack
             with pytest.raises(ValueError, match="PSD"):
-                linalg.psd_power(m, 0.5)
+                psd_power(m, 0.5)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 9])
     def test_stack_is_each_matrix_alone(self, rng, d):
         # full-rank and rank-deficient states; row k is bit for bit state k alone
         a = np.array([random_density(rng, d, 1 + k % d) for k in range(24)])
         for exponent in (0.5, -0.5):
-            powers = linalg.psd_power(a, exponent)
-            assert all(np.array_equal(r, linalg.psd_power(x, exponent))
+            powers = psd_power(a, exponent)
+            assert all(np.array_equal(r, psd_power(x, exponent))
                        for r, x in zip(powers, a))

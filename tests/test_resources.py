@@ -528,8 +528,8 @@ class TestMonogamyReading:
         cfg = ProfileConfig(q2_mode="singlet-ac")
         for i in range(10):
             rho = states.haar_pure((d, d, d), Seed(3, i))
-            u = linalg.kron_all([states.haar_unitary(d, Seed(4, i)), np.eye(d),
-                                 states.haar_unitary(d, Seed(5, i))])
+            u = linalg.kron(linalg.kron(states.haar_unitary(d, Seed(4, i)), np.eye(d)),
+                            states.haar_unitary(d, Seed(5, i)))
             before = profile(rho, cfg)
             after = profile(DensityMatrix(u @ rho.matrix @ linalg.dagger(u), (d, d, d)), cfg)
             # the raw advantage, which the clamp to [0, 1] would hide below 0

@@ -223,6 +223,10 @@ class TestStateFiles:
         with pytest.raises(ValueError):
             serialize.state_from_dict({"dims": [2], "matrix": [[1.0, 0.0]]})
 
+    def test_rejects_an_empty_matrix(self):
+        with pytest.raises(ValueError, match="'matrix' must be a non-empty list of rows"):
+            serialize.state_from_dict({"dims": [2], "matrix": []})
+
     def test_rejects_invalid_state(self):
         doc = {"dims": [2], "matrix": [[[2.0, 0.0], [0.0, 0.0]],
                                        [[0.0, 0.0], [0.0, 0.0]]]}

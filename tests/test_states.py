@@ -96,6 +96,10 @@ class TestCheckStates:
     def test_good_stack_passes(self):
         assert states.check_states(np.array(self.GOOD), [2, 2]) == (2, 2)
 
+    def test_non_square_stack(self):
+        with pytest.raises(ValueError, match="density matrix must be square"):
+            states.check_states(np.ones((2, 4, 2)), (2, 2))
+
     def test_ball_campaign_checks_each_sampled_state_once(self, validations, checked_rows,
                                                          tmp_path):
         from qirc import cli
@@ -323,6 +327,10 @@ class TestGinibre:
 
 
 class TestHaarUnitary:
+    def test_rejects_dimension_zero(self):
+        with pytest.raises(ValueError, match="dimension d=0 must be >= 1"):
+            states.haar_unitary(0, Seed(2, 0))
+
     def test_scalar_case(self):
         u = states.haar_unitary(1, Seed(2, 0))
         assert np.isclose(abs(u[0, 0]), 1.0)

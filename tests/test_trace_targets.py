@@ -26,13 +26,15 @@ def _traced():
 TRACED = _traced()
 
 
-# Deleted from qirc with the Kraus-Choi round trip, and the single-state
-# twins of the stacked singlet-fraction, Fisher-information and entropy
-# kernels; the tracer still names them and reads 0 calls for each until the
-# benchmark's span list drops them.
+# Deleted from qirc with the Kraus-Choi round trip, the single-state twins
+# of the stacked singlet-fraction, Fisher-information and entropy kernels,
+# and the checked PSD power that covariant channels no longer call; the
+# tracer still names them and reads 0 calls for each until the benchmark's
+# span list drops them.
 DELETED = {"channels.choi", "channels.kraus_from_choi", "channels.covariant_channel",
            "resources.induced_transfer_channel", "resources.fully_entangled_fraction",
-           "resources.quantum_fisher_information", "resources.von_neumann_entropy"}
+           "resources.quantum_fisher_information", "resources.von_neumann_entropy",
+           "linalg.psd_power"}
 
 
 @pytest.mark.parametrize("module, path", [(m, p) for m, p, _ in TRACED],

@@ -78,8 +78,14 @@ def cloner_state() -> str:
                        "matrix": [[[x, 0.0] for x in row] for row in m.tolist()]})
 
 
+# I/4 on dims [2, 2, true], and a depolarizing step of strength true.
+BOOL_DIMS = {"dims": [2, 2, True], "matrix": [[[0.25 * (i == j), 0.0] for j in range(4)]
+                                              for i in range(4)]}
+BOOL_STRENGTH = [{"type": "channel", "name": "depolarizing", "p": True}]
+
 INPUTS = {"schedule.json": json.dumps(SCHEDULE), "qutrit_product.json": qutrit_product_state(1e-2),
-          "cloner.json": cloner_state()}
+          "cloner.json": cloner_state(), "bool_dims.json": json.dumps(BOOL_DIMS),
+          "bool_strength.json": json.dumps(BOOL_STRENGTH)}
 
 COMMANDS = [
     "check all --trials 40 --channels 5 --seed 7 --out out",
@@ -131,6 +137,19 @@ COMMANDS = [
     # a generator spec other than the default.
     "check Z9",
     "check T1 --dims 1,1,1 --trials 2",
+    # Every other label of the campaign config's errors, one option each.
+    "check T1 --trials 2 --tol bogus=1",
+    "check T1 --trials 2 --dims 2,a,2",
+    "check T1 --trials 2 --dims 17,16,16",
+    "check T1 --trials 2 --dims 3,3,3 --generator sigma-z",
+    "check T1 --trials 2 --seed -1",
+    "check T1 --trials 2 --family ghz",
+    "check T1 --trials 2 --sampler named-family --family ghz --dims 3,3,3",
+    "check T1 --trials 2 --sampler ginibre-mixed --rank 0",
+    "check C3 --trials 2 --channels 0",
+    # JSON true is not a number: as a state file's dim or a channel strength it exits 2.
+    "profile --state bool_dims.json",
+    "evolve --family w --schedule bool_strength.json",
     "check C1 --trials 0 --out out",
     "check T1 C1 --generator sigma-z --trials 3 --out out",
     # The q3 anchor is built from the generator's extreme eigenvectors, and the
