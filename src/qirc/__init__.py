@@ -28,5 +28,5 @@ from .resources import (FidelityBreakdown, ProfileConfig, ResourceProfile, profi
                         profiles, teleportation_fidelity)
 from .states import (DensityMatrix, Seed, bell_ac, bell_pair, bell_spectator,
                      classical_correlated, coherent_spectator, compose_product,
-                     ghz, gibbs, ginibre_mixed, haar_pure, haar_unitary,
-                     max_entangled_ket, maximally_mixed, plus_state, w_state, werner)
+                     ghz, gibbs, haar_unitary, max_entangled_ket, maximally_mixed,
+                     plus_state, w_state, werner)

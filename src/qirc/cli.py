@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, claims, dynamics, families, resources, serialize, states
+from . import __version__, claims, dynamics, families, linalg, resources, serialize, states
 from .channels import amplitude_damping, apply, dephasing, depolarizing, random_channel
 from .claims import CampaignConfig, resolve_generator
 from .linalg import MAX_DIM
@@ -128,8 +128,11 @@ def _campaign_config(args) -> CampaignConfig:
     # Each error names its option; a d_A of 1, which no generator acts on, is an error of --dims.
     # Tolerances and dims come first, so the first config is built on the run's dims and generator.
     tolerances = _named("--tol", lambda: claims.check_tolerances(_parse_tolerances(args.tol)))
-    dims = _named(f"--dims {args.dims}", lambda: claims.check_campaign_dims(
-        tuple(int(d) for d in args.dims.split(","))))
+    try:
+        dims = tuple(int(d) for d in args.dims.split(","))
+    except ValueError:  # linalg.check_dims rejects what int() cannot read, as in a state file
+        _named(f"--dims {args.dims}", lambda: linalg.check_dims(args.dims.split(","), 0))
+    dims = _named(f"--dims {args.dims}", lambda: claims.check_campaign_dims(dims))
     _named(f"--dims {args.dims}", lambda: resolve_generator("default", dims[0]))
     cfg = _named(f"--generator {args.generator}", lambda: CampaignConfig(
         tolerances=tolerances, trials=args.trials, dims=dims, q2_mode=args.q2_mode,

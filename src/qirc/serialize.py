@@ -98,10 +98,10 @@ def state_from_dict(data: Any) -> DensityMatrix:
     raw = data["matrix"]
     if not isinstance(raw, list) or not raw:
         raise ValueError("'matrix' must be a non-empty list of rows")
-    try:
-        m = np.array([[complex(e[0], e[1]) for e in row] for row in raw])
-    except (TypeError, IndexError, ValueError) as exc:
-        raise ValueError(f"matrix entries must be [re, im] pairs: {exc}") from exc
+    a = np.array(raw, dtype=object)  # an entry is a list of two JSON numbers; a bool is not one
+    if a.ndim != 3 or a.shape[2] != 2 or not {type(x) for x in a.flat} <= {int, float}:
+        raise ValueError("matrix entries must be [re, im] pairs of two numbers")
+    m = a.astype(float).view(complex)[..., 0]
     return DensityMatrix(m, dims)
 
 

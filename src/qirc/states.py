@@ -195,27 +195,12 @@ def haar_ket(n: int, seed: Seed) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def haar_pure(dims: Sequence[int], seed: Seed) -> DensityMatrix:
-    """Haar-distributed pure state, the projector onto ``haar_ket``."""
-    dims = tuple(int(d) for d in dims)
-    v = haar_ket(linalg.check_size(int(np.prod(dims)), f"dims {dims}"), seed)
-    return DensityMatrix(np.outer(v, v.conj()), dims)
-
-
 def ginibre_matrix(d: int, rank: int, seed: Seed) -> np.ndarray:
     """GG†/Tr(GG†) for a d x rank complex Gaussian G, unchecked."""
     rng = seed.rng()
     g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
     m = g @ g.conj().T
     return m / np.trace(m).real
-
-
-def ginibre_mixed(d: int, rank: int, seed: Seed) -> DensityMatrix:
-    """GG†/Tr(GG†) for a d x rank complex Gaussian G."""
-    if not 1 <= rank <= d:
-        raise ValueError(f"rank {rank} outside [1, {d}]")
-    linalg.check_size(d, f"Ginibre dimension {d}")
-    return DensityMatrix(ginibre_matrix(d, rank, seed), (d,))
 
 
 # Tripartite assemblies used by the named families and the claim checks.

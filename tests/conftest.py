@@ -1,9 +1,13 @@
-"""Shared test oracles, independent of the library's own code paths."""
+"""Shared test oracles, independent of the library's own code paths, and the
+adapters that wrap the random ones as states."""
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from qirc.states import DensityMatrix, Seed
 from qirc.tolerances import EPS_HERM, EPS_PSD
 
 _S2 = 1.0 / np.sqrt(2.0)
@@ -68,6 +72,16 @@ def random_pure(rng: np.random.Generator, d: int) -> np.ndarray:
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     v /= np.linalg.norm(v)
     return np.outer(v, v.conj())
+
+
+def haar_state(dims, seed: Seed) -> DensityMatrix:
+    """The Haar pure state on dims that ``claims._samples`` draws from seed."""
+    return DensityMatrix(random_pure(seed.rng(), math.prod(dims)), tuple(dims))
+
+
+def ginibre_state(d: int, rank: int, seed: Seed) -> DensityMatrix:
+    """The rank-``rank`` Ginibre state on (d,) that ``claims._samples`` draws from seed."""
+    return DensityMatrix(random_density(seed.rng(), d, rank), (d,))
 
 
 def random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:

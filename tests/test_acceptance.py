@@ -19,7 +19,7 @@ from qirc.generators import CoherenceGenerator
 from qirc.resources import ProfileConfig
 from qirc.states import Seed
 
-from conftest import random_hermitian
+from conftest import ginibre_state, haar_state, random_hermitian
 
 SEED = 7
 
@@ -83,7 +83,7 @@ def test_criterion_3_fisher_information():
     for i in range(100):
         d = 2 + i % 7
         g = CoherenceGenerator(random_hermitian(rng, d))
-        rho = states.haar_pure((d,), Seed(SEED, 100 + i))
+        rho = haar_state((d,), Seed(SEED, 100 + i))
         fq = _f_q(rho, g)
         var = resources.variances(rho.matrix[None], g)[0]
         worst_pure = max(worst_pure, abs(fq - 4 * var))
@@ -95,7 +95,7 @@ def test_criterion_3_fisher_information():
         d = 2 + i % 7
         g = CoherenceGenerator(random_hermitian(rng, d))
         rank = 1 + i % d
-        rho = states.ginibre_mixed(d, rank, Seed(SEED, 10_000 + i))
+        rho = ginibre_state(d, rank, Seed(SEED, 10_000 + i))
         excess = _f_q(rho, g) - g.spread ** 2
         worst_excess = max(worst_excess, excess)
     ok = worst_pure <= 1e-9 and exact_zero and worst_excess <= 1e-9
@@ -209,8 +209,8 @@ def test_criterion_8_channel_algebra():
         worst_complete = max(worst_complete,
                              float(np.linalg.norm(total - np.eye(ch.d_in))))
     for i in range(60):
-        rho = states.haar_pure((2, 2, 2), Seed(SEED, 700 + i)) if i % 2 else \
-            states.ginibre_mixed(8, 1 + i % 8, Seed(SEED, 700 + i)).reshaped((2, 2, 2))
+        rho = haar_state((2, 2, 2), Seed(SEED, 700 + i)) if i % 2 else \
+            ginibre_state(8, 1 + i % 8, Seed(SEED, 700 + i)).reshaped((2, 2, 2))
         ch = channels.random_channel(2, 2, 1 + i % 4, Seed(SEED, 800 + i))
         out = channels.apply(ch, rho, i % 3)
         worst_trace = max(worst_trace, abs(float(np.trace(out.matrix).real) - 1.0))

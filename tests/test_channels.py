@@ -9,7 +9,7 @@ from qirc.generators import (clusters, default_generator, diagonal_generator,
                              sigma_z_generator)
 from qirc.states import Seed
 
-from conftest import psd_power, random_density
+from conftest import ginibre_state, haar_state, psd_power, random_density
 
 
 def _act(ch, m):
@@ -240,7 +240,7 @@ class TestApply:
 
     def test_trace_preserved_random(self):
         for i in range(10):
-            rho = states.haar_pure((2, 2, 2), Seed(11, i))
+            rho = haar_state((2, 2, 2), Seed(11, i))
             ch = channels.random_channel(2, 2, 1 + i % 4, Seed(12, i))
             out = channels.apply(ch, rho, i % 3)
             assert abs(np.trace(out.matrix) - 1.0) <= 1e-12
@@ -268,7 +268,7 @@ class TestApplyBatch:
         d = dims[target]
         ranks = [1, d * d, 2, 3]  # padded to the largest rank within one stack
         chs = [channels.random_channel(d, d, r, Seed(21, n)) for n, r in enumerate(ranks)]
-        rhos = [states.ginibre_mixed(int(np.prod(dims)), 1 + n, Seed(22, n)).reshaped(dims)
+        rhos = [ginibre_state(int(np.prod(dims)), 1 + n, Seed(22, n)).reshaped(dims)
                 for n in range(len(chs))]
         out = channels.apply_batch(channels.stack_kraus([np.array(ch.kraus) for ch in chs]),
                                    np.array([rho.matrix for rho in rhos]), dims, target)
@@ -339,7 +339,7 @@ class TestChoi:
 
 class TestComposeAndExtraction:
     def test_composition_consistency(self):
-        rho = states.haar_pure((2, 2), Seed(14, 0))
+        rho = haar_state((2, 2), Seed(14, 0))
         ch1 = channels.random_channel(2, 2, 2, Seed(14, 1))
         ch2 = channels.random_channel(2, 2, 2, Seed(14, 2))
         seq = channels.apply(ch2, channels.apply(ch1, rho, 0), 0)

@@ -12,6 +12,8 @@ from qirc.generators import CoherenceGenerator, default_generator
 from qirc.resources import ProfileConfig
 from qirc.states import Seed
 
+from conftest import haar_state, random_density, random_pure
+
 
 def small(**kw):
     defaults = dict(seed=7, trials=12)
@@ -145,7 +147,7 @@ class TestBallCampaign:
     def test_cloud_streams_reproduce_states(self):
         _, cloud = check_qirc_ball(small(trials=5))
         row = cloud[3]
-        state = states.haar_pure((2, 2, 2), Seed(7, row["stream"]))
+        state = haar_state((2, 2, 2), Seed(7, row["stream"]))
         prof = resources.profile(state)
         assert np.isclose(prof.norm, row["norm"])
 
@@ -175,6 +177,43 @@ class TestBallCampaign:
         report, cloud = check_qirc_ball(small(trials=5, sampler="ginibre-mixed",
                                               ginibre_rank=2))
         assert len(cloud) == 5
+
+
+class TestSamples:
+    """claims._samples draws state k of a check from stream stream_offset + k,
+    bit for bit as the test oracles draw it, however the stacks are cut."""
+
+    @staticmethod
+    def _oracle(cfg: CampaignConfig, pure: bool, stream: int) -> np.ndarray:
+        rng, d = Seed(cfg.seed, stream).rng(), int(np.prod(cfg.dims))
+        return random_pure(rng, d) if pure else random_density(rng, d, cfg.ginibre_rank)
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3, 3), (2, 1, 2)])
+    @pytest.mark.parametrize("sampler, rank, pure_only", [
+        ("haar-pure", None, False), ("ginibre-mixed", None, False),
+        ("ginibre-mixed", 3, False), ("ginibre-mixed", 3, True)],
+        ids=["haar", "ginibre-full", "ginibre-rank-3", "pure-only"])
+    @pytest.mark.parametrize("offset, per, width", [(0, 1, 1), (claims._STREAM_PAIR, 2, 2)],
+                             ids=["states", "c2-pairs"])
+    @pytest.mark.parametrize("cut", [False, True], ids=["whole", "cut"])
+    def test_stacks_match_the_oracles(self, monkeypatch, dims, sampler, rank, pure_only,
+                                      offset, per, width, cut):
+        cfg = small(dims=dims, seed=11, sampler=sampler, ginibre_rank=rank)
+        d = int(np.prod(dims))
+        if cut:  # three groups of per states a stack, each group scored as width states
+            monkeypatch.setattr(claims.linalg, "MAX_STACK", 3 * width * d * d)
+        n = 14
+        drawn = list(claims._samples(cfg, n, pure_only=pure_only, stream_offset=offset,
+                                     width=width, per=per))
+        groups = n // per
+        sizes = [3] * (groups // 3) + [groups % 3] if cut else [groups]
+        assert [len(stack) for _, stack, _ in drawn] == [per * k for k in sizes]
+        assert [k for trials, _, _ in drawn for k in trials] == list(range(n))
+        for trials, stack, got_dims in drawn:
+            assert got_dims == dims
+            expected = [self._oracle(cfg, pure_only or sampler == "haar-pure", offset + k)
+                        for k in trials]
+            assert np.array_equal(stack, np.array(expected))
 
 
 class TestStacks:

@@ -15,7 +15,7 @@ from qirc.cli import main
 from qirc.linalg import MAX_DIM
 from qirc.tolerances import EPS_CERT, EPS_MI
 
-from conftest import near_product_ket
+from conftest import haar_state, near_product_ket
 
 
 def run(capsys, *argv):
@@ -44,7 +44,7 @@ class TestProfileCommand:
         # the fallback, the artifact says so
         path = tmp_path / "state.json"
         path.write_text(serialize.dumps(serialize.state_to_dict(
-            states.haar_pure((3, 3, 3), states.Seed(7, 403)))))
+            haar_state((3, 3, 3), states.Seed(7, 403)))))
         gaps = []
         for starts in (0, 32):
             monkeypatch.setattr(resources, "HAAR_STARTS", starts)
@@ -102,6 +102,18 @@ class TestProfileCommand:
         code, out, err = run(capsys, "profile", "--state", str(path))
         assert code == 2 and out == ""
         assert "error: dims must be positive whole numbers, got [2, 2, True]" in err
+
+    @pytest.mark.parametrize("matrix", [[[[True, 0, 99], [0, 0]], [[0, 0], [False, 0]]],
+                                        [[{"0": 1, "1": 0}, [0, 0]], [[0, 0], [0, 0]]]],
+                             ids=["boolean-triples", "object"])
+    def test_malformed_matrix_entries_exit_2(self, capsys, tmp_path, matrix):
+        # each entry is exactly two JSON numbers: the boolean triples are not
+        # read as diag(1, 0), and the object is not indexed (a bare KeyError)
+        path = tmp_path / "entries.json"
+        path.write_text(json.dumps({"dims": [2, 1, 1], "matrix": matrix}))
+        code, out, err = run(capsys, "profile", "--state", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: matrix entries must be [re, im] pairs of two numbers\n"
 
     def test_missing_state_file_exits_2_naming_it(self, capsys, tmp_path):
         path = tmp_path / "missing.json"
@@ -372,6 +384,21 @@ class TestCheckCommand:
             assert code == 2
             assert f"--dims {dims}:" in err and message in err
             assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("dims", ["2,a,2", "2,2.0,2", "2,2,2,"])
+    def test_non_integer_dims_entry_exits_2(self, capsys, tmp_path, dims):
+        # an entry int() cannot read gets a state file's message, not int()'s
+        out = tmp_path / "out"
+        code, stdout, err = run(capsys, "check", "T1", "--trials", "2", "--dims", dims,
+                                "--out", str(out))
+        assert code == 2 and stdout == "" and not out.exists()
+        assert err == (f"error: --dims {dims}: dims must be positive whole numbers, "
+                       f"got {dims.split(',')!r}\n")
+
+    def test_spaced_dims_entries_still_parse(self, capsys):
+        code, out, _ = run(capsys, "check", "T1", "--trials", "2", "--dims", " 2, 2,2")
+        assert code == 0
+        assert json.loads(out)[0]["config"]["campaign"]["dims"] == [2, 2, 2]
 
     def test_qudit_anchors_exit_0(self, capsys):
         # C1, C2 and A2 build their anchors at d_A = 3

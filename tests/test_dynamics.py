@@ -6,6 +6,8 @@ from qirc import channels, dynamics, resources, states
 from qirc.generators import CoherenceGenerator, diagonal_generator, sigma_z_generator
 from qirc.states import Seed
 
+from conftest import ginibre_state, haar_state
+
 
 class TestUnitaryOperator:
     def test_rejects_non_unitary(self):
@@ -30,16 +32,16 @@ class TestEvolve:
         assert np.abs(dynamics.evolve(rho, u).matrix - rho.matrix).max() <= 1e-15
 
     def test_spectrum_invariant(self):
-        rho = states.ginibre_mixed(8, 5, Seed(51, 0)).reshaped((2, 2, 2))
+        rho = ginibre_state(8, 5, Seed(51, 0)).reshaped((2, 2, 2))
         u = dynamics.UnitaryOperator(states.haar_unitary(8, Seed(51, 1)))
         out = dynamics.evolve(rho, u)
         assert np.allclose(np.linalg.eigvalsh(out.matrix),
                            np.linalg.eigvalsh(rho.matrix), atol=1e-10)
 
     def test_local_unitary_leaves_other_marginals(self):
-        a = states.ginibre_mixed(2, 2, Seed(51, 2))
-        b = states.ginibre_mixed(2, 1, Seed(51, 3))
-        c = states.ginibre_mixed(2, 2, Seed(51, 4))
+        a = ginibre_state(2, 2, Seed(51, 2))
+        b = ginibre_state(2, 1, Seed(51, 3))
+        c = ginibre_state(2, 2, Seed(51, 4))
         rho = states.compose_product(states.compose_product(a, b), c)
         u = dynamics.local_product_unitary(states.haar_unitary(2, Seed(51, 5)),
                                            np.eye(2), np.eye(2))
@@ -167,7 +169,7 @@ class TestTrajectory:
 
     def test_commuting_local_schedule_preserves_norm(self):
         g = sigma_z_generator()
-        rho = states.haar_pure((2, 2, 2), Seed(55, 0))
+        rho = haar_state((2, 2, 2), Seed(55, 0))
         steps = []
         for i in range(3):
             u = dynamics.local_product_unitary(
@@ -183,7 +185,7 @@ class TestTrajectory:
         # tracing out C, a 2 -> 1 channel, turns dims (2, 2, 2) into (2, 2, 1)
         trace_c = channels.KrausChannel([np.eye(2)[None, k] for k in range(2)])
         noise = channels.depolarizing(2, 0.1)
-        rho = states.haar_pure((2, 2, 2), Seed(56, 0))
+        rho = haar_state((2, 2, 2), Seed(56, 0))
         traj = dynamics.trajectory(rho, [("trace C", (trace_c, 2)), ("noise", (noise, 0))])
         after = [rho, channels.apply(trace_c, rho, 2)]
         after.append(channels.apply(noise, after[1], 0))

@@ -13,6 +13,8 @@ from qirc.resources import ProfileConfig
 from qirc.states import DensityMatrix, Seed
 from qirc.tolerances import EPS_HERM, EPS_PSD, EPS_Q3_MONO, EPS_TRACE, EPS_TRAJ
 
+from conftest import ginibre_state, haar_state
+
 SEEDS = st.integers(0, 2**32 - 1)
 
 # (d, generator spec, sampler); the d = 3 diagonal generator is degenerate
@@ -24,9 +26,9 @@ CASES = pytest.mark.parametrize("d, spec, sampler", [
 
 def _state(d: int, sampler: str, seed: int, rank: int) -> states.DensityMatrix:
     if sampler == "haar-pure":
-        return states.haar_pure((d, d, d), Seed(seed, 0))
+        return haar_state((d, d, d), Seed(seed, 0))
     rank = 1 + rank % d ** 3
-    return states.ginibre_mixed(d ** 3, rank, Seed(seed, 0)).reshaped((d, d, d))
+    return ginibre_state(d ** 3, rank, Seed(seed, 0)).reshaped((d, d, d))
 
 
 def _q3(rho_a: states.DensityMatrix, g) -> float:
@@ -72,7 +74,7 @@ def test_dephasing_along_the_generator_never_raises_q3(d, spec, sampler, seed, r
 def test_derived_states_pass_the_entry_check(d, sampler, seed, rank, lam):
     # every constructor that skips DensityMatrix's check, held to its thresholds
     rho = _state(d, sampler, seed, rank)
-    other = states.haar_pure((d, d, d), Seed(seed, 1))
+    other = haar_state((d, d, d), Seed(seed, 1))
     rho_a = rho.marginal([0])
     ch = channels.random_channel(d, d, 1 + rank % (d * d), Seed(seed, 2))
     u = dynamics.local_product_unitary(

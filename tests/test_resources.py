@@ -8,7 +8,8 @@ from qirc.resources import ProfileConfig, profile, profile_batch, teleportation_
 from qirc.states import DensityMatrix, Seed
 from qirc.tolerances import EPS_CERT, EPS_OPT, EPS_PSD
 
-from conftest import fmax_two_qubit_oracle, near_product_ket, random_hermitian
+from conftest import (fmax_two_qubit_oracle, ginibre_state, haar_state, near_product_ket,
+                      random_hermitian)
 
 
 def bell_overlap(rho: DensityMatrix) -> float:
@@ -20,9 +21,9 @@ def qubit_pairs(n: int, master: int):
     """Alternately Haar pure and Ginibre mixed two-qubit states."""
     for i in range(n):
         if i % 2:
-            yield states.haar_pure((2, 2), Seed(master, i))
+            yield haar_state((2, 2), Seed(master, i))
         else:
-            yield states.ginibre_mixed(4, 1 + i % 4, Seed(master, i)).reshaped((2, 2))
+            yield ginibre_state(4, 1 + i % 4, Seed(master, i)).reshaped((2, 2))
 
 
 def q1_of(rho_ab: DensityMatrix) -> tuple[float, float]:
@@ -72,7 +73,7 @@ def short_start_state() -> DensityMatrix:
     """A Haar 3-qutrit state whose q2 Choi state the spectral and identity
     starts leave 0.027 below its singlet fraction; its rho_AB the spectral
     start certifies alone."""
-    return states.haar_pure((3, 3, 3), Seed(7, 403))
+    return haar_state((3, 3, 3), Seed(7, 403))
 
 
 def power_fraction(rho: np.ndarray, d: int) -> float:
@@ -134,12 +135,12 @@ class TestFullyEntangledFraction:
 
     def test_never_below_identity_overlap_or_floor(self):
         for i in range(30):
-            rho = states.ginibre_mixed(4, 1 + i % 4, Seed(32, i)).reshaped((2, 2))
+            rho = ginibre_state(4, 1 + i % 4, Seed(32, i)).reshaped((2, 2))
             f, _, _ = fraction(rho)
             assert f >= max(bell_overlap(rho), 1 / 4) - 1e-12
 
     def test_returned_unitary_reproduces_value(self):
-        rho = states.haar_pure((2, 2), Seed(33, 0))
+        rho = haar_state((2, 2), Seed(33, 0))
         f, w, _ = fraction(rho)
         v = states.max_entangled_ket(2)
         big = np.kron(linalg.dagger(w), np.eye(2))
@@ -152,9 +153,9 @@ class TestFullyEntangledFraction:
         pairs = []
         for i in range(1000):
             if i % 2:
-                rho = states.haar_pure((2, 2, 2), Seed(48, i))
+                rho = haar_state((2, 2, 2), Seed(48, i))
             else:
-                rho = states.ginibre_mixed(8, 1 + i % 8, Seed(48, i)).reshaped((2, 2, 2))
+                rho = ginibre_state(8, 1 + i % 8, Seed(48, i)).reshaped((2, 2, 2))
             pairs += [rho.marginal([0, 1]), choi(rho.marginal([0, 2]))]
         f = np.array([fraction(pair)[0] for pair in pairs])
         # the search runs on all pairs as one stack; each row searches alone
@@ -169,14 +170,14 @@ class TestFullyEntangledFraction:
 
     def test_d3_search_is_deterministic(self):
         # the Haar starts are cached; a second call must repeat the first
-        rho = states.ginibre_mixed(9, 3, Seed(33, 1)).reshaped((3, 3))
+        rho = ginibre_state(9, 3, Seed(33, 1)).reshaped((3, 3))
         f1, w1, _ = fraction(rho)
         f2, w2, _ = fraction(rho)
         assert f1 == f2 and np.array_equal(w1, w2)
 
     def test_exhaustive_random_search_never_beats_it(self):
         # brute force over many unoptimized unitaries stays below the result
-        rho = states.ginibre_mixed(4, 3, Seed(33, 2)).reshaped((2, 2))
+        rho = ginibre_state(4, 3, Seed(33, 2)).reshaped((2, 2))
         f, _, _ = fraction(rho)
         v = states.max_entangled_ket(2)
         best = 0.0
@@ -191,7 +192,7 @@ class TestFullyEntangledFraction:
             profile(rho)
 
     def test_d3_upper_bound_and_floor(self):
-        rho = states.ginibre_mixed(9, 4, Seed(35, 0)).reshaped((3, 3))
+        rho = ginibre_state(9, 4, Seed(35, 0)).reshaped((3, 3))
         f, _, _ = fraction(rho)
         top = float(np.linalg.eigvalsh(rho.matrix).max())
         assert 1 / 9 - 1e-12 <= f <= top + 1e-9
@@ -223,7 +224,7 @@ class TestCertificate:
         ws = np.array([linalg.dagger(states.haar_unitary(3, Seed(34, i))).reshape(9)
                        for i in range(2000)])
         for i in range(12):
-            rho = states.ginibre_mixed(9, 1 + i % 9, Seed(36, i)).reshaped((3, 3))
+            rho = ginibre_state(9, 1 + i % 9, Seed(36, i)).reshaped((3, 3))
             f, _, gap = fraction(rho)
             brute = np.einsum("ni,ij,nj->n", ws.conj(), rho.matrix, ws).real.max() / 3
             assert gap >= 0.0
@@ -244,7 +245,7 @@ class TestNewtonSearch:
     @pytest.mark.parametrize("d, n", [(3, 60), (4, 16)])
     def test_never_below_the_power_iteration(self, d, n):
         # seed-7 Haar states, rho_AB and the q2 Choi state of each
-        rhos = [states.haar_pure((d, d, d), Seed(7, i)) for i in range(n)]
+        rhos = [haar_state((d, d, d), Seed(7, i)) for i in range(n)]
         stack = np.array([m.matrix for rho in rhos for m in (
             rho.marginal([0, 1]), choi(rho.marginal([0, 2])))])
         f, w, gap = resources._singlet_fractions(stack, d)
@@ -338,7 +339,7 @@ class TestHaarFallback:
         # seed-7 qutrit states the 32 starts leave uncertified, where the
         # relaxation is not tight: 256 starts raise f by round-off only, and
         # stay under the first bound
-        rho = states.haar_pure((3, 3, 3), Seed(7, stream))
+        rho = haar_state((3, 3, 3), Seed(7, stream))
         rho = rho.marginal([0, 1]) if pair == "ab" else choi(rho.marginal([0, 2]))
         f, _, gap = fraction(rho)
         assert gap > EPS_CERT
@@ -349,7 +350,7 @@ class TestHaarFallback:
     def test_search_that_stopped_short_now_certifies(self, haar_calls):
         # seed 7, stream 770: power steps alone stop a few 1e-12 short of this
         # q2 Choi state's fraction and leave it uncertified
-        rho = choi(states.haar_pure((3, 3, 3), Seed(7, 770)).marginal([0, 2]))
+        rho = choi(haar_state((3, 3, 3), Seed(7, 770)).marginal([0, 2]))
         f, _, gap = fraction(rho)
         assert 0.0 <= gap <= EPS_CERT and haar_calls == []
         f_more = resources._power_refine(rho.matrix[None], resources._haar_starts(3, 256), 3)[0]
@@ -386,15 +387,15 @@ class TestCoordQ1:
 
     def test_products_have_no_advantage(self):
         for i in range(10):
-            a = states.ginibre_mixed(2, 1 + i % 2, Seed(36, 2 * i))
-            b = states.ginibre_mixed(2, 1 + (i + 1) % 2, Seed(36, 2 * i + 1))
+            a = ginibre_state(2, 1 + i % 2, Seed(36, 2 * i))
+            b = ginibre_state(2, 1 + (i + 1) % 2, Seed(36, 2 * i + 1))
             q1, raw = q1_of(states.compose_product(a, b))
             assert q1 == 0.0
             assert raw <= 1e-9
 
     def test_local_unitary_invariance(self):
         for i in range(8):
-            rho = states.ginibre_mixed(4, 2, Seed(37, i)).reshaped((2, 2))
+            rho = ginibre_state(4, 2, Seed(37, i)).reshaped((2, 2))
             u_a = states.haar_unitary(2, Seed(38, 2 * i))
             u_b = states.haar_unitary(2, Seed(38, 2 * i + 1))
             big = np.kron(u_a, u_b)
@@ -430,10 +431,10 @@ class TestTransferChoiState:
     def test_matches_blockwise_construction(self, d):
         for i in range(20):
             if i % 2:
-                rho = states.haar_pure((d, d), Seed(49, 100 * d + i))
+                rho = haar_state((d, d), Seed(49, 100 * d + i))
             else:
-                rho = states.ginibre_mixed(d * d, 1 + i % (d * d),
-                                           Seed(49, 100 * d + i)).reshaped((d, d))
+                rho = ginibre_state(d * d, 1 + i % (d * d),
+                                    Seed(49, 100 * d + i)).reshaped((d, d))
             c = choi(rho)
             assert np.abs(c.matrix - choi_by_blocks(rho)).max() <= 1e-12
 
@@ -443,7 +444,7 @@ class TestTransferChoiState:
         # the (I - P) ⊗ rho_C term is exercised
         iso = np.kron(np.eye(d)[:, :d - 1], np.eye(d))
         for i in range(5):
-            g = states.ginibre_mixed((d - 1) * d, 2, Seed(50, 10 * d + i))
+            g = ginibre_state((d - 1) * d, 2, Seed(50, 10 * d + i))
             rho = DensityMatrix(iso @ g.matrix @ iso.T, (d, d))
             assert np.linalg.matrix_rank(rho.marginal([0]).matrix, tol=1e-10) == d - 1
             c = choi(rho)
@@ -478,7 +479,7 @@ class TestInducedTransferChannel:
 
     def test_cptp_for_random_states(self):
         for i in range(10):
-            rho = states.ginibre_mixed(4, 1 + i % 4, Seed(39, i)).reshaped((2, 2))
+            rho = ginibre_state(4, 1 + i % 4, Seed(39, i)).reshaped((2, 2))
             c = choi(rho)
             assert np.linalg.norm(c.marginal([0]).matrix - np.eye(2) / 2) <= 1e-10
 
@@ -527,7 +528,7 @@ class TestMonogamyReading:
     def test_q2_is_invariant_under_local_unitaries_on_a_and_c(self, d):
         cfg = ProfileConfig(q2_mode="singlet-ac")
         for i in range(10):
-            rho = states.haar_pure((d, d, d), Seed(3, i))
+            rho = haar_state((d, d, d), Seed(3, i))
             u = linalg.kron(linalg.kron(states.haar_unitary(d, Seed(4, i)), np.eye(d)),
                             states.haar_unitary(d, Seed(5, i)))
             before = profile(rho, cfg)
@@ -554,7 +555,7 @@ class TestQuantumFisherInformation:
     def test_pure_state_is_four_variance(self, rng, d):
         g = CoherenceGenerator(random_hermitian(rng, d))
         for i in range(20):
-            rho = states.haar_pure((d,), Seed(41, 20 * d + i))
+            rho = haar_state((d,), Seed(41, 20 * d + i))
             fq = f_q(rho, g)
             assert abs(fq - 4 * variance(rho, g)) <= 1e-9
 
@@ -572,14 +573,14 @@ class TestQuantumFisherInformation:
     def test_bounded_by_four_variance(self, rng):
         g = CoherenceGenerator(random_hermitian(rng, 3))
         for i in range(50):
-            rho = states.ginibre_mixed(3, 1 + i % 3, Seed(42, i))
+            rho = ginibre_state(3, 1 + i % 3, Seed(42, i))
             fq = f_q(rho, g)
             assert fq <= 4 * variance(rho, g) + 1e-9
 
     def test_invariant_under_commuting_unitary(self):
         g = sigma_z_generator()
         for i in range(10):
-            rho = states.ginibre_mixed(2, 2, Seed(43, i))
+            rho = ginibre_state(2, 2, Seed(43, i))
             theta = 0.3 + i
             u = np.diag([np.exp(-1j * theta), np.exp(1j * theta)])
             rotated = DensityMatrix(u @ rho.matrix @ u.conj().T, (2,))
@@ -613,7 +614,7 @@ class TestFqMax:
         g = CoherenceGenerator(random_hermitian(rng, 3))
         top = g.spread ** 2
         for i in range(300):
-            rho = states.haar_pure((3,), Seed(44, i))
+            rho = haar_state((3,), Seed(44, i))
             assert f_q(rho, g) <= top + 1e-9
 
     def test_degenerate_generator_rejected(self):
@@ -652,20 +653,20 @@ class TestProfile:
 
     def test_norm_is_squared_length(self):
         for i in range(5):
-            p = profile(states.haar_pure((2, 2, 2), Seed(45, i)))
+            p = profile(haar_state((2, 2, 2), Seed(45, i)))
             assert p.norm == p.q1**2 + p.q2**2 + p.q3**2
             assert all(0.0 <= q <= 1.0 for q in p.coords())
 
     def test_breakdown_consistency(self):
-        p = profile(states.haar_pure((2, 2, 2), Seed(45, 9)))
+        p = profile(haar_state((2, 2, 2), Seed(45, 9)))
         b = p.breakdown
         assert np.isclose(b.f_tele, (b.d * b.f_max + 1) / (b.d + 1))
         assert b.f_q <= b.f_q_max + 1e-9
 
     def test_exact_values_have_zero_gap(self):
         # the qubit closed form and a trivial factor are exact
-        qutrit = states.haar_pure((3, 3, 3), Seed(45, 0))
-        cases = [states.haar_pure((2, 2, 2), Seed(45, 9)),
+        qutrit = haar_state((3, 3, 3), Seed(45, 0))
+        cases = [haar_state((2, 2, 2), Seed(45, 9)),
                  qutrit.marginal([0, 2]).reshaped((3, 1, 3))]
         gaps = [(p.breakdown.f_max_gap, p.breakdown.f_choi_gap)
                 for p in (profile(rho) for rho in cases)]
@@ -715,7 +716,7 @@ class TestProfile:
 @pytest.mark.parametrize("d", [2, 3])
 def test_one_quantity_is_the_profile_of_trivial_factors(d, rng):
     # each documented route reads, bit for bit, its kernel on the state alone
-    rhos = [states.haar_pure((d, d, d), Seed(7, i)) for i in range(40)]
+    rhos = [haar_state((d, d, d), Seed(7, i)) for i in range(40)]
     for rho in rhos:
         rho_ab, rho_ac, rho_a = rho.marginal([0, 1]), rho.marginal([0, 2]), rho.marginal([0])
         b = profile(rho_ab.reshaped((d, d, 1))).breakdown
@@ -754,7 +755,7 @@ class TestProfileBatch:
         # seed-7 stream 81 at d = 3: its rho_AB needs the Haar fallback, and
         # the fallback still leaves it uncertified (gap > EPS_CERT)
         streams = [81] + list(range(39))
-        rhos = [states.haar_pure(dims, Seed(7, s)) for s in streams]
+        rhos = [haar_state(dims, Seed(7, s)) for s in streams]
         cfg = ProfileConfig(q2_mode=mode)
         alone = [profile(rho, cfg) for rho in rhos]
         if dims == (3, 3, 3):
@@ -837,13 +838,13 @@ class TestEntropies:
 
     def test_entropy_bounds(self, rng):
         for i in range(10):
-            rho = states.ginibre_mixed(4, 1 + i % 4, Seed(46, i))
+            rho = ginibre_state(4, 1 + i % 4, Seed(46, i))
             s = resources.entropies(rho.matrix[None])[0]
             assert -1e-10 <= s <= np.log(4) + 1e-10
 
     def test_mutual_information_nonnegative(self):
         for i in range(10):
-            rho = states.haar_pure((2, 2), Seed(47, i))
+            rho = haar_state((2, 2), Seed(47, i))
             assert resources.mutual_informations(rho.matrix[None], rho.dims)[0] >= -1e-10
 
     @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 4), (3, 1)])

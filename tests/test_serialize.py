@@ -7,6 +7,8 @@ import pytest
 
 from qirc import serialize, states
 
+from conftest import haar_state
+
 
 class TestFloatFormat:
     def test_shortest_repr(self):
@@ -109,7 +111,7 @@ class TestWitnessMatrices:
 
     @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 1, 2), (3, 3, 3)])
     def test_state_dicts_wherever_they_sit(self, dims, rendered):
-        state = serialize.state_to_dict(states.haar_pure(dims, states.Seed(3, 1)))
+        state = serialize.state_to_dict(haar_state(dims, states.Seed(3, 1)))
         d = 8 if dims == (2, 2, 2) else 4 if dims == (2, 1, 2) else 27
         for doc, indents in ((state, [2]),
                              ({"margin": 0.5, "worst_case": {"trial": 2, "state": state}}, [6]),
@@ -141,13 +143,13 @@ class TestWitnessMatrices:
         assert rendered == ([(1, 1, 6), (1, 1, 4)] if isinstance(matrix, dict) else [])
 
     def test_a_string_equal_to_the_placeholder(self):
-        state = serialize.state_to_dict(states.haar_pure((2, 2, 2), states.Seed(3, 1)))
+        state = serialize.state_to_dict(haar_state((2, 2, 2), states.Seed(3, 1)))
         for doc in ({"state": state, "note": serialize._MARK},
                     {"matrix": serialize._MARK}, {serialize._MARK: state}):
             assert serialize.dumps(doc) == self.encoder(doc)
 
     def test_does_not_change_the_document(self):
-        state = serialize.state_to_dict(states.haar_pure((2, 2, 2), states.Seed(3, 1)))
+        state = serialize.state_to_dict(haar_state((2, 2, 2), states.Seed(3, 1)))
         doc = {"worst_case": {"state": state}}
         before = json.dumps(doc)
         serialize.dumps(doc)
@@ -209,7 +211,7 @@ class TestRoundTrip:
 
 class TestStateFiles:
     def test_round_trip(self):
-        rho = states.haar_pure((2, 2), states.Seed(61, 0))
+        rho = haar_state((2, 2), states.Seed(61, 0))
         doc = serialize.state_to_dict(rho)
         back = serialize.state_from_dict(json.loads(json.dumps(doc)))
         assert back.dims == rho.dims
@@ -222,6 +224,26 @@ class TestStateFiles:
     def test_rejects_malformed_entries(self):
         with pytest.raises(ValueError):
             serialize.state_from_dict({"dims": [2], "matrix": [[1.0, 0.0]]})
+
+    def test_entries_read_bit_for_bit(self, monkeypatch):
+        # each [re, im] becomes complex(re, im) exactly, signed zeros and ints too
+        rng = np.random.default_rng(5)
+        raw = [[[float(x), float(y)] for x, y in rng.standard_normal((4, 2))] for _ in range(4)]
+        raw[0][1], raw[1][0], raw[2][3] = [-0.0, 0.0], [0.0, -0.0], [3, -2]
+        seen = []
+        monkeypatch.setattr(states.DensityMatrix, "__init__",
+                            lambda self, m, dims: seen.append(m))
+        serialize.state_from_dict({"dims": [4], "matrix": raw})
+        expected = np.array([[complex(re, im) for re, im in row] for row in raw])
+        assert seen[0].dtype == complex and seen[0].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("entry", [[True, 0], [0, False], [1, 0, 0], [1], {"0": 1, "1": 0},
+                                       ["1", "0"], "1", 1.0, [[1, 0], [0, 0]]])
+    def test_rejects_entries_other_than_two_numbers(self, entry):
+        doc = serialize.state_to_dict(states.maximally_mixed(2))
+        doc["matrix"][1][0] = entry
+        with pytest.raises(ValueError, match=r"^matrix entries must be \[re, im\] pairs"):
+            serialize.state_from_dict(doc)
 
     def test_rejects_an_empty_matrix(self):
         with pytest.raises(ValueError, match="'matrix' must be a non-empty list of rows"):

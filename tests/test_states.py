@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from qirc import channels, dynamics, linalg, resources, states
+from qirc import channels, claims, dynamics, families, linalg, resources, serialize, states
+from qirc.claims import CampaignConfig
 from qirc.states import DensityMatrix, Seed
+
+from conftest import ginibre_state, haar_state
 
 
 class TestDensityMatrixValidation:
@@ -73,7 +76,7 @@ def _first_error(build) -> str:
 class TestCheckStates:
     """A stack of states is checked once, with DensityMatrix's messages."""
 
-    GOOD = [states.haar_pure((2, 2), Seed(4, k)).matrix for k in range(3)]
+    GOOD = [haar_state((2, 2), Seed(4, k)).matrix for k in range(3)]
 
     @pytest.mark.parametrize("bad", [
         np.diag([np.nan, 0.5, 0.5, 0.0]),                      # non-finite entry
@@ -112,29 +115,33 @@ class TestDerivedStates:
     """A state is checked where it enters; states computed from it are not."""
 
     def test_entry_points_check(self, validations):
-        states.haar_pure((2, 2, 2), Seed(3, 0))
-        states.ginibre_mixed(4, 2, Seed(3, 1))
+        # a state file, a named family and a library caller; sampled stacks
+        # go through check_states (TestCheckStates)
+        doc = serialize.state_to_dict(states.maximally_mixed(2))
+        validations.clear()
+        serialize.state_from_dict(doc)
+        families.build("w")
         with pytest.raises(ValueError):
             DensityMatrix(np.eye(2, dtype=complex), (2,))
         assert len(validations) == 3
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_profile_runs_no_validation(self, validations, d):
-        rho = states.haar_pure((d, d, d), Seed(3, d))
+        rho = haar_state((d, d, d), Seed(3, d))
         validations.clear()
         resources.profile(rho)
         assert validations == []
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_profile_batch_runs_no_validation(self, validations, checked_rows, d):
-        stack = np.array([states.haar_pure((d, d, d), Seed(3, k)).matrix for k in range(4)])
+        stack = np.array([haar_state((d, d, d), Seed(3, k)).matrix for k in range(4)])
         validations.clear()
         checked_rows.clear()
         resources.profile_batch(stack, (d, d, d))
         assert validations == [] and checked_rows == []
 
     def test_derived_constructors_run_no_validation(self, validations):
-        rho = states.haar_pure((2, 2, 2), Seed(3, 2))
+        rho = haar_state((2, 2, 2), Seed(3, 2))
         ch = channels.random_channel(2, 2, 2, Seed(3, 3))
         u = dynamics.local_product_unitary(*(states.haar_unitary(2, Seed(3, 4 + k))
                                              for k in range(3)))
@@ -264,66 +271,75 @@ class TestClassicalCorrelated:
             states.classical_correlated(1)
 
 
-class _NoDraw:
-    """A seed that fails if a sampler draws from it."""
+def _drawn(n: int, **settings) -> np.ndarray:
+    """The n states ``claims._samples`` draws for a config of these settings,
+    in trial order."""
+    cfg = CampaignConfig(**settings)
+    return np.concatenate([stack for _, stack, _ in claims._samples(cfg, n)])
 
+
+@pytest.fixture
+def no_draw(monkeypatch):
+    """Makes any draw from a seed fail."""
     def rng(self):
-        raise AssertionError("drew before checking the size")
+        raise AssertionError("drew before checking the config")
+
+    monkeypatch.setattr(Seed, "rng", rng)
 
 
 class TestHaarPure:
-    def test_oversized_rejected_before_drawing(self):
+    """The haar-pure sampler of the claim checks, claims._samples."""
+
+    def test_oversized_rejected_before_drawing(self, no_draw):
         # 17 * 16 * 16 = 4352 is just above MAX_DIM
         with pytest.raises(ValueError, match="exceeds"):
-            states.haar_pure((17, 16, 16), _NoDraw())
+            CampaignConfig(dims=(17, 16, 16))
 
     def test_purity(self):
-        rho = states.haar_pure((2, 2, 2), Seed(5, 0))
-        assert abs(np.trace(rho.matrix @ rho.matrix).real - 1.0) <= 1e-12
+        for m in _drawn(3, dims=(2, 2, 2), seed=5):
+            assert abs(np.trace(m @ m).real - 1.0) <= 1e-12
 
     def test_determinism(self):
-        a = states.haar_pure((2, 2), Seed(5, 3))
-        b = states.haar_pure((2, 2), Seed(5, 3))
-        assert np.array_equal(a.matrix, b.matrix)
+        assert np.array_equal(_drawn(4, dims=(2, 2, 1), seed=5),
+                              _drawn(4, dims=(2, 2, 1), seed=5))
 
     def test_streams_differ(self):
-        a = states.haar_pure((2, 2), Seed(5, 3))
-        b = states.haar_pure((2, 2), Seed(5, 4))
-        assert not np.allclose(a.matrix, b.matrix)
+        a, b = _drawn(2, dims=(2, 2, 1), seed=5)
+        assert not np.allclose(a, b)
+        assert not np.allclose(a, _drawn(1, dims=(2, 2, 1), seed=6)[0])
 
     def test_mean_is_maximally_mixed(self):
         # Haar average is I/D; diagonal and Bloch components have variance
         # 1/12, so 3 standard errors at n = 10^4 is about 0.0087.
         n = 10_000
-        acc = np.zeros((2, 2), dtype=complex)
-        for i in range(n):
-            acc += states.haar_pure((2,), Seed(99, i)).matrix
-        assert np.abs(acc / n - np.eye(2) / 2).max() <= 3 * np.sqrt(1 / 12 / n)
+        mean = _drawn(n, dims=(2, 1, 1), seed=99).mean(axis=0)
+        assert np.abs(mean - np.eye(2) / 2).max() <= 3 * np.sqrt(1 / 12 / n)
 
 
 class TestGinibre:
+    """The ginibre-mixed sampler of the claim checks, claims._samples."""
+
     def test_rank_one_is_pure(self):
-        rho = states.ginibre_mixed(4, 1, Seed(8, 0))
-        assert abs(np.trace(rho.matrix @ rho.matrix).real - 1.0) <= 1e-12
+        m = _drawn(1, dims=(2, 2, 1), seed=8, sampler="ginibre-mixed", ginibre_rank=1)[0]
+        assert abs(np.trace(m @ m).real - 1.0) <= 1e-12
 
     def test_determinism(self):
-        a = states.ginibre_mixed(2, 2, Seed(8, 1))
-        b = states.ginibre_mixed(2, 2, Seed(8, 1))
-        assert np.array_equal(a.matrix, b.matrix)
+        a, b = (_drawn(3, dims=(2, 1, 1), seed=8, sampler="ginibre-mixed") for _ in range(2))
+        assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
     def test_eigenvalue_count_matches_rank(self, rank):
-        rho = states.ginibre_mixed(4, rank, Seed(8, rank))
-        w = np.linalg.eigvalsh(rho.matrix)
-        assert int((w > 1e-10).sum()) == rank
+        for m in _drawn(3, dims=(2, 2, 1), seed=8, sampler="ginibre-mixed", ginibre_rank=rank):
+            assert int((np.linalg.eigvalsh(m) > 1e-10).sum()) == rank
 
-    def test_rank_range(self):
-        with pytest.raises(ValueError):
-            states.ginibre_mixed(3, 4, Seed(8, 0))
+    def test_rank_range(self, no_draw):
+        for rank in (0, 4):
+            with pytest.raises(ValueError, match="ginibre rank must lie in 1..3"):
+                CampaignConfig(dims=(3, 1, 1), sampler="ginibre-mixed", ginibre_rank=rank)
 
-    def test_oversized_rejected_before_drawing(self):
+    def test_oversized_rejected_before_drawing(self, no_draw):
         with pytest.raises(ValueError, match="exceeds"):
-            states.ginibre_mixed(17 * 16 * 16, 1, _NoDraw())
+            CampaignConfig(dims=(17, 16, 16), sampler="ginibre-mixed", ginibre_rank=1)
 
 
 class TestHaarUnitary:
@@ -357,15 +373,15 @@ class TestComposeProduct:
         assert np.isclose(np.trace(rho.matrix), 1.0)
 
     def test_marginals_factor(self, rng):
-        a = states.haar_pure((2,), Seed(1, 0))
-        b = states.ginibre_mixed(3, 2, Seed(1, 1))
+        a = haar_state((2,), Seed(1, 0))
+        b = ginibre_state(3, 2, Seed(1, 1))
         rho = states.compose_product(a, b)
         assert np.allclose(rho.marginal([0]).matrix, a.matrix)
         assert np.allclose(rho.marginal([1]).matrix, b.matrix)
 
     def test_purity_multiplies(self):
-        a = states.ginibre_mixed(2, 2, Seed(1, 2))
-        b = states.ginibre_mixed(3, 3, Seed(1, 3))
+        a = ginibre_state(2, 2, Seed(1, 2))
+        b = ginibre_state(3, 3, Seed(1, 3))
         rho = states.compose_product(a, b)
         purity = [np.trace(s.matrix @ s.matrix).real for s in (rho, a, b)]
         assert np.isclose(purity[0], purity[1] * purity[2])

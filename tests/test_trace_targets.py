@@ -28,13 +28,14 @@ TRACED = _traced()
 
 # Deleted from qirc with the Kraus-Choi round trip, the single-state twins
 # of the stacked singlet-fraction, Fisher-information and entropy kernels,
-# and the checked PSD power that covariant channels no longer call; the
-# tracer still names them and reads 0 calls for each until the benchmark's
-# span list drops them.
+# the checked PSD power that covariant channels no longer call, and the Haar
+# sampler that only the tests called (the checks draw in claims._samples);
+# the tracer still names them and reads 0 calls for each until the
+# benchmark's span list drops them.
 DELETED = {"channels.choi", "channels.kraus_from_choi", "channels.covariant_channel",
            "resources.induced_transfer_channel", "resources.fully_entangled_fraction",
            "resources.quantum_fisher_information", "resources.von_neumann_entropy",
-           "linalg.psd_power"}
+           "linalg.psd_power", "states.haar_pure"}
 
 
 @pytest.mark.parametrize("module, path", [(m, p) for m, p, _ in TRACED],

@@ -82,10 +82,15 @@ def cloner_state() -> str:
 BOOL_DIMS = {"dims": [2, 2, True], "matrix": [[[0.25 * (i == j), 0.0] for j in range(4)]
                                               for i in range(4)]}
 BOOL_STRENGTH = [{"type": "channel", "name": "depolarizing", "p": True}]
+# Matrix entries that are not two numbers: boolean triples, and an object.
+BOOL_ENTRIES = {"dims": [2, 1, 1], "matrix": [[[True, 0, 99], [0, 0]], [[0, 0], [False, 0]]]}
+OBJECT_ENTRY = {"dims": [2, 1, 1], "matrix": [[{"0": 1, "1": 0}, [0, 0]], [[0, 0], [0, 0]]]}
 
 INPUTS = {"schedule.json": json.dumps(SCHEDULE), "qutrit_product.json": qutrit_product_state(1e-2),
           "cloner.json": cloner_state(), "bool_dims.json": json.dumps(BOOL_DIMS),
-          "bool_strength.json": json.dumps(BOOL_STRENGTH)}
+          "bool_strength.json": json.dumps(BOOL_STRENGTH),
+          "bool_entries.json": json.dumps(BOOL_ENTRIES),
+          "object_entry.json": json.dumps(OBJECT_ENTRY)}
 
 COMMANDS = [
     "check all --trials 40 --channels 5 --seed 7 --out out",
@@ -140,6 +145,8 @@ COMMANDS = [
     # Every other label of the campaign config's errors, one option each.
     "check T1 --trials 2 --tol bogus=1",
     "check T1 --trials 2 --dims 2,a,2",
+    "check T1 --trials 2 --dims 2,2.0,2",
+    "check T1 --trials 2 --dims 2,2,2,",
     "check T1 --trials 2 --dims 17,16,16",
     "check T1 --trials 2 --dims 3,3,3 --generator sigma-z",
     "check T1 --trials 2 --seed -1",
@@ -150,6 +157,9 @@ COMMANDS = [
     # JSON true is not a number: as a state file's dim or a channel strength it exits 2.
     "profile --state bool_dims.json",
     "evolve --family w --schedule bool_strength.json",
+    # A state file's matrix entries are each exactly two numbers.
+    "profile --state bool_entries.json",
+    "profile --state object_entry.json",
     "check C1 --trials 0 --out out",
     "check T1 C1 --generator sigma-z --trials 3 --out out",
     # The q3 anchor is built from the generator's extreme eigenvectors, and the
