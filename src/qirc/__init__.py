@@ -20,8 +20,7 @@ from .claims import (CLAIM_IDS, CampaignConfig, ClaimReport, check_convexity,
 from .dynamics import (Trajectory, UnitaryOperator, commuting_local_unitary,
                        evolve, local_product_unitary, sample_commutant_unitary,
                        trajectory)
-from .generators import (CoherenceGenerator, default_generator,
-                         diagonal_generator, sigma_z_generator)
+from .generators import CoherenceGenerator, default_generator, diagonal_generator
 from .linalg import (HermitianEigen, hermitian_eigen, kron, partial_trace,
                      permute_subsystems)
 from .resources import (FidelityBreakdown, ProfileConfig, ResourceProfile, profile,

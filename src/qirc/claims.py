@@ -2,14 +2,9 @@
 parameterized check that emits a ClaimReport, at any d_A with d_A^3 <= MAX_DIM
 (C1, C2 and A2 build their anchors at d_A from the generator, ``_anchors``).
 
-Two verdict tiers keep mathematics and conjecture apart. Hard-assertion
-checks (extremal anchors, q3 monotonicity under generator-covariant
-channels, the local conservation family, the mutual-information bound)
-report ``holds-within-tolerance`` or ``violated``. Report-only checks (ball
-membership, convexity of mixtures, q1, q3 and norm increases under
-Haar-random channels, global commutant drift, the heuristic entropy bounds)
-always report ``report-only`` or sit in a hard check's
-``report_only_violations``; their violations are findings, not failures.
+Two verdict tiers keep mathematics and conjecture apart: ``CLAIMS`` says, once,
+which statements of each claim are hard assertions and which are report-only
+findings, and ``_report`` derives every verdict and count from it.
 """
 
 from __future__ import annotations
@@ -22,8 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import channels, dynamics, families, linalg, resources, serialize, states
-from .generators import (CoherenceGenerator, default_generator,
-                         diagonal_generator, sigma_z_generator)
+from .generators import CoherenceGenerator, default_generator, diagonal_generator
 from .resources import ProfileConfig, ResourceProfile, profiles
 from .states import DensityMatrix, Seed
 from .tolerances import (EPS_BALL, EPS_EXTREMAL, EPS_MI, EPS_MONO_REPORT,
@@ -65,7 +59,7 @@ def resolve_generator(spec: str, d: int) -> CoherenceGenerator:
     if spec == "sigma-z":
         if d != 2:
             raise ValueError(f"sigma-z generator needs d_A = 2, got {d}")
-        return sigma_z_generator()
+        return default_generator(2)
     if spec.startswith("diag:"):
         values = [float(x) for x in spec[len("diag:"):].split(",")]
         if len(values) != d:
@@ -242,17 +236,20 @@ class _Tally:
         return out
 
 
-def _report(claim: str, cfg: CampaignConfig, trials: int, violations: int,
-            report_only: int, stats: dict, worst: _Tally,
-            verdict: str | None = None) -> ClaimReport:
-    """A check's report, echoing the claim's tolerances in order and the
-    witness of ``worst``. A hard check holds within tolerance when it has no
-    violations and is violated otherwise; a finding passes its ``verdict``."""
-    verdict = verdict or ("violated" if violations else "holds-within-tolerance")
-    report_id, _, _, tolerances = CLAIMS[claim]
-    return ClaimReport(report_id, verdict, trials, violations, report_only,
-                       {name: cfg.tolerance(name) for name in tolerances}, cfg.seed,
-                       stats, worst.witness())
+def _report(claim: str, cfg: CampaignConfig, trials: int, counts: dict, stats: dict,
+            worst: _Tally, broken: bool = False) -> ClaimReport:
+    """A check's report from its count of each of the claim's statements in ``CLAIMS``.
+    Hard counts sum to ``violations`` (findings do, if no statement is hard), report-only
+    ones to ``report_only_violations``; a hard count or a ``broken`` check is ``violated``.
+    It echoes each statement's tolerance once, in row order, and the witness of ``worst``."""
+    report_id, _, _, statements = CLAIMS[claim]
+    hard = [counts[s] for s, (_, is_hard) in statements.items() if is_hard]
+    found = sum(counts[s] for s, (_, is_hard) in statements.items() if not is_hard)
+    verdict = ("violated" if any(hard) or broken
+               else "holds-within-tolerance" if hard else "report-only")
+    return ClaimReport(report_id, verdict, trials, sum(hard) if hard else found, found,
+                       {tol: cfg.tolerance(tol) for tol, _ in statements.values()},
+                       cfg.seed, stats, worst.witness())
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +296,7 @@ def check_extremals(cfg: CampaignConfig) -> ClaimReport:
                      "q2": prof.q2, "q3": prof.q3, "norm": prof.norm,
                      "deviation": float(dev)})
         worst.add(dev, state, dev, prof, anchor=name)
-    return _report("C1", cfg, len(anchors), worst.count, 0,
+    return _report("C1", cfg, len(anchors), {"anchors": worst.count},
                    {"anchors": rows, "max_deviation": float(worst.max)}, worst)
 
 
@@ -331,8 +328,7 @@ def check_qirc_ball(cfg: CampaignConfig) -> tuple[ClaimReport, list[dict]]:
                       trial=i, stream=i)
     stats = {"max_norm": float(worst.max), "mean_norm": worst.sum / n,
              "violation_trials": violations}
-    return _report("T1", cfg, n, len(violations), len(violations), stats, worst,
-                   "report-only"), cloud
+    return _report("T1", cfg, n, {"ball": len(violations)}, stats, worst), cloud
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +383,8 @@ def check_convexity(cfg: CampaignConfig) -> ClaimReport:
     stats = {"pairs": n_pairs, "lambda_grid": list(LAMBDAS),
              "endpoint_mismatches": endpoint_mismatches, "max_mixture_norm": float(worst.max),
              "max_segment_deviation": float(max_segment_dev)}
-    return _report("C2", cfg, n_pairs * len(LAMBDAS), ball_violations, ball_violations,
-                   stats, worst, "violated" if endpoint_mismatches else "report-only")
+    return _report("C2", cfg, n_pairs * len(LAMBDAS), {"mixtures": ball_violations},
+                   stats, worst, broken=endpoint_mismatches > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -405,28 +401,26 @@ def _sample_channel(d: int, seed: Seed) -> np.ndarray:
 def check_monotonicity(cfg: CampaignConfig) -> ClaimReport:
     """Coordinates under channels on A, in two channel families per slot.
 
-    Haar-random channels (Kraus rank uniform in 1..d^2): q1, q3 and norm
-    increases are report-only findings. q2 increases are recorded in the
-    stats only: they count toward neither ``report_only_violations`` nor the
-    witness margin. The fully entangled fraction can grow under a local
-    channel (Badziąg et al., PRA 62, 012311, 2000), and no theorem makes q3
-    monotone under channels that break the generator's phase symmetry (a
-    reset of A to |+><+| takes q3 from 0 to 1).
-    Generator-covariant channels: a q3 increase is a hard violation, because
-    the Fisher information of the family e^{-iHt} rho_A e^{iHt} cannot grow
-    under them (data processing). q3 after such a channel depends on
-    Lambda(rho_A) only, so that tier scores the A marginal alone. The witness
-    is the largest covariant q3 increase when there is a hard violation, so
-    that outranks every report-only finding; otherwise it is the slot of
-    largest margin in either family.
+    Haar-random channels (Kraus rank uniform in 1..d^2) may raise q1, q3 and the
+    norm: the fully entangled fraction can grow under a local channel (Badziąg et
+    al., PRA 62, 012311, 2000), and no theorem makes q3 monotone under channels that
+    break the generator's phase symmetry (a reset of A to |+><+| takes q3 from 0 to
+    1). Their q2 increases are in the stats only, and set no witness margin.
+    Generator-covariant channels cannot raise q3: the Fisher information of the
+    family e^{-iHt} rho_A e^{iHt} cannot grow under them (data processing). q3 after
+    such a channel depends on Lambda(rho_A) only, so that family scores the A
+    marginal alone. The witness is the largest covariant q3 increase when there is
+    a hard violation, so that outranks every report-only finding; otherwise it is
+    the slot of largest margin in either family.
     """
-    tol_q1, tol_q3, tol_rep = map(cfg.tolerance, ("q1_mono", "q3_mono", "mono_report"))
+    statements = CLAIMS["C3"][3]
     n_states, n_ch = cfg.n_trials("C3"), cfg.n_channels()
     pc, d_a = cfg.profile_config(), cfg.dims[0]
     g = pc.generator
-    # Increases per coordinate under Haar channels, then under covariant ones.
-    incs = {"q1": _Tally(tol_q1), "q3": _Tally(tol_q3), "q2": _Tally(tol_rep),
-            "norm": _Tally(tol_rep), "covariant_q3": _Tally(tol_q3)}
+    # Increases per coordinate under Haar channels, then under covariant ones, each
+    # past its statement's tolerance; q2's, in the stats only, past mono_report's.
+    incs = {k: _Tally(cfg.tolerance(statements[k][0] if k in statements else "mono_report"))
+            for k in ("q1", "q3", "q2", "norm", "covariant_q3")}
 
     def full_profile(kraus, rows):  # each output's profile, by field name; the witness shows it
         out = channels.apply_batch(kraus, stack[rows], dims, 0)
@@ -438,14 +432,14 @@ def check_monotonicity(cfg: CampaignConfig) -> ClaimReport:
         _, q3 = resources.fisher_q3(channels.apply_batch(kraus, rho_a[rows], (d_a,), 0), g)
         return [({"q3": float(v)}, {}) for v in q3]
 
-    # The families, scored in this order in each slot: name, stream block, Kraus
-    # draw, score (per slot, the coordinates after and the witness fields it adds),
-    # the tallies of the increases, the coordinates whose increase past its tally's
-    # tol sets the slot's margin, and whether a margin above 0 is a hard violation.
+    # The families, scored in this order in each slot: name, stream block, Kraus draw,
+    # score (per slot, the coordinates after and the witness fields it adds) and the
+    # tally of each coordinate's increase, named as its statement in CLAIMS (q2 has
+    # none). A family's statements, all of one tier, set the slot's margin.
     table = [("haar", _STREAM_CHANNEL, lambda seed: _sample_channel(d_a, seed), full_profile,
-              {k: incs[k] for k in ("q1", "q3", "q2", "norm")}, ("q1", "q3", "norm"), False),
+              {k: k for k in ("q1", "q3", "q2", "norm")}),
              ("covariant", _STREAM_COVARIANT, lambda seed: channels.covariant_kraus(g, seed),
-              a_q3, {"q3": incs["covariant_q3"]}, ("q3",), True)]
+              a_q3, {"q3": "covariant_q3"})]
     margins, hard = _Tally(floor=-np.inf), _Tally(0.0, floor=-np.inf)  # all slots; hard slots
     # Slot s = i * n_ch + j is channel j on state i. linalg.chunks cuts a chunk's
     # states, then its slots, into ranges; a range's states lead the profile stack
@@ -467,24 +461,24 @@ def check_monotonicity(cfg: CampaignConfig) -> ClaimReport:
                 outs.append((kraus, score(channels.stack_kraus(kraus), rows)))
             for r, s in enumerate(slots):
                 (i, j), state, before = divmod(s, n_ch), sampled[rows[r]], befores[rows[r]]
-                for (name, stream, *_, tallies, coords, is_hard), (kraus, out) in zip(table, outs):
+                for (name, stream, *_, keys), (kraus, out) in zip(table, outs):
                     after, shown = out[r]
-                    delta = {k: after[k] - getattr(before, k) for k in tallies}
+                    delta = {k: after[k] - getattr(before, k) for k in keys}
                     for k, v in delta.items():
-                        tallies[k].add(v)
-                    margin = max(delta[k] - tallies[k].tol for k in coords)
+                        incs[keys[k]].add(v)
+                    stated = [k for k in keys if keys[k] in statements]
+                    margin = max(delta[k] - incs[keys[k]].tol for k in stated)
                     case = dict(trial=i, channel_index=j, channel_family=name, state_stream=i,
                                 channel_stream=stream + s, kraus_rank=len(kraus[r]),
                                 **{f"{k}_increase": float(v) for k, v in delta.items()},
                                 profile_before=before, **shown)
-                    for tally in (margins, hard) if is_hard else (margins,):
+                    for tally in (margins, hard) if statements[keys[stated[0]]][1] else (margins,):
                         tally.add(margin, state, margin, **case)
     stats = {"states": n_states, "channels_per_state": n_ch,
              **{f"{k}_increases": t.count for k, t in incs.items()},
              **{f"max_{k}_increase": float(t.max) for k, t in incs.items()}}
-    return _report("C3", cfg, n_states * n_ch, hard.count,
-                   sum(incs[k].count for k in ("q1", "q3", "norm")), stats,
-                   hard if hard.count else margins)
+    return _report("C3", cfg, n_states * n_ch, {k: incs[k].count for k in statements},
+                   stats, hard if hard.count else margins)
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +526,7 @@ def check_conservation(cfg: CampaignConfig) -> ClaimReport:
              "global_trials": n, "global_max_drift": float(glob.max),
              "global_mean_abs_drift": glob.sum / n, "global_exceed_count": glob.count}
     # The global witness replaces the local one only when strictly larger.
-    return _report("T2", cfg, 2 * n, local.count, glob.count, stats,
+    return _report("T2", cfg, 2 * n, {"local": local.count, "global": glob.count}, stats,
                    glob if glob.max > local.max else local)
 
 
@@ -573,7 +567,8 @@ def check_entropic_bounds(cfg: CampaignConfig) -> ClaimReport:
     stats = {"max_mi_gap": float(mi.max), "anchor_saturation_gap": float(anchor_gap),
              "q1q2_bound_violations": h1.count, "q1q2_bound_max_excess": float(h1.max),
              "fisher_bound_violations": h2.count, "fisher_bound_max_excess": float(h2.max)}
-    return _report("A2", cfg, n + 1, mi.count, h1.count + h2.count, stats, mi)
+    return _report("A2", cfg, n + 1, {"mi": mi.count, "q1q2": h1.count, "fisher": h2.count},
+                   stats, mi)
 
 
 # ---------------------------------------------------------------------------
@@ -608,13 +603,18 @@ def check_claim_dims(claim: str, d_a: int) -> None:
 
 # Each claim: its report id, check, default trial count (C2's counts state pairs, C3's
 # states, each hit by channels_per_state channels, T2's local trials, which the global
-# family reuses) and the tolerances its report echoes, in order.
+# family reuses) and its statements, {statement: (tolerance name, hard)}, in the order
+# its report echoes their tolerances. A hard one is a theorem; a report-only one, a finding.
 CLAIMS = {
-    "T1": ("T1.ball", check_qirc_ball, 1000, ("ball",)),
-    "C1": ("C1.extremal", check_extremals, 0, ("extremal",)),
-    "C2": ("C2.convexity", check_convexity, 100, ("ball",)),
-    "C3": ("C3.monotonicity", check_monotonicity, 200, ("q1_mono", "q3_mono", "mono_report")),
-    "T2": ("T2.conservation", check_conservation, 100, ("traj",)),
-    "A2": ("A2.entropic", check_entropic_bounds, 1000, ("mi",)),
+    "T1": ("T1.ball", check_qirc_ball, 1000, {"ball": ("ball", False)}),
+    "C1": ("C1.extremal", check_extremals, 0, {"anchors": ("extremal", True)}),
+    "C2": ("C2.convexity", check_convexity, 100, {"mixtures": ("ball", False)}),
+    "C3": ("C3.monotonicity", check_monotonicity, 200,
+           {"q1": ("q1_mono", False), "q3": ("q3_mono", False), "norm": ("mono_report", False),
+            "covariant_q3": ("q3_mono", True)}),
+    "T2": ("T2.conservation", check_conservation, 100,
+           {"local": ("traj", True), "global": ("traj", False)}),
+    "A2": ("A2.entropic", check_entropic_bounds, 1000,
+           {"mi": ("mi", True), "q1q2": ("mi", False), "fisher": ("mi", False)}),
 }
 CLAIM_IDS = {short: claim[0] for short, claim in CLAIMS.items()}

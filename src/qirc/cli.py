@@ -201,6 +201,8 @@ def _number(entry: dict, key: str, default, index: int, whole: bool = True):
     if not (type(value) is int or isinstance(value, float) and (value.is_integer() or not whole)):
         kind = "a whole number" if whole else "a number"
         raise ValueError(f"schedule step {index}: {key} must be {kind}, got {value!r}")
+    if not whole and type(value) is int and abs(value) > sys.float_info.max:  # float() overflows
+        raise ValueError(f"schedule step {index}: {key} is too large for a float")
     return int(value) if whole else float(value)
 
 

@@ -78,10 +78,6 @@ def clusters(values: np.ndarray, tol: float) -> list[list[int]]:
     return out
 
 
-def sigma_z_generator() -> CoherenceGenerator:
-    return CoherenceGenerator(np.diag([1.0, -1.0]).astype(complex))
-
-
 def default_generator(d: int) -> CoherenceGenerator:
     """Equally spaced diagonal generator diag(d-1, d-3, ..., -(d-1)).
 

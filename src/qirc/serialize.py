@@ -101,6 +101,9 @@ def state_from_dict(data: Any) -> DensityMatrix:
     a = np.array(raw, dtype=object)  # an entry is a list of two JSON numbers; a bool is not one
     if a.ndim != 3 or a.shape[2] != 2 or not {type(x) for x in a.flat} <= {int, float}:
         raise ValueError("matrix entries must be [re, im] pairs of two numbers")
+    size = abs(a)  # a JSON integer, unlike a float, can exceed the largest float
+    if (big := np.argwhere((size > np.finfo(float).max) & (size < np.inf))).size:
+        raise ValueError(f"matrix entry {big[0, :2].tolist()} holds a number too large for a float")
     m = a.astype(float).view(complex)[..., 0]
     return DensityMatrix(m, dims)
 

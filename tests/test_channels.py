@@ -5,8 +5,7 @@ import pytest
 
 from qirc import channels, linalg, states
 from qirc.claims import _sample_channel
-from qirc.generators import (clusters, default_generator, diagonal_generator,
-                             sigma_z_generator)
+from qirc.generators import clusters, default_generator, diagonal_generator
 from qirc.states import Seed
 
 from conftest import ginibre_state, haar_state, psd_power, random_density
@@ -62,13 +61,13 @@ class TestStandardChannels:
         assert np.allclose(_act(ch, m), (1 - p) * m + p * np.eye(d) / d, atol=1e-12)
 
     def test_full_dephasing_kills_plus(self):
-        ch = channels.dephasing(1.0, sigma_z_generator())
+        ch = channels.dephasing(1.0, default_generator(2))
         out = _act(ch, states.plus_state().matrix)
         assert np.allclose(out, np.eye(2) / 2)
 
     def test_partial_dephasing_scales_offdiagonals(self, rng):
         lam = 0.4
-        ch = channels.dephasing(lam, sigma_z_generator())
+        ch = channels.dephasing(lam, default_generator(2))
         m = random_density(rng, 2)
         out = _act(ch, m)
         assert np.isclose(out[0, 1], (1 - lam) * m[0, 1])
@@ -89,7 +88,7 @@ class TestStandardChannels:
         with pytest.raises(ValueError):
             channels.depolarizing(2, bad)
         with pytest.raises(ValueError):
-            channels.dephasing(bad, sigma_z_generator())
+            channels.dephasing(bad, default_generator(2))
         with pytest.raises(ValueError):
             channels.amplitude_damping(bad)
 
@@ -325,7 +324,7 @@ class TestChoi:
         assert np.allclose(c.matrix, np.kron(np.eye(2) / 2, sigma), atol=1e-12)
 
     def test_full_dephasing_choi(self):
-        c = _choi(channels.dephasing(1.0, sigma_z_generator()))
+        c = _choi(channels.dephasing(1.0, default_generator(2)))
         expected = np.diag([0.5, 0.0, 0.0, 0.5])
         assert np.allclose(c.matrix, expected)
 

@@ -596,6 +596,38 @@ def test_stats_keys_and_order(claim):
     assert list(report.stats) == STATS_KEYS[claim]
 
 
+# The tolerances each report echoes: its statements' tolerance names, once each, in row order.
+TOLERANCE_KEYS = {"C1": ["extremal"], "T1": ["ball"], "C2": ["ball"],
+                  "C3": ["q1_mono", "q3_mono", "mono_report"], "T2": ["traj"], "A2": ["mi"]}
+
+
+@pytest.mark.parametrize("claim", claims.CHECK_ORDER)
+def test_tolerance_keys_are_the_statements_in_row_order(claim):
+    report, _ = run_check(claim, small(trials=3, channels_per_state=2))
+    names = [tol for tol, _ in claims.CLAIMS[claim][3].values()]
+    assert list(report.tolerances) == list(dict.fromkeys(names)) == TOLERANCE_KEYS[claim]
+
+
+# Tolerances below every value a statement scores, so each statement fires on every case.
+FORCED = {"traj": -1, "mi": -10, "q1_mono": -1, "q3_mono": -1, "mono_report": -1,
+          "ball": -2, "extremal": -1}
+
+
+@pytest.mark.parametrize("claim, fires, verdict, violations, report_only", [
+    ("T2", 3, "violated", 3, 3), ("A2", 4, "violated", 4, 8), ("C3", 6, "violated", 6, 18),
+    ("T1", 3, "report-only", 3, 3), ("C1", 10, "violated", 10, 0)])
+def test_forced_statements_take_their_tier_from_the_table(claim, fires, verdict, violations,
+                                                          report_only):
+    # each statement counts `fires` cases: the hard ones sum to the violations and the
+    # report-only ones to the findings, which a claim with no hard statement counts in both
+    report, _ = run_check(claim, small(trials=3, channels_per_state=2, tolerances=FORCED))
+    tiers = [is_hard for _, is_hard in claims.CLAIMS[claim][3].values()]
+    hard, found = fires * sum(tiers), fires * tiers.count(False)
+    implied = ("violated" if hard else "report-only", hard or found, found)
+    assert implied == (verdict, violations, report_only)
+    assert (report.verdict, report.violations, report.report_only_violations) == implied
+
+
 class TestEntropicBounds:
     def test_mutual_information_bound_holds(self):
         report = check_entropic_bounds(small(trials=60))

@@ -115,6 +115,22 @@ class TestProfileCommand:
         assert code == 2 and out == ""
         assert err == "error: matrix entries must be [re, im] pairs of two numbers\n"
 
+    @pytest.mark.parametrize("number, message", [
+        ("1" + "0" * 400, "matrix entry [1, 0] holds a number too large for a float"),
+        ("-1" + "0" * 400, "matrix entry [1, 0] holds a number too large for a float"),
+        ("1e400", "matrix contains non-finite entries")], ids=["integer", "negative", "float"])
+    def test_matrix_entry_too_large_for_a_float_exits_2(self, capsys, tmp_path, number,
+                                                        message):
+        # a JSON integer past the largest float is rejected where the matrix is read,
+        # naming its entry, not left to raise OverflowError; a float reads as inf
+        doc = serialize.state_to_dict(states.maximally_mixed(8, (2, 2, 2)))
+        doc["matrix"][1][0] = [0.0, "HUGE"]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc).replace('"HUGE"', number))
+        code, out, err = run(capsys, "profile", "--state", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_missing_state_file_exits_2_naming_it(self, capsys, tmp_path):
         path = tmp_path / "missing.json"
         code, out, err = run(capsys, "profile", "--state", str(path))
@@ -575,6 +591,17 @@ class TestEvolveCommand:
         code, out, err = run(capsys, "evolve", "--family", "w", "--schedule", sched)
         assert code == 2 and out == ""
         assert f"error: schedule step 0: {key} must be a number, got {value!r}" in err
+
+    @pytest.mark.parametrize("name, key", [("depolarizing", "p"), ("dephasing", "lambda"),
+                                           ("amplitude-damping", "gamma")])
+    def test_strength_too_large_for_a_float_exits_2(self, capsys, tmp_path, name, key):
+        # a JSON integer strength past the largest float names its step, where
+        # converting it raised OverflowError
+        sched = self._write_schedule(tmp_path, [{"type": "unitary", "spec": "identity"},
+                                                {"type": "channel", "name": name, key: 10 ** 400}])
+        code, out, err = run(capsys, "evolve", "--family", "ghz", "--schedule", sched)
+        assert code == 2 and out == ""
+        assert err == f"error: schedule step 1: {key} is too large for a float\n"
 
     def test_reproducible_csv(self, capsys, tmp_path):
         sched = self._write_schedule(tmp_path, [

@@ -3,7 +3,7 @@ import pytest
 
 import qirc
 from qirc import channels, dynamics, resources, states
-from qirc.generators import CoherenceGenerator, diagonal_generator, sigma_z_generator
+from qirc.generators import CoherenceGenerator, default_generator, diagonal_generator
 from qirc.states import Seed
 
 from conftest import ginibre_state, haar_state
@@ -57,7 +57,7 @@ class TestEvolve:
 
 class TestCommutingLocalUnitary:
     def test_commutes_with_generator(self):
-        g = sigma_z_generator()
+        g = default_generator(2)
         u = dynamics.commuting_local_unitary(g, Seed(52, 0))
         assert np.linalg.norm(u @ g.h - g.h @ u) <= 1e-12
 
@@ -69,7 +69,7 @@ class TestCommutingLocalUnitary:
         assert abs(u[0, 1]) + abs(u[1, 0]) > 1e-3
 
     def test_determinism(self):
-        g = sigma_z_generator()
+        g = default_generator(2)
         a = dynamics.commuting_local_unitary(g, Seed(52, 2))
         b = dynamics.commuting_local_unitary(g, Seed(52, 2))
         assert np.array_equal(a, b)
@@ -86,20 +86,20 @@ class TestCommutingLocalUnitary:
 
 class TestSampleCommutantUnitary:
     def test_commutator_residual(self):
-        g = sigma_z_generator()
+        g = default_generator(2)
         for i in range(5):
             u = dynamics.sample_commutant_unitary(g, (2, 2, 2), Seed(53, i))
             lifted = np.kron(g.h, np.eye(4))
             assert np.linalg.norm(u.matrix @ lifted - lifted @ u.matrix) <= 1e-10
 
     def test_unitarity_and_dims(self):
-        g = sigma_z_generator()
+        g = default_generator(2)
         u = dynamics.sample_commutant_unitary(g, (2, 2, 2), Seed(53, 9))
         assert u.matrix.shape == (8, 8)
         assert np.linalg.norm(u.matrix.conj().T @ u.matrix - np.eye(8)) <= 1e-10
 
     def test_determinism(self):
-        g = sigma_z_generator()
+        g = default_generator(2)
         a = dynamics.sample_commutant_unitary(g, (2, 2, 2), Seed(53, 4))
         b = dynamics.sample_commutant_unitary(g, (2, 2, 2), Seed(53, 4))
         assert np.array_equal(a.matrix, b.matrix)
@@ -109,7 +109,7 @@ class TestSampleCommutantUnitary:
             CoherenceGenerator(np.eye(2, dtype=complex))
 
     def test_dims_validation(self):
-        g = sigma_z_generator()
+        g = default_generator(2)
         with pytest.raises(ValueError):
             dynamics.sample_commutant_unitary(g, (2, 2), Seed(53, 0))
         with pytest.raises(ValueError):
@@ -168,7 +168,7 @@ class TestTrajectory:
         assert traj.monotone["norm"]
 
     def test_commuting_local_schedule_preserves_norm(self):
-        g = sigma_z_generator()
+        g = default_generator(2)
         rho = haar_state((2, 2, 2), Seed(55, 0))
         steps = []
         for i in range(3):

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from qirc import dynamics, linalg, resources, states
-from qirc.generators import (CoherenceGenerator, default_generator,
-                             diagonal_generator, sigma_z_generator)
+from qirc.generators import CoherenceGenerator, default_generator, diagonal_generator
 from qirc.resources import ProfileConfig, profile, profile_batch, teleportation_fidelity
 from qirc.states import DensityMatrix, Seed
 from qirc.tolerances import EPS_CERT, EPS_OPT, EPS_PSD
@@ -540,15 +539,15 @@ class TestMonogamyReading:
 
 class TestQuantumFisherInformation:
     def test_maximally_mixed_is_exactly_zero(self):
-        g = sigma_z_generator()
+        g = default_generator(2)
         assert f_q(states.maximally_mixed(2), g) == 0.0
 
     def test_plus_state(self):
-        g = sigma_z_generator()
+        g = default_generator(2)
         assert np.isclose(f_q(states.plus_state(), g), 4.0, atol=1e-12)
 
     def test_generator_eigenstate(self):
-        g = sigma_z_generator()
+        g = default_generator(2)
         assert f_q(states.basis_state(2, 0), g) <= 1e-12
 
     @pytest.mark.parametrize("d", [2, 4, 8])
@@ -578,7 +577,7 @@ class TestQuantumFisherInformation:
             assert fq <= 4 * variance(rho, g) + 1e-9
 
     def test_invariant_under_commuting_unitary(self):
-        g = sigma_z_generator()
+        g = default_generator(2)
         for i in range(10):
             rho = ginibre_state(2, 2, Seed(43, i))
             theta = 0.3 + i
@@ -588,12 +587,12 @@ class TestQuantumFisherInformation:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="generator dimension 2 does not match d_A=3"):
-            f_q(states.maximally_mixed(3), sigma_z_generator())
+            f_q(states.maximally_mixed(3), default_generator(2))
 
 
 class TestFqMax:
     def test_sigma_z(self):
-        p = alone_on_a(states.plus_state(), sigma_z_generator())
+        p = alone_on_a(states.plus_state(), default_generator(2))
         assert np.isclose(p.breakdown.f_q_max, 4.0)
 
     def test_two_qubit_collective(self):
@@ -624,13 +623,13 @@ class TestFqMax:
 
 class TestCoordQ3:
     def test_plus_state_maximal(self):
-        assert np.isclose(alone_on_a(states.plus_state(), sigma_z_generator()).q3, 1.0)
+        assert np.isclose(alone_on_a(states.plus_state(), default_generator(2)).q3, 1.0)
 
     def test_maximally_mixed_zero(self):
-        assert alone_on_a(states.maximally_mixed(2), sigma_z_generator()).q3 == 0.0
+        assert alone_on_a(states.maximally_mixed(2), default_generator(2)).q3 == 0.0
 
     def test_basis_state_zero(self):
-        assert alone_on_a(states.basis_state(2, 0), sigma_z_generator()).q3 <= 1e-12
+        assert alone_on_a(states.basis_state(2, 0), default_generator(2)).q3 <= 1e-12
 
 
 class TestProfile:

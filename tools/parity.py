@@ -85,12 +85,17 @@ BOOL_STRENGTH = [{"type": "channel", "name": "depolarizing", "p": True}]
 # Matrix entries that are not two numbers: boolean triples, and an object.
 BOOL_ENTRIES = {"dims": [2, 1, 1], "matrix": [[[True, 0, 99], [0, 0]], [[0, 0], [False, 0]]]}
 OBJECT_ENTRY = {"dims": [2, 1, 1], "matrix": [[{"0": 1, "1": 0}, [0, 0]], [[0, 0], [0, 0]]]}
+# JSON integers too large for a float: a matrix entry, and a depolarizing strength.
+HUGE_ENTRY = {"dims": [2, 1, 1], "matrix": [[[10 ** 400, 0], [0, 0]], [[0, 0], [0, 0]]]}
+HUGE_STRENGTH = [{"type": "channel", "name": "depolarizing", "p": 10 ** 400}]
 
 INPUTS = {"schedule.json": json.dumps(SCHEDULE), "qutrit_product.json": qutrit_product_state(1e-2),
           "cloner.json": cloner_state(), "bool_dims.json": json.dumps(BOOL_DIMS),
           "bool_strength.json": json.dumps(BOOL_STRENGTH),
           "bool_entries.json": json.dumps(BOOL_ENTRIES),
-          "object_entry.json": json.dumps(OBJECT_ENTRY)}
+          "object_entry.json": json.dumps(OBJECT_ENTRY),
+          "huge_entry.json": json.dumps(HUGE_ENTRY),
+          "huge_strength.json": json.dumps(HUGE_STRENGTH)}
 
 COMMANDS = [
     "check all --trials 40 --channels 5 --seed 7 --out out",
@@ -179,6 +184,16 @@ COMMANDS = [
     "profile --family gibbs:1",
     "sweep gibbs-beta --grid 0:3:13 --coupling 0.7",
     "check T1 C2 --sampler named-family --family gibbs:0.9:0.7 --trials 3 --out out",
+    # The sigma-z spelling of the qubit default generator.
+    "profile --family w --generator sigma-z",
+    "check C3 T2 --generator sigma-z --trials 3 --channels 3",
+    # Tolerances below every value: each statement of each claim fires, so every
+    # verdict, violation count and finding count comes from its tier in claims.CLAIMS.
+    "check T2 A2 C3 T1 C1 --trials 3 --channels 2 --tol traj=-1 --tol mi=-10 --tol q1_mono=-1"
+    " --tol q3_mono=-1 --tol mono_report=-1 --tol ball=-2 --tol extremal=-1",
+    # A JSON integer too large for a float, as a matrix entry and as a strength.
+    "profile --state huge_entry.json",
+    "evolve --family ghz --schedule huge_strength.json",
 ]
 
 
